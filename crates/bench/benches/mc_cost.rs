@@ -44,7 +44,7 @@ fn bench_mc(c: &mut Criterion) {
                     .run()
                     .unwrap();
             assert_eq!(report.verdict, Verdict::Ok);
-            report.states
+            report.canonical_states
         })
     });
 
@@ -61,7 +61,7 @@ fn bench_mc(c: &mut Criterion) {
                     .run()
                     .unwrap();
             assert_eq!(report.verdict, Verdict::Ok);
-            report.states
+            report.canonical_states
         })
     });
 
@@ -78,12 +78,12 @@ fn bench_mc(c: &mut Criterion) {
                     .run()
                     .unwrap();
             assert!(matches!(report.verdict, Verdict::FairLivelock { .. }));
-            report.states
+            report.canonical_states
         })
     });
 
-    // The same configuration with process-symmetry reduction: identical
-    // verdict from roughly half the stored states (S₂ orbits).
+    // The same configuration with symmetry reduction: identical verdict
+    // from roughly half the stored states (S₂ orbits).
     group.bench_function("alg1_n2_m3_symmetry", |b| {
         b.iter(|| {
             let spec = MutexSpec::rw_unchecked(2, 3);
@@ -94,7 +94,7 @@ fn bench_mc(c: &mut Criterion) {
             let report =
                 ModelChecker::with_automata(automata, MemoryModel::Rw, 3, &Adversary::Identity)
                     .unwrap()
-                    .symmetry(Symmetry::Process)
+                    .symmetry(Symmetry::Wreath)
                     .run()
                     .unwrap();
             assert_eq!(report.verdict, Verdict::Ok);
@@ -103,9 +103,9 @@ fn bench_mc(c: &mut Criterion) {
         })
     });
 
-    // Heavier symmetric configuration, sequential vs parallel frontier
-    // (the thread cap is clamped to the machine's parallelism, so on a
-    // single-core host both rows take the deterministic path).
+    // Heavier symmetric configuration, one worker vs four (the thread
+    // cap is clamped to the machine's parallelism, so on a single-core
+    // host both rows run one worker).
     for threads in [1usize, 4] {
         group.bench_function(format!("alg1_n3_m5_symmetry_t{threads}"), |b| {
             b.iter(|| {
@@ -117,7 +117,7 @@ fn bench_mc(c: &mut Criterion) {
                 let report =
                     ModelChecker::with_automata(automata, MemoryModel::Rw, 5, &Adversary::Identity)
                         .unwrap()
-                        .symmetry(Symmetry::Process)
+                        .symmetry(Symmetry::Wreath)
                         .threads(threads)
                         .max_states(4_000_000)
                         .run()
@@ -131,18 +131,18 @@ fn bench_mc(c: &mut Criterion) {
     group.finish();
 }
 
-/// Per-state overhead of the richer wreath canonicalization, measured on
-/// a rotation orbit — the adversary family where the process-only group
-/// is trivial (no two processes share a permutation) and every stored
-/// state pays the joint group's extra encodes.  `process` is the
-/// baseline cost of exploring the same space with a trivial group;
+/// Per-state overhead of the wreath canonicalization, measured on a
+/// rotation orbit — an adversary family where no two processes share a
+/// permutation, so every symmetry is a joint process × register one and
+/// every stored state pays the group's extra encodes.  `off` is the
+/// baseline cost of exploring the same space without reduction;
 /// `wreath` adds the `Z_3` canonicalization per transition and is repaid
 /// in stored states (≈ 3× fewer), arena bytes and SCC size.  Tracked in
 /// CI bench-smoke so a canonicalization-cost regression is visible.
 fn bench_canonicalize(c: &mut Criterion) {
     let mut group = c.benchmark_group("canonicalize");
     group.sample_size(10);
-    for (name, symmetry) in [("process", Symmetry::Process), ("wreath", Symmetry::Wreath)] {
+    for (name, symmetry) in [("off", Symmetry::Off), ("wreath", Symmetry::Wreath)] {
         group.bench_function(format!("alg1_n3_m3_rotations_{name}"), |b| {
             b.iter(|| {
                 let spec = MutexSpec::rw_unchecked(3, 3);

@@ -26,7 +26,7 @@ fn model_check(
         .collect();
     let report = ModelChecker::with_automata(automata, MemoryModel::Rw, m, adversary)
         .expect("valid adversary")
-        .symmetry(Symmetry::Process)
+        .symmetry(Symmetry::Wreath)
         .max_states(4_000_000)
         .run()
         .expect("state space within bounds");

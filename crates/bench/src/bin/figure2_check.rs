@@ -21,7 +21,7 @@ fn model_check(n: usize, m: usize, adversary: &Adversary) -> (Verdict, usize, us
         .collect();
     let report = ModelChecker::with_automata(automata, MemoryModel::Rmw, m, adversary)
         .expect("valid adversary")
-        .symmetry(Symmetry::Process)
+        .symmetry(Symmetry::Wreath)
         .max_states(4_000_000)
         .run()
         .expect("state space within bounds");

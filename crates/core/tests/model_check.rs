@@ -231,7 +231,7 @@ fn alg1_n2_m7_is_correct_exhaustively() {
 #[test]
 fn alg2_n3_m3_invalid_livelocks_symmetry_reduced() {
     // A configuration the seed suite declared out of exhaustive reach:
-    // with process-symmetry reduction it completes (storing one state
+    // with symmetry reduction it completes (storing one state
     // per S₃ orbit) and confirms the Theorem 5 prediction.
     let spec = MutexSpec::rmw_unchecked(3, 3);
     let mut pool = amx_ids::PidPool::sequential();
@@ -240,7 +240,7 @@ fn alg2_n3_m3_invalid_livelocks_symmetry_reduced() {
         .collect();
     let report = ModelChecker::with_automata(automata, MemoryModel::Rmw, 3, &Adversary::Identity)
         .unwrap()
-        .symmetry(Symmetry::Process)
+        .symmetry(Symmetry::Wreath)
         .max_states(4_000_000)
         .run()
         .unwrap();

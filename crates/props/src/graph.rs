@@ -229,7 +229,11 @@ mod tests {
         .unwrap()
         .run()
         .unwrap();
-        assert_eq!(g.len(), report.states, "independent engines must agree");
+        assert_eq!(
+            g.len(),
+            report.canonical_states,
+            "independent engines must agree"
+        );
         assert_eq!(g.succ.len(), g.len() * 2);
     }
 

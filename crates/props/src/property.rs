@@ -377,7 +377,7 @@ mod tests {
         let automata: Vec<CasLock> = ids.into_iter().map(CasLock::new).collect();
         let report = PropertySuite::new(automata, MemoryModel::Rmw, 1)
             .unwrap()
-            .symmetry(Symmetry::Process)
+            .symmetry(Symmetry::Wreath)
             .always(mutual_exclusion())
             .always(at_most_one_writer_per_register())
             .reachable(full_view())

@@ -102,16 +102,17 @@ pub trait Automaton {
     /// Symmetry handshake: a token identifying this automaton's
     /// configuration *with the process identity erased*.
     ///
-    /// Two processes are interchangeable under the model checker's
-    /// [`crate::mc::Symmetry::Process`] reduction exactly when they
-    /// return equal `Some` tokens (and their adversary permutations are
-    /// equal).  Returning `Some(t)` is a promise: another automaton with
-    /// the same token behaves identically after swapping the two
-    /// identities everywhere.  The default `None` opts out — a process
-    /// that never declares a class is never permuted, so the reduction
-    /// degrades gracefully to the full exploration instead of becoming
-    /// unsound.  Asymmetric automata (e.g. Peterson's, where each side
-    /// is hard-wired) must return distinct tokens per role or `None`.
+    /// The model checker's [`crate::mc::Symmetry::Wreath`] reduction
+    /// only maps a process onto another that returns an equal `Some`
+    /// token (and only along an automorphism of the adversary, which
+    /// relabels the physical registers to match their permutations).
+    /// Returning `Some(t)` is a promise: another automaton with the same
+    /// token behaves identically after swapping the two identities
+    /// everywhere.  The default `None` opts out — a process that never
+    /// declares a class is never permuted, so the reduction degrades
+    /// gracefully to the full exploration instead of becoming unsound.
+    /// Asymmetric automata (e.g. Peterson's, where each side is
+    /// hard-wired) must return distinct tokens per role or `None`.
     fn symmetry_class(&self) -> Option<u64> {
         None
     }

@@ -82,8 +82,9 @@ pub(crate) struct Snapshot<'a> {
     pub(crate) peak_frontier: u64,
     pub(crate) orbit_sum: u64,
     pub(crate) monitor_hits: &'a [MonitorHit],
-    /// The next frontier; only the global ids are persisted.
-    pub(crate) frontier: &'a [(u32, Box<[u8]>)],
+    /// Global ids of the next frontier (the bytes are rematerialized
+    /// from the arenas on load).
+    pub(crate) frontier: &'a [u32],
     pub(crate) shards: &'a [Shard],
 }
 
@@ -136,7 +137,7 @@ pub(crate) fn write(dir: &Path, snap: &Snapshot<'_>, plan: Option<&FaultPlan>) -
         }
     }
     write_u64(&mut w, snap.frontier.len() as u64)?;
-    for (gid, _) in snap.frontier {
+    for gid in snap.frontier {
         w.write_all(&gid.to_le_bytes())?;
     }
     write_u64(&mut w, snap.shards.len() as u64)?;

@@ -51,8 +51,9 @@
 //! once complete, so a page is written to its file slot at most once —
 //! re-evicting an unmodified faulted page just drops the bytes.
 //!
-//! Reads fall into two regimes.  The *intern* path (`&mut self`)
-//! transparently faults pages back in, admitting them to the resident
+//! Reads fall into two regimes.  The exclusive paths (`&mut self`:
+//! interning and [`lookup_hashed_mut`](StateArena::lookup_hashed_mut))
+//! transparently fault pages back in, admitting them to the resident
 //! set and evicting colder pages to stay on budget.  The shared read
 //! paths (`&self`: [`get_into`](StateArena::get_into),
 //! [`lookup_hashed`](StateArena::lookup_hashed)) cannot mutate the
@@ -905,6 +906,50 @@ impl StateArena {
         }
     }
 
+    /// [`lookup_hashed`](Self::lookup_hashed) for the arena's exclusive
+    /// owner: probes against spilled pages fault them back into the
+    /// resident set (evicting colder pages), exactly as an
+    /// [`intern_hashed`](Self::intern_hashed) probe does.
+    ///
+    /// # Errors
+    ///
+    /// As for [`lookup`](Self::lookup).
+    pub fn lookup_hashed_mut(
+        &mut self,
+        hash: u64,
+        bytes: &[u8],
+    ) -> Result<Option<u32>, SpillError> {
+        debug_assert_eq!(hash, hash_bytes(bytes), "caller-supplied hash mismatch");
+        Ok(self.probe(hash, bytes)?.ok())
+    }
+
+    /// The table probe of the `&mut self` paths: `Ok(index)` when
+    /// `bytes` is interned, else `Err(slot)` — the empty bucket an
+    /// insert takes.  Spilled pages the probe compares against are
+    /// faulted back into the resident set.
+    fn probe(&mut self, hash: u64, bytes: &[u8]) -> Result<Result<u32, usize>, SpillError> {
+        let mask = self.table.len() - 1;
+        let frag = hash as u32;
+        let mut slot = frag as usize & mask;
+        loop {
+            let entry = self.table[slot];
+            if entry == EMPTY {
+                return Ok(Err(slot));
+            }
+            if (entry >> 32) as u32 == frag {
+                let idx = entry as u32;
+                self.fault_in(idx as usize / PAGE)?;
+                let page = self
+                    .resident_page(idx as usize / PAGE)
+                    .expect("faulted page is resident");
+                if self.record_eq(idx, page, bytes) {
+                    return Ok(Ok(idx));
+                }
+            }
+            slot = (slot + 1) & mask;
+        }
+    }
+
     /// Interns `bytes`, returning `(index, freshly_inserted)`.
     ///
     /// # Errors
@@ -941,32 +986,16 @@ impl StateArena {
         if self.ends.len() * 8 >= self.table.len() * 7 {
             self.grow();
         }
-        let mask = self.table.len() - 1;
-        let frag = hash as u32;
-        let mut slot = frag as usize & mask;
-        loop {
-            let entry = self.table[slot];
-            if entry == EMPTY {
-                break;
-            }
-            if (entry >> 32) as u32 == frag {
-                let idx = entry as u32;
-                self.fault_in(idx as usize / PAGE)?;
-                let page = self
-                    .resident_page(idx as usize / PAGE)
-                    .expect("faulted page is resident");
-                if self.record_eq(idx, page, bytes) {
-                    return Ok((idx, false));
-                }
-            }
-            slot = (slot + 1) & mask;
-        }
+        let slot = match self.probe(hash, bytes)? {
+            Ok(idx) => return Ok((idx, false)),
+            Err(slot) => slot,
+        };
         let idx = u32::try_from(self.ends.len()).expect("arena index overflow");
         assert!(idx != u32::MAX, "arena index overflow");
         self.push_record(idx, bytes);
         let end = u32::try_from(self.sealed_bytes + self.cur.len()).expect("arena data overflow");
         self.ends.push(end);
-        self.table[slot] = bucket(frag, idx);
+        self.table[slot] = bucket(hash as u32, idx);
         debug_assert_eq!(
             self.lookup(bytes).ok(),
             Some(Some(idx)),
@@ -1412,6 +1441,10 @@ mod tests {
             let x = a.intern(&bytes).unwrap();
             let y = b.intern_hashed(hash_bytes(&bytes), &bytes).unwrap();
             assert_eq!(x, y);
+            assert_eq!(
+                b.lookup_hashed_mut(hash_bytes(&bytes), &bytes).unwrap(),
+                Some(y.0)
+            );
         }
     }
 

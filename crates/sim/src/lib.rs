@@ -30,40 +30,35 @@
 //!   state.  Successors are generated into reused scratch buffers, so
 //!   the hot loop performs no per-step clones or per-node allocations
 //!   beyond the single arena append.
-//! * **Symmetry reduction** ([`mc::Symmetry::Process`] and the
-//!   register-aware [`mc::Symmetry::Wreath`]) — the paper's algorithms
-//!   are symmetric (identities support equality only) and the memory is
-//!   *anonymous*, so states that differ by permuting interchangeable
-//!   processes, consistently relabeling their identities, and — under
-//!   the wreath group — relabeling the physical registers along an
+//! * **Symmetry reduction** ([`mc::Symmetry::Wreath`]) — the paper's
+//!   algorithms are symmetric (identities support equality only) and
+//!   the memory is *anonymous*, so states that differ by permuting
+//!   interchangeable processes, consistently relabeling their
+//!   identities, and relabeling the physical registers along an
 //!   automorphism of the adversary (`ρ ∘ f_i = f_{π(i)}`) are
-//!   isomorphic.  The checker canonicalizes each state under the chosen
+//!   isomorphic.  The checker canonicalizes each state under that joint
 //!   group, storing one representative per orbit (up to the group order
-//!   fewer states — and the wreath group is nontrivial even on
-//!   rotation/ring adversaries where no two processes share a
-//!   permutation) while still producing *concrete* witness schedules,
-//!   and reports the exact concrete state count alongside the canonical
-//!   one.
-//! * **Work-stealing parallel frontier** ([`mc::ModelChecker::threads`],
-//!   or the `AMX_MC_THREADS` environment variable) — breadth-first
-//!   levels run on per-worker deques with batch stealing over a striped
-//!   seen-set, and the pool is capped at the machine's available
-//!   parallelism.  Single-threaded remains the default so CI output and
-//!   witness schedules are deterministic; the verdict kind and all
-//!   counts are identical at any thread count (witness schedules stay
-//!   valid and shortest, but may differ among equally short
-//!   candidates).
-//! * **O(states) memory, parallel SCC** — the deadlock-freedom pass
+//!   fewer states — and the group is nontrivial even on rotation/ring
+//!   adversaries where no two processes share a permutation) while
+//!   still producing *concrete* witness schedules, and reports the
+//!   exact concrete state count alongside the canonical one.
+//! * **One level engine at every worker count**
+//!   ([`mc::ModelChecker::threads`], or the `AMX_MC_THREADS`
+//!   environment variable) — every breadth-first level expands its
+//!   nodes against the frozen seen set, then interns the survivors in
+//!   `(parent position, actor)` order.  One worker runs both phases on
+//!   the calling thread; more split the expansion over work-stealing
+//!   deques and the interning over 64 worker-owned seen-set shards, and
+//!   the pool is capped at the machine's available parallelism.  States
+//!   are numbered in breadth-first discovery order at every worker
+//!   count, so verdicts, witnesses, counts and query answers are
+//!   identical whatever the worker count.
+//! * **O(states) memory livelock pass** — the deadlock-freedom pass
 //!   regenerates each completion-free successor exactly once into a
-//!   dense edge table (in parallel) and runs Tarjan or, on large
-//!   multi-worker runs, the trimmed forward–backward decomposition of
-//!   [`scc::parallel_sccs`] over it; no transition list is ever
+//!   dense edge table (in parallel) and runs Tarjan's decomposition
+//!   ([`scc::tarjan_sccs_csr`]) over it; no transition list is ever
 //!   buffered during exploration.
-//! * **Out-of-core exploration** — the seen set is hash-prefix-sharded
-//!   into worker-owned partitions (parallel levels expand against the
-//!   frozen shards, then each worker exclusively drains its own shards'
-//!   pending inserts — no lock on any intern path, and insertion order
-//!   is deterministic at every thread count), each shard's arena can
+//! * **Out-of-core exploration** — each seen-set shard's arena can
 //!   spill cold compressed pages to disk under a resident-byte budget
 //!   ([`mc::ModelChecker::resident_budget`], CLOCK eviction, transparent
 //!   fault-in — the SCC and query passes run unchanged against a
@@ -110,7 +105,8 @@ pub use encode::EncodeState;
 pub use fault::FaultPlan;
 pub use intern::SpillError;
 pub use mc::{
-    CrashBudget, CrashMode, McError, McReport, ModelChecker, Monitor, SccQuery, Symmetry, Verdict,
+    ConfigError, CrashBudget, CrashMode, McError, McReport, ModelChecker, Monitor, SccQuery,
+    Symmetry, Verdict,
 };
 pub use mem::{MemoryModel, MemoryOps, SimMemory};
 pub use runner::{RunReport, Runner, Stop, TraceEvent, Workload};

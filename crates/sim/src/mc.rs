@@ -26,48 +26,52 @@
 //! The explorer stores each reachable node as one flat byte string (the
 //! [`crate::encode::EncodeState`] encoding of the memory slots plus all
 //! process phase/state pairs) inside interned [`crate::intern::StateArena`]
-//! stripes — no cloned `Vec<Slot>` per node and no cloned node per
+//! shards — no cloned `Vec<Slot>` per node and no cloned node per
 //! successor step (successors are generated into reused scratch
-//! buffers).  Three engine knobs exist beyond the state bound:
+//! buffers).
 //!
-//! * [`ModelChecker::symmetry`] — with [`Symmetry::Process`], each node
-//!   is canonicalized under the *process-symmetry group* before
-//!   interning: interchangeable processes (equal
-//!   [`Automaton::symmetry_class`] token and equal adversary
-//!   permutation) may be permuted, with their equality-only identities
-//!   relabeled consistently in every register slot via
-//!   [`amx_ids::codec::PidMap`].  With [`Symmetry::Wreath`] the group
-//!   is the memory's full *joint* symmetry group — pairs `(π, ρ)` of a
-//!   process permutation and a physical register relabeling that are
-//!   automorphisms of the adversary (`ρ ∘ f_i = f_{π(i)}`), enumerated
-//!   once per run by
-//!   [`amx_registers::automorphism::adversary_automorphisms`] — so the
-//!   reduction also bites on rotation/ring adversaries where no two
-//!   processes share a permutation.  The paper's algorithms are
+//! Every breadth-first level runs the same two-phase code, in rounds of
+//! at most 16K frontier nodes:
+//!
+//! 1. **Expand** — each node is decoded, stepped once per process (and
+//!    per admissible crash), and every successor canonicalized; a probe
+//!    of the frozen seen-set shards drops successors interned by an
+//!    earlier round or level, and the survivors are queued per owning
+//!    shard together with their monitor verdicts.
+//! 2. **Drain** — each shard interns its queue in `(frontier position,
+//!    actor)` order, so the first generator of a state becomes its
+//!    breadth-first parent and the next frontier keeps that order.
+//!
+//! With one worker both phases run on the calling thread over a single
+//! shard.  With more ([`ModelChecker::threads`]), the seen set is split
+//! into 64 hash-prefix shards: the expand phase runs on per-worker
+//! deques with back-half work stealing, and in the drain phase each
+//! worker exclusively owns a subset of the shards, so no intern path
+//! takes a lock.  After exploration the states are numbered in
+//! breadth-first discovery order at every worker count (with one shard
+//! that is already the id order; with 64 it is rebuilt from the tree
+//! metadata), so verdicts, witness schedules, counts and SCC-query
+//! answers are identical whatever the worker count.
+//!
+//! The builder's knobs beyond the state bound:
+//!
+//! * [`ModelChecker::symmetry`] — with [`Symmetry::Wreath`], each node
+//!   is canonicalized under the memory's *joint* symmetry group before
+//!   interning: pairs `(π, ρ)` of a process permutation and a physical
+//!   register relabeling that are automorphisms of the adversary
+//!   (`ρ ∘ f_i = f_{π(i)}`), enumerated once per run by
+//!   [`amx_registers::automorphism::adversary_automorphisms`] and
+//!   restricted to processes with equal [`Automaton::symmetry_class`]
+//!   tokens; identities are relabeled consistently in every register
+//!   slot via [`amx_ids::codec::PidMap`].  The paper's algorithms are
 //!   symmetric by construction, so orbits collapse by up to the group
 //!   order and the stored state count drops accordingly.  Witness
 //!   schedules remain concrete: the group element used on each tree
 //!   edge is recorded, and parent chains are mapped back through the
 //!   accumulated permutation (`ρ` never appears in schedules — it only
 //!   relabels the register array).
-//! * [`ModelChecker::threads`] — each breadth-first level runs on
-//!   per-worker deques with batch work stealing over a striped
-//!   seen-set (one `parking_lot` lock per stripe); levels stay
-//!   synchronized, which is what keeps reported witnesses shortest,
-//!   but a worker that drains its deque steals the back half of a
-//!   peer's, so uneven canonicalization costs no longer stall the
-//!   end-of-level barrier.  The pool is capped at the machine's
-//!   available parallelism.  Single-threaded is the default so that
-//!   state numbering, counters, and witness schedules stay
-//!   byte-for-byte deterministic in CI; the `AMX_MC_THREADS`
-//!   environment variable overrides the default when no explicit
-//!   thread count is set.  The verdict kind and all counts are
-//!   thread-count independent on completing runs; witness schedules
-//!   are always valid and shortest, but may differ between runs with
-//!   more than one thread when several equally short witnesses tie.
-//! * [`ModelChecker::cross_check`] — debug mode: after a reduced run,
-//!   re-explores with [`Symmetry::Off`] and panics if the verdicts (or
-//!   the orbit accounting) diverge.
+//! * [`ModelChecker::threads`] — the worker cap described above (the
+//!   pool is also capped at the machine's available parallelism).
 //! * [`ModelChecker::progress`] — optional throttled live-progress
 //!   callback (states, exact concrete-orbit accounting, transitions).
 //! * [`ModelChecker::monitor`] — on-the-fly state predicates: fatal
@@ -81,24 +85,26 @@
 //!   somewhere/everywhere with a concrete witness schedule
 //!   ([`McReport::scc_queries`]), symmetry-expanding members for
 //!   non-orbit-invariant predicates.
+//! * [`ModelChecker::resident_budget`], [`ModelChecker::checkpoint_dir`]
+//!   and [`ModelChecker::crashes`] — out-of-core exploration, resumable
+//!   levels and crash–recovery edges.
 //!
-//! The deadlock-freedom pass no longer buffers a transition list
-//! during exploration: after BFS, every completion-free successor is
+//! The deadlock-freedom pass buffers no transition list during
+//! exploration: after BFS, every completion-free successor is
 //! *regenerated* from the interned bytes exactly once into a dense
-//! `states × n` edge table (split across the worker pool), and the SCC
-//! decomposition — sequential Tarjan, or [`crate::scc::parallel_sccs`]
-//! on large multi-worker runs past [`ModelChecker::scc_threshold`] —
-//! runs over that table, so peak memory is O(states · n) rather than
-//! O(stored transitions) and no successor is regenerated twice.
+//! `states × n` edge table (split across the worker pool), and Tarjan's
+//! SCC decomposition ([`crate::scc::tarjan_sccs_csr`]) runs over that
+//! table, so peak memory is O(states · n) rather than O(stored
+//! transitions) and no successor is regenerated twice.
 //!
-//! With `Symmetry::Process` or `Symmetry::Wreath`, the fair-livelock
-//! check runs on the orbit quotient with fairness at the granularity of
-//! symmetry classes (processes in one group orbit are indistinguishable
-//! in the quotient), and candidate components are then confirmed
-//! exactly on their concrete orbit expansion.  The differential test
-//! suites cross-validate both reductions against the full exploration
-//! on every algorithm in this workspace; [`Symmetry::Off`] remains the
-//! default and is exact.
+//! Under [`Symmetry::Wreath`], the fair-livelock check runs on the orbit
+//! quotient with fairness at the granularity of symmetry classes
+//! (processes in one group orbit are indistinguishable in the
+//! quotient), and candidate components are then confirmed exactly on
+//! their concrete orbit expansion.  The differential test suites
+//! cross-validate the reduction against the full exploration on every
+//! algorithm in this workspace; [`Symmetry::Off`] remains the default
+//! and is exact.
 
 use std::collections::VecDeque;
 use std::io;
@@ -193,9 +199,9 @@ pub type StateEval<S> = Arc<dyn Fn(&[Slot], &[(Phase, S)]) -> bool + Send + Sync
 /// engine-level hook the `amx-props` property subsystem compiles
 /// [`StatePredicate`](https://docs.rs)-style predicates into.
 ///
-/// The predicate is evaluated once per *stored* state, on the concrete
-/// successor as generated (physical slot order, process components in
-/// the canonical parent's frame).  Under symmetry reduction the
+/// The predicate is evaluated once per *stored* state, on the state's
+/// canonical representative (physical slot order).  Under symmetry
+/// reduction the
 /// predicate therefore **must be orbit-invariant** (invariant under
 /// permuting processes, relabeling their identities, and — under
 /// [`Symmetry::Wreath`] — relabeling the physical registers), the same
@@ -252,7 +258,7 @@ impl<S> Monitor<S> {
 }
 
 /// Outcome of one non-fatal [`Monitor`] over a completed exploration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MonitorResult {
     /// Monitor name.
     pub name: String,
@@ -330,7 +336,7 @@ impl<S> SccQuery<S> {
 }
 
 /// Answer to one [`SccQuery`] over a detected livelock component.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SccQueryResult {
     /// Query name.
     pub name: String,
@@ -357,27 +363,22 @@ pub enum Symmetry {
     /// No reduction: every concrete state is stored.  Exact.
     #[default]
     Off,
-    /// Process-symmetry reduction: states are canonicalized under the
-    /// group generated by permuting interchangeable processes (equal
-    /// [`Automaton::symmetry_class`] and equal adversary permutation)
-    /// together with the matching identity relabeling.  Sound for
-    /// automata honouring the `symmetry_class` contract; processes that
-    /// opt out (`None`) are never permuted.
-    Process,
     /// Wreath (register-aware) reduction: the full joint symmetry group
     /// of the anonymous memory.  Elements are pairs `(π, ρ)` — process
     /// permutation plus physical register relabeling — that are
     /// automorphisms of the adversary itself (`ρ ∘ f_i = f_{π(i)}`,
     /// enumerated once per run by
-    /// [`amx_registers::automorphism::adversary_automorphisms`]).  The
-    /// group contains the [`Symmetry::Process`] group (`ρ = id` on
-    /// equal-permutation processes) and additionally bites on
-    /// rotation/ring orbits where no two processes share a permutation
-    /// and process-only reduction stores every concrete state.  Same
-    /// soundness contract as `Process`: automata opt in via
-    /// [`Automaton::symmetry_class`], and states may quote registers by
-    /// local name only (or relabel quoted physical indices through the
-    /// [`amx_ids::codec::RegMap`] codec hook).
+    /// [`amx_registers::automorphism::adversary_automorphisms`]), each
+    /// with the matching identity relabeling.  Processes sharing an
+    /// adversary permutation may be swapped with `ρ = id`, so on such
+    /// adversaries (the identity adversary among them) the group is
+    /// exactly the symmetric group on each set of interchangeable
+    /// processes; on rotation/ring orbits, where no two processes share
+    /// a permutation, it is still nontrivial.  Sound for automata
+    /// honouring the [`Automaton::symmetry_class`] contract (processes
+    /// that opt out with `None` are never permuted) whose states quote
+    /// registers by local name only (or relabel quoted physical indices
+    /// through the [`amx_ids::codec::RegMap`] codec hook).
     Wreath,
 }
 
@@ -386,20 +387,26 @@ pub enum Symmetry {
 pub struct McReport {
     /// The verdict.
     pub verdict: Verdict,
-    /// States stored during exploration (canonical states when symmetry
-    /// reduction is active; equals `canonical_states`).
-    pub states: usize,
     /// Transitions explored.
+    ///
+    /// On a [`Verdict::MutualExclusionViolation`] or
+    /// [`Verdict::PropertyViolation`] this and the other exploration
+    /// counts (`acquisitions`, `canonical_states`,
+    /// `full_states_estimate` and the monitor hit counts) cover the
+    /// explored prefix only: exploration stops at the end of the
+    /// expansion round (at most 16K frontier nodes) in which the
+    /// violation was found.  The prefix is the same at every worker
+    /// count, and so is the reported schedule.
     pub transitions: usize,
     /// How many transitions were critical-section acquisitions.
     pub acquisitions: usize,
-    /// Canonical states stored (same as `states`; named for clarity in
-    /// reduced runs).
+    /// States stored during exploration (canonical states when symmetry
+    /// reduction is active).
     pub canonical_states: usize,
     /// Exact size of the union of the stored states' orbits — i.e. the
     /// number of *concrete* states a [`Symmetry::Off`] run of the same
     /// configuration would store (assuming it completes).  Equals
-    /// `states` when symmetry is off.
+    /// `canonical_states` when symmetry is off.
     pub full_states_estimate: usize,
     /// Largest breadth-first level encountered.
     pub peak_frontier: usize,
@@ -439,7 +446,7 @@ pub struct McReport {
     /// Resident bytes of the seen-set hash tables (8 bytes per bucket).
     pub seen_table_bytes: usize,
     /// How many times an idle frontier worker stole work from a peer
-    /// (always zero single-threaded).
+    /// (always zero with one worker).
     pub steal_count: usize,
     /// Requested worker-thread cap (the pool itself is additionally
     /// clamped to the machine's available parallelism).
@@ -449,7 +456,7 @@ pub struct McReport {
     /// Results of every registered [`Monitor`], in registration order.
     /// A fatal monitor that fired also reports here (its first hit and
     /// count up to the abort); on any early-aborting verdict the counts
-    /// cover only the explored prefix.
+    /// cover only the explored prefix (see [`McReport::transitions`]).
     pub monitors: Vec<MonitorResult>,
     /// Results of the [`SccQuery`]s over the detected fair-livelock
     /// component, in registration order; empty unless the verdict is
@@ -575,8 +582,23 @@ pub enum McError {
     Spill(SpillError),
     /// [`ModelChecker::resume`] could not restore any checkpoint (I/O
     /// error on the directory, or a fingerprint from an incompatible
-    /// configuration).
+    /// configuration) — or the configuration itself is invalid: then
+    /// the error has kind [`io::ErrorKind::InvalidInput`] and wraps a
+    /// [`ConfigError`] (see [`McError::config`]), returned before any
+    /// state is explored.
     Checkpoint(io::Error),
+}
+
+impl McError {
+    /// The configuration error behind this error, when the run was
+    /// refused before exploring anything.
+    #[must_use]
+    pub fn config(&self) -> Option<&ConfigError> {
+        match self {
+            McError::Checkpoint(e) => e.get_ref()?.downcast_ref(),
+            _ => None,
+        }
+    }
 }
 
 impl std::fmt::Display for McError {
@@ -584,8 +606,51 @@ impl std::fmt::Display for McError {
         match self {
             McError::StateSpaceExceeded(e) => e.fmt(f),
             McError::Spill(e) => write!(f, "spilled state lost: {e}"),
-            McError::Checkpoint(e) => write!(f, "cannot resume: {e}"),
+            McError::Checkpoint(e) => match self.config() {
+                Some(c) => write!(f, "invalid configuration: {c}"),
+                None => write!(f, "cannot resume: {e}"),
+            },
         }
+    }
+}
+
+/// A [`ModelChecker`] configuration that [`ModelChecker::run`] refuses
+/// before exploring (carried by [`McError::Checkpoint`]; see
+/// [`McError::config`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ConfigError {
+    /// [`ModelChecker::resume`] was requested without a
+    /// [`ModelChecker::checkpoint_dir`] to resume from.
+    ResumeWithoutCheckpointDir,
+    /// [`ModelChecker::max_states`] exceeds what the 32-bit state ids of
+    /// the run's shard layout can number.
+    MaxStatesTooLarge {
+        /// The configured bound.
+        max_states: usize,
+        /// The largest bound the id encoding admits.
+        limit: usize,
+    },
+}
+
+impl std::fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ConfigError::ResumeWithoutCheckpointDir => {
+                write!(f, "resume(true) requires a checkpoint_dir")
+            }
+            ConfigError::MaxStatesTooLarge { max_states, limit } => write!(
+                f,
+                "max_states {max_states} exceeds the id encoding's limit of {limit}"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for ConfigError {}
+
+impl From<ConfigError> for McError {
+    fn from(e: ConfigError) -> Self {
+        McError::Checkpoint(io::Error::new(io::ErrorKind::InvalidInput, e))
     }
 }
 
@@ -629,7 +694,7 @@ impl From<SpillError> for McError {
 ///     &amx_registers::Adversary::Identity,
 /// )
 /// .unwrap()
-/// .symmetry(Symmetry::Process)
+/// .symmetry(Symmetry::Wreath)
 /// .run()
 /// .unwrap();
 /// assert_eq!(report.verdict, Verdict::Ok);
@@ -641,8 +706,6 @@ pub struct ModelChecker<A: Automaton> {
     max_states: usize,
     symmetry: Symmetry,
     threads: Option<usize>,
-    cross_check: bool,
-    scc_threshold: usize,
     oversubscribe: bool,
     progress: Option<Arc<ProgressFn>>,
     monitors: Vec<Monitor<A::State>>,
@@ -665,8 +728,6 @@ impl<A: Automaton + std::fmt::Debug> std::fmt::Debug for ModelChecker<A> {
             .field("max_states", &self.max_states)
             .field("symmetry", &self.symmetry)
             .field("threads", &self.threads)
-            .field("cross_check", &self.cross_check)
-            .field("scc_threshold", &self.scc_threshold)
             .field("oversubscribe", &self.oversubscribe)
             .field("progress", &self.progress.as_ref().map(|_| "<callback>"))
             .field("monitors", &self.monitors)
@@ -682,11 +743,6 @@ impl<A: Automaton + std::fmt::Debug> std::fmt::Debug for ModelChecker<A> {
             .finish()
     }
 }
-
-/// Default node count below which the fair-livelock pass prefers
-/// sequential Tarjan over the parallel FW–BW decomposition even on
-/// multi-threaded runs (small graphs are not worth the worker pool).
-const DEFAULT_SCC_THRESHOLD: usize = 65_536;
 
 /// Caps a requested thread count at the machine's available
 /// parallelism: oversubscribing cores only adds context-switch and
@@ -749,8 +805,6 @@ impl<A: Automaton> ModelChecker<A> {
             max_states: 2_000_000,
             symmetry: Symmetry::Off,
             threads: None,
-            cross_check: false,
-            scc_threshold: DEFAULT_SCC_THRESHOLD,
             oversubscribe: false,
             progress: None,
             monitors: Vec::new(),
@@ -783,55 +837,33 @@ impl<A: Automaton> ModelChecker<A> {
 
     /// Sets the worker thread count explicitly.  Without this call the
     /// count comes from the `AMX_MC_THREADS` environment variable, and
-    /// defaults to 1 (deterministic state numbering and witnesses).
-    /// The verdict kind and all counts are identical at any thread
-    /// count; with several threads, witness schedules may differ among
-    /// equally short candidates because seen-set insertion races pick
-    /// the breadth-first spanning tree.
+    /// defaults to 1.  Every report field except `threads`,
+    /// `steal_count`, the timings and the memory figures is identical
+    /// at any thread count: verdicts, witness schedules, counts,
+    /// monitor and SCC-query results.
     ///
     /// The count is a *cap*: the engine never spawns more compute
     /// workers than the machine's available parallelism, because
     /// oversubscribing cores only adds context-switch and cache
     /// pressure (measured ~2× wall-time on a single-core host).  A run
-    /// whose effective pool is one worker takes the byte-for-byte
-    /// deterministic sequential path.
+    /// whose effective pool is one worker runs entirely on the calling
+    /// thread, over a single seen-set shard.
     #[must_use]
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = Some(threads.max(1));
         self
     }
 
-    /// Debug mode: after a reduced ([`Symmetry::Process`] or
-    /// [`Symmetry::Wreath`]) run, re-explore with [`Symmetry::Off`] and
-    /// panic if the verdicts (or the orbit accounting) diverge.
-    /// Doubles the work; intended for tests.
-    #[must_use]
-    pub fn cross_check(mut self, on: bool) -> Self {
-        self.cross_check = on;
-        self
-    }
-
     /// Disables the available-parallelism cap on the worker pool, so
     /// `threads(t)` spawns exactly `t` workers even on a host with
     /// fewer cores.  A correctness/test hook — the differential suite
-    /// uses it to drive the work-stealing frontier and the parallel
-    /// SCC pass regardless of the machine it runs on; production runs
-    /// should leave the cap alone (oversubscription measured ~2×
-    /// slower on a single-core host).
+    /// uses it to drive the sharded, work-stealing level regardless of
+    /// the machine it runs on; production runs should leave the cap
+    /// alone (oversubscription measured ~2× slower on a single-core
+    /// host).
     #[must_use]
     pub fn oversubscribe(mut self, on: bool) -> Self {
         self.oversubscribe = on;
-        self
-    }
-
-    /// Node count below which the fair-livelock pass uses sequential
-    /// Tarjan instead of the parallel FW–BW decomposition on
-    /// multi-threaded runs (single-threaded runs always use Tarjan for
-    /// byte-for-byte determinism).  Mainly a test hook: set 0 to force
-    /// the parallel path on tiny graphs.
-    #[must_use]
-    pub fn scc_threshold(mut self, threshold: usize) -> Self {
-        self.scc_threshold = threshold;
         self
     }
 
@@ -912,7 +944,9 @@ impl<A: Automaton> ModelChecker<A> {
     /// a fingerprint of the full configuration — automaton type,
     /// process/register counts, memory model, adversary, symmetry mode,
     /// monitors, shard layout — and resuming under any other
-    /// configuration panics rather than silently mixing state spaces.
+    /// configuration fails with [`McError::Checkpoint`] rather than
+    /// silently mixing state spaces.  Without a checkpoint directory
+    /// the run is refused with [`ConfigError::ResumeWithoutCheckpointDir`].
     #[must_use]
     pub fn resume(mut self, on: bool) -> Self {
         self.resume = on;
@@ -979,52 +1013,29 @@ where
     /// # Errors
     ///
     /// Returns [`McError::StateSpaceExceeded`] if more than the
-    /// configured number of states are reachable, and the other
+    /// configured number of states are reachable, the other
     /// [`McError`] variants on unrecoverable out-of-core I/O failures
-    /// (recoverable ones degrade instead — see [`McReport::degraded`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if [`cross_check`](Self::cross_check) is enabled and the
-    /// reduced and full explorations disagree.
+    /// (recoverable ones degrade instead — see [`McReport::degraded`]),
+    /// and a [`ConfigError`] (see [`McError::config`]) before exploring
+    /// anything when the configuration is invalid.
     pub fn run(&self) -> Result<McReport, McError> {
-        let report = self.explore(self.symmetry)?;
-        if self.cross_check && self.symmetry != Symmetry::Off {
-            let full = self.explore(Symmetry::Off)?;
-            assert_eq!(
-                verdict_kind(&report.verdict),
-                verdict_kind(&full.verdict),
-                "symmetry cross-check: reduced verdict {:?} vs full verdict {:?}",
-                report.verdict,
-                full.verdict
-            );
-            if !matches!(
-                report.verdict,
-                Verdict::MutualExclusionViolation { .. } | Verdict::PropertyViolation { .. }
-            ) {
-                assert_eq!(
-                    report.full_states_estimate, full.states,
-                    "symmetry cross-check: orbit accounting diverged"
-                );
-            }
-        }
-        Ok(report)
-    }
-
-    fn explore(&self, symmetry: Symmetry) -> Result<McReport, McError> {
         let start = Instant::now();
         let m = self.mem0.m();
+        let symmetry = self.symmetry;
         let threads = self.effective_threads();
         let workers = effective_workers(threads, self.oversubscribe);
         let shard_bits: u32 = if workers == 1 { 0 } else { 6 };
-        assert!(
-            self.max_states < (u32::MAX >> shard_bits) as usize,
-            "max_states too large for the id encoding"
-        );
-        assert!(
-            self.monitors.len() <= 64,
-            "at most 64 monitors (the sharded intern path buffers hits in a u64 bitmask)"
-        );
+        let id_limit = (u32::MAX >> shard_bits) as usize - 1;
+        if self.max_states > id_limit {
+            return Err(ConfigError::MaxStatesTooLarge {
+                max_states: self.max_states,
+                limit: id_limit,
+            }
+            .into());
+        }
+        if self.resume && self.checkpoint_dir.is_none() {
+            return Err(ConfigError::ResumeWithoutCheckpointDir.into());
+        }
         let n_shards = 1usize << shard_bits;
         let (group, class_of) = build_group(&self.automata, &self.mem0, symmetry);
         let shared = EngineShared {
@@ -1041,13 +1052,8 @@ where
             crashes: self.crashes,
             spill_error: Mutex::new(None),
         };
-        // Checkpointing binds to the *configured* run: the symmetry-off
-        // cross-check re-exploration must not touch the directory.
-        let ckpt_dir = self
-            .checkpoint_dir
-            .as_deref()
-            .filter(|_| symmetry == self.symmetry);
-        let fingerprint = self.fingerprint(symmetry, shard_bits);
+        let ckpt_dir = self.checkpoint_dir.as_deref();
+        let fingerprint = self.fingerprint(shard_bits);
 
         let mut scratch: Scratch<A::State> = Scratch::new(self.mem0.clone());
         let mut peak_frontier = 0usize;
@@ -1065,8 +1071,7 @@ where
         let mut resumed_from_level: Option<u32> = None;
 
         let mut degraded: Vec<String> = Vec::new();
-        let restored = if self.resume {
-            let dir = ckpt_dir.expect("resume(true) requires checkpoint_dir");
+        let restored = if let Some(dir) = ckpt_dir.filter(|_| self.resume) {
             let (restored, skipped) =
                 checkpoint::load_latest(dir, fingerprint).map_err(McError::Checkpoint)?;
             degraded.extend(skipped);
@@ -1075,13 +1080,17 @@ where
             None
         };
         let mut shards: Vec<Shard>;
-        let mut frontier: Vec<(u32, Box<[u8]>)>;
+        let mut frontier = Frontier::default();
+        // The next level's buffer, swapped with `frontier` after every
+        // level so both keep their capacity.
+        let mut next = Frontier::default();
         if let Some(ck) = restored {
-            assert_eq!(
-                ck.shards.len(),
-                n_shards,
-                "checkpoint shard layout mismatch"
-            );
+            if ck.shards.len() != n_shards {
+                return Err(McError::Checkpoint(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    "checkpoint shard layout mismatch",
+                )));
+            }
             shards = ck.shards;
             let states: usize = shards.iter().map(|s| s.arena.len()).sum();
             shared.stored.store(states, Ordering::Relaxed);
@@ -1096,15 +1105,19 @@ where
             resumed_from_level = Some(ck.level);
             // The checkpoint stores frontier *ids*; the bytes come back
             // out of the restored arenas.
-            frontier = Vec::with_capacity(ck.frontier.len());
+            let mut bytes = Vec::new();
             for &gid in &ck.frontier {
-                let si = (gid as usize) & (n_shards - 1);
-                let mut bytes = Vec::new();
-                shards[si]
-                    .arena
+                let arena = &shards[(gid as usize) & (n_shards - 1)].arena;
+                if (gid >> shard_bits) as usize >= arena.len() {
+                    return Err(McError::Checkpoint(io::Error::new(
+                        io::ErrorKind::InvalidData,
+                        "checkpoint frontier names an unknown state",
+                    )));
+                }
+                arena
                     .get_into(gid >> shard_bits, &mut bytes)
                     .map_err(McError::Spill)?;
-                frontier.push((gid, bytes.into_boxed_slice()));
+                frontier.push(gid, &bytes);
             }
         } else {
             shards = (0..n_shards).map(|_| Shard::default()).collect();
@@ -1151,7 +1164,7 @@ where
                 meta0,
                 orbit0,
             );
-            frontier = vec![(root, scratch.best.as_slice().into())];
+            frontier.push(root, &scratch.best);
 
             // The initial state is reachable too: monitors see it first.
             for (mi, mon) in self.monitors.iter().enumerate() {
@@ -1198,11 +1211,14 @@ where
             && !halted
         {
             peak_frontier = peak_frontier.max(frontier.len());
-            let out = if workers == 1 {
-                process_chunk(&shared, &mut shards, &frontier, 0, &mut scratch)
-            } else {
-                run_level_sharded(&shared, &mut shards, &frontier, workers)
-            };
+            let out = run_level(
+                &shared,
+                &mut shards,
+                &frontier,
+                &mut next,
+                workers,
+                &mut scratch,
+            );
             acquisitions += out.acquisitions;
             transitions += out.transitions;
             if let Some(v) = out.violation {
@@ -1237,7 +1253,7 @@ where
                 }
                 *lb = None;
             }
-            frontier = out.next;
+            std::mem::swap(&mut frontier, &mut next);
             completed_levels += 1;
             if let Some(e) = shared.spill_error.lock().take() {
                 return Err(McError::Spill(e));
@@ -1258,7 +1274,7 @@ where
                         peak_frontier: peak_frontier as u64,
                         orbit_sum: shared.orbit_sum.load(Ordering::Relaxed) as u64,
                         monitor_hits: &monitor_hits,
-                        frontier: &frontier,
+                        frontier: &frontier.gids,
                         shards: &shards,
                     };
                     match checkpoint::write(dir, &snap, self.fault_plan.as_deref()) {
@@ -1302,7 +1318,6 @@ where
         degraded.extend(store.degraded_notes());
         let mut report = McReport {
             verdict: Verdict::Ok,
-            states,
             transitions,
             acquisitions,
             canonical_states: states,
@@ -1380,7 +1395,7 @@ where
     /// layout.  Two runs with equal fingerprints explore the same state
     /// space in the same order, so a checkpoint from one continues
     /// bit-identically under the other.
-    fn fingerprint(&self, symmetry: Symmetry, shard_bits: u32) -> u64 {
+    fn fingerprint(&self, shard_bits: u32) -> u64 {
         use std::fmt::Write as _;
         let mut s = String::new();
         let _ = write!(
@@ -1390,7 +1405,7 @@ where
             self.automata.len(),
             self.mem0.m(),
             self.mem0.model(),
-            symmetry,
+            self.symmetry,
             self.max_states,
             shard_bits,
             crate::intern::PAGE,
@@ -1437,11 +1452,11 @@ where
     /// for deleted completion edges); the SCC decomposition and the
     /// per-component fairness scan then run over that table instead of
     /// paying decode + step + canonicalize + lookup per algorithmic
-    /// probe.  The regeneration pass is split across `threads` workers;
-    /// graphs of at least [`ModelChecker::scc_threshold`] nodes on
-    /// multi-worker runs additionally use the parallel FW–BW
-    /// decomposition (sorted to a deterministic traversal order),
-    /// everything else sequential Tarjan.
+    /// probe.  The regeneration pass is split across `workers`; the
+    /// decomposition is Tarjan's, over node ids in breadth-first
+    /// discovery order, so the candidate order — and with it the
+    /// reported component and witnesses — is the same at every worker
+    /// count.
     fn find_fair_livelock(
         &self,
         store: &Store,
@@ -1546,21 +1561,9 @@ where
             }
         }
 
-        // Stage 2: SCC decomposition over the table.  Tarjan emits in
-        // reverse topological order; the parallel decomposition emits in
-        // scheduling order, so its output is normalized (components
-        // sorted by least member) to keep the candidate scan — and
-        // hence any reported witness — deterministic per thread count.
-        let sccs = if workers > 1 && n_states >= self.scc_threshold {
-            let mut sccs = scc::parallel_sccs(n_states, n, &csr, workers);
-            for c in &mut sccs {
-                c.sort_unstable();
-            }
-            sccs.sort_unstable_by_key(|c| c[0]);
-            sccs
-        } else {
-            scc::tarjan_sccs_csr(n_states, n, &csr)
-        };
+        // Stage 2: SCC decomposition over the table (Tarjan emits in
+        // reverse topological order).
+        let sccs = scc::tarjan_sccs_csr(n_states, n, &csr);
 
         // Component id per node for internal-edge testing.
         let mut comp = vec![u32::MAX; n_states];
@@ -2108,16 +2111,6 @@ fn phase_from_u8(b: u8) -> Option<Phase> {
     })
 }
 
-fn verdict_kind(v: &Verdict) -> &'static str {
-    match v {
-        Verdict::Ok => "ok",
-        Verdict::MutualExclusionViolation { .. } => "mutual-exclusion violation",
-        Verdict::FairLivelock { .. } => "fair livelock",
-        Verdict::PropertyViolation { .. } => "property violation",
-        Verdict::Interrupted { .. } => "interrupted",
-    }
-}
-
 /// Stamps the final wall clock and the spill accounting — the
 /// resident/spilled split and the fault/eviction totals, which keep
 /// advancing through the SCC and query passes — onto a finished report.
@@ -2148,8 +2141,8 @@ struct SymElem {
     map: PidMap,
     /// Inverse physical register relabeling: the image's slot `j` is
     /// read from physical slot `rho_inv[j]`.  Empty ⇒ `ρ = id` (always
-    /// the case for [`Symmetry::Off`]/[`Symmetry::Process`] elements),
-    /// keeping the hot encode loop free of indirection.
+    /// the case under [`Symmetry::Off`]), keeping the hot encode loop
+    /// free of indirection.
     rho_inv: Vec<usize>,
     /// Forward physical relabeling as the codec hook handed to
     /// [`EncodeState::encode_with`] for states quoting physical indices.
@@ -2158,115 +2151,30 @@ struct SymElem {
 
 /// Computes the symmetry group and the class id of every process.
 ///
-/// Under [`Symmetry::Process`], two processes share a class iff both
-/// declare the same `Some` [`Automaton::symmetry_class`] token *and*
-/// hold the same adversary permutation; processes declaring `None` are
-/// singletons.  Under [`Symmetry::Wreath`] the group is the adversary's
-/// automorphism group (computed by
+/// Under [`Symmetry::Wreath`] the group is the adversary's automorphism
+/// group (computed by
 /// [`amx_registers::automorphism::adversary_automorphisms`]) restricted
 /// to class-compatible role maps, and a class is an orbit of processes
 /// under the group's `π`-components — the granularity at which the
 /// quotient's fairness pre-filter can distinguish processes.  With
 /// [`Symmetry::Off`] every process is a singleton and the group is
-/// trivial.
+/// trivial.  The identity is always element 0.
 fn build_group<A: Automaton>(
     automata: &[A],
     mem0: &SimMemory,
     symmetry: Symmetry,
 ) -> (Vec<SymElem>, Vec<usize>) {
     let n = automata.len();
-    if symmetry == Symmetry::Wreath {
-        return build_wreath_group(automata, mem0);
-    }
-    let mut class_of = vec![usize::MAX; n];
-    let mut class_keys: Vec<Option<(u64, Vec<usize>)>> = Vec::new();
-    let mut classes: Vec<Vec<usize>> = Vec::new();
-    for i in 0..n {
-        let key = match symmetry {
-            Symmetry::Off => None,
-            Symmetry::Process => automata[i]
-                .symmetry_class()
-                .map(|t| (t, mem0.permutation(i).as_slice().to_vec())),
-            Symmetry::Wreath => unreachable!("wreath groups are built above"),
+    if symmetry == Symmetry::Off {
+        let identity = SymElem {
+            pi: (0..n).collect(),
+            pi_inv: (0..n).collect(),
+            map: PidMap::identity(),
+            rho_inv: Vec::new(),
+            regs: RegMap::identity(),
         };
-        let cid = key
-            .as_ref()
-            .and_then(|k| class_keys.iter().position(|ck| ck.as_ref() == Some(k)))
-            .unwrap_or_else(|| {
-                class_keys.push(key.clone());
-                classes.push(Vec::new());
-                // `None` keys must never merge: blank the stored key so
-                // the next opted-out process opens a fresh singleton.
-                if key.is_none() {
-                    *class_keys.last_mut().expect("just pushed") = None;
-                }
-                classes.len() - 1
-            });
-        class_of[i] = cid;
-        classes[cid].push(i);
+        return (vec![identity], (0..n).collect());
     }
-
-    // The group is the direct product of the symmetric groups on each
-    // class: enumerate it as a cartesian product of per-class
-    // reorderings.  The identity stays at index 0 because every
-    // per-class list starts with the unpermuted order.
-    let mut pis: Vec<Vec<usize>> = vec![(0..n).collect()];
-    for class in classes.iter().filter(|c| c.len() >= 2) {
-        // Reuse the registers crate's Heap's-algorithm enumeration
-        // (identity first), mapped onto the class members.
-        let reorderings: Vec<Vec<usize>> = amx_registers::all_permutations(class.len())
-            .iter()
-            .map(|p| p.as_slice().iter().map(|&i| class[i]).collect())
-            .collect();
-        let mut next = Vec::with_capacity(pis.len() * reorderings.len());
-        for pi in &pis {
-            for re in &reorderings {
-                let mut p = pi.clone();
-                for (pos, &member) in class.iter().enumerate() {
-                    p[member] = re[pos];
-                }
-                next.push(p);
-            }
-        }
-        pis = next;
-    }
-    assert!(
-        pis.len() <= usize::from(u16::MAX),
-        "process-symmetry group too large ({} elements)",
-        pis.len()
-    );
-
-    let elems = pis
-        .into_iter()
-        .map(|pi| {
-            let mut pi_inv = vec![0usize; n];
-            for (i, &j) in pi.iter().enumerate() {
-                pi_inv[j] = i;
-            }
-            let pairs: Vec<_> = (0..n)
-                .filter(|&i| pi[i] != i)
-                .filter_map(|i| Some((automata[i].pid()?, automata[pi[i]].pid()?)))
-                .collect();
-            SymElem {
-                pi,
-                pi_inv,
-                map: PidMap::from_pairs(pairs),
-                rho_inv: Vec::new(),
-                regs: RegMap::identity(),
-            }
-        })
-        .collect();
-    (elems, class_of)
-}
-
-/// [`build_group`] for [`Symmetry::Wreath`]: enumerates the adversary's
-/// automorphism group (pairs `(π, ρ)` with `ρ ∘ f_i = f_{π(i)}`) and
-/// derives the process classes as the orbits of the `π`-components.
-fn build_wreath_group<A: Automaton>(
-    automata: &[A],
-    mem0: &SimMemory,
-) -> (Vec<SymElem>, Vec<usize>) {
-    let n = automata.len();
     let keys: Vec<Option<u64>> = automata.iter().map(Automaton::symmetry_class).collect();
     let perms: Vec<amx_registers::Permutation> =
         (0..n).map(|i| mem0.permutation(i).clone()).collect();
@@ -2299,8 +2207,7 @@ fn build_wreath_group<A: Automaton>(
     let mut next_class = 0usize;
     for i in 0..n {
         // Path-compress through the min-root relation, then number the
-        // classes in first-appearance order (matching the Process-mode
-        // convention).
+        // classes in first-appearance order.
         let r = root[i];
         if class_of[r] == usize::MAX {
             class_of[r] = next_class;
@@ -2477,7 +2384,6 @@ impl<S> Scratch<S> {
 }
 
 struct WorkerOut {
-    next: Vec<(u32, Box<[u8]>)>,
     acquisitions: usize,
     transitions: usize,
     violation: Option<Violation>,
@@ -2490,7 +2396,6 @@ struct WorkerOut {
 impl WorkerOut {
     fn new(n_monitors: usize) -> Self {
         WorkerOut {
-            next: Vec::new(),
             acquisitions: 0,
             transitions: 0,
             violation: None,
@@ -2547,11 +2452,9 @@ impl MonitorHit {
 
 #[derive(Debug, Clone, Copy)]
 struct Violation {
-    /// `(frontier position, actor)` — the per-level tiebreak.  With one
-    /// thread this makes the reported violation fully deterministic;
-    /// with several, the frontier order itself depends on intern races,
-    /// so ties may resolve differently (the level, and hence the
-    /// witness length, never changes).
+    /// `(frontier position, actor)` — the per-level tiebreak.  The
+    /// frontier order is the same at every worker count, so the reported
+    /// violation is deterministic.
     order: (usize, usize),
     from: u32,
     actor: usize,
@@ -2746,40 +2649,43 @@ fn group_tables(group: &[SymElem]) -> GroupTables {
     GroupTables { inv, compose }
 }
 
-/// Expands every node of one frontier chunk, interning fresh
-/// successors directly.  The single-threaded engine path: iterates in
-/// frontier order and stops at the first violating node (later
-/// positions cannot beat its `(position, actor)` order), which keeps
-/// the sequential run byte-for-byte deterministic.
-fn process_chunk<A: Automaton>(
-    shared: &EngineShared<'_, A>,
-    shards: &mut [Shard],
-    chunk: &[(u32, Box<[u8]>)],
-    base: usize,
-    scratch: &mut Scratch<A::State>,
-) -> WorkerOut
-where
-    A::State: EncodeState,
-{
-    let mut out = WorkerOut::new(shared.monitors.len());
-    for (pos, (gid, bytes)) in chunk.iter().enumerate() {
-        if shared.overflow.load(Ordering::Relaxed) {
-            break;
-        }
-        process_item(
-            shared,
-            shards,
-            (base + pos) as u32,
-            *gid,
-            bytes,
-            scratch,
-            &mut out,
-        );
-        if out.found_stop() {
-            break;
-        }
+/// One breadth-first level: node ids in `(parent position, actor)`
+/// order, with their canonical encodings packed end to end in one
+/// buffer (no allocation per node).
+#[derive(Debug, Default)]
+struct Frontier {
+    gids: Vec<u32>,
+    /// `ends[i]` is the end offset of node `i`'s bytes in `bytes`.
+    ends: Vec<usize>,
+    bytes: Vec<u8>,
+}
+
+impl Frontier {
+    fn len(&self) -> usize {
+        self.gids.len()
     }
-    out
+
+    fn is_empty(&self) -> bool {
+        self.gids.is_empty()
+    }
+
+    /// Id and encoding of node `i`.
+    fn node(&self, i: usize) -> (u32, &[u8]) {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        (self.gids[i], &self.bytes[start..self.ends[i]])
+    }
+
+    fn clear(&mut self) {
+        self.gids.clear();
+        self.ends.clear();
+        self.bytes.clear();
+    }
+
+    fn push(&mut self, gid: u32, bytes: &[u8]) {
+        self.gids.push(gid);
+        self.bytes.extend_from_slice(bytes);
+        self.ends.push(self.bytes.len());
+    }
 }
 
 /// One frontier node in a stealable expansion queue; `pos` is its
@@ -2796,75 +2702,127 @@ struct LevelItem<'f> {
 /// that a straggler's leftover work stays stealable.
 const STEAL_BATCH: usize = 32;
 
-/// Frontier slice expanded per two-phase round of the sharded parallel
-/// level: bounds the buffered pending-insert memory to
-/// `O(LEVEL_CHUNK · n)` regardless of level width, and bounds how much
-/// work can run after a violation is found (later rounds have strictly
-/// larger positions, so they can never improve the witness order).
+/// Frontier slice expanded per two-phase round of a level: bounds the
+/// buffered pending-insert memory to `O(LEVEL_CHUNK · n)` regardless of
+/// level width, and bounds how much work can run after a violation is
+/// found (later rounds have strictly larger positions, so they can
+/// never improve the witness order).
 const LEVEL_CHUNK: usize = 16 * 1024;
 
-/// A canonical successor waiting for its owning shard's insert phase:
-/// everything the insert needs, with the monitor verdicts already
-/// evaluated on the concrete frame (as a bitmask, applied only if the
-/// insert turns out fresh — monitor predicates are orbit-invariant by
-/// contract, so evaluating on whichever concrete image a worker
-/// happened to generate is exact).
+/// A canonical successor waiting for its owning shard's drain phase:
+/// everything the insert needs.  The encoding lives in the byte buffer
+/// of the expand worker that generated it.
+#[derive(Debug, Clone, Copy)]
 struct PendingInsert {
     hash: u64,
     pos: u32,
     parent: u32,
-    actor: u8,
-    sigma: u16,
     orbit: u32,
-    mon_mask: u64,
-    bytes: Box<[u8]>,
+    /// Index of the generating worker's [`Outbox`] byte buffer.
+    worker: u32,
+    /// Byte range of the encoding in that buffer.
+    start: u32,
+    len: u32,
+    sigma: u16,
+    actor: u8,
 }
 
-/// Expands one breadth-first level with worker-owned shard partitions.
+impl PendingInsert {
+    fn bytes<'b>(&self, bufs: &'b [Vec<u8>]) -> &'b [u8] {
+        let start = self.start as usize;
+        &bufs[self.worker as usize][start..start + self.len as usize]
+    }
+}
+
+/// One expand worker's output for a round: pending inserts per shard,
+/// their encodings packed in one buffer.
+struct Outbox {
+    pending: Vec<Vec<PendingInsert>>,
+    bytes: Vec<u8>,
+}
+
+impl Outbox {
+    fn new(n_shards: usize) -> Self {
+        Outbox {
+            pending: (0..n_shards).map(|_| Vec::new()).collect(),
+            bytes: Vec::new(),
+        }
+    }
+}
+
+/// Expands one breadth-first level.
 ///
 /// The level runs in bounded rounds of [`LEVEL_CHUNK`] nodes, each
-/// round two phases with a barrier between:
+/// round two phases:
 ///
-/// 1. **Expand** (shards frozen, shared read-only): the round's nodes
-///    are block-partitioned over per-worker deques with back-half
-///    stealing (uneven orbit-canonicalization costs get rebalanced);
-///    each worker decodes, steps and canonicalizes successors, drops
-///    the ones already interned by a previous round or level (a
-///    lock-free probe of the frozen shard tables), evaluates monitors
-///    on the survivors' concrete frames, and routes them as
-///    [`PendingInsert`]s into per-shard outboxes.
-/// 2. **Insert** (shards partitioned): worker `w` exclusively owns the
+/// 1. **Expand** (no state is interned): each node is decoded, stepped
+///    and its successors canonicalized; successors already interned by
+///    a previous round or level are dropped by a probe of the seen-set
+///    shards, and the survivors are routed as [`PendingInsert`]s into
+///    per-shard outboxes.  With one worker the round runs in frontier order on
+///    the calling thread, with the run's `scratch`, and the probe
+///    faults spilled pages back into the shard's resident set as an
+///    insert would.  With more, the shards are shared read-only (probes
+///    read spilled pages through per-worker caches) and the round's
+///    nodes are block-partitioned over per-worker deques with back-half
+///    stealing (uneven orbit-canonicalization costs get rebalanced).
+/// 2. **Drain** (shards partitioned): worker `w` exclusively owns the
 ///    shards `si ≡ w (mod workers)` and drains their merged outboxes,
-///    sorted by `(pos, actor)` — so shard-local insertion order (and
-///    with it id numbering, BFS parents and monitor witnesses) is
-///    deterministic at every thread count and matches the order the
-///    sequential engine would pick.
+///    sorted by `(pos, actor)` — so the first generator of every state
+///    becomes its breadth-first parent, at every worker count.
 ///
-/// No lock is held on any intern path — the striped-lock contention of
-/// the previous engine is gone by construction, and each shard's arena
-/// grows (and spills) independently.  The fresh children of all rounds
-/// are merged and sorted by `(pos, actor)` into the next frontier,
-/// again matching sequential order.
-fn run_level_sharded<A: Automaton + Sync>(
+/// No lock is held on any intern path, and each shard's arena grows
+/// (and spills) independently.  Each round's fresh children are sorted
+/// by `(pos, actor)` and appended to `next` (cleared first; rounds
+/// cover increasing positions), the order in which [`Store`] numbers
+/// them.
+fn run_level<A: Automaton + Sync>(
     shared: &EngineShared<'_, A>,
     shards: &mut [Shard],
-    frontier: &[(u32, Box<[u8]>)],
+    frontier: &Frontier,
+    next: &mut Frontier,
     workers: usize,
+    scratch: &mut Scratch<A::State>,
 ) -> WorkerOut
 where
     A::State: EncodeState + Send,
 {
     let n_shards = shards.len();
     let mut out = WorkerOut::new(shared.monitors.len());
-    let mut fresh: Vec<(u32, u8, u32, Box<[u8]>)> = Vec::new();
-    for (ci, chunk) in frontier.chunks(LEVEL_CHUNK).enumerate() {
+    next.clear();
+    let mut base = 0;
+    while base < frontier.len() {
         if shared.overflow.load(Ordering::Relaxed) || out.found_stop() {
             break;
         }
-        // Phase 1: expand the round against the frozen shards.
-        let results = expand_chunk_stealing(shared, &*shards, chunk, ci * LEVEL_CHUNK, workers);
+        let round = base..frontier.len().min(base + LEVEL_CHUNK);
+        base = round.end;
+        // Phase 1: expand the round.
+        let results = if workers == 1 {
+            let mut wout = WorkerOut::new(shared.monitors.len());
+            let mut outbox = Outbox::new(n_shards);
+            let mut seen = |si: usize, hash: u64, bytes: &[u8], _: &mut PageCache| {
+                shards[si]
+                    .arena
+                    .lookup_hashed_mut(hash, bytes)
+                    .map(|id| id.is_some())
+            };
+            for pos in round {
+                let (gid, bytes) = frontier.node(pos);
+                let item = LevelItem {
+                    pos: pos as u32,
+                    gid,
+                    bytes,
+                };
+                expand_item(shared, &item, 0, scratch, &mut wout, &mut outbox, &mut seen);
+            }
+            vec![(wout, outbox)]
+        } else {
+            expand_round_stealing(shared, &*shards, frontier, round, workers)
+        };
         let mut pending: Vec<Vec<PendingInsert>> = (0..n_shards).map(|_| Vec::new()).collect();
-        for (wout, boxes) in results {
+        let mut bufs: Vec<Vec<u8>> = Vec::with_capacity(results.len());
+        for (wout, outbox) in results {
             out.acquisitions += wout.acquisitions;
             out.transitions += wout.transitions;
             if let Some(v) = wout.violation {
@@ -2872,9 +2830,14 @@ where
                     out.violation = Some(v);
                 }
             }
-            for (acc, mut b) in pending.iter_mut().zip(boxes) {
-                acc.append(&mut b);
+            for (acc, mut b) in pending.iter_mut().zip(outbox.pending) {
+                if acc.is_empty() {
+                    *acc = b;
+                } else {
+                    acc.append(&mut b);
+                }
             }
+            bufs.push(outbox.bytes);
         }
         for p in &mut pending {
             p.sort_unstable_by_key(|x| (x.pos, x.actor));
@@ -2885,16 +2848,25 @@ where
         for ((si, shard), pend) in shards.iter_mut().enumerate().zip(pending) {
             owned[si % workers].push((si, shard, pend));
         }
-        let drained: Vec<OwnerOut> = std::thread::scope(|s| {
-            let handles: Vec<_> = owned
+        let bufs = &bufs;
+        let drained: Vec<OwnerOut> = if workers == 1 {
+            owned
                 .into_iter()
-                .map(|work| s.spawn(move || drain_owner(shared, work)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("model-checker insert worker panicked"))
+                .map(|work| drain_owner(shared, work, bufs))
                 .collect()
-        });
+        } else {
+            std::thread::scope(|s| {
+                let handles: Vec<_> = owned
+                    .into_iter()
+                    .map(|work| s.spawn(move || drain_owner(shared, work, bufs)))
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("model-checker insert worker panicked"))
+                    .collect()
+            })
+        };
+        let mut fresh: Vec<(u32, PendingInsert)> = Vec::new();
         for oo in drained {
             for (acc, hit) in out.monitor_hits.iter_mut().zip(&oo.monitor_hits) {
                 acc.merge(hit);
@@ -2907,42 +2879,46 @@ where
                     out.prop_violation = Some(p);
                 }
             }
-            fresh.extend(oo.fresh);
+            if fresh.is_empty() {
+                fresh = oo.fresh;
+            } else {
+                fresh.extend(oo.fresh);
+            }
+        }
+        fresh.sort_unstable_by_key(|(_, p)| (p.pos, p.actor));
+        for (gid, p) in &fresh {
+            next.push(*gid, p.bytes(bufs));
         }
     }
-    fresh.sort_unstable_by_key(|&(pos, actor, _, _)| (pos, actor));
-    out.next = fresh
-        .into_iter()
-        .map(|(_, _, gid, bytes)| (gid, bytes))
-        .collect();
     out
 }
 
-/// Phase-1 worker pool of [`run_level_sharded`]: the round's nodes go
-/// into per-worker deques (same block partition and back-half stealing
-/// as the pre-sharding level engine); every worker returns its
-/// [`WorkerOut`] (transitions and violation candidates — nothing is
-/// interned here) plus its per-shard pending-insert outboxes.
-fn expand_chunk_stealing<'f, A: Automaton + Sync>(
+/// Phase-1 worker pool of [`run_level`] with several workers: the
+/// round's nodes go into per-worker deques (block partition, back-half
+/// stealing); every worker returns its [`WorkerOut`] (transitions and
+/// violation candidates — nothing is interned here) plus its
+/// [`Outbox`].
+fn expand_round_stealing<A: Automaton + Sync>(
     shared: &EngineShared<'_, A>,
     shards: &[Shard],
-    chunk: &'f [(u32, Box<[u8]>)],
-    base: usize,
+    frontier: &Frontier,
+    round: std::ops::Range<usize>,
     workers: usize,
-) -> Vec<(WorkerOut, Vec<Vec<PendingInsert>>)>
+) -> Vec<(WorkerOut, Outbox)>
 where
     A::State: EncodeState + Send,
 {
-    let chunk_len = chunk.len();
-    let mut qs: Vec<VecDeque<LevelItem<'f>>> = (0..workers).map(|_| VecDeque::new()).collect();
-    for (idx, (gid, bytes)) in chunk.iter().enumerate() {
-        qs[idx * workers / chunk_len].push_back(LevelItem {
-            pos: (base + idx) as u32,
-            gid: *gid,
+    let (base, round_len) = (round.start, round.len());
+    let mut qs: Vec<VecDeque<LevelItem<'_>>> = (0..workers).map(|_| VecDeque::new()).collect();
+    for pos in round {
+        let (gid, bytes) = frontier.node(pos);
+        qs[(pos - base) * workers / round_len].push_back(LevelItem {
+            pos: pos as u32,
+            gid,
             bytes,
         });
     }
-    let queues: Vec<Mutex<VecDeque<LevelItem<'f>>>> = qs.into_iter().map(Mutex::new).collect();
+    let queues: Vec<Mutex<VecDeque<LevelItem<'_>>>> = qs.into_iter().map(Mutex::new).collect();
     std::thread::scope(|s| {
         let handles: Vec<_> = (0..workers)
             .map(|w| {
@@ -2964,19 +2940,22 @@ fn expand_worker<'f, A: Automaton + Sync>(
     shards: &[Shard],
     queues: &[Mutex<VecDeque<LevelItem<'f>>>],
     w: usize,
-) -> (WorkerOut, Vec<Vec<PendingInsert>>)
+) -> (WorkerOut, Outbox)
 where
     A::State: EncodeState + Send,
 {
     let workers = queues.len();
     let mut sc: Scratch<A::State> = Scratch::new(shared.mem0.clone());
     let mut out = WorkerOut::new(shared.monitors.len());
-    let mut boxes: Vec<Vec<PendingInsert>> = (0..shards.len()).map(|_| Vec::new()).collect();
+    let mut outbox = Outbox::new(shards.len());
+    let mut seen = |si: usize, hash: u64, bytes: &[u8], cache: &mut PageCache| {
+        shards[si]
+            .arena
+            .lookup_hashed_cached(hash, bytes, cache)
+            .map(|id| id.is_some())
+    };
     let mut batch: Vec<LevelItem<'f>> = Vec::with_capacity(STEAL_BATCH);
     'round: loop {
-        if shared.overflow.load(Ordering::Relaxed) {
-            break;
-        }
         batch.clear();
         {
             let mut q = queues[w].lock();
@@ -3016,81 +2995,102 @@ where
             }
             continue 'round;
         }
-        for item in batch.drain(..) {
-            let (pos, gid) = (item.pos, item.gid);
-            expand_node(
-                shared,
-                pos,
-                gid,
-                item.bytes,
-                &mut sc,
-                &mut out,
-                |sc, _out, actor, sigma, orbit| {
-                    let hash = hash_bytes(&sc.best);
-                    let si = shard_index(hash, shared.shard_bits);
-                    match shards[si]
-                        .arena
-                        .lookup_hashed_cached(hash, &sc.best, &mut sc.cache)
-                    {
-                        // Interned by a previous round or level: the
-                        // frozen probe is exact for those, so nothing
-                        // to buffer.  Intra-round duplicates fall
-                        // through and lose in the insert phase.
-                        Ok(Some(_)) => return,
-                        Ok(None) => {}
-                        Err(e) => {
-                            // A spilled page is unreadable: the level
-                            // boundary turns this into McError::Spill;
-                            // meanwhile treat the child as seen so the
-                            // round drains without further probes.
-                            shared.record_spill_error(e);
-                            return;
-                        }
-                    }
-                    let mut mon_mask = 0u64;
-                    for (mi, mon) in shared.monitors.iter().enumerate() {
-                        if (mon.eval)(sc.mem.slots(), &sc.procs) {
-                            mon_mask |= 1 << mi;
-                        }
-                    }
-                    boxes[si].push(PendingInsert {
-                        hash,
-                        pos,
-                        parent: gid,
-                        actor: actor as u8,
-                        sigma,
-                        orbit,
-                        mon_mask,
-                        bytes: sc.best.as_slice().into(),
-                    });
-                },
-            );
+        for item in &batch {
+            expand_item(shared, item, w, &mut sc, &mut out, &mut outbox, &mut seen);
         }
     }
-    (out, boxes)
+    (out, outbox)
+}
+
+/// Phase 1 for one frontier node: expands it and routes every
+/// successor that `seen(shard, hash, bytes, cache)` does not report as
+/// interned into its owning shard's outbox.
+fn expand_item<A: Automaton>(
+    shared: &EngineShared<'_, A>,
+    item: &LevelItem<'_>,
+    worker: usize,
+    sc: &mut Scratch<A::State>,
+    out: &mut WorkerOut,
+    outbox: &mut Outbox,
+    seen: &mut impl FnMut(usize, u64, &[u8], &mut PageCache) -> Result<bool, SpillError>,
+) where
+    A::State: EncodeState,
+{
+    expand_node(
+        shared,
+        item.pos,
+        item.gid,
+        item.bytes,
+        sc,
+        out,
+        |sc, actor, sigma, orbit| {
+            let hash = hash_bytes(&sc.best);
+            let si = shard_index(hash, shared.shard_bits);
+            match seen(si, hash, &sc.best, &mut sc.cache) {
+                // Interned by a previous round or level: the probe is exact
+                // for those, so nothing to buffer.  Intra-round duplicates
+                // fall through and lose in the drain phase.
+                Ok(true) => return,
+                Ok(false) => {}
+                Err(e) => {
+                    // A spilled page is unreadable: the level boundary
+                    // turns this into McError::Spill; meanwhile treat the
+                    // child as seen so the round drains without further
+                    // probes.
+                    shared.record_spill_error(e);
+                    return;
+                }
+            }
+            let start = outbox.bytes.len();
+            outbox.bytes.extend_from_slice(&sc.best);
+            outbox.pending[si].push(PendingInsert {
+                hash,
+                pos: item.pos,
+                parent: item.gid,
+                orbit,
+                worker: worker as u32,
+                start: start as u32,
+                len: sc.best.len() as u32,
+                sigma,
+                actor: actor as u8,
+            });
+        },
+    );
 }
 
 /// Phase-2 accumulator of one owner worker.
 struct OwnerOut {
-    /// Freshly interned children as `(pos, actor, gid, bytes)`; the
-    /// caller sorts them into the next frontier.
-    fresh: Vec<(u32, u8, u32, Box<[u8]>)>,
+    /// Freshly interned children as `(gid, insert)`; the caller sorts
+    /// them into the next frontier.
+    fresh: Vec<(u32, PendingInsert)>,
     monitor_hits: Vec<MonitorHit>,
     prop_violation: Option<PropViolation>,
 }
 
 /// Phase 2 for one owner: drains the pending inserts of every shard it
-/// owns (each pre-sorted by `(pos, actor)`), interning the survivors.
-/// Exclusive `&mut Shard` access replaces any locking.
+/// owns (each pre-sorted by `(pos, actor)`), interning the survivors;
+/// `bufs` holds the expand workers' encodings.  Exclusive `&mut Shard`
+/// access replaces any locking.  Monitors run once per fresh state, on
+/// its decoded canonical representative — monitor predicates are
+/// orbit-invariant by contract, so any image of the state is as good as
+/// another, and duplicates never pay for an evaluation.
 fn drain_owner<A: Automaton>(
     shared: &EngineShared<'_, A>,
     work: Vec<(usize, &mut Shard, Vec<PendingInsert>)>,
-) -> OwnerOut {
+    bufs: &[Vec<u8>],
+) -> OwnerOut
+where
+    A::State: EncodeState,
+{
     let mut oo = OwnerOut {
         fresh: Vec::new(),
         monitor_hits: vec![MonitorHit::default(); shared.monitors.len()],
         prop_violation: None,
     };
+    let (n, m) = (shared.automata.len(), shared.mem0.m());
+    let mut slots: Vec<Slot> = Vec::new();
+    let mut procs: Vec<(Phase, A::State)> = Vec::new();
+    let mut crashes: Vec<u8> = Vec::new();
     for (si, shard, pending) in work {
         for p in pending {
             if shared.overflow.load(Ordering::Relaxed) {
@@ -3101,20 +3101,23 @@ fn drain_owner<A: Automaton>(
                 actor: p.actor,
                 sigma: p.sigma,
             };
-            let (gid, fresh) = intern_into(shared, si, shard, p.hash, &p.bytes, meta, p.orbit);
+            let (gid, fresh) = intern_into(shared, si, shard, p.hash, p.bytes(bufs), meta, p.orbit);
             if !fresh {
                 // An intra-round duplicate that lost the sorted
-                // `(pos, actor)` race — exactly the copy the
-                // sequential engine would have dropped too.
+                // `(pos, actor)` race: its first generator is the
+                // breadth-first parent.
                 continue;
             }
             let order = (p.pos as usize, p.actor as usize);
-            let mut mask = p.mon_mask;
-            while mask != 0 {
-                let mi = mask.trailing_zeros() as usize;
-                mask &= mask - 1;
+            if !shared.monitors.is_empty() {
+                decode_node(p.bytes(bufs), m, n, &mut slots, &mut procs, &mut crashes);
+            }
+            for (mi, mon) in shared.monitors.iter().enumerate() {
+                if !(mon.eval)(&slots, &procs) {
+                    continue;
+                }
                 oo.monitor_hits[mi].record(order, gid);
-                if shared.monitors[mi].fatal {
+                if mon.fatal {
                     let cand = PropViolation {
                         order,
                         node: gid,
@@ -3128,23 +3131,20 @@ fn drain_owner<A: Automaton>(
                     }
                 }
             }
-            oo.fresh.push((p.pos, p.actor, gid, p.bytes));
+            oo.fresh.push((gid, p));
         }
     }
     oo
 }
 
-/// Expands one frontier node — the successor-generation skeleton both
-/// engine paths share.  For every `Progress` step the successor is
+/// Expands one frontier node — the successor-generation skeleton.  For
+/// every `Progress` step (and every admissible crash) the successor is
 /// canonicalized into `scratch.best` (concrete frame left in
 /// `scratch.mem`/`scratch.procs`) and handed to `sink` as
-/// `(scratch, out, actor, sigma, orbit)`; the sink either interns it
-/// immediately (sequential path) or routes it to the owning shard's
-/// outbox (sharded parallel path).  A found violation never aborts
+/// `(scratch, actor, sigma, orbit)`.  A found violation never aborts
 /// mid-node: the candidate is merged by minimum `(pos, actor)` into
 /// `out` and the node's remaining actors still run (stolen items
-/// arrive out of position order on the stealing path, and the caller
-/// decides whether to continue with further nodes).
+/// arrive out of position order, and the round finishes regardless).
 fn expand_node<A: Automaton>(
     shared: &EngineShared<'_, A>,
     pos: u32,
@@ -3152,7 +3152,7 @@ fn expand_node<A: Automaton>(
     bytes: &[u8],
     scratch: &mut Scratch<A::State>,
     out: &mut WorkerOut,
-    mut sink: impl FnMut(&mut Scratch<A::State>, &mut WorkerOut, usize, u16, u32),
+    mut sink: impl FnMut(&mut Scratch<A::State>, usize, u16, u32),
 ) where
     A::State: EncodeState,
 {
@@ -3203,7 +3203,7 @@ fn expand_node<A: Automaton>(
             &mut scratch.best,
             &mut scratch.first,
         );
-        sink(scratch, out, i, sigma, orbit);
+        sink(scratch, i, sigma, orbit);
         scratch.procs[i] = saved;
     }
     // Crash edges: the adversary may crash any process that is mid-
@@ -3254,83 +3254,40 @@ fn expand_node<A: Automaton>(
                 &mut scratch.best,
                 &mut scratch.first,
             );
-            sink(scratch, out, usize::from(CRASH_ACTOR) | i, sigma, orbit);
+            sink(scratch, usize::from(CRASH_ACTOR) | i, sigma, orbit);
             scratch.crashes[i] -= 1;
             scratch.procs[i] = saved;
         }
     }
 }
 
-/// The sequential intern sink over [`expand_node`]: interns fresh
-/// successors immediately and evaluates monitors on the spot.
-/// Monitors run once per stored state, on the concrete successor as
-/// generated (same frame the mutual-exclusion check saw); under
-/// symmetry they must be orbit-invariant, so any image is as good as
-/// any other.
-fn process_item<A: Automaton>(
-    shared: &EngineShared<'_, A>,
-    shards: &mut [Shard],
-    pos: u32,
-    gid: u32,
-    bytes: &[u8],
-    scratch: &mut Scratch<A::State>,
-    out: &mut WorkerOut,
-) where
-    A::State: EncodeState,
-{
-    expand_node(
-        shared,
-        pos,
-        gid,
-        bytes,
-        scratch,
-        out,
-        |sc, out, actor, sigma, orbit| {
-            let hash = hash_bytes(&sc.best);
-            let si = shard_index(hash, shared.shard_bits);
-            let meta = NodeMeta {
-                parent: gid,
-                actor: actor as u8,
-                sigma,
-            };
-            let (child, fresh) =
-                intern_into(shared, si, &mut shards[si], hash, &sc.best, meta, orbit);
-            if fresh {
-                out.next.push((child, sc.best.as_slice().into()));
-                let order = (pos as usize, actor);
-                for (mi, mon) in shared.monitors.iter().enumerate() {
-                    if (mon.eval)(sc.mem.slots(), &sc.procs) {
-                        out.monitor_hits[mi].record(order, child);
-                        if mon.fatal {
-                            let cand = PropViolation {
-                                order,
-                                node: child,
-                                monitor: mi as u32,
-                            };
-                            if out.prop_violation.is_none_or(|best| {
-                                (cand.order, cand.monitor) < (best.order, best.monitor)
-                            }) {
-                                out.prop_violation = Some(cand);
-                            }
-                        }
-                    }
-                }
-            }
-        },
-    );
-}
-
-/// Read-only view of the interned shards after exploration.
+/// Read-only view of the interned shards after exploration, with the
+/// states numbered densely in breadth-first discovery order.
+///
+/// Discovery order is the order the levels interned their states in:
+/// level by level, each level sorted by `(parent position, actor)`.
+/// With one shard it is the id order itself, so no table is built.
+/// With 64 shards it is rebuilt from the [`NodeMeta`] tree — a
+/// breadth-first walk of the parent pointers with each node's children
+/// ordered by actor — so the numbering, and everything downstream of
+/// it (SCC candidate order, witnesses, query answers), does not depend
+/// on the worker count.
 struct Store {
     shards: Vec<Shard>,
     shard_bits: u32,
+    /// Shard-major offsets: shard `si` holds global ids
+    /// `prefix[si]..prefix[si + 1]` in shard-major order.
     prefix: Vec<u32>,
+    /// Dense index → global id (empty with one shard).
+    gid_of: Vec<u32>,
+    /// Shard-major index → dense index (empty with one shard).
+    dense_of: Vec<u32>,
 }
 
 impl Store {
     /// Seals the shards for read-mostly use: growth slack is dropped
     /// (so [`Store::arena_bytes`] reports resident bytes, not
-    /// capacity) and the shard-prefix index is built.
+    /// capacity) and the discovery-order numbering is built.
     fn new(mut shards: Vec<Shard>, shard_bits: u32) -> Self {
         let mut prefix = Vec::with_capacity(shards.len() + 1);
         let mut acc = 0u32;
@@ -3341,11 +3298,73 @@ impl Store {
             acc += s.arena.len() as u32;
             prefix.push(acc);
         }
-        Store {
+        let mut store = Store {
             shards,
             shard_bits,
             prefix,
+            gid_of: Vec::new(),
+            dense_of: Vec::new(),
+        };
+        if shard_bits > 0 {
+            store.number_in_discovery_order();
         }
+        store
+    }
+
+    /// Shard-major index of a global id.
+    fn shard_major(&self, gid: u32) -> usize {
+        let (si, local) = self.split(gid);
+        (self.prefix[si] + local) as usize
+    }
+
+    /// Builds `gid_of`/`dense_of`: a children CSR over the parent
+    /// pointers (shard-major), each child list sorted by actor, walked
+    /// breadth-first from the root.
+    fn number_in_discovery_order(&mut self) {
+        let n = self.node_count();
+        let mut start = vec![0u32; n + 1];
+        let mut root = None;
+        for (si, shard) in self.shards.iter().enumerate() {
+            for (local, meta) in shard.meta.iter().enumerate() {
+                if meta.parent == u32::MAX {
+                    root = Some(((local as u32) << self.shard_bits) | si as u32);
+                } else {
+                    start[self.shard_major(meta.parent) + 1] += 1;
+                }
+            }
+        }
+        for i in 0..n {
+            start[i + 1] += start[i];
+        }
+        let mut fill = start.clone();
+        let mut children = vec![0u32; n.saturating_sub(1)];
+        for (si, shard) in self.shards.iter().enumerate() {
+            for (local, meta) in shard.meta.iter().enumerate() {
+                if meta.parent != u32::MAX {
+                    let p = self.shard_major(meta.parent);
+                    children[fill[p] as usize] = ((local as u32) << self.shard_bits) | si as u32;
+                    fill[p] += 1;
+                }
+            }
+        }
+        drop(fill);
+        let mut gid_of = Vec::with_capacity(n);
+        gid_of.extend(root);
+        let mut head = 0;
+        while head < gid_of.len() {
+            let v = self.shard_major(gid_of[head]);
+            head += 1;
+            let kids = &mut children[start[v] as usize..start[v + 1] as usize];
+            kids.sort_unstable_by_key(|&c| self.meta(c).actor);
+            gid_of.extend_from_slice(kids);
+        }
+        debug_assert_eq!(gid_of.len(), n, "every stored state hangs off the root");
+        let mut dense_of = vec![0u32; n];
+        for (d, &gid) in gid_of.iter().enumerate() {
+            dense_of[self.shard_major(gid)] = d as u32;
+        }
+        self.gid_of = gid_of;
+        self.dense_of = dense_of;
     }
 
     fn node_count(&self) -> usize {
@@ -3420,17 +3439,22 @@ impl Store {
             .collect()
     }
 
-    /// Dense index (shard-major) of a global id.
+    /// Dense (discovery-order) index of a global id.
     fn dense(&self, gid: u32) -> usize {
-        let (si, local) = self.split(gid);
-        (self.prefix[si] + local) as usize
+        if self.dense_of.is_empty() {
+            gid as usize
+        } else {
+            self.dense_of[self.shard_major(gid)] as usize
+        }
     }
 
     /// Inverse of [`Store::dense`].
     fn gid_of_dense(&self, d: usize) -> u32 {
-        let si = self.prefix.partition_point(|&p| p as usize <= d) - 1;
-        let local = d as u32 - self.prefix[si];
-        (local << self.shard_bits) | si as u32
+        if self.gid_of.is_empty() {
+            d as u32
+        } else {
+            self.gid_of[d]
+        }
     }
 }
 
@@ -3473,7 +3497,9 @@ fn render_state<S: std::fmt::Debug>(slots: &[Slot], procs: &[(Phase, S)]) -> Str
 /// the stepped actor and the position is (still) `Trying`, and
 /// resetting to zero on any other phase.
 ///
-/// One decode per stored node, O(states · n) transient memory.
+/// One decode per stored node, in dense (discovery) order — a parent
+/// is always numbered before its children — with O(states · n)
+/// transient memory.
 fn max_pending_depth<S: EncodeState>(
     store: &Store,
     group: &[SymElem],
@@ -3481,36 +3507,6 @@ fn max_pending_depth<S: EncodeState>(
     n: usize,
 ) -> Result<Vec<usize>, SpillError> {
     let n_states = store.node_count();
-    if n_states == 0 {
-        return Ok(vec![0; n]);
-    }
-    // Children lists: a CSR over the tree's parent pointers.
-    let mut child_count = vec![0u32; n_states];
-    let mut root = usize::MAX;
-    for d in 0..n_states {
-        let meta = store.meta(store.gid_of_dense(d));
-        if meta.parent == u32::MAX {
-            root = d;
-        } else {
-            child_count[store.dense(meta.parent)] += 1;
-        }
-    }
-    debug_assert_ne!(root, usize::MAX, "the tree has a root");
-    let mut start = vec![0u32; n_states + 1];
-    for i in 0..n_states {
-        start[i + 1] = start[i] + child_count[i];
-    }
-    let mut fill = start.clone();
-    let mut children = vec![0u32; n_states - 1];
-    for d in 0..n_states {
-        let meta = store.meta(store.gid_of_dense(d));
-        if meta.parent != u32::MAX {
-            let p = store.dense(meta.parent);
-            children[fill[p] as usize] = d as u32;
-            fill[p] += 1;
-        }
-    }
-
     let mut depth = vec![0u16; n_states * n];
     let mut maxima = vec![0u16; n];
     let mut slots: Vec<Slot> = Vec::new();
@@ -3518,31 +3514,28 @@ fn max_pending_depth<S: EncodeState>(
     let mut crashes: Vec<u8> = Vec::new();
     let mut node: Vec<u8> = Vec::new();
     let mut cache = PageCache::new();
-    let mut queue: VecDeque<u32> = VecDeque::new();
-    queue.push_back(root as u32);
-    while let Some(v) = queue.pop_front() {
-        let v = v as usize;
-        for &c in &children[start[v] as usize..start[v + 1] as usize] {
-            let c = c as usize;
-            let meta = store.meta(store.gid_of_dense(c));
-            store.bytes_into(store.gid_of_dense(c), &mut cache, &mut node)?;
-            decode_node::<S>(&node, m, n, &mut slots, &mut procs, &mut crashes);
-            let pi_inv = &group[meta.sigma as usize].pi_inv;
-            for j in 0..n {
-                let pj = pi_inv[j];
-                // A crash edge (actor has the high bit set) never
-                // equals pj, so crashes reset/hold but never extend a
-                // pending depth — the crashed position drops to
-                // Remainder and its depth to zero anyway.
-                depth[c * n + j] = if procs[j].0 == Phase::Trying {
-                    let d = depth[v * n + pj].saturating_add(u16::from(pj == meta.actor as usize));
-                    maxima[j] = maxima[j].max(d);
-                    d
-                } else {
-                    0
-                };
-            }
-            queue.push_back(c as u32);
+    // Dense index 0 is the root, whose depths are all zero.
+    for c in 1..n_states {
+        let gid = store.gid_of_dense(c);
+        let meta = store.meta(gid);
+        let v = store.dense(meta.parent);
+        debug_assert!(v < c, "discovery order numbers parents first");
+        store.bytes_into(gid, &mut cache, &mut node)?;
+        decode_node::<S>(&node, m, n, &mut slots, &mut procs, &mut crashes);
+        let pi_inv = &group[meta.sigma as usize].pi_inv;
+        for j in 0..n {
+            let pj = pi_inv[j];
+            // A crash edge (actor has the high bit set) never equals
+            // pj, so crashes reset/hold but never extend a pending
+            // depth — the crashed position drops to Remainder and its
+            // depth to zero anyway.
+            depth[c * n + j] = if procs[j].0 == Phase::Trying {
+                let d = depth[v * n + pj].saturating_add(u16::from(pj == meta.actor as usize));
+                maxima[j] = maxima[j].max(d);
+                d
+            } else {
+                0
+            };
         }
     }
     Ok(maxima.into_iter().map(usize::from).collect())
@@ -3623,10 +3616,9 @@ mod tests {
             1,
         );
         assert_eq!(report.verdict, Verdict::Ok);
-        assert!(report.states > 1);
+        assert!(report.canonical_states > 1);
         assert!(report.acquisitions > 0);
-        assert_eq!(report.states, report.canonical_states);
-        assert_eq!(report.states, report.full_states_estimate);
+        assert_eq!(report.canonical_states, report.full_states_estimate);
         assert!(report.peak_frontier >= 1);
         assert!(report.arena_bytes > 0);
         assert_eq!(report.threads, 1);
@@ -3691,7 +3683,7 @@ mod tests {
         let report =
             ModelChecker::with_automata(automata.clone(), MemoryModel::Rw, 1, &Adversary::Identity)
                 .unwrap()
-                .symmetry(Symmetry::Process)
+                .symmetry(Symmetry::Wreath)
                 .run()
                 .unwrap();
         let Verdict::MutualExclusionViolation { schedule, .. } = report.verdict else {
@@ -3758,21 +3750,17 @@ mod tests {
                 .unwrap()
         };
         let full = make().run().unwrap();
-        let reduced = make()
-            .symmetry(Symmetry::Process)
-            .cross_check(true)
-            .run()
-            .unwrap();
+        let reduced = make().symmetry(Symmetry::Wreath).run().unwrap();
         assert_eq!(reduced.verdict, Verdict::Ok);
         assert_eq!(full.verdict, Verdict::Ok);
         assert!(
-            reduced.canonical_states < full.states,
+            reduced.canonical_states < full.canonical_states,
             "3 interchangeable processes must collapse orbits: {} vs {}",
             reduced.canonical_states,
-            full.states
+            full.canonical_states
         );
         assert_eq!(
-            reduced.full_states_estimate, full.states,
+            reduced.full_states_estimate, full.canonical_states,
             "orbit accounting must reproduce the concrete count"
         );
     }
@@ -3786,11 +3774,12 @@ mod tests {
                 .unwrap()
         };
         let seq = make().threads(1).run().unwrap();
-        let par = make().threads(4).run().unwrap();
+        let par = make().threads(4).oversubscribe(true).run().unwrap();
         assert_eq!(seq.verdict, par.verdict);
-        assert_eq!(seq.states, par.states);
+        assert_eq!(seq.canonical_states, par.canonical_states);
         assert_eq!(seq.transitions, par.transitions);
         assert_eq!(seq.acquisitions, par.acquisitions);
+        assert_eq!(seq.max_pending_depth, par.max_pending_depth);
         assert_eq!(par.threads, 4);
     }
 
@@ -3798,10 +3787,8 @@ mod tests {
     fn parallel_violation_is_shortest_and_replays() {
         use crate::runner::{Runner, Stop, Workload};
         use crate::schedule::Scheduler;
-        // With several threads, seen-set insertion races may pick a
-        // different (equally short) witness; the witness LENGTH and the
-        // verdict kind are thread-count invariants, and any reported
-        // schedule must replay to a real violation.
+        // The reported schedule is the same at every worker count, and
+        // it must replay to a real violation.
         let ids = PidPool::sequential().mint_many(2);
         let automata: Vec<NaiveFlagLock> = ids.iter().copied().map(NaiveFlagLock::new).collect();
         let seq =
@@ -3813,6 +3800,7 @@ mod tests {
             ModelChecker::with_automata(automata.clone(), MemoryModel::Rw, 1, &Adversary::Identity)
                 .unwrap()
                 .threads(3)
+                .oversubscribe(true)
                 .run()
                 .unwrap();
         let Verdict::MutualExclusionViolation {
@@ -3827,7 +3815,10 @@ mod tests {
         else {
             panic!("expected violation, got {:?}", par.verdict);
         };
-        assert_eq!(s_seq.len(), s_par.len(), "shortest-witness length");
+        assert_eq!(
+            s_seq, s_par,
+            "the witness must not depend on the worker count"
+        );
         let rr = Runner::with_adversary(automata, MemoryModel::Rw, 1, &Adversary::Identity)
             .unwrap()
             .workload(Workload::unbounded())
@@ -3847,7 +3838,7 @@ mod tests {
         let report =
             ModelChecker::with_automata(automata.clone(), MemoryModel::Rw, 1, &Adversary::Identity)
                 .unwrap()
-                .symmetry(Symmetry::Process)
+                .symmetry(Symmetry::Wreath)
                 .run()
                 .unwrap();
         let Verdict::FairLivelock {
@@ -3877,32 +3868,41 @@ mod tests {
 
     #[test]
     fn spinners_livelock_under_symmetry_too() {
-        let report = ModelChecker::with_automata(
-            vec![SpinForever, SpinForever],
-            MemoryModel::Rw,
-            1,
-            &Adversary::Identity,
-        )
-        .unwrap()
-        .symmetry(Symmetry::Process)
-        .cross_check(true)
-        .run()
-        .unwrap();
-        match report.verdict {
+        let run = |symmetry: Symmetry| {
+            ModelChecker::with_automata(
+                vec![SpinForever, SpinForever],
+                MemoryModel::Rw,
+                1,
+                &Adversary::Identity,
+            )
+            .unwrap()
+            .symmetry(symmetry)
+            .run()
+            .unwrap()
+        };
+        let (full, reduced) = (run(Symmetry::Off), run(Symmetry::Wreath));
+        match reduced.verdict {
             Verdict::FairLivelock { pending, .. } => assert_eq!(pending, vec![0, 1]),
             other => panic!("expected livelock, got {other:?}"),
         }
+        assert!(matches!(full.verdict, Verdict::FairLivelock { .. }));
+        assert_eq!(reduced.full_states_estimate, full.canonical_states);
     }
 
     #[test]
     fn group_is_trivial_for_asymmetric_adversaries() {
-        // Distinct permutations per process → nothing is interchangeable,
-        // so Process mode must degrade to the exact exploration.
+        // Permutations (id, 3-cycle) on three registers: no register
+        // relabeling ρ maps one onto the other and back, so nothing is
+        // interchangeable and the reduction must degrade to the exact
+        // exploration.
         let ids = PidPool::sequential().mint_many(2);
         let automata: Vec<CasLock> = ids.into_iter().map(CasLock::new).collect();
-        let mem =
-            SimMemory::new(MemoryModel::Rmw, 2, &Adversary::Rotations { stride: 1 }, 2).unwrap();
-        let (group, class_of) = build_group(&automata, &mem, Symmetry::Process);
+        let adv = Adversary::explicit(vec![
+            amx_registers::Permutation::identity(3),
+            amx_registers::Permutation::rotation(3, 1),
+        ]);
+        let mem = SimMemory::new(MemoryModel::Rmw, 3, &adv, 2).unwrap();
+        let (group, class_of) = build_group(&automata, &mem, Symmetry::Wreath);
         assert_eq!(group.len(), 1);
         assert_eq!(class_of, vec![0, 1]);
     }
@@ -3912,7 +3912,7 @@ mod tests {
         let ids = PidPool::sequential().mint_many(3);
         let automata: Vec<CasLock> = ids.into_iter().map(CasLock::new).collect();
         let mem = SimMemory::new(MemoryModel::Rmw, 1, &Adversary::Identity, 3).unwrap();
-        let (group, class_of) = build_group(&automata, &mem, Symmetry::Process);
+        let (group, class_of) = build_group(&automata, &mem, Symmetry::Wreath);
         assert_eq!(group.len(), 6, "S_3 on three interchangeable processes");
         assert_eq!(class_of, vec![0, 0, 0]);
         // Element 0 is the identity.
@@ -3923,18 +3923,22 @@ mod tests {
     #[test]
     fn wreath_group_equals_process_group_on_shared_permutations() {
         // Identity adversary: every ρ is forced to id, so the wreath
-        // group degenerates to exactly the process-symmetry group.
+        // group degenerates to exactly the process-symmetry group — every
+        // permutation of the three interchangeable processes, once.
         let ids = PidPool::sequential().mint_many(3);
         let automata: Vec<CasLock> = ids.into_iter().map(CasLock::new).collect();
-        let mem = SimMemory::new(MemoryModel::Rmw, 1, &Adversary::Identity, 3).unwrap();
-        let (process, class_p) = build_group(&automata, &mem, Symmetry::Process);
+        let mem = SimMemory::new(MemoryModel::Rmw, 2, &Adversary::Identity, 3).unwrap();
         let (wreath, class_w) = build_group(&automata, &mem, Symmetry::Wreath);
-        assert_eq!(wreath.len(), process.len());
-        assert_eq!(class_w, class_p);
+        assert_eq!(class_w, vec![0, 0, 0]);
         assert!(wreath.iter().all(|e| e.rho_inv.is_empty()));
-        let pis_p: std::collections::HashSet<Vec<usize>> =
-            process.iter().map(|e| e.pi.clone()).collect();
-        assert!(wreath.iter().all(|e| pis_p.contains(&e.pi)));
+        let pis: std::collections::HashSet<Vec<usize>> =
+            wreath.iter().map(|e| e.pi.clone()).collect();
+        let s3: std::collections::HashSet<Vec<usize>> = amx_registers::all_permutations(3)
+            .iter()
+            .map(|p| p.as_slice().to_vec())
+            .collect();
+        assert_eq!(wreath.len(), 6);
+        assert_eq!(pis, s3);
     }
 
     #[test]
@@ -3945,8 +3949,6 @@ mod tests {
         let automata = vec![SpinForever, SpinForever, SpinForever];
         let mem =
             SimMemory::new(MemoryModel::Rw, 3, &Adversary::Rotations { stride: 1 }, 3).unwrap();
-        let (process, _) = build_group(&automata, &mem, Symmetry::Process);
-        assert_eq!(process.len(), 1, "no shared permutations");
         let (wreath, class_of) = build_group(&automata, &mem, Symmetry::Wreath);
         assert_eq!(wreath.len(), 3, "Z_3");
         assert_eq!(class_of, vec![0, 0, 0], "one π-orbit");
@@ -3958,19 +3960,23 @@ mod tests {
     #[test]
     fn wreath_reduction_on_rotations_agrees_with_full_and_shrinks() {
         // The smallest genuinely wreath-only configuration: spinners on
-        // a rotated memory.  Cross-check re-explores exactly and panics
-        // on any verdict or orbit-accounting divergence.
-        let report = ModelChecker::with_automata(
-            vec![SpinForever, SpinForever, SpinForever],
-            MemoryModel::Rw,
-            3,
-            &Adversary::Rotations { stride: 1 },
-        )
-        .unwrap()
-        .symmetry(Symmetry::Wreath)
-        .cross_check(true)
-        .run()
-        .unwrap();
+        // a rotated memory.  The exact exploration must agree on the
+        // verdict and on the orbit accounting.
+        let run = |symmetry: Symmetry| {
+            ModelChecker::with_automata(
+                vec![SpinForever, SpinForever, SpinForever],
+                MemoryModel::Rw,
+                3,
+                &Adversary::Rotations { stride: 1 },
+            )
+            .unwrap()
+            .symmetry(symmetry)
+            .run()
+            .unwrap()
+        };
+        let (full, report) = (run(Symmetry::Off), run(Symmetry::Wreath));
+        assert!(matches!(full.verdict, Verdict::FairLivelock { .. }));
+        assert_eq!(report.full_states_estimate, full.canonical_states);
         match report.verdict {
             Verdict::FairLivelock { ref pending, .. } => assert_eq!(pending, &vec![0, 1, 2]),
             ref other => panic!("expected livelock, got {other:?}"),
@@ -4308,7 +4314,7 @@ mod tests {
             .run()
             .unwrap();
         assert_eq!(plain.verdict, zero.verdict);
-        assert_eq!(plain.states, zero.states);
+        assert_eq!(plain.canonical_states, zero.canonical_states);
         assert_eq!(plain.transitions, zero.transitions);
         assert_eq!(plain.acquisitions, zero.acquisitions);
     }
@@ -4329,7 +4335,7 @@ mod tests {
                 .unwrap()
         };
         let off = run(Symmetry::Off);
-        let sym = run(Symmetry::Process);
+        let sym = run(Symmetry::Wreath);
         assert_eq!(
             std::mem::discriminant(&off.verdict),
             std::mem::discriminant(&sym.verdict),
@@ -4338,11 +4344,11 @@ mod tests {
             sym.verdict
         );
         assert_eq!(
-            off.states, sym.full_states_estimate,
+            off.canonical_states, sym.full_states_estimate,
             "orbit accounting must reproduce the concrete crash state count"
         );
         assert!(
-            sym.canonical_states < off.states,
+            sym.canonical_states < off.canonical_states,
             "the reduction must actually bite on crash states"
         );
     }
@@ -4367,11 +4373,56 @@ mod tests {
             per_process: 1,
         });
         assert!(
-            capped.states < total2.states,
+            capped.canonical_states < total2.canonical_states,
             "capping per-process crashes must prune double-crash states \
              ({} vs {})",
-            capped.states,
-            total2.states
+            capped.canonical_states,
+            total2.canonical_states
+        );
+    }
+
+    fn cas_pair() -> ModelChecker<CasLock> {
+        let ids = PidPool::sequential().mint_many(2);
+        let automata: Vec<CasLock> = ids.into_iter().map(CasLock::new).collect();
+        ModelChecker::with_automata(automata, MemoryModel::Rmw, 1, &Adversary::Identity).unwrap()
+    }
+
+    #[test]
+    fn resume_without_checkpoint_dir_is_a_config_error() {
+        let err = cas_pair().resume(true).run().unwrap_err();
+        assert_eq!(err.config(), Some(&ConfigError::ResumeWithoutCheckpointDir));
+        assert!(err.to_string().starts_with("invalid configuration"));
+    }
+
+    #[test]
+    fn more_than_64_monitors_run() {
+        let mut mc = cas_pair();
+        for i in 0..65 {
+            mc = mc.monitor(Monitor::watch(format!("m{i}"), move |_s, _p| i == 64));
+        }
+        let report = mc.run().unwrap();
+        assert_eq!(report.monitors.len(), 65);
+        assert_eq!(report.monitors[64].hit_states, report.canonical_states);
+        assert!(report.monitors[..64].iter().all(|m| m.hit_states == 0));
+    }
+
+    #[test]
+    fn max_states_beyond_the_id_encoding_is_a_config_error() {
+        let err = cas_pair().max_states(usize::MAX).run().unwrap_err();
+        assert!(matches!(
+            err.config(),
+            Some(ConfigError::MaxStatesTooLarge {
+                max_states: usize::MAX,
+                ..
+            })
+        ));
+        // The largest admissible bound still runs.
+        let ConfigError::MaxStatesTooLarge { limit, .. } = err.config().unwrap().clone() else {
+            unreachable!()
+        };
+        assert_eq!(
+            cas_pair().max_states(limit).run().unwrap().verdict,
+            Verdict::Ok
         );
     }
 

@@ -54,7 +54,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!(
         "explored {} states, {} transitions,",
-        report.states, report.transitions
+        report.canonical_states, report.transitions
     );
     println!(
         "{} of which were critical-section acquisitions\n",

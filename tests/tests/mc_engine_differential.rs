@@ -1,24 +1,26 @@
-//! Differential validation of the PR 3 engine rework: the work-stealing
-//! frontier and the parallel (FW–BW) fair-livelock SCC pass must
-//! reproduce the sequential engine's verdicts and counts on every
-//! automaton in this workspace.
+//! Differential validation of the level engine across worker counts:
+//! one worker (both phases on the calling thread, one seen-set shard)
+//! and 2–4 oversubscribed workers (work-stealing expansion, 64
+//! worker-owned shards) must produce the same report on every automaton
+//! in this workspace.
 //!
-//! The contract under test:
-//!
-//! * the verdict kind is thread-count independent everywhere; state
-//!   counts, transition counts, and the orbit accounting additionally
-//!   so on completing (non-violating) runs;
-//! * forcing the parallel SCC decomposition (`scc_threshold(0)`) never
-//!   changes a verdict kind, and reported witnesses stay valid;
-//! * the compressed arena reports strictly fewer record bytes per
-//!   state than the raw encodings it replaced.
+//! The contract under test: the verdict — witness schedule, `scc_states`
+//! and pending set included —, every count, the monitor results and the
+//! SCC-query answers (with their witnesses) are worker-count
+//! independent, on completing and violating runs alike.  It also pins
+//! the compressed arena's bytes per state below the raw encodings it
+//! replaced.
 
 use amx_core::{Alg1Automaton, Alg2Automaton, FreeSlotPolicy, MutexSpec};
 use amx_ids::PidPool;
+use amx_props::predicate::{full_view, writer_collision};
+use amx_props::property::{monitor_for, scc_query_for};
+use amx_props::Observe;
+use amx_registers::orbit::adversary_orbits;
 use amx_registers::Adversary;
 use amx_sim::mc::{McReport, ModelChecker, Symmetry};
 use amx_sim::toys::{CasLock, NaiveFlagLock, PetersonTwo, SpinForever};
-use amx_sim::{Automaton, EncodeState, MemoryModel, Verdict};
+use amx_sim::{EncodeState, MemoryModel, Verdict};
 
 fn alg1_automata(n: usize, m: usize) -> Vec<Alg1Automaton> {
     let spec = MutexSpec::rw_unchecked(n, m);
@@ -36,71 +38,64 @@ fn alg2_automata(n: usize, m: usize) -> Vec<Alg2Automaton> {
         .collect()
 }
 
-/// Runs the same configuration sequentially, multi-threaded, and
-/// multi-threaded with the parallel SCC pass forced, under both
-/// symmetry modes; checks the differential contract and returns the
-/// sequential reduced report for extra assertions.
-fn engine_differential<A, F>(make: F, model: MemoryModel, m: usize) -> McReport
+/// Runs the same configuration — with a `writer-collision` watch
+/// monitor and a `full-view` SCC query attached — on one worker and on
+/// 2, 3 and 4 oversubscribed workers, with and without symmetry
+/// reduction; asserts the reports agree and returns the one-worker
+/// reduced report for extra assertions.
+fn engine_differential<A, F>(make: F, model: MemoryModel, m: usize, adv: &Adversary) -> McReport
 where
-    A: Automaton + Sync + Clone,
+    A: Observe + Clone + Send + Sync + 'static,
     A::State: EncodeState + Send,
     F: Fn() -> Vec<A>,
 {
-    let run = |symmetry: Symmetry, threads: usize, force_par_scc: bool| {
-        let mut mc = ModelChecker::with_automata(make(), model, m, &Adversary::Identity)
+    let n = make().len();
+    let perms = adv.permutations(n, m).unwrap();
+    let run = |symmetry: Symmetry, threads: usize| {
+        let automata = make();
+        ModelChecker::with_automata(automata.clone(), model, m, adv)
             .unwrap()
             .max_states(4_000_000)
             .symmetry(symmetry)
             .threads(threads)
             // The pool is normally clamped to available cores; lift the
-            // clamp so the work-stealing frontier and the parallel SCC
-            // pass genuinely run even on a single-core test host.
-            .oversubscribe(threads > 1);
-        if force_par_scc {
-            mc = mc.scc_threshold(0);
-        }
-        mc.run().unwrap()
+            // clamp so the sharded, work-stealing level genuinely runs
+            // even on a single-core test host.
+            .oversubscribe(threads > 1)
+            .monitor(monitor_for(&writer_collision(), &automata, &perms, false))
+            .scc_query(scc_query_for(&full_view(), &automata, &perms))
+            .run()
+            .unwrap()
     };
-    let mut reduced_seq = None;
-    for symmetry in [Symmetry::Off, Symmetry::Process] {
-        let seq = run(symmetry, 1, false);
-        for (threads, force) in [(4, false), (4, true), (3, true)] {
-            let par = run(symmetry, threads, force);
+    let mut reduced_one = None;
+    for symmetry in [Symmetry::Off, Symmetry::Wreath] {
+        let one = run(symmetry, 1);
+        for threads in [2, 3, 4] {
+            let many = run(symmetry, threads);
+            let what = format!("symmetry {symmetry:?}, {threads} workers vs 1");
+            assert_eq!(one.verdict, many.verdict, "{what}: verdict");
+            assert_eq!(one.canonical_states, many.canonical_states, "{what}");
             assert_eq!(
-                std::mem::discriminant(&seq.verdict),
-                std::mem::discriminant(&par.verdict),
-                "verdict kind diverged (symmetry {symmetry:?}, threads {threads}, \
-                 forced-par-scc {force}): {:?} vs {:?}",
-                seq.verdict,
-                par.verdict
+                one.full_states_estimate, many.full_states_estimate,
+                "{what}"
             );
-            if !matches!(seq.verdict, Verdict::MutualExclusionViolation { .. }) {
-                // On completing runs (Ok / livelock) every level is
-                // fully expanded regardless of scheduling, so all
-                // counts are exact thread-count invariants.  Violating
-                // runs abort mid-level — the sequential engine stops at
-                // the first violating node while stealing workers
-                // finish their share, so only the verdict is compared
-                // there.
-                assert_eq!(
-                    seq.states, par.states,
-                    "state count must be thread-invariant"
-                );
-                assert_eq!(seq.canonical_states, par.canonical_states);
-                assert_eq!(seq.full_states_estimate, par.full_states_estimate);
-                assert_eq!(seq.transitions, par.transitions);
-                assert_eq!(seq.acquisitions, par.acquisitions);
-            }
+            assert_eq!(one.transitions, many.transitions, "{what}");
+            assert_eq!(one.acquisitions, many.acquisitions, "{what}");
+            assert_eq!(one.peak_frontier, many.peak_frontier, "{what}");
+            assert_eq!(one.max_pending_depth, many.max_pending_depth, "{what}");
+            assert_eq!(one.monitors, many.monitors, "{what}: monitors");
+            assert_eq!(one.scc_queries, many.scc_queries, "{what}: scc queries");
         }
-        if symmetry == Symmetry::Process {
-            reduced_seq = Some(seq);
+        if symmetry == Symmetry::Wreath {
+            reduced_one = Some(one);
         }
     }
-    reduced_seq.expect("reduced run recorded")
+    reduced_one.expect("reduced run recorded")
 }
 
 #[test]
 fn toys_parallel_engine_differential() {
+    let id = Adversary::Identity;
     let r = engine_differential(
         || {
             let ids = PidPool::sequential().mint_many(3);
@@ -108,22 +103,29 @@ fn toys_parallel_engine_differential() {
         },
         MemoryModel::Rmw,
         1,
+        &id,
     );
     assert_eq!(r.verdict, Verdict::Ok);
 
-    engine_differential(
+    let r = engine_differential(
         || {
             let ids = PidPool::sequential().mint_many(2);
             ids.into_iter().map(NaiveFlagLock::new).collect()
         },
         MemoryModel::Rw,
         1,
+        &id,
     );
+    assert!(matches!(
+        r.verdict,
+        Verdict::MutualExclusionViolation { .. }
+    ));
 
     let r = engine_differential(
         || vec![SpinForever, SpinForever, SpinForever],
         MemoryModel::Rw,
         1,
+        &id,
     );
     assert!(matches!(r.verdict, Verdict::FairLivelock { .. }));
 
@@ -137,39 +139,57 @@ fn toys_parallel_engine_differential() {
         },
         MemoryModel::Rw,
         3,
+        &id,
     );
 }
 
 #[test]
 fn algorithms_parallel_engine_differential() {
     // Valid and invalid configurations of both paper algorithms.
-    let r = engine_differential(|| alg1_automata(2, 3), MemoryModel::Rw, 3);
+    let id = Adversary::Identity;
+    let r = engine_differential(|| alg1_automata(2, 3), MemoryModel::Rw, 3, &id);
     assert_eq!(r.verdict, Verdict::Ok);
-    let r = engine_differential(|| alg1_automata(2, 2), MemoryModel::Rw, 2);
+    let r = engine_differential(|| alg1_automata(2, 2), MemoryModel::Rw, 2, &id);
     assert!(matches!(r.verdict, Verdict::FairLivelock { .. }));
-    let r = engine_differential(|| alg2_automata(2, 3), MemoryModel::Rmw, 3);
+    let r = engine_differential(|| alg2_automata(2, 3), MemoryModel::Rmw, 3, &id);
     assert_eq!(r.verdict, Verdict::Ok);
-    let r = engine_differential(|| alg2_automata(2, 4), MemoryModel::Rmw, 4);
+    let r = engine_differential(|| alg2_automata(2, 4), MemoryModel::Rmw, 4, &id);
     assert!(matches!(r.verdict, Verdict::FairLivelock { .. }));
-    let r = engine_differential(|| alg2_automata(3, 2), MemoryModel::Rmw, 2);
+    let r = engine_differential(|| alg2_automata(3, 2), MemoryModel::Rmw, 2, &id);
     assert!(matches!(r.verdict, Verdict::FairLivelock { .. }));
 }
 
 #[test]
-fn forced_parallel_scc_livelock_witness_replays() {
-    // A livelock found with the parallel SCC decomposition forced on
-    // must still carry a valid witness: replaying it concretely is a
-    // legal, violation-free execution that completes no workload (it
-    // leads into a completion-free component).
+fn livelock_witnesses_and_queries_are_worker_count_independent() {
+    // The smoke grid's invalid-m orbit points, where worker-dependent
+    // state numbering used to pick a different (longer) SCC-query
+    // witness: alg1 (2, 4) orbits 0–2 and alg2 (2, 2) orbits 0–1.
+    for adv in adversary_orbits(2, 4).into_iter().take(3) {
+        let r = engine_differential(|| alg1_automata(2, 4), MemoryModel::Rw, 4, &adv);
+        assert!(matches!(r.verdict, Verdict::FairLivelock { .. }), "{adv:?}");
+        assert!(r.scc_queries[0].witness_schedule.is_some(), "{adv:?}");
+    }
+    for adv in adversary_orbits(2, 2) {
+        let r = engine_differential(|| alg2_automata(2, 2), MemoryModel::Rmw, 2, &adv);
+        assert!(matches!(r.verdict, Verdict::FairLivelock { .. }), "{adv:?}");
+        assert!(r.scc_queries[0].witness_schedule.is_some(), "{adv:?}");
+    }
+}
+
+#[test]
+fn multi_worker_livelock_witness_replays() {
+    // A livelock found by the sharded multi-worker level must carry a
+    // valid witness: replaying it concretely is a legal, violation-free
+    // execution that completes no workload (it leads into a
+    // completion-free component).
     use amx_sim::{Runner, Scheduler, Stop, Workload};
     let automata = alg1_automata(2, 2);
     let report =
         ModelChecker::with_automata(automata.clone(), MemoryModel::Rw, 2, &Adversary::Identity)
             .unwrap()
-            .symmetry(Symmetry::Process)
+            .symmetry(Symmetry::Wreath)
             .threads(4)
             .oversubscribe(true)
-            .scc_threshold(0)
             .run()
             .unwrap();
     let Verdict::FairLivelock {
@@ -207,7 +227,7 @@ fn compressed_arena_beats_raw_encodings() {
         &Adversary::Identity,
     )
     .unwrap()
-    .symmetry(Symmetry::Process)
+    .symmetry(Symmetry::Wreath)
     .run()
     .unwrap();
     assert_eq!(report.verdict, Verdict::Ok);
@@ -225,9 +245,9 @@ fn compressed_arena_beats_raw_encodings() {
 
 #[test]
 fn steal_counter_is_consistent() {
-    // steal_count is zero on sequential runs; on multi-worker runs it
+    // steal_count is zero on one-worker runs; on multi-worker runs it
     // is machine-dependent (the pool is clamped to available cores),
-    // so only the sequential invariant is asserted exactly.
+    // so only the one-worker invariant is asserted exactly.
     let seq = ModelChecker::with_automata(
         alg2_automata(2, 3),
         MemoryModel::Rmw,

@@ -70,7 +70,11 @@ where
     );
 
     let g = graph::explore(&automata, model, m, &adv, 500_000).unwrap();
-    assert_eq!(g.len(), report.states, "state counts must agree first");
+    assert_eq!(
+        g.len(),
+        report.canonical_states,
+        "state counts must agree first"
+    );
     for (pred, mon) in battery().iter().zip(&report.monitors) {
         let (hits, first) = g.count_hits(&automata, pred);
         assert_eq!(
@@ -156,7 +160,7 @@ fn reduced_monitors_agree_with_concrete_hit_existence() {
     let perms = adv.permutations(2, 3).unwrap();
     let mut mc = ModelChecker::with_automata(automata.clone(), MemoryModel::Rw, 3, &adv)
         .unwrap()
-        .symmetry(Symmetry::Process);
+        .symmetry(Symmetry::Wreath);
     for pred in battery() {
         mc = mc.monitor(monitor_for(&pred, &automata, &perms, false));
     }

@@ -1,6 +1,6 @@
 //! Differential validation of the symmetry-reduced model checker.
 //!
-//! The process-symmetry engine (`Symmetry::Process`) must be *verdict
+//! The symmetry-reduced engine (`Symmetry::Wreath`) must be *verdict
 //! equivalent* to the exhaustive engine (`Symmetry::Off`) on every
 //! automaton in this workspace — that is the soundness contract of the
 //! reduction.  These tests compare the two engines on the toy locks and
@@ -40,7 +40,7 @@ where
     let reduced = ModelChecker::with_automata(make(), model, m, adv)
         .unwrap()
         .max_states(4_000_000)
-        .symmetry(Symmetry::Process)
+        .symmetry(Symmetry::Wreath)
         .run()
         .unwrap();
     assert_eq!(
@@ -51,14 +51,14 @@ where
         reduced.verdict
     );
     assert!(
-        reduced.canonical_states <= full.states,
+        reduced.canonical_states <= full.canonical_states,
         "reduction must never store more states"
     );
     if !matches!(full.verdict, Verdict::MutualExclusionViolation { .. }) {
         // Both explorations completed: the orbit accounting must
         // reproduce the concrete count exactly.
         assert_eq!(
-            reduced.full_states_estimate, full.states,
+            reduced.full_states_estimate, full.canonical_states,
             "orbit accounting diverged from the exhaustive engine"
         );
     }
@@ -97,7 +97,7 @@ fn cas_lock_differential_n2_n3() {
         );
         assert_eq!(full.verdict, Verdict::Ok);
         assert!(
-            reduced.canonical_states < full.states,
+            reduced.canonical_states < full.canonical_states,
             "n = {n}: interchangeable processes must collapse orbits"
         );
     }
@@ -141,7 +141,7 @@ fn spin_forever_differential_livelocks() {
 #[test]
 fn peterson_differential_is_exact_despite_asymmetry() {
     // Peterson's sides are not interchangeable; symmetry_class gives
-    // each side its own class, so Process mode must degrade to the
+    // each side its own class, so the reduction must degrade to the
     // exact exploration — same verdict, same state count.
     let (full, reduced) = differential(
         || {
@@ -157,7 +157,7 @@ fn peterson_differential_is_exact_despite_asymmetry() {
     );
     assert_eq!(full.verdict, Verdict::Ok);
     assert_eq!(
-        reduced.canonical_states, full.states,
+        reduced.canonical_states, full.canonical_states,
         "asymmetric automata must not be reduced"
     );
 }
@@ -199,10 +199,10 @@ fn alg1_differential_shrinks_the_symmetric_case() {
     );
     assert_eq!(reduced.verdict, Verdict::Ok);
     assert!(
-        reduced.canonical_states < full.states,
+        reduced.canonical_states < full.canonical_states,
         "identity adversary makes both processes interchangeable: {} vs {}",
         reduced.canonical_states,
-        full.states
+        full.canonical_states
     );
 }
 
@@ -226,7 +226,7 @@ fn alg2_differential_small_grid() {
         if expect_ok {
             assert_eq!(full.verdict, Verdict::Ok, "(n={n}, m={m})");
             assert!(
-                reduced.canonical_states < full.states,
+                reduced.canonical_states < full.canonical_states,
                 "(n={n}, m={m}) must reduce under the identity adversary"
             );
         } else {
@@ -265,7 +265,10 @@ fn orbit_equivalent_adversaries_have_isomorphic_state_graphs() {
     let a = run(&base);
     let b = run(&relabeled);
     assert_eq!(a.verdict, b.verdict);
-    assert_eq!(a.states, b.states, "isomorphic graphs, same exploration");
+    assert_eq!(
+        a.canonical_states, b.canonical_states,
+        "isomorphic graphs, same exploration"
+    );
     assert_eq!(a.transitions, b.transitions);
 }
 
@@ -279,7 +282,7 @@ fn reduced_witness_schedules_replay_concretely() {
     let report =
         ModelChecker::with_automata(automata.clone(), MemoryModel::Rw, 1, &Adversary::Identity)
             .unwrap()
-            .symmetry(Symmetry::Process)
+            .symmetry(Symmetry::Wreath)
             .run()
             .unwrap();
     let Verdict::MutualExclusionViolation { schedule, .. } = report.verdict else {
@@ -309,7 +312,7 @@ fn reduced_livelock_witness_replays_without_violation() {
         &Adversary::Identity,
     )
     .unwrap()
-    .symmetry(Symmetry::Process)
+    .symmetry(Symmetry::Wreath)
     .run()
     .unwrap();
     let Verdict::FairLivelock {
@@ -335,31 +338,6 @@ fn reduced_livelock_witness_replays_without_violation() {
         "witness replay must stay violation-free, got {:?}",
         rr.stop
     );
-}
-
-#[test]
-fn engine_cross_check_mode_passes_on_the_algorithms() {
-    // The built-in debug cross-check re-explores unreduced and panics on
-    // divergence; it must stay silent on both algorithms.
-    for adv in [Adversary::Identity, Adversary::Random(5)] {
-        ModelChecker::with_automata(alg2_automata(2, 3), MemoryModel::Rmw, 3, &adv)
-            .unwrap()
-            .symmetry(Symmetry::Process)
-            .cross_check(true)
-            .run()
-            .unwrap();
-        ModelChecker::with_automata(
-            alg1_automata(2, 3, FreeSlotPolicy::FirstFree),
-            MemoryModel::Rw,
-            3,
-            &adv,
-        )
-        .unwrap()
-        .symmetry(Symmetry::Process)
-        .cross_check(true)
-        .run()
-        .unwrap();
-    }
 }
 
 // ------------------------------------------- randomized differential —

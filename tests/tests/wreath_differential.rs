@@ -1,16 +1,16 @@
 //! Differential validation of the wreath (register-aware) symmetry
 //! reduction.
 //!
-//! Three engines must agree on every automaton in this workspace:
-//! exhaustive (`Symmetry::Off`), process-reduced (`Symmetry::Process`)
-//! and wreath-reduced (`Symmetry::Wreath`).  The wreath group contains
-//! the process group, so on top of verdict equivalence and exact orbit
-//! accounting we check the ordering `wreath ≤ process ≤ full` on stored
-//! states — and, on rotation/ring orbits where no two processes share a
-//! permutation (so the process reduction stores every concrete state),
-//! that the wreath reduction genuinely bites: at least a 2× cut in
-//! canonical states with a bit-identical verdict and a replayable
-//! witness.
+//! Three engine runs must agree on every automaton in this workspace:
+//! exhaustive (`Symmetry::Off`), wreath-reduced (`Symmetry::Wreath`)
+//! with one worker, and wreath-reduced on the sharded multi-worker
+//! level.  On top of verdict equivalence and exact orbit accounting we
+//! check that the two wreath runs are identical (witnesses included) and
+//! never store more than the exhaustive one — and, on rotation/ring
+//! orbits where no two processes share a permutation (so only a joint
+//! process × register symmetry can apply), that the reduction
+//! genuinely bites: at least a 2× cut in canonical states with the same
+//! verdict and a replayable witness.
 
 use amx_core::{Alg1Automaton, Alg2Automaton, MutexSpec};
 use amx_ids::PidPool;
@@ -21,54 +21,58 @@ use amx_sim::mc::ModelChecker;
 use amx_sim::toys::{CasLock, SpinForever};
 use amx_sim::{Automaton, EncodeState, MemoryModel, Phase, SimMemory, Symmetry, Verdict};
 
-/// Runs all three engines and checks the three-way contract; returns
-/// `(full, process, wreath)` for extra assertions.
+/// Runs all three engine configurations and checks the three-way
+/// contract; returns `(full, wreath)` for extra assertions.
 fn three_way<A, F>(
     make: F,
     model: MemoryModel,
     m: usize,
     adv: &Adversary,
-) -> (amx_sim::McReport, amx_sim::McReport, amx_sim::McReport)
+) -> (amx_sim::McReport, amx_sim::McReport)
 where
     A: Automaton + Sync + Clone,
     A::State: EncodeState + Send,
     F: Fn() -> Vec<A>,
 {
-    let run = |sym: Symmetry| {
+    let run = |sym: Symmetry, threads: usize| {
         ModelChecker::with_automata(make(), model, m, adv)
             .unwrap()
             .max_states(4_000_000)
             .symmetry(sym)
+            .threads(threads)
+            .oversubscribe(threads > 1)
             .run()
             .unwrap()
     };
-    let full = run(Symmetry::Off);
-    let process = run(Symmetry::Process);
-    let wreath = run(Symmetry::Wreath);
-    for (name, reduced) in [("process", &process), ("wreath", &wreath)] {
-        assert_eq!(
-            std::mem::discriminant(&full.verdict),
-            std::mem::discriminant(&reduced.verdict),
-            "{name} verdict diverged: full {:?} vs {:?}",
-            full.verdict,
-            reduced.verdict
-        );
-        if !matches!(full.verdict, Verdict::MutualExclusionViolation { .. }) {
-            assert_eq!(
-                reduced.full_states_estimate, full.states,
-                "{name} orbit accounting diverged from the exhaustive engine"
-            );
-        }
-    }
-    assert!(
-        wreath.canonical_states <= process.canonical_states
-            && process.canonical_states <= full.states,
-        "the reductions must be ordered: wreath {} ≤ process {} ≤ full {}",
-        wreath.canonical_states,
-        process.canonical_states,
-        full.states
+    let full = run(Symmetry::Off, 1);
+    let wreath = run(Symmetry::Wreath, 1);
+    let sharded = run(Symmetry::Wreath, 3);
+    assert_eq!(
+        std::mem::discriminant(&full.verdict),
+        std::mem::discriminant(&wreath.verdict),
+        "wreath verdict diverged: full {:?} vs {:?}",
+        full.verdict,
+        wreath.verdict
     );
-    (full, process, wreath)
+    if !matches!(full.verdict, Verdict::MutualExclusionViolation { .. }) {
+        assert_eq!(
+            wreath.full_states_estimate, full.canonical_states,
+            "wreath orbit accounting diverged from the exhaustive engine"
+        );
+    }
+    assert_eq!(
+        wreath.verdict, sharded.verdict,
+        "worker count changed the verdict"
+    );
+    assert_eq!(wreath.canonical_states, sharded.canonical_states);
+    assert_eq!(wreath.transitions, sharded.transitions);
+    assert!(
+        wreath.canonical_states <= full.canonical_states,
+        "the reduction must never store more: wreath {} vs full {}",
+        wreath.canonical_states,
+        full.canonical_states
+    );
+    (full, wreath)
 }
 
 fn alg1_automata(n: usize, m: usize) -> Vec<Alg1Automaton> {
@@ -133,9 +137,9 @@ fn assert_livelock_witness_replays<A, F>(
 
 #[test]
 fn cas_lock_three_way_on_identity() {
-    // Shared permutations: the wreath group degenerates to the process
-    // group, and both must halve-or-better the stored states.
-    let (full, process, wreath) = three_way(
+    // Shared permutations: the wreath group is the symmetric group on
+    // the three processes, and must halve-or-better the stored states.
+    let (full, wreath) = three_way(
         || {
             let ids = PidPool::sequential().mint_many(3);
             ids.into_iter().map(CasLock::new).collect()
@@ -145,25 +149,20 @@ fn cas_lock_three_way_on_identity() {
         &Adversary::Identity,
     );
     assert_eq!(full.verdict, Verdict::Ok);
-    assert_eq!(wreath.canonical_states, process.canonical_states);
-    assert!(wreath.canonical_states < full.states);
+    assert!(2 * wreath.canonical_states <= full.canonical_states);
 }
 
 #[test]
 fn spinners_three_way_on_rotations() {
     let adv = Adversary::Rotations { stride: 1 };
-    let (full, process, wreath) = three_way(
+    let (full, wreath) = three_way(
         || vec![SpinForever, SpinForever, SpinForever],
         MemoryModel::Rw,
         3,
         &adv,
     );
     assert!(matches!(full.verdict, Verdict::FairLivelock { .. }));
-    assert_eq!(
-        process.canonical_states, full.states,
-        "distinct rotations leave the process reduction nothing to do"
-    );
-    assert!(wreath.canonical_states < process.canonical_states);
+    assert!(wreath.canonical_states < full.canonical_states);
     assert_livelock_witness_replays(
         || vec![SpinForever, SpinForever, SpinForever],
         MemoryModel::Rw,
@@ -178,44 +177,41 @@ fn spinners_three_way_on_rotations() {
 #[test]
 fn alg1_three_way_across_all_n2_m3_orbits() {
     // The five (2, 3) orbit representatives: the shared-permutation
-    // orbit is already collapsed by the process reduction; on the
-    // involution orbits only the wreath group is nontrivial, and on the
-    // 3-cycle orbit both reductions are rightly trivial (the adversary
-    // has no automorphisms).  At least one orbit must show
-    // wreath < process, or the joint group buys nothing here.
-    let mut genuinely_differs = 0usize;
+    // orbit swaps the processes with ρ = id; on the three involution
+    // orbits the swap needs a register relabeling ρ ≠ id; on the
+    // 3-cycle orbit the adversary has no automorphism and the reduction
+    // is rightly trivial.
+    let mut reduced = 0usize;
     for adv in adversary_orbits(2, 3) {
-        let (full, process, wreath) = three_way(|| alg1_automata(2, 3), MemoryModel::Rw, 3, &adv);
+        let (full, wreath) = three_way(|| alg1_automata(2, 3), MemoryModel::Rw, 3, &adv);
         assert_eq!(full.verdict, Verdict::Ok);
-        if wreath.canonical_states < process.canonical_states {
-            genuinely_differs += 1;
+        if wreath.canonical_states < full.canonical_states {
+            reduced += 1;
         }
     }
-    assert!(
-        genuinely_differs >= 3,
-        "the three involution orbits must each gain from the wreath group, \
-         got {genuinely_differs}"
+    assert_eq!(
+        reduced, 4,
+        "every orbit with an automorphism must gain from the wreath group"
     );
 }
 
 #[test]
 fn alg1_rotation_ring_point_gains_at_least_2x() {
-    // Rotation ring at (3, 3): three distinct rotations, so the process
-    // reduction stores every concrete state while the wreath group is
-    // the cyclic Z_3 — the acceptance-bar point where the reduction
-    // must cut canonical states by ≥ 2× with a bit-identical verdict.
+    // Rotation ring at (3, 3): three distinct rotations, so no two
+    // processes share a permutation, while the wreath group is the
+    // cyclic Z_3 — the acceptance-bar point where the reduction must cut
+    // canonical states by ≥ 2× with the same verdict.
     let adv = Adversary::Rotations { stride: 1 };
-    let (full, process, wreath) = three_way(|| alg1_automata(3, 3), MemoryModel::Rw, 3, &adv);
+    let (full, wreath) = three_way(|| alg1_automata(3, 3), MemoryModel::Rw, 3, &adv);
     assert!(
         matches!(full.verdict, Verdict::FairLivelock { .. }),
         "3 | m = 3: outside M(3), the paper predicts livelock"
     );
-    assert_eq!(process.canonical_states, full.states);
     assert!(
-        2 * wreath.canonical_states <= process.canonical_states,
+        2 * wreath.canonical_states <= full.canonical_states,
         "wreath must reduce ≥ 2×: {} vs {}",
         wreath.canonical_states,
-        process.canonical_states
+        full.canonical_states
     );
     assert_livelock_witness_replays(
         || alg1_automata(3, 3),
@@ -231,7 +227,7 @@ fn alg1_rotation_ring_point_gains_at_least_2x() {
 #[test]
 fn alg2_three_way_across_all_n2_m3_orbits() {
     for adv in adversary_orbits(2, 3) {
-        let (full, _, _) = three_way(|| alg2_automata(2, 3), MemoryModel::Rmw, 3, &adv);
+        let (full, _) = three_way(|| alg2_automata(2, 3), MemoryModel::Rmw, 3, &adv);
         assert_eq!(full.verdict, Verdict::Ok);
     }
 }
@@ -239,17 +235,16 @@ fn alg2_three_way_across_all_n2_m3_orbits() {
 #[test]
 fn alg2_rotation_ring_point_gains_at_least_2x() {
     let adv = Adversary::Rotations { stride: 1 };
-    let (full, process, wreath) = three_way(|| alg2_automata(3, 3), MemoryModel::Rmw, 3, &adv);
+    let (full, wreath) = three_way(|| alg2_automata(3, 3), MemoryModel::Rmw, 3, &adv);
     assert!(
         matches!(full.verdict, Verdict::FairLivelock { .. }),
         "3 | m = 3: outside the valid set, Algorithm 2 livelocks"
     );
-    assert_eq!(process.canonical_states, full.states);
     assert!(
-        2 * wreath.canonical_states <= process.canonical_states,
+        2 * wreath.canonical_states <= full.canonical_states,
         "wreath must reduce ≥ 2×: {} vs {}",
         wreath.canonical_states,
-        process.canonical_states
+        full.canonical_states
     );
     assert_livelock_witness_replays(
         || alg2_automata(3, 3),
@@ -272,7 +267,7 @@ fn alg2_mutual_exclusion_witnesses_replay_under_wreath() {
         let ids = PidPool::sequential().mint_many(3);
         ids.into_iter().map(CasLock::new).collect::<Vec<_>>()
     };
-    let (full, _, wreath) = three_way(make, MemoryModel::Rmw, 3, &adv);
+    let (full, wreath) = three_way(make, MemoryModel::Rmw, 3, &adv);
     assert!(matches!(
         full.verdict,
         Verdict::MutualExclusionViolation { .. }
