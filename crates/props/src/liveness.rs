@@ -77,7 +77,7 @@ pub fn starvation<A: Automaton>(g: &StateGraph<A>) -> StarvationReport {
                 };
             }
         }
-        'sccs: for members in tarjan_sccs_csr(n_states, n, &csr) {
+        'sccs: for members in tarjan_sccs_csr(n_states, n, &csr).iter() {
             // Singletons without a self-loop carry no infinite run.
             if members.len() == 1 {
                 let v = members[0] as usize;
@@ -102,11 +102,11 @@ pub fn starvation<A: Automaton>(g: &StateGraph<A>) -> StarvationReport {
             );
             // Fairness: every process steps inside the component.
             let mut comp = vec![false; n_states];
-            for &v in &members {
+            for &v in members {
                 comp[v as usize] = true;
             }
             let mut steppers = vec![false; n];
-            for &v in &members {
+            for &v in members {
                 for k in 0..n {
                     let w = csr[v as usize * n + k];
                     if w != NO_EDGE && comp[w as usize] {

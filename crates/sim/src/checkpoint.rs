@@ -5,7 +5,9 @@
 //! per-shard interned arenas (via the spill-invariant
 //! [`StateArena`] snapshot format) and BFS-tree metadata, the pending
 //! frontier (as global ids — the bytes are rematerialized from the
-//! arenas on load), the global counters, and the monitor accumulators.
+//! arenas on load), the global counters, the monitor accumulators, and
+//! the fair-livelock pass's edge rows of every already-expanded state
+//! (so a resumed run never regenerates a successor).
 //!
 //! Each completed level is written to its own file
 //! (`mc-<level:08>.ckpt`) atomically (`.tmp` + rename), and the newest
@@ -20,6 +22,10 @@
 //! mismatch on a structurally valid file is a hard error, not a
 //! fallback.
 //!
+//! Every length field is checked against the bytes left in the file
+//! before anything is allocated for it: a corrupt length makes the
+//! file unusable (skipped like a torn one), never a panic.
+//!
 //! Writes consult an optional [`FaultPlan`]: the checkpoint-write point
 //! fails the whole write before any byte is produced, and the
 //! torn-rename point truncates the finished temporary file to half its
@@ -31,11 +37,13 @@ use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 
 use crate::fault::FaultPlan;
-use crate::intern::{read_u64, write_u64, StateArena};
+use crate::intern::{read_u64, read_words, write_u64, StateArena};
 use crate::mc::{MonitorHit, NodeMeta, Shard};
 
 /// Format magic; bump the trailing digit on layout changes.
-const MAGIC: &[u8; 8] = b"AMXCKPT1";
+const MAGIC: &[u8; 8] = b"AMXCKPT2";
+/// Most shards a checkpoint can hold (the engine's largest layout).
+const MAX_SHARDS: u64 = 64;
 /// How many newest per-level checkpoint files survive a write.
 const RETAIN: usize = 2;
 
@@ -86,6 +94,11 @@ pub(crate) struct Snapshot<'a> {
     /// from the arenas on load).
     pub(crate) frontier: &'a [u32],
     pub(crate) shards: &'a [Shard],
+    /// Edge-table rows of the expanded states: targets (global ids or
+    /// `NO_EDGE`), and the canonicalizing group elements (empty without
+    /// symmetry).
+    pub(crate) edge_targets: &'a [u32],
+    pub(crate) edge_sigmas: &'a [u16],
 }
 
 /// Owned exploration state read back from a checkpoint.
@@ -99,6 +112,10 @@ pub(crate) struct Restored {
     /// Frontier global ids; bytes are rematerialized by the caller.
     pub(crate) frontier: Vec<u32>,
     pub(crate) shards: Vec<Shard>,
+    /// Edge-table rows, as in [`Snapshot`]; the caller checks them
+    /// against the restored states.
+    pub(crate) edge_targets: Vec<u32>,
+    pub(crate) edge_sigmas: Vec<u16>,
 }
 
 /// Writes `snap` to `<dir>/mc-<level>.ckpt` atomically, then prunes
@@ -150,6 +167,14 @@ pub(crate) fn write(dir: &Path, snap: &Snapshot<'_>, plan: Option<&FaultPlan>) -
                 (u64::from(m.parent) << 32) | (u64::from(m.sigma) << 8) | u64::from(m.actor);
             write_u64(&mut w, packed)?;
         }
+    }
+    write_u64(&mut w, snap.edge_targets.len() as u64)?;
+    for t in snap.edge_targets {
+        w.write_all(&t.to_le_bytes())?;
+    }
+    write_u64(&mut w, snap.edge_sigmas.len() as u64)?;
+    for sigma in snap.edge_sigmas {
+        w.write_all(&sigma.to_le_bytes())?;
     }
     w.flush()?;
     let file = w.into_inner().map_err(|e| e.into_error())?;
@@ -213,7 +238,9 @@ pub(crate) fn load_latest(
 fn parse_file(path: &Path, fingerprint: u64) -> Result<Restored, LoadFail> {
     let corrupt = LoadFail::Corrupt;
     let file = File::open(path).map_err(corrupt)?;
-    let mut r = BufReader::new(file);
+    let len = file.metadata().map_err(corrupt)?.len();
+    // The limit is the rest of the file: length fields check against it.
+    let mut r = BufReader::new(file).take(len);
     let mut magic = [0u8; 8];
     r.read_exact(&mut magic).map_err(corrupt)?;
     if magic != *MAGIC {
@@ -228,13 +255,14 @@ fn parse_file(path: &Path, fingerprint: u64) -> Result<Restored, LoadFail> {
 }
 
 /// Parses everything after the magic + fingerprint header.
-fn parse_payload(r: &mut impl Read) -> io::Result<Restored> {
+fn parse_payload<R: Read>(r: &mut io::Take<R>) -> io::Result<Restored> {
     let level = read_u32_checked(r, "level")?;
     let transitions = read_u64(r)?;
     let acquisitions = read_u64(r)?;
     let peak_frontier = read_u64(r)?;
     let orbit_sum = read_u64(r)?;
-    let n_monitors = read_len(r, "monitor count")?;
+    // A monitor record is at least its count and its witness flag.
+    let n_monitors = read_count(r, 16, "monitor count")?;
     let mut monitor_hits = Vec::with_capacity(n_monitors);
     for _ in 0..n_monitors {
         let count = usize::try_from(read_u64(r)?).map_err(|_| bad_data("monitor count"))?;
@@ -250,18 +278,16 @@ fn parse_payload(r: &mut impl Read) -> io::Result<Restored> {
         };
         monitor_hits.push(MonitorHit { count, best });
     }
-    let n_frontier = read_len(r, "frontier length")?;
-    let mut frontier = Vec::with_capacity(n_frontier);
-    let mut b4 = [0u8; 4];
-    for _ in 0..n_frontier {
-        r.read_exact(&mut b4)?;
-        frontier.push(u32::from_le_bytes(b4));
+    let n_frontier = read_count(r, 4, "frontier length")?;
+    let frontier = read_words(r, n_frontier, u32::from_le_bytes)?;
+    let n_shards = read_u64(r)?;
+    if n_shards > MAX_SHARDS {
+        return Err(bad_data("shard count"));
     }
-    let n_shards = read_len(r, "shard count")?;
-    let mut shards = Vec::with_capacity(n_shards);
+    let mut shards = Vec::with_capacity(n_shards as usize);
     for _ in 0..n_shards {
         let arena = StateArena::read_snapshot(r)?;
-        let n_meta = read_len(r, "meta length")?;
+        let n_meta = read_count(r, 8, "meta length")?;
         if n_meta != arena.len() {
             return Err(bad_data("meta table length disagrees with arena"));
         }
@@ -276,6 +302,10 @@ fn parse_payload(r: &mut impl Read) -> io::Result<Restored> {
         }
         shards.push(Shard { arena, meta });
     }
+    let n_targets = read_count(r, 4, "edge target count")?;
+    let edge_targets = read_words(r, n_targets, u32::from_le_bytes)?;
+    let n_sigmas = read_count(r, 2, "edge sigma count")?;
+    let edge_sigmas = read_words(r, n_sigmas, u16::from_le_bytes)?;
     // Trailing garbage means a torn or foreign file — refuse it.
     if r.read(&mut [0u8; 1])? != 0 {
         return Err(bad_data("trailing bytes after checkpoint payload"));
@@ -289,6 +319,8 @@ fn parse_payload(r: &mut impl Read) -> io::Result<Restored> {
         monitor_hits,
         frontier,
         shards,
+        edge_targets,
+        edge_sigmas,
     })
 }
 
@@ -296,8 +328,14 @@ fn read_u32_checked(r: &mut impl Read, what: &str) -> io::Result<u32> {
     u32::try_from(read_u64(r)?).map_err(|_| bad_data(what))
 }
 
-fn read_len(r: &mut impl Read, what: &str) -> io::Result<usize> {
-    usize::try_from(read_u64(r)?).map_err(|_| bad_data(what))
+/// Reads the length of a field whose items take at least `item_bytes`
+/// each, refusing one the rest of the file cannot hold.
+fn read_count<R: Read>(r: &mut io::Take<R>, item_bytes: u64, what: &str) -> io::Result<usize> {
+    let count = read_u64(r)?;
+    if count.checked_mul(item_bytes).is_none_or(|b| b > r.limit()) {
+        return Err(bad_data(what));
+    }
+    usize::try_from(count).map_err(|_| bad_data(what))
 }
 
 fn bad_data(what: &str) -> io::Error {

@@ -17,8 +17,8 @@
 //!   ignore the `RegMap`, because local names are invariant under the
 //!   joint action (`ρ ∘ f_i = f_{π(i)}` realigns them exactly).
 //! * [`EncodeState::decode`] reads the state back from the front of a
-//!   byte slice (the engine regenerates successors from stored bytes
-//!   instead of keeping cloned nodes or a materialized edge list).
+//!   byte slice (the engine expands each state from its stored bytes
+//!   instead of keeping cloned nodes).
 //!
 //! Encodings only ever need to be compared *within one run* (fixed
 //! automata, fixed `m`), so they need not be portable or versioned —

@@ -59,9 +59,9 @@
 //! [`lookup_hashed`](StateArena::lookup_hashed)) cannot mutate the
 //! resident set; their `_cached` variants take a caller-owned
 //! [`PageCache`] — a small per-worker LRU of decompressed page
-//! payloads — so post-exploration passes (CSR build, witness chains,
-//! queries) run against a spilled arena from many threads without
-//! locks.  Every page read from the spill file, on either path, counts
+//! payloads — so multi-worker expansion probes and the
+//! post-exploration passes (livelock scan, witness chains, queries)
+//! run against a spilled arena without locks.  Every page read from the spill file, on either path, counts
 //! one *fault*.
 //!
 //! # Failure semantics
@@ -279,9 +279,10 @@ struct SpillBackend {
 /// A small caller-owned LRU of decompressed page payloads, enabling
 /// the `&self` read paths ([`StateArena::get_into_cached`],
 /// [`StateArena::lookup_hashed_cached`]) to serve records of spilled
-/// pages without mutating the arena — each worker of a parallel
-/// post-exploration pass owns one.  Entries are keyed by
-/// (arena, page), so one cache may serve many shards.
+/// pages without mutating the arena — each expand worker of a
+/// multi-worker level, and each post-exploration pass, owns one.
+/// Entries are keyed by (arena, page), so one cache may serve many
+/// shards.
 #[derive(Debug, Default)]
 pub struct PageCache {
     slots: Vec<CacheSlot>,
@@ -875,8 +876,8 @@ impl StateArena {
     }
 
     /// [`lookup_hashed`](Self::lookup_hashed) that serves spilled pages
-    /// through a caller-owned [`PageCache`] — the form the parallel
-    /// post-exploration passes use.
+    /// through a caller-owned [`PageCache`] — the form the expand
+    /// workers of a multi-worker level probe the frozen shards with.
     ///
     /// # Errors
     ///
@@ -1149,52 +1150,75 @@ impl StateArena {
     /// [`set_spill`](Self::set_spill) afterwards to re-impose a
     /// budget.
     ///
+    /// Every length is range-checked before anything is allocated for
+    /// it, and buffers grow only as their bytes arrive, so a corrupt
+    /// snapshot is an error, never a panic or an oversized allocation.
+    ///
     /// # Errors
     ///
-    /// Fails on I/O errors or a malformed snapshot.
+    /// Fails on I/O errors, and with [`io::ErrorKind::InvalidData`] on a
+    /// malformed snapshot.
     pub fn read_snapshot(r: &mut impl Read) -> io::Result<StateArena> {
         let mut magic = [0u8; 8];
         r.read_exact(&mut magic)?;
         if magic != *SNAPSHOT_MAGIC {
             return Err(bad_data("arena snapshot magic mismatch"));
         }
-        let n_states = usize::try_from(read_u64(r)?).map_err(|_| bad_data("state count"))?;
-        let mut ends = Vec::with_capacity(n_states);
-        let mut b4 = [0u8; 4];
-        for _ in 0..n_states {
-            r.read_exact(&mut b4)?;
-            ends.push(u32::from_le_bytes(b4));
+        // Indices are u32 and u32::MAX is reserved (see `intern`).
+        let n_states = read_u64(r)?;
+        if n_states >= u64::from(u32::MAX) {
+            return Err(bad_data("arena snapshot state count"));
         }
-        let table_len = usize::try_from(read_u64(r)?).map_err(|_| bad_data("table length"))?;
-        if table_len < 16 || !table_len.is_power_of_two() {
+        let n_states = n_states as usize;
+        let ends = read_words(r, n_states, u32::from_le_bytes)?;
+        // Every record holds at least its back-distance byte, so record
+        // ends strictly increase from above zero.
+        if ends.first() == Some(&0) || ends.windows(2).any(|w| w[0] >= w[1]) {
+            return Err(bad_data("arena snapshot record offsets"));
+        }
+        // The table doubles only when full to 7/8, so it always keeps
+        // an empty bucket and never exceeds 4 buckets per state.
+        let table_len = read_u64(r)?;
+        if table_len < 16
+            || !table_len.is_power_of_two()
+            || table_len <= n_states as u64
+            || table_len > 16.max(4 * n_states as u64)
+        {
             return Err(bad_data("arena snapshot table length"));
         }
-        let mut table = Vec::with_capacity(table_len);
-        let mut b8 = [0u8; 8];
-        for _ in 0..table_len {
-            r.read_exact(&mut b8)?;
-            table.push(u64::from_le_bytes(b8));
+        let table = read_words(r, table_len as usize, u64::from_le_bytes)?;
+        if table
+            .iter()
+            .any(|&b| b != EMPTY && b as u32 as usize >= n_states)
+        {
+            return Err(bad_data("arena snapshot table entry"));
         }
-        let n_bases = usize::try_from(read_u64(r)?).map_err(|_| bad_data("base count"))?;
-        let mut page_bases = Vec::with_capacity(n_bases);
-        let mut b2 = [0u8; 2];
-        for _ in 0..n_bases {
-            r.read_exact(&mut b2)?;
-            r.read_exact(&mut b4)?;
-            page_bases.push((u16::from_le_bytes(b2), u32::from_le_bytes(b4)));
-        }
-        let cur_len = usize::try_from(read_u64(r)?).map_err(|_| bad_data("cur length"))?;
-        let mut cur = vec![0u8; cur_len];
-        r.read_exact(&mut cur)?;
         let n_pages = if n_states == 0 {
             0
         } else {
             (n_states - 1) / PAGE
         };
+        // One base per distinct length among the open page's states.
+        let n_bases = read_u64(r)?;
+        if n_bases > (n_states - n_pages * PAGE) as u64 {
+            return Err(bad_data("arena snapshot base count"));
+        }
+        let page_bases: Vec<(u16, u32)> = read_words(r, n_bases as usize, |b: [u8; 6]| {
+            (
+                u16::from_le_bytes([b[0], b[1]]),
+                u32::from_le_bytes([b[2], b[3], b[4], b[5]]),
+            )
+        })?;
+        if page_bases
+            .iter()
+            .any(|&(_, i)| (i as usize) < n_pages * PAGE || i as usize >= n_states)
+        {
+            return Err(bad_data("arena snapshot base index"));
+        }
         let mut arena = StateArena {
             id: NEXT_ARENA_ID.fetch_add(1, Ordering::Relaxed),
             pages: Vec::with_capacity(n_pages),
-            cur,
+            cur: Vec::new(),
             sealed_bytes: 0,
             ends,
             table,
@@ -1202,24 +1226,20 @@ impl StateArena {
             spill: None,
             fault_plan: None,
         };
-        let total: usize = if n_states == 0 {
-            0
-        } else {
-            arena.ends[n_states - 1] as usize
-        };
+        let total = arena.ends.last().map_or(0, |&e| e as usize);
+        let open_start = arena.page_start(n_pages);
+        if read_u64(r)? != (total - open_start) as u64 {
+            return Err(bad_data("arena snapshot open-page length"));
+        }
+        arena.cur = read_bytes(r, total - open_start)?;
         for p in 0..n_pages {
-            let len = arena.page_end(p) - arena.page_start(p);
-            let mut payload = vec![0u8; len];
-            r.read_exact(&mut payload)?;
+            let payload = read_bytes(r, arena.page_end(p) - arena.page_start(p))?;
+            arena.sealed_bytes += payload.len();
             arena.pages.push(PageSlot {
                 bytes: Some(payload.into_boxed_slice()),
                 spill_off: NEVER_SPILLED,
                 referenced: true,
             });
-            arena.sealed_bytes += len;
-        }
-        if arena.sealed_bytes + arena.cur.len() != total {
-            return Err(bad_data("arena snapshot payload length mismatch"));
         }
         Ok(arena)
     }
@@ -1242,6 +1262,42 @@ pub(crate) fn read_u64(r: &mut impl Read) -> io::Result<u64> {
     let mut b = [0u8; 8];
     r.read_exact(&mut b)?;
     Ok(u64::from_le_bytes(b))
+}
+
+/// Largest buffer the snapshot readers reserve before its bytes have
+/// arrived: a longer field grows as it is read, so a corrupt length
+/// runs into the end of the input instead of sizing an allocation.
+const READ_RESERVE_MAX: usize = 1 << 20;
+
+/// Reads exactly `len` bytes (see [`READ_RESERVE_MAX`]).
+pub(crate) fn read_bytes(r: &mut impl Read, len: usize) -> io::Result<Vec<u8>> {
+    let mut buf = Vec::with_capacity(len.min(READ_RESERVE_MAX));
+    r.take(len as u64).read_to_end(&mut buf)?;
+    if buf.len() != len {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            "snapshot field runs past the end of the input",
+        ));
+    }
+    Ok(buf)
+}
+
+/// Reads `count` words of `N` bytes each, decoded by `word` (e.g.
+/// `u32::from_le_bytes`).
+pub(crate) fn read_words<const N: usize, T>(
+    r: &mut impl Read,
+    count: usize,
+    word: fn([u8; N]) -> T,
+) -> io::Result<Vec<T>> {
+    let len = count.checked_mul(N).ok_or_else(|| bad_data("word count"))?;
+    let mut buf = [0u8; N];
+    Ok(read_bytes(r, len)?
+        .chunks_exact(N)
+        .map(|c| {
+            buf.copy_from_slice(c);
+            word(buf)
+        })
+        .collect())
 }
 
 impl Default for StateArena {
@@ -1601,6 +1657,49 @@ mod tests {
         arena.write_snapshot(&mut snap).unwrap();
         let truncated = &snap[..snap.len() - 1];
         assert!(StateArena::read_snapshot(&mut &truncated[..]).is_err());
+    }
+
+    #[test]
+    fn snapshot_rejects_corrupt_lengths_without_allocating() {
+        let mut arena = StateArena::new();
+        for i in 0..600u32 {
+            arena.intern(&wide_state(i)).unwrap();
+        }
+        let mut snap = Vec::new();
+        arena.write_snapshot(&mut snap).unwrap();
+        let n = arena.len();
+        let corrupt = |at: usize, value: u64| {
+            let mut bad = snap.clone();
+            bad[at..at + 8].copy_from_slice(&value.to_le_bytes());
+            StateArena::read_snapshot(&mut bad.as_slice()).map(|a| a.len())
+        };
+        // Offsets: magic 8, state count 8, ends 4 each, table length 8,
+        // table 8 each, base count 8.
+        let table_at = 16 + 4 * n;
+        let bases_at = table_at + 8 + 8 * arena.table.len();
+        let cur_at = bases_at + 8 + 6 * arena.page_bases.len();
+        for (what, at, value) in [
+            ("state count", 8, u64::MAX),
+            ("state count", 8, u64::from(u32::MAX) - 1),
+            ("table length", table_at, 1 << 40),
+            ("table length", table_at, 16),
+            ("base count", bases_at, u64::MAX),
+            ("open-page length", cur_at, u64::MAX),
+        ] {
+            let err = corrupt(at, value).expect_err(what);
+            assert!(
+                matches!(
+                    err.kind(),
+                    io::ErrorKind::InvalidData | io::ErrorKind::UnexpectedEof
+                ),
+                "{what}: {err}"
+            );
+        }
+        // Non-increasing record ends would make a page length negative.
+        let mut bad = snap.clone();
+        bad[16 + 4 * 300..16 + 4 * 301].copy_from_slice(&0u32.to_le_bytes());
+        let err = StateArena::read_snapshot(&mut bad.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
     #[test]

@@ -53,11 +53,12 @@
 //!   are numbered in breadth-first discovery order at every worker
 //!   count, so verdicts, witnesses, counts and query answers are
 //!   identical whatever the worker count.
-//! * **O(states) memory livelock pass** — the deadlock-freedom pass
-//!   regenerates each completion-free successor exactly once into a
-//!   dense edge table (in parallel) and runs Tarjan's decomposition
-//!   ([`scc::tarjan_sccs_csr`]) over it; no transition list is ever
-//!   buffered during exploration.
+//! * **O(states) memory livelock pass** — exploration records each
+//!   completion-free edge (target id and canonicalizing group element)
+//!   into a dense `states × n` table as it expands a state, and the
+//!   deadlock-freedom pass runs Tarjan's decomposition
+//!   ([`scc::tarjan_sccs_csr`]) straight over it: no successor is
+//!   regenerated and no transition list is buffered.
 //! * **Out-of-core exploration** — each seen-set shard's arena can
 //!   spill cold compressed pages to disk under a resident-byte budget
 //!   ([`mc::ModelChecker::resident_budget`], CLOCK eviction, transparent

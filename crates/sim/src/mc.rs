@@ -89,13 +89,17 @@
 //!   and [`ModelChecker::crashes`] — out-of-core exploration, resumable
 //!   levels and crash–recovery edges.
 //!
-//! The deadlock-freedom pass buffers no transition list during
-//! exploration: after BFS, every completion-free successor is
-//! *regenerated* from the interned bytes exactly once into a dense
-//! `states × n` edge table (split across the worker pool), and Tarjan's
-//! SCC decomposition ([`crate::scc::tarjan_sccs_csr`]) runs over that
-//! table, so peak memory is O(states · n) rather than O(stored
-//! transitions) and no successor is regenerated twice.
+//! The deadlock-freedom pass reads an edge table that exploration
+//! fills as it goes: when a level expands a state, each
+//! completion-free successor's id (from the seen-set probe, or from the
+//! owner drain that interned it) and canonicalizing group element are
+//! written into the state's row of a dense `states × n` table, rows in
+//! breadth-first discovery order.  After BFS, Tarjan's SCC
+//! decomposition ([`crate::scc::tarjan_sccs_csr`]) runs straight over
+//! that table, so the pass steps no automaton, canonicalizes nothing
+//! and probes no seen table, and memory stays O(states · n) rather than
+//! O(stored transitions).  Checkpoints carry the rows of the states
+//! already expanded, so a resumed run needs no regeneration either.
 //!
 //! Under [`Symmetry::Wreath`], the fair-livelock check runs on the orbit
 //! quotient with fairness at the granularity of symmetry classes
@@ -412,9 +416,11 @@ pub struct McReport {
     pub peak_frontier: usize,
     /// Wall-clock duration of the exploration.
     pub wall_time: Duration,
-    /// Wall-clock duration of the fair-livelock pass alone (successor
-    /// CSR build + SCC decomposition + component scan); zero when the
-    /// pass did not run (mutual-exclusion violation or overflow).
+    /// Wall-clock duration of the fair-livelock pass alone: SCC
+    /// decomposition of the edge table recorded during exploration,
+    /// component scan, orbit confirmation of candidates and
+    /// [`SccQuery`] evaluation.  Zero when the pass did not run
+    /// (violation, overflow or interruption).
     pub scc_wall_time: Duration,
     /// *Logical* bytes of the interned state arenas after exploration:
     /// compressed records plus the offset index, shrunk to fit (the
@@ -921,9 +927,10 @@ impl<A: Automaton> ModelChecker<A> {
     /// Enables checkpointing: after each completed breadth-first level
     /// (subject to [`checkpoint_every`](Self::checkpoint_every)) the
     /// full exploration state — arenas, seen tables, BFS metadata,
-    /// frontier and monitor accumulators — is written atomically to
-    /// `<dir>/mc.ckpt`, and [`resume`](Self::resume) continues a killed
-    /// run from there bit-identically.
+    /// frontier, monitor accumulators and the livelock pass's edge rows
+    /// — is written atomically to `<dir>/mc-<level>.ckpt`, and
+    /// [`resume`](Self::resume) continues a killed run from there
+    /// bit-identically.
     #[must_use]
     pub fn checkpoint_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.checkpoint_dir = Some(dir.into());
@@ -1038,6 +1045,7 @@ where
         }
         let n_shards = 1usize << shard_bits;
         let (group, class_of) = build_group(&self.automata, &self.mem0, symmetry);
+        let mut edges = EdgeTable::new(self.automata.len(), group.len() > 1);
         let shared = EngineShared {
             automata: &self.automata,
             mem0: &self.mem0,
@@ -1119,6 +1127,33 @@ where
                     .map_err(McError::Spill)?;
                 frontier.push(gid, &bytes);
             }
+            // Every state but the frontier has been expanded and owns a
+            // row; each target must name a stored state.
+            let rows = states.checked_sub(ck.frontier.len());
+            let stored = |t: u32| {
+                let arena = &shards[(t as usize) & (n_shards - 1)].arena;
+                t == scc::NO_EDGE || ((t >> shard_bits) as usize) < arena.len()
+            };
+            let sigma_len = if edges.track_sigma {
+                ck.edge_targets.len()
+            } else {
+                0
+            };
+            if rows.map(|r| r * edges.n) != Some(ck.edge_targets.len())
+                || ck.edge_sigmas.len() != sigma_len
+                || !ck.edge_targets.iter().all(|&t| stored(t))
+                || ck
+                    .edge_sigmas
+                    .iter()
+                    .any(|&g| usize::from(g) >= group.len())
+            {
+                return Err(McError::Checkpoint(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    "checkpoint edge table does not match its states",
+                )));
+            }
+            edges.targets = ck.edge_targets;
+            edges.sigmas = ck.edge_sigmas;
         } else {
             shards = (0..n_shards).map(|_| Shard::default()).collect();
             // Seed the frontier with the (group-invariant) initial state.
@@ -1216,6 +1251,7 @@ where
                 &mut shards,
                 &frontier,
                 &mut next,
+                &mut edges,
                 workers,
                 &mut scratch,
             );
@@ -1276,6 +1312,8 @@ where
                         monitor_hits: &monitor_hits,
                         frontier: &frontier.gids,
                         shards: &shards,
+                        edge_targets: &edges.targets,
+                        edge_sigmas: &edges.sigmas,
                     };
                     match checkpoint::write(dir, &snap, self.fault_plan.as_deref()) {
                         Ok(()) => {
@@ -1379,8 +1417,9 @@ where
             max_pending_depth::<A::State>(&store, &group, m, self.automata.len())?;
 
         let scc_start = Instant::now();
+        edges.number_targets(&store);
         if let Some((verdict, queries)) =
-            self.find_fair_livelock(&store, &group, &class_of, &mut scratch, workers)?
+            self.find_fair_livelock(&store, &group, &class_of, &edges, &mut scratch)?
         {
             report.verdict = verdict;
             report.scc_queries = queries;
@@ -1447,23 +1486,21 @@ where
 
     /// Fair-livelock search on the completion-free subgraph.
     ///
-    /// Successors are regenerated from the interned bytes exactly once,
-    /// into a dense out-edge table (`v*n + k` → child, [`scc::NO_EDGE`]
-    /// for deleted completion edges); the SCC decomposition and the
-    /// per-component fairness scan then run over that table instead of
-    /// paying decode + step + canonicalize + lookup per algorithmic
-    /// probe.  The regeneration pass is split across `workers`; the
-    /// decomposition is Tarjan's, over node ids in breadth-first
-    /// discovery order, so the candidate order — and with it the
-    /// reported component and witnesses — is the same at every worker
-    /// count.
+    /// Runs over the edge table exploration recorded (`edges`, targets
+    /// already renumbered to dense ids): Tarjan's decomposition over
+    /// node ids in breadth-first discovery order — so the candidate
+    /// order, and with it the reported component and witnesses, is the
+    /// same at every worker count — then the per-component fairness
+    /// scan.  Nothing is stepped, canonicalized or looked up here;
+    /// states are decoded only to read their phases and to evaluate
+    /// queries.
     fn find_fair_livelock(
         &self,
         store: &Store,
         group: &[SymElem],
         class_of: &[usize],
+        edges: &EdgeTable,
         scratch: &mut Scratch<A::State>,
-        workers: usize,
     ) -> Result<Option<(Verdict, Vec<SccQueryResult>)>, SpillError> {
         let n_states = store.node_count();
         let n = self.automata.len();
@@ -1471,99 +1508,12 @@ where
         if n_states == 0 {
             return Ok(None);
         }
+        let csr = edges.targets.as_slice();
+        debug_assert_eq!(csr.len(), n_states * n, "one edge row per stored state");
 
-        // Stage 1: regenerate the completion-free successor table — and,
-        // under symmetry, the canonicalizing group element of every
-        // edge, which lets the orbit confirmation below walk concrete
-        // orbit states entirely by table composition (no re-stepping).
-        let track_sigma = group.len() > 1;
-        let mut csr = vec![scc::NO_EDGE; n_states * n];
-        let mut sigmas: Vec<u16> = if track_sigma {
-            vec![0; n_states * n]
-        } else {
-            Vec::new()
-        };
-        // Crash edges are deliberately absent from this table: each one
-        // strictly increases a crash count, so no cycle — and hence no
-        // SCC-carried infinite execution — can contain one, and
-        // fairness never obliges the adversary to crash a process.
-        let fill_rows = |rows: &mut [u32],
-                         sigs: &mut [u16],
-                         base: usize,
-                         sc: &mut Scratch<A::State>|
-         -> Result<(), SpillError> {
-            for (row, entries) in rows.chunks_mut(n).enumerate() {
-                store.bytes_into(store.gid_of_dense(base + row), &mut sc.cache, &mut sc.node)?;
-                decode_node(
-                    &sc.node,
-                    m,
-                    n,
-                    &mut sc.slots,
-                    &mut sc.procs,
-                    &mut sc.crashes,
-                );
-                for (k, entry) in entries.iter_mut().enumerate() {
-                    sc.mem.restore(&sc.slots);
-                    let saved = sc.procs[k].clone();
-                    let outcome =
-                        advance_in_place(&self.automata[k], k, &mut sc.mem, &mut sc.procs[k]);
-                    if outcome == Outcome::Progress {
-                        let sigma = canonical_sigma(
-                            group,
-                            sc.mem.slots(),
-                            &sc.procs,
-                            &sc.crashes,
-                            &mut sc.enc,
-                            &mut sc.best,
-                        );
-                        let child = store
-                            .lookup(&sc.best, &mut sc.cache)?
-                            .expect("successor of a stored state must itself be stored");
-                        *entry = store.dense(child) as u32;
-                        if let Some(se) = sigs.get_mut(row * n + k) {
-                            *se = sigma;
-                        }
-                    }
-                    sc.procs[k] = saved;
-                }
-            }
-            Ok(())
-        };
-        if workers == 1 {
-            fill_rows(&mut csr, &mut sigmas, 0, scratch)?;
-        } else {
-            let chunk = n_states.div_ceil(workers) * n;
-            let spill_err: Mutex<Option<SpillError>> = Mutex::new(None);
-            std::thread::scope(|s| {
-                let mut csr_rest = csr.as_mut_slice();
-                let mut sig_rest = sigmas.as_mut_slice();
-                let mut base = 0usize;
-                while !csr_rest.is_empty() {
-                    let take = chunk.min(csr_rest.len());
-                    let (rows, r2) = csr_rest.split_at_mut(take);
-                    csr_rest = r2;
-                    let (sigs, s2) = sig_rest.split_at_mut(take.min(sig_rest.len()));
-                    sig_rest = s2;
-                    let fill_rows = &fill_rows;
-                    let spill_err = &spill_err;
-                    let row_base = base;
-                    s.spawn(move || {
-                        let mut sc: Scratch<A::State> = Scratch::new(self.mem0.clone());
-                        if let Err(e) = fill_rows(rows, sigs, row_base, &mut sc) {
-                            spill_err.lock().get_or_insert(e);
-                        }
-                    });
-                    base += take / n;
-                }
-            });
-            if let Some(e) = spill_err.into_inner() {
-                return Err(e);
-            }
-        }
-
-        // Stage 2: SCC decomposition over the table (Tarjan emits in
-        // reverse topological order).
-        let sccs = scc::tarjan_sccs_csr(n_states, n, &csr);
+        // SCC decomposition over the table (Tarjan emits in reverse
+        // topological order).
+        let sccs = scc::tarjan_sccs_csr(n_states, n, csr);
 
         // Component id per node for internal-edge testing.
         let mut comp = vec![u32::MAX; n_states];
@@ -1573,8 +1523,8 @@ where
             }
         }
         let n_classes = class_of.iter().copied().max().unwrap_or(0) + 1;
-        let gtab = track_sigma.then(|| group_tables(group));
-        for members in &sccs {
+        let gtab = (group.len() > 1).then(|| group_tables(group));
+        for members in sccs.iter() {
             // Singleton components without a self-loop — the vast
             // majority on Ok verdicts — cannot carry an infinite
             // execution; skip them before decoding anything.
@@ -1683,7 +1633,15 @@ where
                 .expect("tables exist whenever the group is nontrivial");
             let cid = comp[members[0] as usize];
             if let Some(v) = self.confirm_livelock_on_orbit(
-                store, group, gtab, members, &csr, &sigmas, &comp, cid, scratch,
+                store,
+                group,
+                gtab,
+                members,
+                csr,
+                &edges.sigmas,
+                &comp,
+                cid,
+                scratch,
             )? {
                 return Ok(Some(v));
             }
@@ -1703,8 +1661,8 @@ where
     /// differential-tested.
     ///
     /// The expansion is walked as `(canonical member, group element)`
-    /// pairs using the edge table built by the caller: by equivariance,
-    /// concrete actor `a` in state `g·ŝ_v` is quotient actor
+    /// pairs using the edge table recorded during exploration: by
+    /// equivariance, concrete actor `a` in state `g·ŝ_v` is quotient actor
     /// `g⁻¹(a)` in `ŝ_v`, and with `ŝ_v --k--> t`, `ŝ_w = σ·t` the
     /// successor is `(w, g∘σ⁻¹)` — so no automaton is stepped and no
     /// state is re-encoded here, only table composition.  When a state
@@ -1788,7 +1746,7 @@ where
             let (vi, gi) = (x / gl, x % gl);
             phases_q[vi * n + group[gi].pi_inv[j]]
         };
-        for sub in &sub_sccs {
+        for sub in sub_sccs.iter() {
             let mut actors = vec![false; n];
             let mut has_edge = false;
             for &v in sub {
@@ -2579,33 +2537,6 @@ fn canonicalize<S: EncodeState>(
     (sigma, group.len() as u32 / stabilizer)
 }
 
-/// [`canonicalize`] without the stabilizer/orbit accounting: `best`
-/// receives the lexicographically least image and the index of a group
-/// element achieving it is returned.  The fair-livelock pass
-/// regenerates millions of successors only to *look them up* (plus the
-/// winning element, which lets the orbit confirmation run on tables
-/// instead of re-stepping states), where the orbit size is dead
-/// weight.
-fn canonical_sigma<S: EncodeState>(
-    group: &[SymElem],
-    slots: &[Slot],
-    procs: &[(Phase, S)],
-    crashes: &[u8],
-    enc: &mut Vec<u8>,
-    best: &mut Vec<u8>,
-) -> u16 {
-    encode_node_with(&group[0], slots, procs, crashes, best);
-    let mut sigma = 0u16;
-    for (gi, elem) in group.iter().enumerate().skip(1) {
-        encode_node_with(elem, slots, procs, crashes, enc);
-        if enc.as_slice() < best.as_slice() {
-            std::mem::swap(enc, best);
-            sigma = gi as u16;
-        }
-    }
-    sigma
-}
-
 /// Composition and inverse tables of the symmetry group, used by the
 /// orbit confirmation to walk concrete orbit states as `(canonical
 /// member, group element)` pairs without re-stepping any automaton.
@@ -2688,6 +2619,86 @@ impl Frontier {
     }
 }
 
+/// The fair-livelock pass's graph, recorded while BFS runs: one row of
+/// `n` slots per expanded state, rows in breadth-first discovery order
+/// (each level appends its frontier's rows, in frontier order — the
+/// order [`Store`] numbers states in).  Slot `v * n + k` holds the
+/// target of quotient actor `k`'s `Progress` step from state `v`, or
+/// [`scc::NO_EDGE`]: completions and violating steps are left out, and
+/// so are crash edges — each strictly increases a crash count, so no
+/// cycle (hence no livelock) contains one, and fairness never obliges
+/// the adversary to crash anyone.  Targets are global ids until
+/// [`EdgeTable::number_targets`] renumbers them densely.
+#[derive(Debug)]
+struct EdgeTable {
+    /// Slots per row (the process count).
+    n: usize,
+    targets: Vec<u32>,
+    /// Under symmetry, the group element that canonicalized each slot's
+    /// target (parallel to `targets`); empty otherwise.  The orbit
+    /// confirmation walks concrete orbit states with it.
+    sigmas: Vec<u16>,
+    track_sigma: bool,
+}
+
+impl EdgeTable {
+    fn new(n: usize, track_sigma: bool) -> Self {
+        EdgeTable {
+            n,
+            targets: Vec::new(),
+            sigmas: Vec::new(),
+            track_sigma,
+        }
+    }
+
+    /// Rows held: the states expanded so far.
+    fn rows(&self) -> usize {
+        self.targets.len() / self.n
+    }
+
+    /// Appends `count` rows without edges.
+    fn add_rows(&mut self, count: usize) {
+        let len = self.targets.len() + count * self.n;
+        self.targets.resize(len, scc::NO_EDGE);
+        if self.track_sigma {
+            self.sigmas.resize(len, 0);
+        }
+    }
+
+    /// Writes `edge` into row `row`.
+    fn set(&mut self, row: usize, edge: &Edge) {
+        let at = row * self.n + usize::from(edge.actor);
+        self.targets[at] = edge.target;
+        if let Some(sigma) = self.sigmas.get_mut(at) {
+            *sigma = edge.sigma;
+        }
+    }
+
+    /// Renumbers the targets from global to dense ids (a no-op with one
+    /// shard, where the two coincide).
+    fn number_targets(&mut self, store: &Store) {
+        if store.shard_bits == 0 {
+            return;
+        }
+        for t in &mut self.targets {
+            if *t != scc::NO_EDGE {
+                *t = store.dense(*t) as u32;
+            }
+        }
+    }
+}
+
+/// A completion-free edge met during a round, on its way into the
+/// [`EdgeTable`]: the source's frontier position, the target's global
+/// id, the canonicalizing group element and the quotient actor.
+#[derive(Debug, Clone, Copy)]
+struct Edge {
+    pos: u32,
+    target: u32,
+    sigma: u16,
+    actor: u8,
+}
+
 /// One frontier node in a stealable expansion queue; `pos` is its
 /// global index in the level (the violation tiebreak).  The bytes
 /// borrow the frontier — expansion never consumes the level.
@@ -2725,6 +2736,9 @@ struct PendingInsert {
     len: u32,
     sigma: u16,
     actor: u8,
+    /// Whether the step is an edge of the [`EdgeTable`] (a `Progress`
+    /// step, not a completion or crash).
+    edge: bool,
 }
 
 impl PendingInsert {
@@ -2735,10 +2749,12 @@ impl PendingInsert {
 }
 
 /// One expand worker's output for a round: pending inserts per shard,
-/// their encodings packed in one buffer.
+/// their encodings packed in one buffer, and the edges whose targets
+/// the seen-set probe already resolved.
 struct Outbox {
     pending: Vec<Vec<PendingInsert>>,
     bytes: Vec<u8>,
+    edges: Vec<Edge>,
 }
 
 impl Outbox {
@@ -2746,6 +2762,7 @@ impl Outbox {
         Outbox {
             pending: (0..n_shards).map(|_| Vec::new()).collect(),
             bytes: Vec::new(),
+            edges: Vec::new(),
         }
     }
 }
@@ -2775,12 +2792,15 @@ impl Outbox {
 /// (and spills) independently.  Each round's fresh children are sorted
 /// by `(pos, actor)` and appended to `next` (cleared first; rounds
 /// cover increasing positions), the order in which [`Store`] numbers
-/// them.
+/// them.  The level appends one [`EdgeTable`] row per frontier node and
+/// fills it from both phases: targets the expand probe found, and
+/// targets the drain interned (fresh or not).
 fn run_level<A: Automaton + Sync>(
     shared: &EngineShared<'_, A>,
     shards: &mut [Shard],
     frontier: &Frontier,
     next: &mut Frontier,
+    edges: &mut EdgeTable,
     workers: usize,
     scratch: &mut Scratch<A::State>,
 ) -> WorkerOut
@@ -2790,6 +2810,8 @@ where
     let n_shards = shards.len();
     let mut out = WorkerOut::new(shared.monitors.len());
     next.clear();
+    let row_base = edges.rows();
+    edges.add_rows(frontier.len());
     let mut base = 0;
     while base < frontier.len() {
         if shared.overflow.load(Ordering::Relaxed) || out.found_stop() {
@@ -2802,10 +2824,7 @@ where
             let mut wout = WorkerOut::new(shared.monitors.len());
             let mut outbox = Outbox::new(n_shards);
             let mut seen = |si: usize, hash: u64, bytes: &[u8], _: &mut PageCache| {
-                shards[si]
-                    .arena
-                    .lookup_hashed_mut(hash, bytes)
-                    .map(|id| id.is_some())
+                shards[si].arena.lookup_hashed_mut(hash, bytes)
             };
             for pos in round {
                 let (gid, bytes) = frontier.node(pos);
@@ -2836,6 +2855,9 @@ where
                 } else {
                     acc.append(&mut b);
                 }
+            }
+            for e in &outbox.edges {
+                edges.set(row_base + e.pos as usize, e);
             }
             bufs.push(outbox.bytes);
         }
@@ -2868,6 +2890,9 @@ where
         };
         let mut fresh: Vec<(u32, PendingInsert)> = Vec::new();
         for oo in drained {
+            for e in &oo.edges {
+                edges.set(row_base + e.pos as usize, e);
+            }
             for (acc, hit) in out.monitor_hits.iter_mut().zip(&oo.monitor_hits) {
                 acc.merge(hit);
             }
@@ -2949,10 +2974,7 @@ where
     let mut out = WorkerOut::new(shared.monitors.len());
     let mut outbox = Outbox::new(shards.len());
     let mut seen = |si: usize, hash: u64, bytes: &[u8], cache: &mut PageCache| {
-        shards[si]
-            .arena
-            .lookup_hashed_cached(hash, bytes, cache)
-            .map(|id| id.is_some())
+        shards[si].arena.lookup_hashed_cached(hash, bytes, cache)
     };
     let mut batch: Vec<LevelItem<'f>> = Vec::with_capacity(STEAL_BATCH);
     'round: loop {
@@ -3003,8 +3025,9 @@ where
 }
 
 /// Phase 1 for one frontier node: expands it and routes every
-/// successor that `seen(shard, hash, bytes, cache)` does not report as
-/// interned into its owning shard's outbox.
+/// successor that `seen(shard, hash, bytes, cache)` does not find (as a
+/// shard-local id) into its owning shard's outbox; edges to successors
+/// it finds go straight to the outbox's edge list.
 fn expand_item<A: Automaton>(
     shared: &EngineShared<'_, A>,
     item: &LevelItem<'_>,
@@ -3012,7 +3035,7 @@ fn expand_item<A: Automaton>(
     sc: &mut Scratch<A::State>,
     out: &mut WorkerOut,
     outbox: &mut Outbox,
-    seen: &mut impl FnMut(usize, u64, &[u8], &mut PageCache) -> Result<bool, SpillError>,
+    seen: &mut impl FnMut(usize, u64, &[u8], &mut PageCache) -> Result<Option<u32>, SpillError>,
 ) where
     A::State: EncodeState,
 {
@@ -3023,15 +3046,26 @@ fn expand_item<A: Automaton>(
         item.bytes,
         sc,
         out,
-        |sc, actor, sigma, orbit| {
+        |sc, actor, sigma, orbit, edge| {
             let hash = hash_bytes(&sc.best);
             let si = shard_index(hash, shared.shard_bits);
             match seen(si, hash, &sc.best, &mut sc.cache) {
                 // Interned by a previous round or level: the probe is exact
-                // for those, so nothing to buffer.  Intra-round duplicates
-                // fall through and lose in the drain phase.
-                Ok(true) => return,
-                Ok(false) => {}
+                // for those, so nothing to buffer but the edge.
+                // Intra-round duplicates fall through and lose in the
+                // drain phase.
+                Ok(Some(local)) => {
+                    if edge {
+                        outbox.edges.push(Edge {
+                            pos: item.pos,
+                            target: (local << shared.shard_bits) | si as u32,
+                            sigma,
+                            actor: actor as u8,
+                        });
+                    }
+                    return;
+                }
+                Ok(None) => {}
                 Err(e) => {
                     // A spilled page is unreadable: the level boundary
                     // turns this into McError::Spill; meanwhile treat the
@@ -3053,6 +3087,7 @@ fn expand_item<A: Automaton>(
                 len: sc.best.len() as u32,
                 sigma,
                 actor: actor as u8,
+                edge,
             });
         },
     );
@@ -3063,6 +3098,8 @@ struct OwnerOut {
     /// Freshly interned children as `(gid, insert)`; the caller sorts
     /// them into the next frontier.
     fresh: Vec<(u32, PendingInsert)>,
+    /// Edges whose targets this owner interned or found interned.
+    edges: Vec<Edge>,
     monitor_hits: Vec<MonitorHit>,
     prop_violation: Option<PropViolation>,
 }
@@ -3084,6 +3121,7 @@ where
 {
     let mut oo = OwnerOut {
         fresh: Vec::new(),
+        edges: Vec::new(),
         monitor_hits: vec![MonitorHit::default(); shared.monitors.len()],
         prop_violation: None,
     };
@@ -3102,6 +3140,14 @@ where
                 sigma: p.sigma,
             };
             let (gid, fresh) = intern_into(shared, si, shard, p.hash, p.bytes(bufs), meta, p.orbit);
+            if p.edge {
+                oo.edges.push(Edge {
+                    pos: p.pos,
+                    target: gid,
+                    sigma: p.sigma,
+                    actor: p.actor,
+                });
+            }
             if !fresh {
                 // An intra-round duplicate that lost the sorted
                 // `(pos, actor)` race: its first generator is the
@@ -3138,13 +3184,15 @@ where
 }
 
 /// Expands one frontier node — the successor-generation skeleton.  For
-/// every `Progress` step (and every admissible crash) the successor is
-/// canonicalized into `scratch.best` (concrete frame left in
-/// `scratch.mem`/`scratch.procs`) and handed to `sink` as
-/// `(scratch, actor, sigma, orbit)`.  A found violation never aborts
-/// mid-node: the candidate is merged by minimum `(pos, actor)` into
-/// `out` and the node's remaining actors still run (stolen items
-/// arrive out of position order, and the round finishes regardless).
+/// every step that is not a violation (and every admissible crash) the
+/// successor is canonicalized into `scratch.best` (concrete frame left
+/// in `scratch.mem`/`scratch.procs`) and handed to `sink` as
+/// `(scratch, actor, sigma, orbit, edge)`, `edge` telling whether the
+/// step belongs to the completion-free graph (a `Progress` step).  A
+/// found violation never aborts mid-node: the candidate is merged by
+/// minimum `(pos, actor)` into `out` and the node's remaining actors
+/// still run (stolen items arrive out of position order, and the round
+/// finishes regardless).
 fn expand_node<A: Automaton>(
     shared: &EngineShared<'_, A>,
     pos: u32,
@@ -3152,7 +3200,7 @@ fn expand_node<A: Automaton>(
     bytes: &[u8],
     scratch: &mut Scratch<A::State>,
     out: &mut WorkerOut,
-    mut sink: impl FnMut(&mut Scratch<A::State>, usize, u16, u32),
+    mut sink: impl FnMut(&mut Scratch<A::State>, usize, u16, u32, bool),
 ) where
     A::State: EncodeState,
 {
@@ -3203,7 +3251,7 @@ fn expand_node<A: Automaton>(
             &mut scratch.best,
             &mut scratch.first,
         );
-        sink(scratch, i, sigma, orbit);
+        sink(scratch, i, sigma, orbit, outcome == Outcome::Progress);
         scratch.procs[i] = saved;
     }
     // Crash edges: the adversary may crash any process that is mid-
@@ -3213,7 +3261,7 @@ fn expand_node<A: Automaton>(
     // `WipeRegisters` its shared-register claims evaporate too, under
     // `StaleClaims` they linger.  Crash counts strictly increase along
     // these edges, so no cycle contains one — which is why the fair-
-    // livelock CSR pass soundly omits them (fairness never obliges the
+    // livelock edge table soundly omits them (fairness never obliges the
     // adversary to crash anyone).
     if let Some((budget, mode)) = shared.crashes {
         let total: u32 = scratch.crashes.iter().map(|&c| u32::from(c)).sum();
@@ -3254,7 +3302,7 @@ fn expand_node<A: Automaton>(
                 &mut scratch.best,
                 &mut scratch.first,
             );
-            sink(scratch, usize::from(CRASH_ACTOR) | i, sigma, orbit);
+            sink(scratch, usize::from(CRASH_ACTOR) | i, sigma, orbit, false);
             scratch.crashes[i] -= 1;
             scratch.procs[i] = saved;
         }
@@ -3419,15 +3467,6 @@ impl Store {
     fn meta(&self, gid: u32) -> NodeMeta {
         let (si, local) = self.split(gid);
         self.shards[si].meta[local as usize]
-    }
-
-    fn lookup(&self, bytes: &[u8], cache: &mut PageCache) -> Result<Option<u32>, SpillError> {
-        let hash = hash_bytes(bytes);
-        let si = shard_index(hash, self.shard_bits);
-        Ok(self.shards[si]
-            .arena
-            .lookup_hashed_cached(hash, bytes, cache)?
-            .map(|local| (local << self.shard_bits) | si as u32))
     }
 
     /// Degradation notes accumulated by the shards' arenas (spill

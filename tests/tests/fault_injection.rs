@@ -11,11 +11,12 @@
 //!   `McError::Spill`, never a panic;
 //! * a **checkpoint write** failure disables checkpointing for the
 //!   rest of the run (degraded, verdict unchanged);
-//! * a **torn or truncated newest checkpoint** makes `--resume` fall
-//!   back to the newest *valid* earlier level and still reproduce the
-//!   uninterrupted verdict bit-for-bit.
+//! * a **torn, truncated or garbled newest checkpoint** — a corrupt
+//!   length field included — makes `--resume` fall back to the newest
+//!   *valid* earlier level and still reproduce the uninterrupted
+//!   verdict bit-for-bit.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -223,6 +224,21 @@ where
     assert_same_verdict(&baseline, &resumed, tag);
 }
 
+/// The newest per-level checkpoint file in `dir`.
+fn newest_checkpoint(dir: &Path) -> PathBuf {
+    std::fs::read_dir(dir)
+        .unwrap()
+        .filter_map(Result::ok)
+        .map(|e| e.path())
+        .filter(|p| {
+            p.file_name()
+                .and_then(|s| s.to_str())
+                .is_some_and(|s| s.starts_with("mc-") && s.ends_with(".ckpt"))
+        })
+        .max()
+        .expect("a newest checkpoint exists")
+}
+
 /// Satellite 3, torn-rename flavour: the injected tear truncates the
 /// newest checkpoint mid-rename (reporting success, as a crash during
 /// rename would); resume falls back one level.
@@ -244,17 +260,7 @@ fn torn_checkpoint_rename_falls_back_one_level() {
 #[test]
 fn truncated_checkpoint_file_falls_back_one_level() {
     corrupt_newest_and_resume("trunc", None, |dir| {
-        let newest = std::fs::read_dir(dir)
-            .unwrap()
-            .filter_map(Result::ok)
-            .map(|e| e.path())
-            .filter(|p| {
-                p.file_name()
-                    .and_then(|s| s.to_str())
-                    .is_some_and(|s| s.starts_with("mc-") && s.ends_with(".ckpt"))
-            })
-            .max()
-            .expect("a newest checkpoint exists");
+        let newest = newest_checkpoint(dir);
         let len = std::fs::metadata(&newest).unwrap().len();
         let f = std::fs::OpenOptions::new()
             .write(true)
@@ -270,23 +276,27 @@ fn truncated_checkpoint_file_falls_back_one_level() {
 #[test]
 fn garbage_checkpoint_payload_falls_back_one_level() {
     corrupt_newest_and_resume("garbage", None, |dir| {
-        let newest = std::fs::read_dir(dir)
-            .unwrap()
-            .filter_map(Result::ok)
-            .map(|e| e.path())
-            .filter(|p| {
-                p.file_name()
-                    .and_then(|s| s.to_str())
-                    .is_some_and(|s| s.starts_with("mc-") && s.ends_with(".ckpt"))
-            })
-            .max()
-            .expect("a newest checkpoint exists");
+        let newest = newest_checkpoint(dir);
         let mut bytes = std::fs::read(&newest).unwrap();
         let at = bytes.len() / 2;
         let end = at + 64.min(bytes.len() - at);
         for b in &mut bytes[at..end] {
             *b ^= 0xFF;
         }
+        std::fs::write(&newest, &bytes).unwrap();
+    });
+}
+
+/// A length field claiming more than the file holds — here the monitor
+/// count (bytes 56..64, after the magic, fingerprint, level and four
+/// counters) set to 2^60 − 1 — is refused before anything is allocated
+/// for it: the file is skipped like a torn one, never a panic.
+#[test]
+fn corrupt_length_field_falls_back_one_level() {
+    corrupt_newest_and_resume("length", None, |dir| {
+        let newest = newest_checkpoint(dir);
+        let mut bytes = std::fs::read(&newest).unwrap();
+        bytes[56..64].copy_from_slice(&0x0FFF_FFFF_FFFF_FFFFu64.to_le_bytes());
         std::fs::write(&newest, &bytes).unwrap();
     });
 }

@@ -13,7 +13,9 @@
 //!   layout the spilled report is bit-identical, witness included.
 //! * **Kill/resume equivalence** — a sweep halted at a level-k
 //!   checkpoint and resumed from disk finishes with a report identical
-//!   to the uninterrupted run (counts, verdict, witness schedule).
+//!   to the uninterrupted run (counts, verdict, witness schedule), at
+//!   one shard and at 64; a checkpoint of an older format is skipped,
+//!   not misread.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -168,11 +170,19 @@ fn sharded_matches_single_on_alg2() {
 
 /// Kill-at-level-k / resume equivalence: halting at the first level-k
 /// checkpoint yields `Verdict::Interrupted`, and resuming from the
-/// on-disk checkpoint reproduces the uninterrupted report exactly —
-/// including under a starved resident budget, so the checkpoint write
-/// and the restore both cross the spill machinery.
-fn kill_resume_roundtrip<A, F>(make: F, model: MemoryModel, m: usize, every: u32, what: &str)
-where
+/// on-disk checkpoint reproduces the uninterrupted one-worker report
+/// exactly — including under a starved resident budget, so the
+/// checkpoint write and the restore both cross the spill machinery.
+/// The halted and resumed runs use `threads` workers (oversubscribed,
+/// so more than one means 64 shards on any host).
+fn kill_resume_roundtrip<A, F>(
+    make: F,
+    model: MemoryModel,
+    m: usize,
+    every: u32,
+    threads: usize,
+    what: &str,
+) where
     A: Automaton + Sync + Clone,
     A::State: EncodeState + Send,
     F: Fn() -> Vec<A>,
@@ -181,6 +191,8 @@ where
     let configure = |mc: ModelChecker<A>| {
         mc.max_states(2_000_000)
             .symmetry(Symmetry::Wreath)
+            .threads(threads)
+            .oversubscribe(threads > 1)
             .resident_budget(0)
             .checkpoint_dir(dir.path())
             .checkpoint_every(every)
@@ -247,13 +259,78 @@ where
 #[test]
 fn kill_and_resume_alg1_livelock() {
     // Invalid configuration: the resumed run must still converge on the
-    // same fair-livelock witness schedule.
-    kill_resume_roundtrip(|| alg1(2, 2), MemoryModel::Rw, 2, 3, "alg1(2,2)");
+    // same fair-livelock witness schedule, from the edge rows the
+    // checkpoint carried plus the ones it recorded after resuming.
+    kill_resume_roundtrip(|| alg1(2, 2), MemoryModel::Rw, 2, 3, 1, "alg1(2,2)");
+}
+
+#[test]
+fn kill_and_resume_alg1_livelock_on_64_shards() {
+    // Three workers, 64 shards: checkpointed edge targets are global
+    // ids, renumbered to discovery order only after exploration.
+    kill_resume_roundtrip(|| alg1(2, 2), MemoryModel::Rw, 2, 3, 3, "alg1(2,2) x3");
 }
 
 #[test]
 fn kill_and_resume_alg2_verifies() {
-    kill_resume_roundtrip(|| alg2(2, 3), MemoryModel::Rmw, 3, 4, "alg2(2,3)");
+    kill_resume_roundtrip(|| alg2(2, 3), MemoryModel::Rmw, 3, 4, 1, "alg2(2,3)");
+}
+
+/// A checkpoint carrying the previous format's magic (`AMXCKPT1`, from
+/// before checkpoints held edge rows) is skipped with a degraded note,
+/// and the run starts over to the uninterrupted report.
+#[test]
+fn previous_format_checkpoint_is_skipped() {
+    let dir = TempDir::new("v1");
+    let checker = || {
+        ModelChecker::with_automata(alg1(2, 2), MemoryModel::Rw, 2, &Adversary::Identity)
+            .unwrap()
+            .max_states(2_000_000)
+            .symmetry(Symmetry::Wreath)
+    };
+    let baseline = checker().run().unwrap();
+    let halted = checker()
+        .checkpoint_dir(dir.path())
+        .checkpoint_every(2)
+        .halt_after_checkpoints(1)
+        .run()
+        .unwrap();
+    let Verdict::Interrupted { level, .. } = halted.verdict else {
+        panic!("expected an interruption, got {:?}", halted.verdict);
+    };
+    let path = dir.path().join(format!("mc-{level:08}.ckpt"));
+    let mut bytes = std::fs::read(&path).unwrap();
+    assert_eq!(
+        &bytes[..8],
+        b"AMXCKPT2",
+        "checkpoints are written in the current format"
+    );
+    bytes[..8].copy_from_slice(b"AMXCKPT1");
+    std::fs::write(&path, &bytes).unwrap();
+
+    let resumed = checker()
+        .checkpoint_dir(dir.path())
+        .checkpoint_every(2)
+        .resume(true)
+        .run()
+        .unwrap();
+    assert_eq!(
+        resumed.resumed_from_level, None,
+        "nothing current to resume"
+    );
+    assert!(
+        resumed
+            .degraded
+            .iter()
+            .any(|note| note.contains(&format!("checkpoint level {level} unusable"))),
+        "the skipped file must be on record: {:?}",
+        resumed.degraded
+    );
+    assert_equivalent(
+        &baseline,
+        &resumed,
+        "alg1(2,2) after a skipped AMXCKPT1 file",
+    );
 }
 
 #[test]
