@@ -134,7 +134,8 @@ fn bench_mc(c: &mut Criterion) {
 /// Per-state overhead of the wreath canonicalization, measured on a
 /// rotation orbit — an adversary family where no two processes share a
 /// permutation, so every symmetry is a joint process × register one and
-/// every stored state pays the group's extra encodes.  `off` is the
+/// every successor pays the group's extra images (each encoded only up
+/// to its first component above the least image so far).  `off` is the
 /// baseline cost of exploring the same space without reduction;
 /// `wreath` adds the `Z_3` canonicalization per transition and is repaid
 /// in stored states (≈ 3× fewer), arena bytes and SCC size.  Tracked in

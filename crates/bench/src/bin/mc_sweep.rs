@@ -46,13 +46,15 @@
 //!                    witness schedule when somewhere)
 //!   --baseline PATH  regression gates: fail if this sweep's wall time
 //!                    exceeds 3× the `total_wall_ms` recorded in PATH,
-//!                    if `canonical_states` *rises* on any point of
-//!                    PATH this sweep also ran (a reduction-factor
-//!                    regression — canonical counts are deterministic,
-//!                    so any rise means the symmetry group shrank), or
-//!                    if any recorded property/SCC-query outcome
-//!                    changed on a grid-matched point (property
-//!                    regression; exact, no slack)
+//!                    if `canonical_states`, `full_states`,
+//!                    `transitions` or `max_pending_depth` differs on
+//!                    any point of PATH this sweep also ran (all four
+//!                    are deterministic at every worker count, so any
+//!                    change is a regression — a weaker symmetry group,
+//!                    a wrong orbit count, a lost edge), or if any
+//!                    recorded property/SCC-query outcome changed on a
+//!                    grid-matched point (property regression); every
+//!                    gate but the wall time is exact, with no slack
 //!
 //! Out-of-core / resumability options (see the `amx-sim` crate docs):
 //!   --resident-budget BYTES  cap the resident arena bytes per point;
@@ -1053,10 +1055,8 @@ fn main() {
             );
             return;
         }
-        // Reduction-factor gate: canonical_states is deterministic per
-        // point (thread-count independent), so on any point both the
-        // baseline and this sweep ran, a *rise* means the symmetry
-        // group got weaker — fail exactly, no slack.
+        // Exact gates on every point both the baseline and this sweep
+        // ran: verdicts, counts and property outcomes.
         let baseline_points = extract_points(&text);
         let mut matched = 0usize;
         let mut prop_matched = 0usize;
@@ -1080,11 +1080,34 @@ fn main() {
                 );
                 regressed = true;
             }
-            if rep.canonical_states as u64 > base.canonical_states {
+            // Count gate: canonical and concrete state counts,
+            // transitions and per-process longest waits are
+            // deterministic at every worker count, so any change names
+            // the point and the field and fails, exact with no slack.
+            // A wrong stabilizer count shows in `full_states`.
+            let counts = [
+                (
+                    "canonical_states",
+                    rep.canonical_states,
+                    base.canonical_states,
+                ),
+                ("full_states", rep.full_states_estimate, base.full_states),
+                ("transitions", rep.transitions, base.transitions),
+            ];
+            for (field, now, recorded) in counts {
+                if now as u64 != recorded {
+                    eprintln!(
+                        "COUNT REGRESSION: {key} {field} is {now}, baseline {path} \
+                         recorded {recorded}"
+                    );
+                    regressed = true;
+                }
+            }
+            if rep.max_pending_depth != base.max_pending_depth {
                 eprintln!(
-                    "REDUCTION REGRESSION: {key} stores {} canonical states, \
-                     baseline {path} recorded {}",
-                    rep.canonical_states, base.canonical_states
+                    "COUNT REGRESSION: {key} max_pending_depth is {:?}, baseline \
+                     {path} recorded {:?}",
+                    rep.max_pending_depth, base.max_pending_depth
                 );
                 regressed = true;
             }
@@ -1132,7 +1155,8 @@ fn main() {
             std::process::exit(1);
         }
         println!(
-            "reduction gate: canonical_states no worse on {matched} grid-matched points; \
+            "count gate: canonical_states, full_states, transitions and max_pending_depth \
+             unchanged on {matched} grid-matched points; \
              property gate: {prop_matched} recorded outcomes unchanged"
         );
 
@@ -1163,6 +1187,9 @@ fn point_key(alg: &str, n: usize, m: usize, orbit: usize, adv: &str) -> String {
 struct BaselinePoint {
     key: String,
     canonical_states: u64,
+    full_states: u64,
+    transitions: u64,
+    max_pending_depth: Vec<usize>,
     /// The recorded verdict tag; deterministic, so any change on a
     /// grid-matched point (crash-survival flips included) is a
     /// regression.
@@ -1218,17 +1245,44 @@ fn extract_points(json: &str) -> Vec<BaselinePoint> {
             let rest = &line[at..];
             Some(&rest[..rest.find('"')?])
         };
+        let list = |key: &str| -> Option<Vec<usize>> {
+            let k = format!("\"{key}\": [");
+            let at = line.find(&k)? + k.len();
+            let rest = &line[at..];
+            let items = rest[..rest.find(']')?].trim();
+            if items.is_empty() {
+                return Some(Vec::new());
+            }
+            items.split(',').map(|v| v.trim().parse().ok()).collect()
+        };
         let adv = string("adv").unwrap_or("orbit");
-        if let (Some(alg), Some(n), Some(m), Some(orbit), Some(canon)) = (
+        // A completed point records all four counts; points that ended
+        // in an error record none and are not matched.
+        if let (
+            Some(alg),
+            Some(n),
+            Some(m),
+            Some(orbit),
+            Some(canon),
+            Some(full),
+            Some(transitions),
+            Some(depths),
+        ) = (
             string("alg"),
             num("n"),
             num("m"),
             num("orbit"),
             num("canonical_states"),
+            num("full_states"),
+            num("transitions"),
+            list("max_pending_depth"),
         ) {
             out.push(BaselinePoint {
                 key: point_key(alg, n as usize, m as usize, orbit as usize, adv),
                 canonical_states: canon,
+                full_states: full,
+                transitions,
+                max_pending_depth: depths,
                 verdict: string("verdict").unwrap_or_default().to_string(),
                 properties: extract_object(line, "properties")
                     .into_iter()

@@ -41,7 +41,11 @@
 //!   fewer states — and the group is nontrivial even on rotation/ring
 //!   adversaries where no two processes share a permutation) while
 //!   still producing *concrete* witness schedules, and reports the
-//!   exact concrete state count alongside the canonical one.
+//!   exact concrete state count alongside the canonical one.  The
+//!   representative is the least image; the scan for it abandons each
+//!   image at its first component (slot, process or crash counts)
+//!   above the running minimum, and counts the elements reaching the
+//!   minimum — one coset of the stabilizer — for the orbit size.
 //! * **One level engine at every worker count**
 //!   ([`mc::ModelChecker::threads`], or the `AMX_MC_THREADS`
 //!   environment variable) — every breadth-first level expands its

@@ -65,7 +65,13 @@
 //!   tokens; identities are relabeled consistently in every register
 //!   slot via [`amx_ids::codec::PidMap`].  The paper's algorithms are
 //!   symmetric by construction, so orbits collapse by up to the group
-//!   order and the stored state count drops accordingly.  Witness
+//!   order and the stored state count drops accordingly.  The
+//!   canonical representative is the lexicographically least image.
+//!   The identity image is encoded in full; every other image is built
+//!   component by component and abandoned at the first component above
+//!   the running minimum.  The elements whose image equals the minimum
+//!   form one coset of the state's stabilizer, so counting them gives
+//!   the exact orbit size.  Witness
 //!   schedules remain concrete: the group element used on each tree
 //!   edge is recorded, and parent chains are mapped back through the
 //!   accumulated permutation (`ρ` never appears in schedules — it only
@@ -636,6 +642,18 @@ pub enum ConfigError {
         /// The largest bound the id encoding admits.
         limit: usize,
     },
+    /// The [`Symmetry::Wreath`] group has more elements than the 16-bit
+    /// group-element index of the BFS metadata and the edge table can
+    /// name (`u16::MAX`); nine interchangeable processes (`9!` elements)
+    /// already exceed it.  The group is enumerated in full before this
+    /// check: stopping the enumeration at the cap would need a bounded
+    /// entry point in `amx-registers` next to
+    /// [`amx_registers::automorphism::adversary_automorphisms`], whose
+    /// signature the benchmark package relies on.
+    SymmetryGroupTooLarge {
+        /// The group order.
+        order: usize,
+    },
 }
 
 impl std::fmt::Display for ConfigError {
@@ -647,6 +665,12 @@ impl std::fmt::Display for ConfigError {
             ConfigError::MaxStatesTooLarge { max_states, limit } => write!(
                 f,
                 "max_states {max_states} exceeds the id encoding's limit of {limit}"
+            ),
+            ConfigError::SymmetryGroupTooLarge { order } => write!(
+                f,
+                "the wreath symmetry group has {order} elements, more than the {} \
+                 a group-element index can name",
+                u16::MAX
             ),
         }
     }
@@ -1044,7 +1068,7 @@ where
             return Err(ConfigError::ResumeWithoutCheckpointDir.into());
         }
         let n_shards = 1usize << shard_bits;
-        let (group, class_of) = build_group(&self.automata, &self.mem0, symmetry);
+        let (group, class_of) = build_group(&self.automata, &self.mem0, symmetry)?;
         let mut edges = EdgeTable::new(self.automata.len(), group.len() > 1);
         let shared = EngineShared {
             automata: &self.automata,
@@ -1175,7 +1199,6 @@ where
                 &scratch.crashes,
                 &mut scratch.enc,
                 &mut scratch.best,
-                &mut scratch.first,
             );
             debug_assert_eq!(
                 (sigma0, orbit0),
@@ -1523,7 +1546,9 @@ where
             }
         }
         let n_classes = class_of.iter().copied().max().unwrap_or(0) + 1;
-        let gtab = (group.len() > 1).then(|| group_tables(group));
+        // Built on the first candidate that needs orbit confirmation: a
+        // |G|² table, which Ok verdicts on large groups never touch.
+        let mut gtab: Option<GroupTables> = None;
         for members in sccs.iter() {
             // Singleton components without a self-loop — the vast
             // majority on Ok verdicts — cannot carry an infinite
@@ -1628,9 +1653,7 @@ where
             // prove "every pending process steps" in one concrete
             // execution.  Confirm exactly on the concrete orbit of this
             // component (≤ |SCC|·|G| states).
-            let gtab = gtab
-                .as_ref()
-                .expect("tables exist whenever the group is nontrivial");
+            let gtab = gtab.get_or_insert_with(|| group_tables(group));
             let cid = comp[members[0] as usize];
             if let Some(v) = self.confirm_livelock_on_orbit(
                 store,
@@ -2117,11 +2140,14 @@ struct SymElem {
 /// quotient's fairness pre-filter can distinguish processes.  With
 /// [`Symmetry::Off`] every process is a singleton and the group is
 /// trivial.  The identity is always element 0.
+///
+/// A group with more than `u16::MAX` elements is refused with
+/// [`ConfigError::SymmetryGroupTooLarge`] (after enumerating it).
 fn build_group<A: Automaton>(
     automata: &[A],
     mem0: &SimMemory,
     symmetry: Symmetry,
-) -> (Vec<SymElem>, Vec<usize>) {
+) -> Result<(Vec<SymElem>, Vec<usize>), ConfigError> {
     let n = automata.len();
     if symmetry == Symmetry::Off {
         let identity = SymElem {
@@ -2131,17 +2157,15 @@ fn build_group<A: Automaton>(
             rho_inv: Vec::new(),
             regs: RegMap::identity(),
         };
-        return (vec![identity], (0..n).collect());
+        return Ok((vec![identity], (0..n).collect()));
     }
     let keys: Vec<Option<u64>> = automata.iter().map(Automaton::symmetry_class).collect();
     let perms: Vec<amx_registers::Permutation> =
         (0..n).map(|i| mem0.permutation(i).clone()).collect();
     let autos = amx_registers::adversary_automorphisms(&perms, &keys);
-    assert!(
-        autos.len() <= usize::from(u16::MAX),
-        "wreath symmetry group too large ({} elements)",
-        autos.len()
-    );
+    if autos.len() > usize::from(u16::MAX) {
+        return Err(ConfigError::SymmetryGroupTooLarge { order: autos.len() });
+    }
 
     // Process classes: orbits under the π-components (the finest
     // partition the quotient can still tell apart).
@@ -2202,7 +2226,7 @@ fn build_group<A: Automaton>(
             }
         })
         .collect();
-    (elems, class_of)
+    Ok((elems, class_of))
 }
 
 /// BFS-tree metadata of one stored state.
@@ -2319,7 +2343,6 @@ struct Scratch<S> {
     crash_slots: Vec<Slot>,
     enc: Vec<u8>,
     best: Vec<u8>,
-    first: Vec<u8>,
     node: Vec<u8>,
     cache: PageCache,
 }
@@ -2334,7 +2357,6 @@ impl<S> Scratch<S> {
             crash_slots: Vec::new(),
             enc: Vec::new(),
             best: Vec::new(),
-            first: Vec::new(),
             node: Vec::new(),
             cache: PageCache::new(),
         }
@@ -2474,34 +2496,99 @@ fn encode_node_with<S: EncodeState>(
     crashes: &[u8],
     out: &mut Vec<u8>,
 ) {
-    out.clear();
-    if elem.rho_inv.is_empty() {
-        for &slot in slots {
-            encode::put_slot(slot, &elem.map, out);
+    encode_node_pruned(elem, slots, procs, crashes, None, out);
+}
+
+/// Settles the component just written at `out[from..]` against `best`
+/// at the same offsets while the image is still `tied` (every earlier
+/// byte equal).  Returns `true` when the image compares greater — the
+/// caller abandons it — and clears `tied` once it compares smaller, so
+/// the rest of the image is written without comparing.
+fn above_best(tied: &mut bool, out: &[u8], from: usize, best: &[u8]) -> bool {
+    if *tied {
+        // A tie so far means `best` reaches at least to `from`; where it
+        // ends inside this component, a prefix of it is the smaller.
+        let end = out.len().min(best.len());
+        match out[from..].cmp(&best[from..end]) {
+            std::cmp::Ordering::Greater => return true,
+            std::cmp::Ordering::Less => *tied = false,
+            std::cmp::Ordering::Equal => {}
         }
-    } else {
-        for &src in &elem.rho_inv {
-            encode::put_slot(slots[src], &elem.map, out);
+    }
+    false
+}
+
+/// [`encode_node_with`], pruned against `best`, the least image found
+/// so far: the image is written component by component — each slot,
+/// each process, then the crash counts — and abandoned (returning
+/// [`Greater`](std::cmp::Ordering::Greater), `out` left partial) at the
+/// first component that makes it compare greater than `best`.  Once it
+/// compares smaller, the remainder is written without comparing.
+/// `Less` and `Equal` leave the full image in `out`; with no `best`
+/// the image is written in full and the result is `Less`.
+fn encode_node_pruned<S: EncodeState>(
+    elem: &SymElem,
+    slots: &[Slot],
+    procs: &[(Phase, S)],
+    crashes: &[u8],
+    best: Option<&[u8]>,
+    out: &mut Vec<u8>,
+) -> std::cmp::Ordering {
+    out.clear();
+    let mut tied = best.is_some();
+    let best = best.unwrap_or_default();
+    for j in 0..slots.len() {
+        let src = if elem.rho_inv.is_empty() {
+            j
+        } else {
+            elem.rho_inv[j]
+        };
+        let from = out.len();
+        encode::put_slot(slots[src], &elem.map, out);
+        if above_best(&mut tied, out, from, best) {
+            return std::cmp::Ordering::Greater;
         }
     }
     for j in 0..procs.len() {
         let (phase, state) = &procs[elem.pi_inv[j]];
+        let from = out.len();
         encode::put_u8(phase_to_u8(*phase), out);
         state.encode_with(&elem.map, &elem.regs, out);
+        if above_best(&mut tied, out, from, best) {
+            return std::cmp::Ordering::Greater;
+        }
     }
+    let from = out.len();
     for j in 0..crashes.len() {
         encode::put_u8(crashes[elem.pi_inv[j]], out);
+    }
+    if above_best(&mut tied, out, from, best) {
+        return std::cmp::Ordering::Greater;
+    }
+    if tied {
+        // Equal throughout `out`: a proper prefix of `best` is smaller.
+        out.len().cmp(&best.len())
+    } else {
+        std::cmp::Ordering::Less
     }
 }
 
 /// Canonicalizes a node under the group: `best` receives the
 /// lexicographically least image; returns the index of the group
-/// element achieving it plus the exact orbit size.
+/// element achieving it (the first such index) plus the exact orbit
+/// size.
 ///
-/// The orbit size comes from the orbit–stabilizer theorem: counting the
-/// group elements whose image equals the identity image counts
-/// `|Stab(s)|` exactly (encodings are injective per configuration), and
-/// the orbit size is `|G| / |Stab(s)|` — byte-exact, no hashing.
+/// `best` starts as the identity image, encoded in full.  Every other
+/// image is built by [`encode_node_pruned`], which abandons it at the
+/// first component that compares greater than the running minimum, so
+/// a losing image costs only the components written before it lost.
+///
+/// The orbit size comes from the orbit–stabilizer theorem.  The group
+/// elements whose image equals the least image form one coset
+/// `g·Stab(s)` of the node's stabilizer, so counting them — restarting
+/// at 1 on every new minimum — counts `|Stab(s)|` exactly (encodings
+/// are injective per configuration), and the orbit size is
+/// `|G| / |Stab(s)|` — byte-exact, no hashing.
 fn canonicalize<S: EncodeState>(
     group: &[SymElem],
     slots: &[Slot],
@@ -2509,32 +2596,30 @@ fn canonicalize<S: EncodeState>(
     crashes: &[u8],
     enc: &mut Vec<u8>,
     best: &mut Vec<u8>,
-    first: &mut Vec<u8>,
 ) -> (u16, u32) {
     encode_node_with(&group[0], slots, procs, crashes, best);
     if group.len() == 1 {
         return (0, 1);
     }
-    first.clear();
-    first.extend_from_slice(best);
     let mut sigma = 0u16;
-    let mut stabilizer = 1u32; // the identity always fixes the state
+    let mut coset = 1u32; // the identity's image is the minimum so far
     for (gi, elem) in group.iter().enumerate().skip(1) {
-        encode_node_with(elem, slots, procs, crashes, enc);
-        if enc == first {
-            stabilizer += 1;
-        }
-        if enc.as_slice() < best.as_slice() {
-            std::mem::swap(enc, best);
-            sigma = gi as u16;
+        match encode_node_pruned(elem, slots, procs, crashes, Some(best), enc) {
+            std::cmp::Ordering::Greater => {}
+            std::cmp::Ordering::Equal => coset += 1,
+            std::cmp::Ordering::Less => {
+                std::mem::swap(enc, best);
+                sigma = gi as u16;
+                coset = 1;
+            }
         }
     }
     debug_assert_eq!(
-        group.len() % stabilizer as usize,
+        group.len() % coset as usize,
         0,
         "Lagrange: the stabilizer order must divide the group order"
     );
-    (sigma, group.len() as u32 / stabilizer)
+    (sigma, group.len() as u32 / coset)
 }
 
 /// Composition and inverse tables of the symmetry group, used by the
@@ -3249,7 +3334,6 @@ fn expand_node<A: Automaton>(
             &scratch.crashes,
             &mut scratch.enc,
             &mut scratch.best,
-            &mut scratch.first,
         );
         sink(scratch, i, sigma, orbit, outcome == Outcome::Progress);
         scratch.procs[i] = saved;
@@ -3300,7 +3384,6 @@ fn expand_node<A: Automaton>(
                 &scratch.crashes,
                 &mut scratch.enc,
                 &mut scratch.best,
-                &mut scratch.first,
             );
             sink(scratch, usize::from(CRASH_ACTOR) | i, sigma, orbit, false);
             scratch.crashes[i] -= 1;
@@ -3941,7 +4024,7 @@ mod tests {
             amx_registers::Permutation::rotation(3, 1),
         ]);
         let mem = SimMemory::new(MemoryModel::Rmw, 3, &adv, 2).unwrap();
-        let (group, class_of) = build_group(&automata, &mem, Symmetry::Wreath);
+        let (group, class_of) = build_group(&automata, &mem, Symmetry::Wreath).unwrap();
         assert_eq!(group.len(), 1);
         assert_eq!(class_of, vec![0, 1]);
     }
@@ -3951,7 +4034,7 @@ mod tests {
         let ids = PidPool::sequential().mint_many(3);
         let automata: Vec<CasLock> = ids.into_iter().map(CasLock::new).collect();
         let mem = SimMemory::new(MemoryModel::Rmw, 1, &Adversary::Identity, 3).unwrap();
-        let (group, class_of) = build_group(&automata, &mem, Symmetry::Wreath);
+        let (group, class_of) = build_group(&automata, &mem, Symmetry::Wreath).unwrap();
         assert_eq!(group.len(), 6, "S_3 on three interchangeable processes");
         assert_eq!(class_of, vec![0, 0, 0]);
         // Element 0 is the identity.
@@ -3967,7 +4050,7 @@ mod tests {
         let ids = PidPool::sequential().mint_many(3);
         let automata: Vec<CasLock> = ids.into_iter().map(CasLock::new).collect();
         let mem = SimMemory::new(MemoryModel::Rmw, 2, &Adversary::Identity, 3).unwrap();
-        let (wreath, class_w) = build_group(&automata, &mem, Symmetry::Wreath);
+        let (wreath, class_w) = build_group(&automata, &mem, Symmetry::Wreath).unwrap();
         assert_eq!(class_w, vec![0, 0, 0]);
         assert!(wreath.iter().all(|e| e.rho_inv.is_empty()));
         let pis: std::collections::HashSet<Vec<usize>> =
@@ -3988,7 +4071,7 @@ mod tests {
         let automata = vec![SpinForever, SpinForever, SpinForever];
         let mem =
             SimMemory::new(MemoryModel::Rw, 3, &Adversary::Rotations { stride: 1 }, 3).unwrap();
-        let (wreath, class_of) = build_group(&automata, &mem, Symmetry::Wreath);
+        let (wreath, class_of) = build_group(&automata, &mem, Symmetry::Wreath).unwrap();
         assert_eq!(wreath.len(), 3, "Z_3");
         assert_eq!(class_of, vec![0, 0, 0], "one π-orbit");
         assert!(wreath[0].pi.iter().enumerate().all(|(i, &v)| i == v));
@@ -4491,5 +4574,260 @@ mod tests {
         assert_eq!(schedule, vec![0, 1]);
         assert_eq!(tau, vec![1, 0]);
         assert_eq!(tau_inv, vec![1, 0]);
+    }
+
+    #[test]
+    fn oversized_symmetry_group_is_a_config_error() {
+        // Nine interchangeable processes: S_9 has 362,880 elements, more
+        // than a 16-bit group-element index can name.
+        let ids = PidPool::sequential().mint_many(9);
+        let automata: Vec<CasLock> = ids.into_iter().map(CasLock::new).collect();
+        let err = ModelChecker::with_automata(automata, MemoryModel::Rmw, 1, &Adversary::Identity)
+            .unwrap()
+            .symmetry(Symmetry::Wreath)
+            .run()
+            .unwrap_err();
+        assert_eq!(
+            err.config(),
+            Some(&ConfigError::SymmetryGroupTooLarge { order: 362_880 })
+        );
+        assert!(err.to_string().starts_with("invalid configuration"));
+    }
+
+    /// The full scan [`canonicalize`] prunes: every image encoded in
+    /// full, the stabilizer counted against the identity image.
+    fn canonicalize_full_scan<S: EncodeState>(
+        group: &[SymElem],
+        slots: &[Slot],
+        procs: &[(Phase, S)],
+        crashes: &[u8],
+    ) -> (Vec<u8>, u16, u32) {
+        let (mut enc, mut best) = (Vec::new(), Vec::new());
+        encode_node_with(&group[0], slots, procs, crashes, &mut best);
+        let first = best.clone();
+        let mut sigma = 0u16;
+        let mut stabilizer = 1u32;
+        for (gi, elem) in group.iter().enumerate().skip(1) {
+            encode_node_with(elem, slots, procs, crashes, &mut enc);
+            if enc == first {
+                stabilizer += 1;
+            }
+            if enc < best {
+                std::mem::swap(&mut enc, &mut best);
+                sigma = gi as u16;
+            }
+        }
+        (best, sigma, group.len() as u32 / stabilizer)
+    }
+
+    /// Asserts that [`canonicalize`] returns the full scan's `(best, σ,
+    /// orbit)` on one node, from scratch buffers holding stale bytes;
+    /// returns the orbit size.
+    fn assert_pruned_matches_full<S: EncodeState>(
+        group: &[SymElem],
+        slots: &[Slot],
+        procs: &[(Phase, S)],
+        crashes: &[u8],
+    ) -> u32 {
+        let (mut enc, mut best) = (vec![0xFF; 9], vec![0x00; 3]);
+        let (sigma, orbit) = canonicalize(group, slots, procs, crashes, &mut enc, &mut best);
+        assert_eq!(
+            (best, sigma, orbit),
+            canonicalize_full_scan(group, slots, procs, crashes),
+            "slots {slots:?}, procs {procs:?}, crashes {crashes:?}"
+        );
+        orbit
+    }
+
+    /// A node's slots, processes and crash counts.
+    type Node<S> = (Vec<Slot>, Vec<(Phase, S)>, Vec<u8>);
+
+    /// Every state a symmetry-off check of `automata` stores (watch
+    /// monitors see each one), without crash counts.
+    fn reachable_states<A: Automaton + Sync>(
+        automata: Vec<A>,
+        model: MemoryModel,
+        m: usize,
+        adv: &Adversary,
+    ) -> Vec<Node<A::State>>
+    where
+        A::State: EncodeState + Send + Sync + 'static,
+    {
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let sink = Arc::clone(&seen);
+        let report = ModelChecker::with_automata(automata, model, m, adv)
+            .unwrap()
+            .monitor(Monitor::watch("collect", move |slots, procs| {
+                sink.lock()
+                    .push((slots.to_vec(), procs.to_vec(), Vec::new()));
+                false
+            }))
+            .run()
+            .unwrap();
+        let states = std::mem::take(&mut *seen.lock());
+        assert!(states.len() >= report.canonical_states);
+        states
+    }
+
+    const PHASES: [Phase; 4] = [Phase::Remainder, Phase::Trying, Phase::Cs, Phase::Exiting];
+
+    const CAS_STATES: [crate::toys::CasLockState; 3] = [
+        crate::toys::CasLockState::Idle,
+        crate::toys::CasLockState::TryCas,
+        crate::toys::CasLockState::Unlock,
+    ];
+
+    /// Random nodes over `m` slots (⊥ or one of `pids`) and `n`
+    /// processes (phases and states drawn from `states`), with trailing
+    /// crash counts on every other node.  Small alphabets make ties and
+    /// nontrivial stabilizers common.
+    fn random_nodes<S: Clone>(
+        seed: u64,
+        count: usize,
+        m: usize,
+        n: usize,
+        pids: &[amx_ids::Pid],
+        states: &[S],
+    ) -> Vec<Node<S>> {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        (0..count)
+            .map(|k| {
+                let slots = (0..m)
+                    .map(|_| match rng.gen_range(0..=pids.len()) {
+                        0 => Slot::BOTTOM,
+                        p => Slot::from(pids[p - 1]),
+                    })
+                    .collect();
+                let procs = (0..n)
+                    .map(|_| {
+                        let phase = PHASES[rng.gen_range(0..PHASES.len())];
+                        (phase, states[rng.gen_range(0..states.len())].clone())
+                    })
+                    .collect();
+                let crashes = if k % 2 == 0 {
+                    Vec::new()
+                } else {
+                    (0..n).map(|_| rng.gen_range(0..3u8)).collect()
+                };
+                (slots, procs, crashes)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn pruned_canonicalization_matches_full_scan_under_full_symmetric_groups() {
+        // S_3 and S_4 with ρ = id: n interchangeable CasLocks on the
+        // identity adversary.
+        for (n, order) in [(3usize, 6usize), (4, 24)] {
+            let pids = PidPool::sequential().mint_many(n);
+            let automata: Vec<CasLock> = pids.iter().copied().map(CasLock::new).collect();
+            let mem = SimMemory::new(MemoryModel::Rmw, 1, &Adversary::Identity, n).unwrap();
+            let (group, _) = build_group(&automata, &mem, Symmetry::Wreath).unwrap();
+            assert_eq!(group.len(), order);
+            assert!(group.iter().all(|e| e.rho_inv.is_empty()));
+
+            let states = reachable_states(automata, MemoryModel::Rmw, 1, &Adversary::Identity);
+            let orbits: Vec<u32> = states
+                .iter()
+                .map(|(slots, procs, crashes)| {
+                    assert_pruned_matches_full(&group, slots, procs, crashes)
+                })
+                .collect();
+            // The all-⊥ start is fixed by the whole group; states with
+            // some processes alike have stabilizers strictly between.
+            assert_eq!(orbits[0], 1, "the initial state's orbit");
+            assert!(orbits.iter().any(|&o| o > 1 && (o as usize) < order));
+
+            let orbits: Vec<u32> = random_nodes(n as u64, 2_000, 3, n, &pids, &CAS_STATES)
+                .iter()
+                .map(|(slots, procs, crashes)| {
+                    assert_pruned_matches_full(&group, slots, procs, crashes)
+                })
+                .collect();
+            assert!(orbits.contains(&(order as u32)), "some random node is free");
+        }
+    }
+
+    #[test]
+    fn pruned_canonicalization_matches_full_scan_under_rotations() {
+        // Z_3 with ρ ≠ id: CasLocks on a rotated memory, so images
+        // permute the physical slots and relabel the identities in them.
+        let pids = PidPool::sequential().mint_many(3);
+        let automata: Vec<CasLock> = pids.iter().copied().map(CasLock::new).collect();
+        let adv = Adversary::Rotations { stride: 1 };
+        let mem = SimMemory::new(MemoryModel::Rmw, 3, &adv, 3).unwrap();
+        let (group, _) = build_group(&automata, &mem, Symmetry::Wreath).unwrap();
+        assert_eq!(group.len(), 3, "Z_3");
+        assert!(group[1..].iter().all(|e| !e.rho_inv.is_empty()));
+
+        let states = reachable_states(automata, MemoryModel::Rmw, 3, &adv);
+        let orbits: Vec<u32> = states
+            .iter()
+            .map(|(slots, procs, crashes)| {
+                assert_pruned_matches_full(&group, slots, procs, crashes)
+            })
+            .collect();
+        assert_eq!(orbits[0], 1, "the initial state's orbit");
+        let orbits: Vec<u32> = random_nodes(7, 2_000, 3, 3, &pids, &CAS_STATES)
+            .iter()
+            .map(|(slots, procs, crashes)| {
+                assert_pruned_matches_full(&group, slots, procs, crashes)
+            })
+            .collect();
+        assert!(orbits.contains(&3), "some random node is free");
+    }
+
+    /// Test-only process state whose encodings differ in length: 7-bit
+    /// digits, the high bit set on every byte but the last.
+    #[derive(Debug, Clone, PartialEq, Eq, Hash)]
+    struct Ragged(Vec<u8>);
+
+    impl EncodeState for Ragged {
+        fn encode_with(&self, _pids: &PidMap, _regs: &RegMap, out: &mut Vec<u8>) {
+            let (last, init) = self.0.split_last().expect("at least one digit");
+            out.extend(init.iter().map(|d| d | 0x80));
+            out.push(*last);
+        }
+
+        fn decode(bytes: &mut &[u8]) -> Option<Self> {
+            let end = bytes.iter().position(|b| b & 0x80 == 0)?;
+            let (head, rest) = bytes.split_at(end + 1);
+            *bytes = rest;
+            Some(Ragged(head.iter().map(|b| b & 0x7F).collect()))
+        }
+    }
+
+    #[test]
+    fn pruned_canonicalization_matches_full_scan_on_ragged_encodings() {
+        // Processes of one, two and three bytes: images compare
+        // components of different lengths at the same offset, and a
+        // component can end inside the running minimum's longer one.
+        let ragged = [
+            Ragged(vec![0]),
+            Ragged(vec![1]),
+            Ragged(vec![1, 0]),
+            Ragged(vec![1, 1]),
+            Ragged(vec![1, 0, 0]),
+            Ragged(vec![0, 0, 5]),
+        ];
+        let mut bytes = Vec::new();
+        for r in &ragged {
+            r.encode(&mut bytes);
+        }
+        let mut cur = bytes.as_slice();
+        for r in &ragged {
+            assert_eq!(Ragged::decode(&mut cur).as_ref(), Some(r));
+        }
+        let pids = PidPool::sequential().mint_many(4);
+        for n in [3usize, 4] {
+            let automata: Vec<CasLock> = pids[..n].iter().copied().map(CasLock::new).collect();
+            let mem = SimMemory::new(MemoryModel::Rmw, 2, &Adversary::Identity, n).unwrap();
+            let (group, _) = build_group(&automata, &mem, Symmetry::Wreath).unwrap();
+            for (slots, procs, crashes) in random_nodes(11 + n as u64, 3_000, 2, n, &pids, &ragged)
+            {
+                assert_pruned_matches_full(&group, &slots, &procs, &crashes);
+            }
+        }
     }
 }
