@@ -22,8 +22,8 @@
 //! Options:
 //!   --smoke          small CI grid (also capped max-states)
 //!   --deep           add the deep + n = 4 frontier points to a smoke run
-//!   --threads N      worker-thread cap (also honours AMX_MC_THREADS;
-//!                    default 1; the engine clamps to available cores)
+//!   --threads N      worker-thread cap (default 1; the engine clamps
+//!                    to available cores)
 //!   --max-states N   canonical-state bound per point
 //!   --crashes K      add the crash-survival points: each algorithm's
 //!                    (3, m) configuration re-checked with a total
@@ -115,7 +115,7 @@ use amx_sim::{EncodeState, MemoryModel};
 struct Options {
     smoke: bool,
     deep: bool,
-    threads: Option<usize>,
+    threads: usize,
     max_states: usize,
     progress: bool,
     /// `--crashes k`: adds the crash-survival points (each algorithm's
@@ -186,7 +186,7 @@ fn parse_args() -> CliArgs {
     let mut opts = Options {
         smoke: false,
         deep: false,
-        threads: None,
+        threads: 1,
         max_states: 4_000_000,
         progress: true,
         crashes: None,
@@ -209,7 +209,7 @@ fn parse_args() -> CliArgs {
             "--no-progress" => opts.progress = false,
             "--threads" => {
                 let v = args.next().expect("--threads needs a value");
-                opts.threads = Some(v.parse().expect("--threads needs an integer"));
+                opts.threads = v.parse().expect("--threads needs an integer");
             }
             "--max-states" => {
                 let v = args.next().expect("--max-states needs a value");
@@ -394,10 +394,10 @@ fn checker_peterson(opts: Options, props: &Props) -> ModelChecker<PetersonTwoAut
 }
 
 fn configure<A: amx_sim::Automaton>(mut mc: ModelChecker<A>, opts: Options) -> ModelChecker<A> {
-    mc = mc.symmetry(Symmetry::Wreath).max_states(opts.max_states);
-    if let Some(t) = opts.threads {
-        mc = mc.threads(t);
-    }
+    mc = mc
+        .symmetry(Symmetry::Wreath)
+        .max_states(opts.max_states)
+        .threads(opts.threads);
     if opts.progress {
         // Live progress on stderr, throttled to one line every 2 s: the
         // orbit accounting gives an exact concrete-state figure cheaply,
@@ -1431,12 +1431,7 @@ fn render_json(points: &[Point], opts: Options) -> String {
          \"total_steals\": {},\n    \"peak_arena_bytes\": {}\n  }}\n}}\n",
         opts.smoke,
         opts.deep,
-        // The engine resolved the effective thread count; read it off a
-        // report instead of re-implementing the env-var parsing here.
-        points
-            .iter()
-            .find_map(|p| p.report.as_ref().ok().map(|r| r.threads))
-            .unwrap_or(1),
+        opts.threads,
         // Disambiguates "steal_count: 0 because 1-core container" from
         // "steal_count: 0 because the work-stealing frontier regressed".
         std::thread::available_parallelism().map_or(1, |p| p.get()),

@@ -2,12 +2,13 @@
 //!
 //! A checkpoint captures everything the exploration loop needs to
 //! continue from a completed breadth-first level bit-identically: the
-//! per-shard interned arenas (via the spill-invariant
-//! [`StateArena`] snapshot format) and BFS-tree metadata, the pending
-//! frontier (as global ids — the bytes are rematerialized from the
-//! arenas on load), the global counters, the monitor accumulators, and
-//! the fair-livelock pass's edge rows of every already-expanded state
-//! (so a resumed run never regenerates a successor).
+//! seen set's interned arena (via the spill-invariant [`StateArena`]
+//! snapshot format) and BFS-tree metadata, the pending frontier (as
+//! state ids — the bytes are rematerialized from the arena on load),
+//! the global counters, the monitor accumulators, and the fair-livelock
+//! pass's edge rows of every already-expanded state (so a resumed run
+//! never regenerates a successor).  None of it depends on the worker
+//! count, so a checkpoint resumes at any.
 //!
 //! Each completed level is written to its own file
 //! (`mc-<level:08>.ckpt`) atomically (`.tmp` + rename), and the newest
@@ -17,8 +18,8 @@
 //! and the previous valid level is restored instead, so a crash at the
 //! worst possible moment costs one level of progress, never the run.
 //! Files are keyed by a configuration fingerprint: resuming under a
-//! different automaton, parameter set, symmetry mode, or shard count is
-//! refused instead of silently producing garbage — a fingerprint
+//! different automaton, parameter set, or symmetry mode is refused
+//! instead of silently producing garbage — a fingerprint
 //! mismatch on a structurally valid file is a hard error, not a
 //! fallback.
 //!
@@ -41,9 +42,7 @@ use crate::intern::{read_u64, read_words, write_u64, StateArena};
 use crate::mc::{MonitorHit, NodeMeta, Shard};
 
 /// Format magic; bump the trailing digit on layout changes.
-const MAGIC: &[u8; 8] = b"AMXCKPT2";
-/// Most shards a checkpoint can hold (the engine's largest layout).
-const MAX_SHARDS: u64 = 64;
+const MAGIC: &[u8; 8] = b"AMXCKPT3";
 /// How many newest per-level checkpoint files survive a write.
 const RETAIN: usize = 2;
 
@@ -90,11 +89,11 @@ pub(crate) struct Snapshot<'a> {
     pub(crate) peak_frontier: u64,
     pub(crate) orbit_sum: u64,
     pub(crate) monitor_hits: &'a [MonitorHit],
-    /// Global ids of the next frontier (the bytes are rematerialized
-    /// from the arenas on load).
+    /// Ids of the next frontier (the bytes are rematerialized from the
+    /// arena on load).
     pub(crate) frontier: &'a [u32],
-    pub(crate) shards: &'a [Shard],
-    /// Edge-table rows of the expanded states: targets (global ids or
+    pub(crate) shard: &'a Shard,
+    /// Edge-table rows of the expanded states: targets (ids or
     /// `NO_EDGE`), and the canonicalizing group elements (empty without
     /// symmetry).
     pub(crate) edge_targets: &'a [u32],
@@ -109,9 +108,9 @@ pub(crate) struct Restored {
     pub(crate) peak_frontier: u64,
     pub(crate) orbit_sum: u64,
     pub(crate) monitor_hits: Vec<MonitorHit>,
-    /// Frontier global ids; bytes are rematerialized by the caller.
+    /// Frontier ids; bytes are rematerialized by the caller.
     pub(crate) frontier: Vec<u32>,
-    pub(crate) shards: Vec<Shard>,
+    pub(crate) shard: Shard,
     /// Edge-table rows, as in [`Snapshot`]; the caller checks them
     /// against the restored states.
     pub(crate) edge_targets: Vec<u32>,
@@ -154,19 +153,15 @@ pub(crate) fn write(dir: &Path, snap: &Snapshot<'_>, plan: Option<&FaultPlan>) -
         }
     }
     write_u64(&mut w, snap.frontier.len() as u64)?;
-    for gid in snap.frontier {
-        w.write_all(&gid.to_le_bytes())?;
+    for id in snap.frontier {
+        w.write_all(&id.to_le_bytes())?;
     }
-    write_u64(&mut w, snap.shards.len() as u64)?;
-    for shard in snap.shards {
-        shard.arena.write_snapshot(&mut w)?;
-        write_u64(&mut w, shard.meta.len() as u64)?;
-        for m in &shard.meta {
-            // Parent in the high half, sigma and actor packed low.
-            let packed =
-                (u64::from(m.parent) << 32) | (u64::from(m.sigma) << 8) | u64::from(m.actor);
-            write_u64(&mut w, packed)?;
-        }
+    snap.shard.arena.write_snapshot(&mut w)?;
+    write_u64(&mut w, snap.shard.meta.len() as u64)?;
+    for m in &snap.shard.meta {
+        // Parent in the high half, sigma and actor packed low.
+        let packed = (u64::from(m.parent) << 32) | (u64::from(m.sigma) << 8) | u64::from(m.actor);
+        write_u64(&mut w, packed)?;
     }
     write_u64(&mut w, snap.edge_targets.len() as u64)?;
     for t in snap.edge_targets {
@@ -280,27 +275,19 @@ fn parse_payload<R: Read>(r: &mut io::Take<R>) -> io::Result<Restored> {
     }
     let n_frontier = read_count(r, 4, "frontier length")?;
     let frontier = read_words(r, n_frontier, u32::from_le_bytes)?;
-    let n_shards = read_u64(r)?;
-    if n_shards > MAX_SHARDS {
-        return Err(bad_data("shard count"));
+    let arena = StateArena::read_snapshot(r)?;
+    let n_meta = read_count(r, 8, "meta length")?;
+    if n_meta != arena.len() {
+        return Err(bad_data("meta table length disagrees with arena"));
     }
-    let mut shards = Vec::with_capacity(n_shards as usize);
-    for _ in 0..n_shards {
-        let arena = StateArena::read_snapshot(r)?;
-        let n_meta = read_count(r, 8, "meta length")?;
-        if n_meta != arena.len() {
-            return Err(bad_data("meta table length disagrees with arena"));
-        }
-        let mut meta = Vec::with_capacity(n_meta);
-        for _ in 0..n_meta {
-            let packed = read_u64(r)?;
-            meta.push(NodeMeta {
-                parent: (packed >> 32) as u32,
-                actor: packed as u8,
-                sigma: (packed >> 8) as u16,
-            });
-        }
-        shards.push(Shard { arena, meta });
+    let mut meta = Vec::with_capacity(n_meta);
+    for _ in 0..n_meta {
+        let packed = read_u64(r)?;
+        meta.push(NodeMeta {
+            parent: (packed >> 32) as u32,
+            actor: packed as u8,
+            sigma: (packed >> 8) as u16,
+        });
     }
     let n_targets = read_count(r, 4, "edge target count")?;
     let edge_targets = read_words(r, n_targets, u32::from_le_bytes)?;
@@ -318,7 +305,7 @@ fn parse_payload<R: Read>(r: &mut io::Take<R>) -> io::Result<Restored> {
         orbit_sum,
         monitor_hits,
         frontier,
-        shards,
+        shard: Shard { arena, meta },
         edge_targets,
         edge_sigmas,
     })

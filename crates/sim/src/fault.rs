@@ -3,7 +3,7 @@
 //! A [`FaultPlan`] arms a small set of *fault points* — the N-th spill
 //! write, the N-th spill read, the N-th checkpoint write, a torn
 //! checkpoint rename — with deterministic one-shot counters.  The plan
-//! is shared (via [`Arc`]) between every shard arena and the checkpoint
+//! is shared (via [`Arc`]) between the seen-set arena and the checkpoint
 //! writer of one [`ModelChecker`](crate::mc::ModelChecker) run, so "the
 //! third spill write fails with `ENOSPC`" means the same operation on
 //! every rerun of the same single-threaded configuration.

@@ -282,7 +282,7 @@ struct SpillBackend {
 /// pages without mutating the arena — each expand worker of a
 /// multi-worker level, and each post-exploration pass, owns one.
 /// Entries are keyed by (arena, page), so one cache may serve many
-/// shards.
+/// arenas.
 #[derive(Debug, Default)]
 pub struct PageCache {
     slots: Vec<CacheSlot>,
@@ -865,7 +865,7 @@ impl StateArena {
 
     /// [`lookup`](Self::lookup) with a caller-computed [`hash_bytes`]
     /// value — the engine hashes each canonical encoding exactly once
-    /// (shard selection and table probe share the hash).
+    /// (the seen-set probe and the drain's insert share the hash).
     ///
     /// # Errors
     ///
@@ -877,7 +877,7 @@ impl StateArena {
 
     /// [`lookup_hashed`](Self::lookup_hashed) that serves spilled pages
     /// through a caller-owned [`PageCache`] — the form the expand
-    /// workers of a multi-worker level probe the frozen shards with.
+    /// workers of a multi-worker level probe the frozen seen set with.
     ///
     /// # Errors
     ///

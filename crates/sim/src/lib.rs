@@ -47,24 +47,23 @@
 //!   above the running minimum, and counts the elements reaching the
 //!   minimum — one coset of the stabilizer — for the orbit size.
 //! * **One level engine at every worker count**
-//!   ([`mc::ModelChecker::threads`], or the `AMX_MC_THREADS`
-//!   environment variable) — every breadth-first level expands its
-//!   nodes against the frozen seen set, then interns the survivors in
-//!   `(parent position, actor)` order.  One worker runs both phases on
-//!   the calling thread; more split the expansion over work-stealing
-//!   deques and the interning over 64 worker-owned seen-set shards, and
-//!   the pool is capped at the machine's available parallelism.  States
-//!   are numbered in breadth-first discovery order at every worker
-//!   count, so verdicts, witnesses, counts and query answers are
-//!   identical whatever the worker count.
+//!   ([`mc::ModelChecker::threads`]) — every breadth-first level expands
+//!   its nodes against the frozen seen set, then interns the survivors
+//!   into it in `(parent position, actor)` order on the calling thread.
+//!   One worker runs the expansion on the calling thread too; more
+//!   split it over work-stealing deques, and the pool is capped at the
+//!   machine's available parallelism.  A state's id is its breadth-first
+//!   discovery order at every worker count, so verdicts, witnesses,
+//!   counts, query answers, arena bytes and checkpoints are identical
+//!   whatever the worker count.
 //! * **O(states) memory livelock pass** — exploration records each
 //!   completion-free edge (target id and canonicalizing group element)
 //!   into a dense `states × n` table as it expands a state, and the
 //!   deadlock-freedom pass runs Tarjan's decomposition
 //!   ([`scc::tarjan_sccs_csr`]) straight over it: no successor is
 //!   regenerated and no transition list is buffered.
-//! * **Out-of-core exploration** — each seen-set shard's arena can
-//!   spill cold compressed pages to disk under a resident-byte budget
+//! * **Out-of-core exploration** — the seen set's arena can spill cold
+//!   compressed pages to disk under a resident-byte budget
 //!   ([`mc::ModelChecker::resident_budget`], CLOCK eviction, transparent
 //!   fault-in — the SCC and query passes run unchanged against a
 //!   spilled arena), and completed BFS levels can be checkpointed to

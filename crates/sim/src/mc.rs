@@ -25,33 +25,29 @@
 //!
 //! The explorer stores each reachable node as one flat byte string (the
 //! [`crate::encode::EncodeState`] encoding of the memory slots plus all
-//! process phase/state pairs) inside interned [`crate::intern::StateArena`]
-//! shards — no cloned `Vec<Slot>` per node and no cloned node per
-//! successor step (successors are generated into reused scratch
-//! buffers).
+//! process phase/state pairs) inside one interned
+//! [`crate::intern::StateArena`] — no cloned `Vec<Slot>` per node and no
+//! cloned node per successor step (successors are generated into reused
+//! scratch buffers).
 //!
 //! Every breadth-first level runs the same two-phase code, in rounds of
 //! at most 16K frontier nodes:
 //!
 //! 1. **Expand** — each node is decoded, stepped once per process (and
 //!    per admissible crash), and every successor canonicalized; a probe
-//!    of the frozen seen-set shards drops successors interned by an
-//!    earlier round or level, and the survivors are queued per owning
-//!    shard together with their monitor verdicts.
-//! 2. **Drain** — each shard interns its queue in `(frontier position,
-//!    actor)` order, so the first generator of a state becomes its
-//!    breadth-first parent and the next frontier keeps that order.
+//!    of the frozen seen set drops successors interned by an earlier
+//!    round or level, and the survivors are queued.
+//! 2. **Drain** — the calling thread interns the queue in `(frontier
+//!    position, actor)` order, so the first generator of a state becomes
+//!    its breadth-first parent and the next frontier keeps that order.
 //!
-//! With one worker both phases run on the calling thread over a single
-//! shard.  With more ([`ModelChecker::threads`]), the seen set is split
-//! into 64 hash-prefix shards: the expand phase runs on per-worker
-//! deques with back-half work stealing, and in the drain phase each
-//! worker exclusively owns a subset of the shards, so no intern path
-//! takes a lock.  After exploration the states are numbered in
-//! breadth-first discovery order at every worker count (with one shard
-//! that is already the id order; with 64 it is rebuilt from the tree
-//! metadata), so verdicts, witness schedules, counts and SCC-query
-//! answers are identical whatever the worker count.
+//! With one worker both phases run on the calling thread.  With more
+//! ([`ModelChecker::threads`]), the expand phase runs on per-worker
+//! deques with back-half work stealing, each worker probing the frozen
+//! seen set through its own page cache.  Either way there is one seen
+//! set, and a state's id is its index in it: breadth-first discovery
+//! order, so verdicts, witness schedules, counts and SCC-query answers
+//! are identical whatever the worker count.
 //!
 //! The builder's knobs beyond the state bound:
 //!
@@ -98,7 +94,7 @@
 //! The deadlock-freedom pass reads an edge table that exploration
 //! fills as it goes: when a level expands a state, each
 //! completion-free successor's id (from the seen-set probe, or from the
-//! owner drain that interned it) and canonicalizing group element are
+//! drain that interned it) and canonicalizing group element are
 //! written into the state's row of a dense `states × n` table, rows in
 //! breadth-first discovery order.  After BFS, Tarjan's SCC
 //! decomposition ([`crate::scc::tarjan_sccs_csr`]) runs straight over
@@ -132,7 +128,7 @@ use crate::automaton::{Automaton, Outcome, Phase};
 use crate::checkpoint;
 use crate::encode::{self, EncodeState};
 use crate::fault::FaultPlan;
-use crate::intern::{anon_spill_file, hash_bytes, PageCache, SpillError, SpillStats, StateArena};
+use crate::intern::{anon_spill_file, hash_bytes, PageCache, SpillError, StateArena};
 use crate::mem::SimMemory;
 use crate::scc;
 
@@ -428,26 +424,26 @@ pub struct McReport {
     /// [`SccQuery`] evaluation.  Zero when the pass did not run
     /// (violation, overflow or interruption).
     pub scc_wall_time: Duration,
-    /// *Logical* bytes of the interned state arenas after exploration:
+    /// *Logical* bytes of the interned state arena after exploration:
     /// compressed records plus the offset index, shrunk to fit (the
     /// like-for-like successor of PR 2's flat-data figure), counting
     /// spilled pages as if resident.  With spill disabled this is also
     /// the resident figure; with a [`ModelChecker::resident_budget`]
     /// the RAM split is [`McReport::arena_resident_bytes`] vs.
-    /// [`McReport::arena_spilled_bytes`].  The seen-set hash tables are
+    /// [`McReport::arena_spilled_bytes`].  The seen-set hash table is
     /// reported separately in [`McReport::seen_table_bytes`].
     pub arena_bytes: usize,
     /// Bytes of arena payload resident in RAM at report time (hot
     /// pages plus the open page and the offset index).  Equals
     /// [`McReport::arena_bytes`] when nothing spilled.
     pub arena_resident_bytes: usize,
-    /// Bytes of arena payload evicted to the spill files at report
+    /// Bytes of arena payload evicted to the spill file at report
     /// time (zero without a [`ModelChecker::resident_budget`]).
     pub arena_spilled_bytes: usize,
-    /// Page fault-ins served from the spill files across the whole run
+    /// Page fault-ins served from the spill file across the whole run
     /// (exploration, checkpointing *and* the SCC/query passes).
     pub spill_faults: u64,
-    /// Page evictions to the spill files across the whole run.
+    /// Page evictions to the spill file across the whole run.
     pub spill_evictions: u64,
     /// Checkpoints written to [`ModelChecker::checkpoint_dir`] by this
     /// run (zero when checkpointing is off).
@@ -455,7 +451,7 @@ pub struct McReport {
     /// The completed-level count this run resumed from, when it was
     /// started via [`ModelChecker::resume`] and a checkpoint existed.
     pub resumed_from_level: Option<u32>,
-    /// Resident bytes of the seen-set hash tables (8 bytes per bucket).
+    /// Resident bytes of the seen-set hash table (8 bytes per bucket).
     pub seen_table_bytes: usize,
     /// How many times an idle frontier worker stole work from a peer
     /// (always zero with one worker).
@@ -634,12 +630,13 @@ pub enum ConfigError {
     /// [`ModelChecker::resume`] was requested without a
     /// [`ModelChecker::checkpoint_dir`] to resume from.
     ResumeWithoutCheckpointDir,
-    /// [`ModelChecker::max_states`] exceeds what the 32-bit state ids of
-    /// the run's shard layout can number.
+    /// [`ModelChecker::max_states`] exceeds what the 32-bit state ids
+    /// can number.
     MaxStatesTooLarge {
         /// The configured bound.
         max_states: usize,
-        /// The largest bound the id encoding admits.
+        /// The largest bound the id encoding admits, `u32::MAX - 1` at
+        /// every worker count.
         limit: usize,
     },
     /// The [`Symmetry::Wreath`] group has more elements than the 16-bit
@@ -735,7 +732,7 @@ pub struct ModelChecker<A: Automaton> {
     mem0: SimMemory,
     max_states: usize,
     symmetry: Symmetry,
-    threads: Option<usize>,
+    threads: usize,
     oversubscribe: bool,
     progress: Option<Arc<ProgressFn>>,
     monitors: Vec<Monitor<A::State>>,
@@ -834,7 +831,7 @@ impl<A: Automaton> ModelChecker<A> {
             mem0: SimMemory::new(model, m, adversary, n)?,
             max_states: 2_000_000,
             symmetry: Symmetry::Off,
-            threads: None,
+            threads: 1,
             oversubscribe: false,
             progress: None,
             monitors: Vec::new(),
@@ -865,30 +862,31 @@ impl<A: Automaton> ModelChecker<A> {
         self
     }
 
-    /// Sets the worker thread count explicitly.  Without this call the
-    /// count comes from the `AMX_MC_THREADS` environment variable, and
-    /// defaults to 1.  Every report field except `threads`,
-    /// `steal_count`, the timings and the memory figures is identical
-    /// at any thread count: verdicts, witness schedules, counts,
-    /// monitor and SCC-query results.
+    /// Sets the worker thread count (default 1).  Every report field
+    /// except `threads`, `steal_count`, the timings and the spill
+    /// figures (faults, evictions and the resident/spilled split) is
+    /// identical at any thread count: verdicts, witness schedules,
+    /// counts, monitor and SCC-query results, `arena_bytes` and
+    /// `seen_table_bytes`.  So is a checkpoint, which resumes at any
+    /// thread count.
     ///
     /// The count is a *cap*: the engine never spawns more compute
     /// workers than the machine's available parallelism, because
     /// oversubscribing cores only adds context-switch and cache
     /// pressure (measured ~2× wall-time on a single-core host).  A run
     /// whose effective pool is one worker runs entirely on the calling
-    /// thread, over a single seen-set shard.
+    /// thread.
     #[must_use]
     pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads.max(1));
+        self.threads = threads.max(1);
         self
     }
 
     /// Disables the available-parallelism cap on the worker pool, so
     /// `threads(t)` spawns exactly `t` workers even on a host with
     /// fewer cores.  A correctness/test hook — the differential suite
-    /// uses it to drive the sharded, work-stealing level regardless of
-    /// the machine it runs on; production runs should leave the cap
+    /// uses it to drive the multi-worker, work-stealing level regardless
+    /// of the machine it runs on; production runs should leave the cap
     /// alone (oversubscription measured ~2× slower on a single-core
     /// host).
     #[must_use]
@@ -926,10 +924,10 @@ impl<A: Automaton> ModelChecker<A> {
         self
     }
 
-    /// Caps the *resident* bytes of the interned-state arenas: once the
-    /// per-shard compressed page payload exceeds its share of the
-    /// budget, cold pages are evicted (CLOCK second-chance) to
-    /// anonymous spill files and faulted back transparently on access.
+    /// Caps the *resident* bytes of the interned-state arena: once the
+    /// compressed page payload exceeds the budget, cold pages are
+    /// evicted (CLOCK second-chance) to an anonymous spill file and
+    /// faulted back transparently on access.
     /// The budget covers compressed state records only — hash tables,
     /// offset indices and BFS metadata stay resident (they are a small
     /// fraction of state bytes).  Off by default (everything resident).
@@ -950,7 +948,7 @@ impl<A: Automaton> ModelChecker<A> {
 
     /// Enables checkpointing: after each completed breadth-first level
     /// (subject to [`checkpoint_every`](Self::checkpoint_every)) the
-    /// full exploration state — arenas, seen tables, BFS metadata,
+    /// full exploration state — arena, seen table, BFS metadata,
     /// frontier, monitor accumulators and the livelock pass's edge rows
     /// — is written atomically to `<dir>/mc-<level>.ckpt`, and
     /// [`resume`](Self::resume) continues a killed run from there
@@ -974,10 +972,12 @@ impl<A: Automaton> ModelChecker<A> {
     /// missing checkpoint starts from scratch).  The checkpoint records
     /// a fingerprint of the full configuration — automaton type,
     /// process/register counts, memory model, adversary, symmetry mode,
-    /// monitors, shard layout — and resuming under any other
+    /// state bound, crash axis, monitors — and resuming under any other
     /// configuration fails with [`McError::Checkpoint`] rather than
-    /// silently mixing state spaces.  Without a checkpoint directory
-    /// the run is refused with [`ConfigError::ResumeWithoutCheckpointDir`].
+    /// silently mixing state spaces.  The worker count is not part of
+    /// it: a checkpoint resumes at any [`threads`](Self::threads).
+    /// Without a checkpoint directory the run is refused with
+    /// [`ConfigError::ResumeWithoutCheckpointDir`].
     #[must_use]
     pub fn resume(mut self, on: bool) -> Self {
         self.resume = on;
@@ -1020,18 +1020,6 @@ impl<A: Automaton> ModelChecker<A> {
         self.fault_plan = Some(plan);
         self
     }
-
-    /// The requested thread cap (explicit, `AMX_MC_THREADS`, or 1).
-    fn effective_threads(&self) -> usize {
-        if let Some(t) = self.threads {
-            return t;
-        }
-        std::env::var("AMX_MC_THREADS")
-            .ok()
-            .and_then(|s| s.trim().parse::<usize>().ok())
-            .filter(|&t| t >= 1)
-            .unwrap_or(1)
-    }
 }
 
 impl<A: Automaton + Sync> ModelChecker<A>
@@ -1053,21 +1041,17 @@ where
         let start = Instant::now();
         let m = self.mem0.m();
         let symmetry = self.symmetry;
-        let threads = self.effective_threads();
-        let workers = effective_workers(threads, self.oversubscribe);
-        let shard_bits: u32 = if workers == 1 { 0 } else { 6 };
-        let id_limit = (u32::MAX >> shard_bits) as usize - 1;
-        if self.max_states > id_limit {
+        let workers = effective_workers(self.threads, self.oversubscribe);
+        if self.max_states > MAX_STATES_LIMIT {
             return Err(ConfigError::MaxStatesTooLarge {
                 max_states: self.max_states,
-                limit: id_limit,
+                limit: MAX_STATES_LIMIT,
             }
             .into());
         }
         if self.resume && self.checkpoint_dir.is_none() {
             return Err(ConfigError::ResumeWithoutCheckpointDir.into());
         }
-        let n_shards = 1usize << shard_bits;
         let (group, class_of) = build_group(&self.automata, &self.mem0, symmetry)?;
         let mut edges = EdgeTable::new(self.automata.len(), group.len() > 1);
         let shared = EngineShared {
@@ -1075,9 +1059,7 @@ where
             mem0: &self.mem0,
             group: &group,
             monitors: &self.monitors,
-            shard_bits,
             max_states: self.max_states,
-            stored: AtomicUsize::new(0),
             orbit_sum: AtomicUsize::new(0),
             overflow: AtomicBool::new(false),
             steals: AtomicUsize::new(0),
@@ -1085,7 +1067,7 @@ where
             spill_error: Mutex::new(None),
         };
         let ckpt_dir = self.checkpoint_dir.as_deref();
-        let fingerprint = self.fingerprint(shard_bits);
+        let fingerprint = self.fingerprint();
 
         let mut scratch: Scratch<A::State> = Scratch::new(self.mem0.clone());
         let mut peak_frontier = 0usize;
@@ -1111,21 +1093,14 @@ where
         } else {
             None
         };
-        let mut shards: Vec<Shard>;
+        let mut shard: Shard;
         let mut frontier = Frontier::default();
         // The next level's buffer, swapped with `frontier` after every
         // level so both keep their capacity.
         let mut next = Frontier::default();
         if let Some(ck) = restored {
-            if ck.shards.len() != n_shards {
-                return Err(McError::Checkpoint(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "checkpoint shard layout mismatch",
-                )));
-            }
-            shards = ck.shards;
-            let states: usize = shards.iter().map(|s| s.arena.len()).sum();
-            shared.stored.store(states, Ordering::Relaxed);
+            shard = ck.shard;
+            let states = shard.arena.len();
             shared
                 .orbit_sum
                 .store(ck.orbit_sum as usize, Ordering::Relaxed);
@@ -1136,28 +1111,25 @@ where
             completed_levels = ck.level;
             resumed_from_level = Some(ck.level);
             // The checkpoint stores frontier *ids*; the bytes come back
-            // out of the restored arenas.
+            // out of the restored arena.
             let mut bytes = Vec::new();
-            for &gid in &ck.frontier {
-                let arena = &shards[(gid as usize) & (n_shards - 1)].arena;
-                if (gid >> shard_bits) as usize >= arena.len() {
+            for &id in &ck.frontier {
+                if id as usize >= states {
                     return Err(McError::Checkpoint(io::Error::new(
                         io::ErrorKind::InvalidData,
                         "checkpoint frontier names an unknown state",
                     )));
                 }
-                arena
-                    .get_into(gid >> shard_bits, &mut bytes)
+                shard
+                    .arena
+                    .get_into(id, &mut bytes)
                     .map_err(McError::Spill)?;
-                frontier.push(gid, &bytes);
+                frontier.push(id, &bytes);
             }
             // Every state but the frontier has been expanded and owns a
             // row; each target must name a stored state.
             let rows = states.checked_sub(ck.frontier.len());
-            let stored = |t: u32| {
-                let arena = &shards[(t as usize) & (n_shards - 1)].arena;
-                t == scc::NO_EDGE || ((t >> shard_bits) as usize) < arena.len()
-            };
+            let stored = |t: u32| t == scc::NO_EDGE || (t as usize) < states;
             let sigma_len = if edges.track_sigma {
                 ck.edge_targets.len()
             } else {
@@ -1179,7 +1151,7 @@ where
             edges.targets = ck.edge_targets;
             edges.sigmas = ck.edge_sigmas;
         } else {
-            shards = (0..n_shards).map(|_| Shard::default()).collect();
+            shard = Shard::default();
             // Seed the frontier with the (group-invariant) initial state.
             scratch.slots = vec![Slot::BOTTOM; m];
             scratch.procs = self
@@ -1211,13 +1183,10 @@ where
                 actor: 0,
                 sigma: sigma0,
             };
-            let hash0 = hash_bytes(&scratch.best);
-            let si0 = shard_index(hash0, shard_bits);
             let (root, _) = intern_into(
                 &shared,
-                si0,
-                &mut shards[si0],
-                hash0,
+                &mut shard,
+                hash_bytes(&scratch.best),
                 &scratch.best,
                 meta0,
                 orbit0,
@@ -1240,23 +1209,17 @@ where
         }
         if let Some(budget) = self.resident_budget {
             let dir = self.spill_dir.clone().unwrap_or_else(std::env::temp_dir);
-            let per_shard = budget / n_shards;
-            for shard in &mut shards {
-                match anon_spill_file(&dir) {
-                    Ok(file) => {
-                        shard.arena.set_spill(file, per_shard);
-                        if let Some(plan) = &self.fault_plan {
-                            shard.arena.set_fault_plan(plan.clone());
-                        }
-                    }
-                    Err(e) => {
-                        degraded.push(format!(
-                            "cannot create a spill file in {}: {e}; running fully resident",
-                            dir.display()
-                        ));
-                        break;
+            match anon_spill_file(&dir) {
+                Ok(file) => {
+                    shard.arena.set_spill(file, budget);
+                    if let Some(plan) = &self.fault_plan {
+                        shard.arena.set_fault_plan(plan.clone());
                     }
                 }
+                Err(e) => degraded.push(format!(
+                    "cannot create a spill file in {}: {e}; running fully resident",
+                    dir.display()
+                )),
             }
         }
 
@@ -1271,7 +1234,7 @@ where
             peak_frontier = peak_frontier.max(frontier.len());
             let out = run_level(
                 &shared,
-                &mut shards,
+                &mut shard,
                 &frontier,
                 &mut next,
                 &mut edges,
@@ -1333,8 +1296,8 @@ where
                         peak_frontier: peak_frontier as u64,
                         orbit_sum: shared.orbit_sum.load(Ordering::Relaxed) as u64,
                         monitor_hits: &monitor_hits,
-                        frontier: &frontier.gids,
-                        shards: &shards,
+                        frontier: &frontier.ids,
+                        shard: &shard,
                         edge_targets: &edges.targets,
                         edge_sigmas: &edges.sigmas,
                     };
@@ -1362,7 +1325,7 @@ where
                 if last_progress.elapsed() >= Duration::from_millis(200) {
                     last_progress = Instant::now();
                     cb(&McProgress {
-                        states: shared.stored.load(Ordering::Relaxed),
+                        states: shard.arena.len(),
                         full_states_estimate: shared.orbit_sum.load(Ordering::Relaxed),
                         transitions,
                         elapsed: start.elapsed(),
@@ -1371,12 +1334,12 @@ where
             }
         }
 
-        let states = shared.stored.load(Ordering::Relaxed);
+        let states = shard.arena.len();
         let full_states_estimate = shared.orbit_sum.load(Ordering::Relaxed);
         let overflowed = shared.overflow.load(Ordering::Relaxed);
         let steal_count = shared.steals.load(Ordering::Relaxed);
-        let store = Store::new(shards, shard_bits);
-        degraded.extend(store.degraded_notes());
+        let store = Store::new(shard);
+        degraded.extend(store.shard.arena.degraded().map(str::to_string));
         let mut report = McReport {
             verdict: Verdict::Ok,
             transitions,
@@ -1386,16 +1349,16 @@ where
             peak_frontier,
             wall_time: start.elapsed(),
             scc_wall_time: Duration::ZERO,
-            arena_bytes: store.arena_bytes(),
+            arena_bytes: store.shard.arena.arena_bytes(),
             arena_resident_bytes: 0,
             arena_spilled_bytes: 0,
             spill_faults: 0,
             spill_evictions: 0,
             checkpoints_written,
             resumed_from_level,
-            seen_table_bytes: store.table_bytes(),
+            seen_table_bytes: store.shard.arena.table_bytes(),
             steal_count,
-            threads,
+            threads: self.threads,
             symmetry,
             monitors: Vec::new(),
             scc_queries: Vec::new(),
@@ -1440,7 +1403,6 @@ where
             max_pending_depth::<A::State>(&store, &group, m, self.automata.len())?;
 
         let scc_start = Instant::now();
-        edges.number_targets(&store);
         if let Some((verdict, queries)) =
             self.find_fair_livelock(&store, &group, &class_of, &edges, &mut scratch)?
         {
@@ -1453,23 +1415,22 @@ where
 
     /// A configuration fingerprint for checkpoint compatibility:
     /// automaton type, process/register counts, memory model, adversary
-    /// permutations, symmetry mode, state bound, monitor set and shard
-    /// layout.  Two runs with equal fingerprints explore the same state
-    /// space in the same order, so a checkpoint from one continues
-    /// bit-identically under the other.
-    fn fingerprint(&self, shard_bits: u32) -> u64 {
+    /// permutations, symmetry mode, state bound, crash axis and monitor
+    /// set.  Two runs with equal fingerprints explore the same state
+    /// space in the same order at any worker count, so a checkpoint from
+    /// one continues bit-identically under the other.
+    fn fingerprint(&self) -> u64 {
         use std::fmt::Write as _;
         let mut s = String::new();
         let _ = write!(
             s,
-            "AMXCKPT|v1|{}|n={}|m={}|model={:?}|sym={:?}|max={}|bits={}|page={}",
+            "AMXCKPT|v1|{}|n={}|m={}|model={:?}|sym={:?}|max={}|page={}",
             std::any::type_name::<A>(),
             self.automata.len(),
             self.mem0.m(),
             self.mem0.model(),
             self.symmetry,
             self.max_states,
-            shard_bits,
             crate::intern::PAGE,
         );
         if let Some((budget, mode)) = self.crashes {
@@ -1509,9 +1470,9 @@ where
 
     /// Fair-livelock search on the completion-free subgraph.
     ///
-    /// Runs over the edge table exploration recorded (`edges`, targets
-    /// already renumbered to dense ids): Tarjan's decomposition over
-    /// node ids in breadth-first discovery order — so the candidate
+    /// Runs over the edge table exploration recorded (`edges`):
+    /// Tarjan's decomposition over node ids in breadth-first discovery
+    /// order — so the candidate
     /// order, and with it the reported component and witnesses, is the
     /// same at every worker count — then the per-component fairness
     /// scan.  Nothing is stepped, canonicalized or looked up here;
@@ -1565,11 +1526,7 @@ where
             // constant up to within-class permutation (phase changes
             // other than via completions cannot be undone without a
             // completion); read phases off any member.
-            store.bytes_into(
-                store.gid_of_dense(members[0] as usize),
-                &mut scratch.cache,
-                &mut scratch.node,
-            )?;
+            store.bytes_into(members[0], &mut scratch.cache, &mut scratch.node)?;
             decode_node(
                 &scratch.node,
                 m,
@@ -1600,11 +1557,7 @@ where
             let mut pending_steppers = vec![false; n_classes];
             let mut has_edge = false;
             for &v in members {
-                store.bytes_into(
-                    store.gid_of_dense(v as usize),
-                    &mut scratch.cache,
-                    &mut scratch.node,
-                )?;
+                store.bytes_into(v, &mut scratch.cache, &mut scratch.node)?;
                 decode_node(
                     &scratch.node,
                     m,
@@ -1637,7 +1590,7 @@ where
                 // the class-level check was per-process; done.
                 let queries = self.eval_queries_concrete(store, group, members, scratch)?;
                 let entry = *members.iter().min().expect("nonempty SCC");
-                let chain = chain_from_root(store, store.gid_of_dense(entry as usize));
+                let chain = chain_from_root(store, entry);
                 let (witness_schedule, _, _) = concretize(group, &chain);
                 return Ok(Some((
                     Verdict::FairLivelock {
@@ -1720,11 +1673,7 @@ where
             .collect();
         let mut phases_q: Vec<Phase> = Vec::with_capacity(members.len() * n);
         for &v in members {
-            store.bytes_into(
-                store.gid_of_dense(v as usize),
-                &mut scratch.cache,
-                &mut scratch.node,
-            )?;
+            store.bytes_into(v, &mut scratch.cache, &mut scratch.node)?;
             decode_node(
                 &scratch.node,
                 m,
@@ -1801,7 +1750,7 @@ where
             // turns the chain into a concrete schedule reaching s.
             let entry = *sub.iter().min().expect("nonempty sub-SCC");
             let (vi, gi) = (entry as usize / gl, entry as usize % gl);
-            let chain = chain_from_root(store, store.gid_of_dense(members[vi] as usize));
+            let chain = chain_from_root(store, members[vi]);
             let (schedule_u, tau, _) = concretize(group, &chain);
             let g_pi = &group[gi].pi;
             // Crash entries (`a >= n`) relabel the crashed process the
@@ -1823,11 +1772,7 @@ where
             let mut distinct: std::collections::HashSet<Vec<u8>> = std::collections::HashSet::new();
             for &x in sub {
                 let (xvi, xgi) = (x as usize / gl, x as usize % gl);
-                store.bytes_into(
-                    store.gid_of_dense(members[xvi] as usize),
-                    &mut scratch.cache,
-                    &mut scratch.node,
-                )?;
+                store.bytes_into(members[xvi], &mut scratch.cache, &mut scratch.node)?;
                 decode_node(
                     &scratch.node,
                     m,
@@ -1881,11 +1826,7 @@ where
         let mut hits = vec![0usize; self.scc_queries.len()];
         let mut first: Vec<Option<(u32, String)>> = vec![None; self.scc_queries.len()];
         for &v in &sorted {
-            store.bytes_into(
-                store.gid_of_dense(v as usize),
-                &mut scratch.cache,
-                &mut scratch.node,
-            )?;
+            store.bytes_into(v, &mut scratch.cache, &mut scratch.node)?;
             decode_node(
                 &scratch.node,
                 m,
@@ -1916,7 +1857,7 @@ where
                     holds_somewhere: hits[qi] > 0,
                     holds_everywhere: hits[qi] == sorted.len(),
                     witness_schedule: witness.as_ref().map(|(v, _)| {
-                        let chain = chain_from_root(store, store.gid_of_dense(*v as usize));
+                        let chain = chain_from_root(store, *v);
                         concretize(group, &chain).0
                     }),
                     witness_state: witness.map(|(_, s)| s),
@@ -1959,7 +1900,7 @@ where
             if q.orbit_invariant {
                 for &vi in &canon {
                     store.bytes_into(
-                        store.gid_of_dense(members[vi as usize] as usize),
+                        members[vi as usize],
                         &mut scratch.cache,
                         &mut scratch.node,
                     )?;
@@ -1990,11 +1931,7 @@ where
                 let mut crashes_img: Vec<u8> = Vec::new();
                 for &x in &sorted {
                     let (vi, gi) = (x as usize / gl, x as usize % gl);
-                    store.bytes_into(
-                        store.gid_of_dense(members[vi] as usize),
-                        &mut scratch.cache,
-                        &mut scratch.node,
-                    )?;
+                    store.bytes_into(members[vi], &mut scratch.cache, &mut scratch.node)?;
                     decode_node(
                         &scratch.node,
                         m,
@@ -2039,7 +1976,7 @@ where
                     // the concrete replay reaches the g-image the
                     // predicate was evaluated on (any image, for
                     // invariant queries).
-                    let chain = chain_from_root(store, store.gid_of_dense(members[vi] as usize));
+                    let chain = chain_from_root(store, members[vi]);
                     let (schedule_u, tau, _) = concretize(group, &chain);
                     let g_pi = &group[gi].pi;
                     let schedule = schedule_u
@@ -2096,8 +2033,8 @@ fn phase_from_u8(b: u8) -> Option<Phase> {
 /// resident/spilled split and the fault/eviction totals, which keep
 /// advancing through the SCC and query passes — onto a finished report.
 fn finish_report(mut report: McReport, store: &Store, start: Instant) -> McReport {
-    let spill = store.spill_stats();
-    report.arena_resident_bytes = store.resident_bytes();
+    let spill = store.shard.arena.spill_stats();
+    report.arena_resident_bytes = store.shard.arena.resident_bytes();
     report.arena_spilled_bytes = spill.spilled_bytes;
     report.spill_faults = spill.faults;
     report.spill_evictions = spill.evictions;
@@ -2232,7 +2169,7 @@ fn build_group<A: Automaton>(
 /// BFS-tree metadata of one stored state.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct NodeMeta {
-    /// Global id of the BFS-tree parent (`u32::MAX` for the root).
+    /// Id of the BFS-tree parent (`u32::MAX` for the root).
     pub(crate) parent: u32,
     /// Actor of the tree edge (a *quotient* process index).
     pub(crate) actor: u8,
@@ -2240,10 +2177,10 @@ pub(crate) struct NodeMeta {
     pub(crate) sigma: u16,
 }
 
-/// One hash-prefix partition of the seen set: an interned-state arena
-/// plus the parallel BFS-tree metadata table.  Shards are owned by the
-/// exploration loop and handed `&mut` to exactly one worker during the
-/// insert phase — never locked.
+/// The seen set: an interned-state arena plus the parallel BFS-tree
+/// metadata table.  A state's id is its index in both.  The exploration
+/// loop owns it: expand workers share it read-only, and the drain
+/// interns into it on the calling thread — never locked.
 #[derive(Debug, Default)]
 pub(crate) struct Shard {
     pub(crate) arena: StateArena,
@@ -2251,17 +2188,15 @@ pub(crate) struct Shard {
 }
 
 /// Everything the BFS workers share read-only, plus the global
-/// counters.  The shards themselves deliberately live *outside* this
-/// struct (on the exploration loop's stack) so ownership — not a
-/// lock — arbitrates every intern.
+/// counters.  The seen set deliberately lives *outside* this struct
+/// (on the exploration loop's stack) so ownership — not a lock —
+/// arbitrates every intern.
 struct EngineShared<'a, A: Automaton> {
     automata: &'a [A],
     mem0: &'a SimMemory,
     group: &'a [SymElem],
     monitors: &'a [Monitor<A::State>],
-    shard_bits: u32,
     max_states: usize,
-    stored: AtomicUsize,
     orbit_sum: AtomicUsize,
     overflow: AtomicBool,
     steals: AtomicUsize,
@@ -2282,27 +2217,23 @@ impl<A: Automaton> EngineShared<'_, A> {
     }
 }
 
-/// Which shard a state hash routes to.  The route reads the *top* hash
-/// bits; the arena's open-addressing probe uses the low bits, so the
-/// two never alias.
-fn shard_index(hash: u64, shard_bits: u32) -> usize {
-    ((hash >> 48) as usize) & ((1usize << shard_bits) - 1)
-}
+/// Largest [`ModelChecker::max_states`]: ids are `u32`, the insert that
+/// overflows the bound still takes id `max_states`, and `u32::MAX`
+/// marks the root's missing parent and an absent edge ([`scc::NO_EDGE`]).
+const MAX_STATES_LIMIT: usize = u32::MAX as usize - 1;
 
-/// Interns canonical bytes into `shard` (which must be `shards[si]`
-/// with `si = shard_index(hash, ..)`; the caller routes).  On a fresh
-/// insert the parent metadata is recorded and the global state/orbit
-/// counters advance.
+/// Interns canonical bytes into the seen set, returning the state's id
+/// and whether it is new.  On a fresh insert the parent metadata is
+/// recorded and the global state/orbit counters advance.
 fn intern_into<A: Automaton>(
     shared: &EngineShared<'_, A>,
-    si: usize,
     shard: &mut Shard,
     hash: u64,
     bytes: &[u8],
     meta: NodeMeta,
     orbit: u32,
 ) -> (u32, bool) {
-    let (local, fresh) = match shard.arena.intern_hashed(hash, bytes) {
+    let (id, fresh) = match shard.arena.intern_hashed(hash, bytes) {
         Ok(x) => x,
         Err(e) => {
             // Spilled state unreadable: record and report "not fresh" —
@@ -2318,15 +2249,14 @@ fn intern_into<A: Automaton>(
             shard.meta.len(),
             "arena and meta table out of sync"
         );
-        let now = shared.stored.fetch_add(1, Ordering::Relaxed) + 1;
         shared
             .orbit_sum
             .fetch_add(orbit as usize, Ordering::Relaxed);
-        if now > shared.max_states {
+        if shard.arena.len() > shared.max_states {
             shared.overflow.store(true, Ordering::Relaxed);
         }
     }
-    ((local << shared.shard_bits) | si as u32, fresh)
+    (id, fresh)
 }
 
 /// Worker-local reusable buffers: one memory clone, decoded node
@@ -2395,7 +2325,7 @@ impl WorkerOut {
 struct PropViolation {
     /// `(frontier position, actor)` tiebreak, like [`Violation::order`].
     order: (usize, usize),
-    /// Global id of the hit (stored) state.
+    /// Id of the hit (stored) state.
     node: u32,
     /// Index into the checker's monitor list.
     monitor: u32,
@@ -2415,17 +2345,6 @@ impl MonitorHit {
         self.count += 1;
         if self.best.is_none_or(|(b, _)| order < b) {
             self.best = Some((order, node));
-        }
-    }
-
-    /// Folds another accumulator in: counts add, witness candidates
-    /// take the minimum order.
-    fn merge(&mut self, other: &MonitorHit) {
-        self.count += other.count;
-        if let Some((order, node)) = other.best {
-            if self.best.is_none_or(|(b, _)| order < b) {
-                self.best = Some((order, node));
-            }
         }
     }
 }
@@ -2670,7 +2589,7 @@ fn group_tables(group: &[SymElem]) -> GroupTables {
 /// buffer (no allocation per node).
 #[derive(Debug, Default)]
 struct Frontier {
-    gids: Vec<u32>,
+    ids: Vec<u32>,
     /// `ends[i]` is the end offset of node `i`'s bytes in `bytes`.
     ends: Vec<usize>,
     bytes: Vec<u8>,
@@ -2678,27 +2597,27 @@ struct Frontier {
 
 impl Frontier {
     fn len(&self) -> usize {
-        self.gids.len()
+        self.ids.len()
     }
 
     fn is_empty(&self) -> bool {
-        self.gids.is_empty()
+        self.ids.is_empty()
     }
 
     /// Id and encoding of node `i`.
     fn node(&self, i: usize) -> (u32, &[u8]) {
         let start = if i == 0 { 0 } else { self.ends[i - 1] };
-        (self.gids[i], &self.bytes[start..self.ends[i]])
+        (self.ids[i], &self.bytes[start..self.ends[i]])
     }
 
     fn clear(&mut self) {
-        self.gids.clear();
+        self.ids.clear();
         self.ends.clear();
         self.bytes.clear();
     }
 
-    fn push(&mut self, gid: u32, bytes: &[u8]) {
-        self.gids.push(gid);
+    fn push(&mut self, id: u32, bytes: &[u8]) {
+        self.ids.push(id);
         self.bytes.extend_from_slice(bytes);
         self.ends.push(self.bytes.len());
     }
@@ -2712,8 +2631,7 @@ impl Frontier {
 /// [`scc::NO_EDGE`]: completions and violating steps are left out, and
 /// so are crash edges — each strictly increases a crash count, so no
 /// cycle (hence no livelock) contains one, and fairness never obliges
-/// the adversary to crash anyone.  Targets are global ids until
-/// [`EdgeTable::number_targets`] renumbers them densely.
+/// the adversary to crash anyone.
 #[derive(Debug)]
 struct EdgeTable {
     /// Slots per row (the process count).
@@ -2758,24 +2676,11 @@ impl EdgeTable {
             *sigma = edge.sigma;
         }
     }
-
-    /// Renumbers the targets from global to dense ids (a no-op with one
-    /// shard, where the two coincide).
-    fn number_targets(&mut self, store: &Store) {
-        if store.shard_bits == 0 {
-            return;
-        }
-        for t in &mut self.targets {
-            if *t != scc::NO_EDGE {
-                *t = store.dense(*t) as u32;
-            }
-        }
-    }
 }
 
 /// A completion-free edge met during a round, on its way into the
-/// [`EdgeTable`]: the source's frontier position, the target's global
-/// id, the canonicalizing group element and the quotient actor.
+/// [`EdgeTable`]: the source's frontier position, the target's id, the
+/// canonicalizing group element and the quotient actor.
 #[derive(Debug, Clone, Copy)]
 struct Edge {
     pos: u32,
@@ -2789,7 +2694,7 @@ struct Edge {
 /// borrow the frontier — expansion never consumes the level.
 struct LevelItem<'f> {
     pos: u32,
-    gid: u32,
+    id: u32,
     bytes: &'f [u8],
 }
 
@@ -2805,9 +2710,9 @@ const STEAL_BATCH: usize = 32;
 /// never improve the witness order).
 const LEVEL_CHUNK: usize = 16 * 1024;
 
-/// A canonical successor waiting for its owning shard's drain phase:
-/// everything the insert needs.  The encoding lives in the byte buffer
-/// of the expand worker that generated it.
+/// A canonical successor waiting for the drain phase: everything the
+/// insert needs.  The encoding lives in the byte buffer of the expand
+/// worker that generated it.
 #[derive(Debug, Clone, Copy)]
 struct PendingInsert {
     hash: u64,
@@ -2833,23 +2738,14 @@ impl PendingInsert {
     }
 }
 
-/// One expand worker's output for a round: pending inserts per shard,
-/// their encodings packed in one buffer, and the edges whose targets
-/// the seen-set probe already resolved.
+/// One expand worker's output for a round: pending inserts, their
+/// encodings packed in one buffer, and the edges whose targets the
+/// seen-set probe already resolved.
+#[derive(Default)]
 struct Outbox {
-    pending: Vec<Vec<PendingInsert>>,
+    pending: Vec<PendingInsert>,
     bytes: Vec<u8>,
     edges: Vec<Edge>,
-}
-
-impl Outbox {
-    fn new(n_shards: usize) -> Self {
-        Outbox {
-            pending: (0..n_shards).map(|_| Vec::new()).collect(),
-            bytes: Vec::new(),
-            edges: Vec::new(),
-        }
-    }
 }
 
 /// Expands one breadth-first level.
@@ -2859,30 +2755,32 @@ impl Outbox {
 ///
 /// 1. **Expand** (no state is interned): each node is decoded, stepped
 ///    and its successors canonicalized; successors already interned by
-///    a previous round or level are dropped by a probe of the seen-set
-///    shards, and the survivors are routed as [`PendingInsert`]s into
-///    per-shard outboxes.  With one worker the round runs in frontier order on
-///    the calling thread, with the run's `scratch`, and the probe
-///    faults spilled pages back into the shard's resident set as an
-///    insert would.  With more, the shards are shared read-only (probes
-///    read spilled pages through per-worker caches) and the round's
-///    nodes are block-partitioned over per-worker deques with back-half
-///    stealing (uneven orbit-canonicalization costs get rebalanced).
-/// 2. **Drain** (shards partitioned): worker `w` exclusively owns the
-///    shards `si ≡ w (mod workers)` and drains their merged outboxes,
-///    sorted by `(pos, actor)` — so the first generator of every state
-///    becomes its breadth-first parent, at every worker count.
+///    a previous round or level are dropped by a probe of the seen set,
+///    and the survivors are queued as [`PendingInsert`]s in the
+///    worker's outbox.  With one worker the round runs in frontier
+///    order on the calling thread, with the run's `scratch`, and the
+///    probe faults spilled pages back into the arena's resident set as
+///    an insert would.  With more, the seen set is shared read-only
+///    (probes read spilled pages through per-worker caches) and the
+///    round's nodes are block-partitioned over per-worker deques with
+///    back-half stealing (uneven orbit-canonicalization costs get
+///    rebalanced).
+/// 2. **Drain** (on the calling thread): the merged outboxes are
+///    interned sorted by `(pos, actor)` — so the first generator of
+///    every state becomes its breadth-first parent, and fresh states
+///    join `next` (cleared first; rounds cover increasing positions) in
+///    id order, which is discovery order at every worker count.
+///    Monitors run once per fresh state, on its decoded canonical
+///    representative — monitor predicates are orbit-invariant by
+///    contract, so any image of the state is as good as another, and
+///    duplicates never pay for an evaluation.
 ///
-/// No lock is held on any intern path, and each shard's arena grows
-/// (and spills) independently.  Each round's fresh children are sorted
-/// by `(pos, actor)` and appended to `next` (cleared first; rounds
-/// cover increasing positions), the order in which [`Store`] numbers
-/// them.  The level appends one [`EdgeTable`] row per frontier node and
-/// fills it from both phases: targets the expand probe found, and
-/// targets the drain interned (fresh or not).
+/// The level appends one [`EdgeTable`] row per frontier node and fills
+/// it from both phases: targets the expand probe found, and targets the
+/// drain interned (fresh or not).
 fn run_level<A: Automaton + Sync>(
     shared: &EngineShared<'_, A>,
-    shards: &mut [Shard],
+    shard: &mut Shard,
     frontier: &Frontier,
     next: &mut Frontier,
     edges: &mut EdgeTable,
@@ -2892,7 +2790,7 @@ fn run_level<A: Automaton + Sync>(
 where
     A::State: EncodeState + Send,
 {
-    let n_shards = shards.len();
+    let (n, m) = (shared.automata.len(), shared.mem0.m());
     let mut out = WorkerOut::new(shared.monitors.len());
     next.clear();
     let row_base = edges.rows();
@@ -2907,26 +2805,26 @@ where
         // Phase 1: expand the round.
         let results = if workers == 1 {
             let mut wout = WorkerOut::new(shared.monitors.len());
-            let mut outbox = Outbox::new(n_shards);
-            let mut seen = |si: usize, hash: u64, bytes: &[u8], _: &mut PageCache| {
-                shards[si].arena.lookup_hashed_mut(hash, bytes)
+            let mut outbox = Outbox::default();
+            let mut seen = |hash: u64, bytes: &[u8], _: &mut PageCache| {
+                shard.arena.lookup_hashed_mut(hash, bytes)
             };
             for pos in round {
-                let (gid, bytes) = frontier.node(pos);
+                let (id, bytes) = frontier.node(pos);
                 let item = LevelItem {
                     pos: pos as u32,
-                    gid,
+                    id,
                     bytes,
                 };
                 expand_item(shared, &item, 0, scratch, &mut wout, &mut outbox, &mut seen);
             }
             vec![(wout, outbox)]
         } else {
-            expand_round_stealing(shared, &*shards, frontier, round, workers)
+            expand_round_stealing(shared, &*shard, frontier, round, workers)
         };
-        let mut pending: Vec<Vec<PendingInsert>> = (0..n_shards).map(|_| Vec::new()).collect();
+        let mut pending: Vec<PendingInsert> = Vec::new();
         let mut bufs: Vec<Vec<u8>> = Vec::with_capacity(results.len());
-        for (wout, outbox) in results {
+        for (wout, mut outbox) in results {
             out.acquisitions += wout.acquisitions;
             out.transitions += wout.transitions;
             if let Some(v) = wout.violation {
@@ -2934,70 +2832,75 @@ where
                     out.violation = Some(v);
                 }
             }
-            for (acc, mut b) in pending.iter_mut().zip(outbox.pending) {
-                if acc.is_empty() {
-                    *acc = b;
-                } else {
-                    acc.append(&mut b);
-                }
+            if pending.is_empty() {
+                pending = outbox.pending;
+            } else {
+                pending.append(&mut outbox.pending);
             }
             for e in &outbox.edges {
                 edges.set(row_base + e.pos as usize, e);
             }
             bufs.push(outbox.bytes);
         }
-        for p in &mut pending {
-            p.sort_unstable_by_key(|x| (x.pos, x.actor));
-        }
-        // Phase 2: each owner drains its shards' outboxes exclusively.
-        let mut owned: Vec<Vec<(usize, &mut Shard, Vec<PendingInsert>)>> =
-            (0..workers).map(|_| Vec::new()).collect();
-        for ((si, shard), pend) in shards.iter_mut().enumerate().zip(pending) {
-            owned[si % workers].push((si, shard, pend));
-        }
-        let bufs = &bufs;
-        let drained: Vec<OwnerOut> = if workers == 1 {
-            owned
-                .into_iter()
-                .map(|work| drain_owner(shared, work, bufs))
-                .collect()
-        } else {
-            std::thread::scope(|s| {
-                let handles: Vec<_> = owned
-                    .into_iter()
-                    .map(|work| s.spawn(move || drain_owner(shared, work, bufs)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("model-checker insert worker panicked"))
-                    .collect()
-            })
-        };
-        let mut fresh: Vec<(u32, PendingInsert)> = Vec::new();
-        for oo in drained {
-            for e in &oo.edges {
-                edges.set(row_base + e.pos as usize, e);
+        // Phase 2: drain the round into the seen set.
+        pending.sort_unstable_by_key(|p| (p.pos, p.actor));
+        for p in &pending {
+            if shared.overflow.load(Ordering::Relaxed) {
+                break;
             }
-            for (acc, hit) in out.monitor_hits.iter_mut().zip(&oo.monitor_hits) {
-                acc.merge(hit);
+            let bytes = p.bytes(&bufs);
+            let meta = NodeMeta {
+                parent: p.parent,
+                actor: p.actor,
+                sigma: p.sigma,
+            };
+            let (id, fresh) = intern_into(shared, shard, p.hash, bytes, meta, p.orbit);
+            if p.edge {
+                let edge = Edge {
+                    pos: p.pos,
+                    target: id,
+                    sigma: p.sigma,
+                    actor: p.actor,
+                };
+                edges.set(row_base + p.pos as usize, &edge);
             }
-            if let Some(p) = oo.prop_violation {
-                if out
-                    .prop_violation
-                    .is_none_or(|best| (p.order, p.monitor) < (best.order, best.monitor))
-                {
-                    out.prop_violation = Some(p);
+            if !fresh {
+                // An intra-round duplicate that lost the sorted
+                // `(pos, actor)` race: its first generator is the
+                // breadth-first parent.
+                continue;
+            }
+            next.push(id, bytes);
+            let order = (p.pos as usize, p.actor as usize);
+            if !shared.monitors.is_empty() {
+                decode_node(
+                    bytes,
+                    m,
+                    n,
+                    &mut scratch.slots,
+                    &mut scratch.procs,
+                    &mut scratch.crashes,
+                );
+            }
+            for (mi, mon) in shared.monitors.iter().enumerate() {
+                if !(mon.eval)(&scratch.slots, &scratch.procs) {
+                    continue;
+                }
+                out.monitor_hits[mi].record(order, id);
+                if mon.fatal {
+                    let cand = PropViolation {
+                        order,
+                        node: id,
+                        monitor: mi as u32,
+                    };
+                    if out
+                        .prop_violation
+                        .is_none_or(|best| (cand.order, cand.monitor) < (best.order, best.monitor))
+                    {
+                        out.prop_violation = Some(cand);
+                    }
                 }
             }
-            if fresh.is_empty() {
-                fresh = oo.fresh;
-            } else {
-                fresh.extend(oo.fresh);
-            }
-        }
-        fresh.sort_unstable_by_key(|(_, p)| (p.pos, p.actor));
-        for (gid, p) in &fresh {
-            next.push(*gid, p.bytes(bufs));
         }
     }
     out
@@ -3010,7 +2913,7 @@ where
 /// [`Outbox`].
 fn expand_round_stealing<A: Automaton + Sync>(
     shared: &EngineShared<'_, A>,
-    shards: &[Shard],
+    shard: &Shard,
     frontier: &Frontier,
     round: std::ops::Range<usize>,
     workers: usize,
@@ -3021,10 +2924,10 @@ where
     let (base, round_len) = (round.start, round.len());
     let mut qs: Vec<VecDeque<LevelItem<'_>>> = (0..workers).map(|_| VecDeque::new()).collect();
     for pos in round {
-        let (gid, bytes) = frontier.node(pos);
+        let (id, bytes) = frontier.node(pos);
         qs[(pos - base) * workers / round_len].push_back(LevelItem {
             pos: pos as u32,
-            gid,
+            id,
             bytes,
         });
     }
@@ -3033,7 +2936,7 @@ where
         let handles: Vec<_> = (0..workers)
             .map(|w| {
                 let queues = &queues;
-                s.spawn(move || expand_worker(shared, shards, queues, w))
+                s.spawn(move || expand_worker(shared, shard, queues, w))
             })
             .collect();
         handles
@@ -3047,7 +2950,7 @@ where
 /// when dry, steal the back half of the first non-empty victim deque.
 fn expand_worker<'f, A: Automaton + Sync>(
     shared: &EngineShared<'_, A>,
-    shards: &[Shard],
+    shard: &Shard,
     queues: &[Mutex<VecDeque<LevelItem<'f>>>],
     w: usize,
 ) -> (WorkerOut, Outbox)
@@ -3057,9 +2960,9 @@ where
     let workers = queues.len();
     let mut sc: Scratch<A::State> = Scratch::new(shared.mem0.clone());
     let mut out = WorkerOut::new(shared.monitors.len());
-    let mut outbox = Outbox::new(shards.len());
-    let mut seen = |si: usize, hash: u64, bytes: &[u8], cache: &mut PageCache| {
-        shards[si].arena.lookup_hashed_cached(hash, bytes, cache)
+    let mut outbox = Outbox::default();
+    let mut seen = |hash: u64, bytes: &[u8], cache: &mut PageCache| {
+        shard.arena.lookup_hashed_cached(hash, bytes, cache)
     };
     let mut batch: Vec<LevelItem<'f>> = Vec::with_capacity(STEAL_BATCH);
     'round: loop {
@@ -3109,10 +3012,10 @@ where
     (out, outbox)
 }
 
-/// Phase 1 for one frontier node: expands it and routes every
-/// successor that `seen(shard, hash, bytes, cache)` does not find (as a
-/// shard-local id) into its owning shard's outbox; edges to successors
-/// it finds go straight to the outbox's edge list.
+/// Phase 1 for one frontier node: expands it and queues every successor
+/// that `seen(hash, bytes, cache)` does not find as a pending insert in
+/// `outbox`; edges to successors it finds go straight to the outbox's
+/// edge list.
 fn expand_item<A: Automaton>(
     shared: &EngineShared<'_, A>,
     item: &LevelItem<'_>,
@@ -3120,30 +3023,29 @@ fn expand_item<A: Automaton>(
     sc: &mut Scratch<A::State>,
     out: &mut WorkerOut,
     outbox: &mut Outbox,
-    seen: &mut impl FnMut(usize, u64, &[u8], &mut PageCache) -> Result<Option<u32>, SpillError>,
+    seen: &mut impl FnMut(u64, &[u8], &mut PageCache) -> Result<Option<u32>, SpillError>,
 ) where
     A::State: EncodeState,
 {
     expand_node(
         shared,
         item.pos,
-        item.gid,
+        item.id,
         item.bytes,
         sc,
         out,
         |sc, actor, sigma, orbit, edge| {
             let hash = hash_bytes(&sc.best);
-            let si = shard_index(hash, shared.shard_bits);
-            match seen(si, hash, &sc.best, &mut sc.cache) {
+            match seen(hash, &sc.best, &mut sc.cache) {
                 // Interned by a previous round or level: the probe is exact
                 // for those, so nothing to buffer but the edge.
                 // Intra-round duplicates fall through and lose in the
                 // drain phase.
-                Ok(Some(local)) => {
+                Ok(Some(id)) => {
                     if edge {
                         outbox.edges.push(Edge {
                             pos: item.pos,
-                            target: (local << shared.shard_bits) | si as u32,
+                            target: id,
                             sigma,
                             actor: actor as u8,
                         });
@@ -3162,10 +3064,10 @@ fn expand_item<A: Automaton>(
             }
             let start = outbox.bytes.len();
             outbox.bytes.extend_from_slice(&sc.best);
-            outbox.pending[si].push(PendingInsert {
+            outbox.pending.push(PendingInsert {
                 hash,
                 pos: item.pos,
-                parent: item.gid,
+                parent: item.id,
                 orbit,
                 worker: worker as u32,
                 start: start as u32,
@@ -3176,96 +3078,6 @@ fn expand_item<A: Automaton>(
             });
         },
     );
-}
-
-/// Phase-2 accumulator of one owner worker.
-struct OwnerOut {
-    /// Freshly interned children as `(gid, insert)`; the caller sorts
-    /// them into the next frontier.
-    fresh: Vec<(u32, PendingInsert)>,
-    /// Edges whose targets this owner interned or found interned.
-    edges: Vec<Edge>,
-    monitor_hits: Vec<MonitorHit>,
-    prop_violation: Option<PropViolation>,
-}
-
-/// Phase 2 for one owner: drains the pending inserts of every shard it
-/// owns (each pre-sorted by `(pos, actor)`), interning the survivors;
-/// `bufs` holds the expand workers' encodings.  Exclusive `&mut Shard`
-/// access replaces any locking.  Monitors run once per fresh state, on
-/// its decoded canonical representative — monitor predicates are
-/// orbit-invariant by contract, so any image of the state is as good as
-/// another, and duplicates never pay for an evaluation.
-fn drain_owner<A: Automaton>(
-    shared: &EngineShared<'_, A>,
-    work: Vec<(usize, &mut Shard, Vec<PendingInsert>)>,
-    bufs: &[Vec<u8>],
-) -> OwnerOut
-where
-    A::State: EncodeState,
-{
-    let mut oo = OwnerOut {
-        fresh: Vec::new(),
-        edges: Vec::new(),
-        monitor_hits: vec![MonitorHit::default(); shared.monitors.len()],
-        prop_violation: None,
-    };
-    let (n, m) = (shared.automata.len(), shared.mem0.m());
-    let mut slots: Vec<Slot> = Vec::new();
-    let mut procs: Vec<(Phase, A::State)> = Vec::new();
-    let mut crashes: Vec<u8> = Vec::new();
-    for (si, shard, pending) in work {
-        for p in pending {
-            if shared.overflow.load(Ordering::Relaxed) {
-                return oo;
-            }
-            let meta = NodeMeta {
-                parent: p.parent,
-                actor: p.actor,
-                sigma: p.sigma,
-            };
-            let (gid, fresh) = intern_into(shared, si, shard, p.hash, p.bytes(bufs), meta, p.orbit);
-            if p.edge {
-                oo.edges.push(Edge {
-                    pos: p.pos,
-                    target: gid,
-                    sigma: p.sigma,
-                    actor: p.actor,
-                });
-            }
-            if !fresh {
-                // An intra-round duplicate that lost the sorted
-                // `(pos, actor)` race: its first generator is the
-                // breadth-first parent.
-                continue;
-            }
-            let order = (p.pos as usize, p.actor as usize);
-            if !shared.monitors.is_empty() {
-                decode_node(p.bytes(bufs), m, n, &mut slots, &mut procs, &mut crashes);
-            }
-            for (mi, mon) in shared.monitors.iter().enumerate() {
-                if !(mon.eval)(&slots, &procs) {
-                    continue;
-                }
-                oo.monitor_hits[mi].record(order, gid);
-                if mon.fatal {
-                    let cand = PropViolation {
-                        order,
-                        node: gid,
-                        monitor: mi as u32,
-                    };
-                    if oo
-                        .prop_violation
-                        .is_none_or(|best| (cand.order, cand.monitor) < (best.order, best.monitor))
-                    {
-                        oo.prop_violation = Some(cand);
-                    }
-                }
-            }
-            oo.fresh.push((gid, p));
-        }
-    }
-    oo
 }
 
 /// Expands one frontier node — the successor-generation skeleton.  For
@@ -3281,7 +3093,7 @@ where
 fn expand_node<A: Automaton>(
     shared: &EngineShared<'_, A>,
     pos: u32,
-    gid: u32,
+    id: u32,
     bytes: &[u8],
     scratch: &mut Scratch<A::State>,
     out: &mut WorkerOut,
@@ -3314,7 +3126,7 @@ fn expand_node<A: Automaton>(
             if let Some(j) = (0..n).find(|&j| j != i && scratch.procs[j].0 == Phase::Cs) {
                 let cand = Violation {
                     order: (pos as usize, i),
-                    from: gid,
+                    from: id,
                     actor: i,
                     other: j,
                 };
@@ -3392,191 +3204,39 @@ fn expand_node<A: Automaton>(
     }
 }
 
-/// Read-only view of the interned shards after exploration, with the
-/// states numbered densely in breadth-first discovery order.
-///
-/// Discovery order is the order the levels interned their states in:
-/// level by level, each level sorted by `(parent position, actor)`.
-/// With one shard it is the id order itself, so no table is built.
-/// With 64 shards it is rebuilt from the [`NodeMeta`] tree — a
-/// breadth-first walk of the parent pointers with each node's children
-/// ordered by actor — so the numbering, and everything downstream of
-/// it (SCC candidate order, witnesses, query answers), does not depend
-/// on the worker count.
+/// Read-only view of the seen set after exploration.  A state's id is
+/// its breadth-first discovery order: level by level, each level sorted
+/// by `(parent position, actor)`.
 struct Store {
-    shards: Vec<Shard>,
-    shard_bits: u32,
-    /// Shard-major offsets: shard `si` holds global ids
-    /// `prefix[si]..prefix[si + 1]` in shard-major order.
-    prefix: Vec<u32>,
-    /// Dense index → global id (empty with one shard).
-    gid_of: Vec<u32>,
-    /// Shard-major index → dense index (empty with one shard).
-    dense_of: Vec<u32>,
+    shard: Shard,
 }
 
 impl Store {
-    /// Seals the shards for read-mostly use: growth slack is dropped
-    /// (so [`Store::arena_bytes`] reports resident bytes, not
-    /// capacity) and the discovery-order numbering is built.
-    fn new(mut shards: Vec<Shard>, shard_bits: u32) -> Self {
-        let mut prefix = Vec::with_capacity(shards.len() + 1);
-        let mut acc = 0u32;
-        prefix.push(0);
-        for s in &mut shards {
-            s.arena.shrink_to_fit();
-            s.meta.shrink_to_fit();
-            acc += s.arena.len() as u32;
-            prefix.push(acc);
-        }
-        let mut store = Store {
-            shards,
-            shard_bits,
-            prefix,
-            gid_of: Vec::new(),
-            dense_of: Vec::new(),
-        };
-        if shard_bits > 0 {
-            store.number_in_discovery_order();
-        }
-        store
-    }
-
-    /// Shard-major index of a global id.
-    fn shard_major(&self, gid: u32) -> usize {
-        let (si, local) = self.split(gid);
-        (self.prefix[si] + local) as usize
-    }
-
-    /// Builds `gid_of`/`dense_of`: a children CSR over the parent
-    /// pointers (shard-major), each child list sorted by actor, walked
-    /// breadth-first from the root.
-    fn number_in_discovery_order(&mut self) {
-        let n = self.node_count();
-        let mut start = vec![0u32; n + 1];
-        let mut root = None;
-        for (si, shard) in self.shards.iter().enumerate() {
-            for (local, meta) in shard.meta.iter().enumerate() {
-                if meta.parent == u32::MAX {
-                    root = Some(((local as u32) << self.shard_bits) | si as u32);
-                } else {
-                    start[self.shard_major(meta.parent) + 1] += 1;
-                }
-            }
-        }
-        for i in 0..n {
-            start[i + 1] += start[i];
-        }
-        let mut fill = start.clone();
-        let mut children = vec![0u32; n.saturating_sub(1)];
-        for (si, shard) in self.shards.iter().enumerate() {
-            for (local, meta) in shard.meta.iter().enumerate() {
-                if meta.parent != u32::MAX {
-                    let p = self.shard_major(meta.parent);
-                    children[fill[p] as usize] = ((local as u32) << self.shard_bits) | si as u32;
-                    fill[p] += 1;
-                }
-            }
-        }
-        drop(fill);
-        let mut gid_of = Vec::with_capacity(n);
-        gid_of.extend(root);
-        let mut head = 0;
-        while head < gid_of.len() {
-            let v = self.shard_major(gid_of[head]);
-            head += 1;
-            let kids = &mut children[start[v] as usize..start[v + 1] as usize];
-            kids.sort_unstable_by_key(|&c| self.meta(c).actor);
-            gid_of.extend_from_slice(kids);
-        }
-        debug_assert_eq!(gid_of.len(), n, "every stored state hangs off the root");
-        let mut dense_of = vec![0u32; n];
-        for (d, &gid) in gid_of.iter().enumerate() {
-            dense_of[self.shard_major(gid)] = d as u32;
-        }
-        self.gid_of = gid_of;
-        self.dense_of = dense_of;
+    /// Seals the seen set for read-mostly use: growth slack is dropped,
+    /// so `arena_bytes` reports resident bytes, not capacity.
+    fn new(mut shard: Shard) -> Self {
+        shard.arena.shrink_to_fit();
+        shard.meta.shrink_to_fit();
+        Store { shard }
     }
 
     fn node_count(&self) -> usize {
-        *self.prefix.last().expect("nonempty prefix") as usize
+        self.shard.arena.len()
     }
 
-    /// Logical (uncompressed-page-inclusive) arena bytes across all
-    /// shards, whether resident or spilled.
-    fn arena_bytes(&self) -> usize {
-        self.shards.iter().map(|s| s.arena.arena_bytes()).sum()
-    }
-
-    /// Arena bytes currently held in memory (excludes spilled pages).
-    fn resident_bytes(&self) -> usize {
-        self.shards.iter().map(|s| s.arena.resident_bytes()).sum()
-    }
-
-    /// Spill counters folded across all shards.
-    fn spill_stats(&self) -> SpillStats {
-        let mut acc = SpillStats::default();
-        for s in &self.shards {
-            let st = s.arena.spill_stats();
-            acc.spilled_bytes += st.spilled_bytes;
-            acc.faults += st.faults;
-            acc.evictions += st.evictions;
-            acc.spill_file_bytes += st.spill_file_bytes;
-        }
-        acc
-    }
-
-    fn table_bytes(&self) -> usize {
-        self.shards.iter().map(|s| s.arena.table_bytes()).sum()
-    }
-
-    fn split(&self, gid: u32) -> (usize, u32) {
-        let si = (gid & ((1u32 << self.shard_bits) - 1)) as usize;
-        (si, gid >> self.shard_bits)
-    }
-
-    /// Materializes the encoded bytes of `gid` into `out`, faulting
-    /// the page in from spill through the caller's cache if evicted.
+    /// Materializes the encoded bytes of `id` into `out`, faulting the
+    /// page in from spill through the caller's cache if evicted.
     fn bytes_into(
         &self,
-        gid: u32,
+        id: u32,
         cache: &mut PageCache,
         out: &mut Vec<u8>,
     ) -> Result<(), SpillError> {
-        let (si, local) = self.split(gid);
-        self.shards[si].arena.get_into_cached(local, cache, out)
+        self.shard.arena.get_into_cached(id, cache, out)
     }
 
-    fn meta(&self, gid: u32) -> NodeMeta {
-        let (si, local) = self.split(gid);
-        self.shards[si].meta[local as usize]
-    }
-
-    /// Degradation notes accumulated by the shards' arenas (spill
-    /// write failures that forced a fully-resident fallback).
-    fn degraded_notes(&self) -> Vec<String> {
-        self.shards
-            .iter()
-            .filter_map(|s| s.arena.degraded().map(str::to_string))
-            .collect()
-    }
-
-    /// Dense (discovery-order) index of a global id.
-    fn dense(&self, gid: u32) -> usize {
-        if self.dense_of.is_empty() {
-            gid as usize
-        } else {
-            self.dense_of[self.shard_major(gid)] as usize
-        }
-    }
-
-    /// Inverse of [`Store::dense`].
-    fn gid_of_dense(&self, d: usize) -> u32 {
-        if self.gid_of.is_empty() {
-            d as u32
-        } else {
-            self.gid_of[d]
-        }
+    fn meta(&self, id: u32) -> NodeMeta {
+        self.shard.meta[id as usize]
     }
 }
 
@@ -3619,9 +3279,9 @@ fn render_state<S: std::fmt::Debug>(slots: &[Slot], procs: &[(Phase, S)]) -> Str
 /// the stepped actor and the position is (still) `Trying`, and
 /// resetting to zero on any other phase.
 ///
-/// One decode per stored node, in dense (discovery) order — a parent
-/// is always numbered before its children — with O(states · n)
-/// transient memory.
+/// One decode per stored node, in id (discovery) order — a parent is
+/// always numbered before its children — with O(states · n) transient
+/// memory.
 fn max_pending_depth<S: EncodeState>(
     store: &Store,
     group: &[SymElem],
@@ -3636,13 +3296,12 @@ fn max_pending_depth<S: EncodeState>(
     let mut crashes: Vec<u8> = Vec::new();
     let mut node: Vec<u8> = Vec::new();
     let mut cache = PageCache::new();
-    // Dense index 0 is the root, whose depths are all zero.
+    // Id 0 is the root, whose depths are all zero.
     for c in 1..n_states {
-        let gid = store.gid_of_dense(c);
-        let meta = store.meta(gid);
-        let v = store.dense(meta.parent);
+        let meta = store.meta(c as u32);
+        let v = meta.parent as usize;
         debug_assert!(v < c, "discovery order numbers parents first");
-        store.bytes_into(gid, &mut cache, &mut node)?;
+        store.bytes_into(c as u32, &mut cache, &mut node)?;
         decode_node::<S>(&node, m, n, &mut slots, &mut procs, &mut crashes);
         let pi_inv = &group[meta.sigma as usize].pi_inv;
         for j in 0..n {
@@ -4545,6 +4204,20 @@ mod tests {
         assert_eq!(
             cas_pair().max_states(limit).run().unwrap().verdict,
             Verdict::Ok
+        );
+        // One seen set at every worker count: the limit does not move.
+        let par = cas_pair()
+            .threads(3)
+            .oversubscribe(true)
+            .max_states(usize::MAX)
+            .run()
+            .unwrap_err();
+        assert_eq!(
+            par.config(),
+            Some(&ConfigError::MaxStatesTooLarge {
+                max_states: usize::MAX,
+                limit,
+            })
         );
     }
 

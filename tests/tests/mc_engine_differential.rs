@@ -1,8 +1,7 @@
 //! Differential validation of the level engine across worker counts:
-//! one worker (both phases on the calling thread, one seen-set shard)
-//! and 2–4 oversubscribed workers (work-stealing expansion, 64
-//! worker-owned shards) must produce the same report on every automaton
-//! in this workspace.
+//! one worker (both phases on the calling thread) and 2–4
+//! oversubscribed workers (work-stealing expansion) must produce the
+//! same report on every automaton in this workspace.
 //!
 //! The contract under test: the verdict — witness schedule, `scc_states`
 //! and pending set included —, every count, the monitor results and the
@@ -59,7 +58,7 @@ where
             .symmetry(symmetry)
             .threads(threads)
             // The pool is normally clamped to available cores; lift the
-            // clamp so the sharded, work-stealing level genuinely runs
+            // clamp so the multi-worker, work-stealing level genuinely runs
             // even on a single-core test host.
             .oversubscribe(threads > 1)
             .monitor(monitor_for(&writer_collision(), &automata, &perms, false))
@@ -178,7 +177,7 @@ fn livelock_witnesses_and_queries_are_worker_count_independent() {
 
 #[test]
 fn multi_worker_livelock_witness_replays() {
-    // A livelock found by the sharded multi-worker level must carry a
+    // A livelock found by the multi-worker level must carry a
     // valid witness: replaying it concretely is a legal, violation-free
     // execution that completes no workload (it leads into a
     // completion-free component).

@@ -1,21 +1,21 @@
 //! Out-of-core exploration contracts (PR 7).
 //!
-//! Three properties must hold for the spillable, sharded, resumable
-//! engine to be trustworthy:
+//! Three properties must hold for the spillable, multi-worker,
+//! resumable engine to be trustworthy:
 //!
-//! * **Sharded ≡ single-table** — the hash-prefix-sharded seen table
-//!   (multi-worker runs, 64 shards) reports the same verdict, witness
-//!   schedule and counts as the one-worker single-shard table, on
-//!   completing and aborting runs alike, even while a tiny resident
-//!   budget forces page eviction and fault-in mid-exploration.
+//! * **Four workers ≡ one** — a multi-worker run reports the same
+//!   verdict, witness schedule, counts, arena bytes and seen-table bytes
+//!   as the one-worker run, on completing and aborting runs alike, even
+//!   while a tiny resident budget forces page eviction and fault-in
+//!   mid-exploration.
 //! * **Spill transparency** — running under a resident budget changes
-//!   the report only in the spill-accounting fields: within one shard
-//!   layout the spilled report is bit-identical, witness included.
+//!   the report only in the spill-accounting fields: at one worker
+//!   count the spilled report is bit-identical, witness included.
 //! * **Kill/resume equivalence** — a sweep halted at a level-k
 //!   checkpoint and resumed from disk finishes with a report identical
-//!   to the uninterrupted run (counts, verdict, witness schedule), at
-//!   one shard and at 64; a checkpoint of an older format is skipped,
-//!   not misread.
+//!   to the uninterrupted run (counts, verdict, witness schedule),
+//!   whichever worker counts the halted and the resumed run use; a
+//!   checkpoint of an older format is skipped, not misread.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -87,11 +87,12 @@ fn assert_equivalent(a: &McReport, b: &McReport, what: &str) {
     );
 }
 
-/// Sharded-vs-single differential: multi-worker sharded exploration
-/// under a deliberately starved resident budget must match the
-/// one-worker single-shard run, with and without symmetry reduction.
-/// Spill is bit-transparent, and so is the shard layout.
-fn sharded_differential<A, F>(make: F, model: MemoryModel, m: usize, what: &str)
+/// Worker-count differential: four-worker exploration under a
+/// deliberately starved resident budget must match the one-worker run,
+/// with and without symmetry reduction.  Spill is bit-transparent, and
+/// so is the worker count — memory figures included, since every
+/// worker count interns into one seen set in the same order.
+fn worker_count_differential<A, F>(make: F, model: MemoryModel, m: usize, what: &str)
 where
     A: Automaton + Sync + Clone,
     A::State: EncodeState + Send,
@@ -104,7 +105,7 @@ where
                 .max_states(2_000_000)
                 .symmetry(symmetry)
                 .threads(threads)
-                // Lift the single-core clamp so the sharded path
+                // Lift the single-core clamp so the work-stealing path
                 // genuinely runs multi-worker on any test host.
                 .oversubscribe(threads > 1);
             if let Some(bytes) = budget {
@@ -117,15 +118,17 @@ where
         // always keeps at least one resident), so any state space
         // bigger than one page genuinely exercises the spill path.
         let seq_spill = run(1, Some(0));
-        let sharded = run(4, None);
-        let sharded_spill = run(4, Some(0));
+        let par = run(4, None);
+        let par_spill = run(4, Some(0));
         assert_equivalent(&seq, &seq_spill, &format!("{what}/{symmetry:?} seq-spill"));
-        assert_equivalent(
-            &sharded,
-            &sharded_spill,
-            &format!("{what}/{symmetry:?} sharded-spill"),
+        assert_equivalent(&par, &par_spill, &format!("{what}/{symmetry:?} par-spill"));
+        assert_equivalent(&seq, &par, &format!("{what}/{symmetry:?} par"));
+        assert_eq!(
+            (seq.arena_bytes, seq.seen_table_bytes),
+            (par.arena_bytes, par.seen_table_bytes),
+            "{what}/{symmetry:?}: arena and seen-table bytes must not depend \
+             on the worker count"
         );
-        assert_equivalent(&seq, &sharded, &format!("{what}/{symmetry:?} sharded"));
         if seq.canonical_states > 600 {
             assert!(
                 seq_spill.arena_spilled_bytes > 0,
@@ -143,29 +146,29 @@ where
 }
 
 #[test]
-fn sharded_matches_single_on_toys() {
+fn four_workers_match_one_on_toys() {
     let mut pool = PidPool::sequential();
     let peterson = vec![
         PetersonTwo::new(pool.mint(), 0),
         PetersonTwo::new(pool.mint(), 1),
     ];
-    sharded_differential(move || peterson.clone(), MemoryModel::Rw, 3, "peterson");
+    worker_count_differential(move || peterson.clone(), MemoryModel::Rw, 3, "peterson");
     let mut pool = PidPool::sequential();
     let naive: Vec<NaiveFlagLock> = (0..2).map(|_| NaiveFlagLock::new(pool.mint())).collect();
-    sharded_differential(move || naive.clone(), MemoryModel::Rw, 1, "naive-flag");
+    worker_count_differential(move || naive.clone(), MemoryModel::Rw, 1, "naive-flag");
 }
 
 #[test]
-fn sharded_matches_single_on_alg1() {
+fn four_workers_match_one_on_alg1() {
     // (2,3) verifies; (2,2) is invalid and produces a livelock witness.
-    sharded_differential(|| alg1(2, 3), MemoryModel::Rw, 3, "alg1(2,3)");
-    sharded_differential(|| alg1(2, 2), MemoryModel::Rw, 2, "alg1(2,2)");
+    worker_count_differential(|| alg1(2, 3), MemoryModel::Rw, 3, "alg1(2,3)");
+    worker_count_differential(|| alg1(2, 2), MemoryModel::Rw, 2, "alg1(2,2)");
 }
 
 #[test]
-fn sharded_matches_single_on_alg2() {
-    sharded_differential(|| alg2(2, 3), MemoryModel::Rmw, 3, "alg2(2,3)");
-    sharded_differential(|| alg2(3, 1), MemoryModel::Rmw, 1, "alg2(3,1)");
+fn four_workers_match_one_on_alg2() {
+    worker_count_differential(|| alg2(2, 3), MemoryModel::Rmw, 3, "alg2(2,3)");
+    worker_count_differential(|| alg2(3, 1), MemoryModel::Rmw, 1, "alg2(3,1)");
 }
 
 /// Kill-at-level-k / resume equivalence: halting at the first level-k
@@ -173,14 +176,15 @@ fn sharded_matches_single_on_alg2() {
 /// on-disk checkpoint reproduces the uninterrupted one-worker report
 /// exactly — including under a starved resident budget, so the
 /// checkpoint write and the restore both cross the spill machinery.
-/// The halted and resumed runs use `threads` workers (oversubscribed,
-/// so more than one means 64 shards on any host).
+/// The halted run uses `threads.0` workers and the resumed run
+/// `threads.1` (oversubscribed, so more than one runs the work-stealing
+/// level on any host): a checkpoint resumes at any worker count.
 fn kill_resume_roundtrip<A, F>(
     make: F,
     model: MemoryModel,
     m: usize,
     every: u32,
-    threads: usize,
+    threads: (usize, usize),
     what: &str,
 ) where
     A: Automaton + Sync + Clone,
@@ -188,7 +192,7 @@ fn kill_resume_roundtrip<A, F>(
     F: Fn() -> Vec<A>,
 {
     let dir = TempDir::new("resume");
-    let configure = |mc: ModelChecker<A>| {
+    let configure = |mc: ModelChecker<A>, threads: usize| {
         mc.max_states(2_000_000)
             .symmetry(Symmetry::Wreath)
             .threads(threads)
@@ -204,11 +208,13 @@ fn kill_resume_roundtrip<A, F>(
         .run()
         .unwrap();
 
-    let halted =
-        configure(ModelChecker::with_automata(make(), model, m, &Adversary::Identity).unwrap())
-            .halt_after_checkpoints(1)
-            .run()
-            .unwrap();
+    let halted = configure(
+        ModelChecker::with_automata(make(), model, m, &Adversary::Identity).unwrap(),
+        threads.0,
+    )
+    .halt_after_checkpoints(1)
+    .run()
+    .unwrap();
     let Verdict::Interrupted { level, checkpoints } = halted.verdict else {
         panic!("{what}: expected an interruption, got {:?}", halted.verdict);
     };
@@ -227,11 +233,13 @@ fn kill_resume_roundtrip<A, F>(
         "{what}: the level-{level} checkpoint file must exist after the halt"
     );
 
-    let resumed =
-        configure(ModelChecker::with_automata(make(), model, m, &Adversary::Identity).unwrap())
-            .resume(true)
-            .run()
-            .unwrap();
+    let resumed = configure(
+        ModelChecker::with_automata(make(), model, m, &Adversary::Identity).unwrap(),
+        threads.1,
+    )
+    .resume(true)
+    .run()
+    .unwrap();
     assert_eq!(
         resumed.resumed_from_level,
         Some(level),
@@ -261,27 +269,30 @@ fn kill_and_resume_alg1_livelock() {
     // Invalid configuration: the resumed run must still converge on the
     // same fair-livelock witness schedule, from the edge rows the
     // checkpoint carried plus the ones it recorded after resuming.
-    kill_resume_roundtrip(|| alg1(2, 2), MemoryModel::Rw, 2, 3, 1, "alg1(2,2)");
+    kill_resume_roundtrip(|| alg1(2, 2), MemoryModel::Rw, 2, 3, (1, 1), "alg1(2,2)");
 }
 
 #[test]
-fn kill_and_resume_alg1_livelock_on_64_shards() {
-    // Three workers, 64 shards: checkpointed edge targets are global
-    // ids, renumbered to discovery order only after exploration.
-    kill_resume_roundtrip(|| alg1(2, 2), MemoryModel::Rw, 2, 3, 3, "alg1(2,2) x3");
+fn kill_and_resume_alg1_livelock_across_worker_counts() {
+    // Every worker count numbers states in discovery order, so a
+    // checkpoint written at one resumes at another.
+    for threads in [(1, 3), (3, 1)] {
+        let what = format!("alg1(2,2) {threads:?}");
+        kill_resume_roundtrip(|| alg1(2, 2), MemoryModel::Rw, 2, 3, threads, &what);
+    }
 }
 
 #[test]
 fn kill_and_resume_alg2_verifies() {
-    kill_resume_roundtrip(|| alg2(2, 3), MemoryModel::Rmw, 3, 4, 1, "alg2(2,3)");
+    kill_resume_roundtrip(|| alg2(2, 3), MemoryModel::Rmw, 3, 4, (1, 1), "alg2(2,3)");
 }
 
-/// A checkpoint carrying the previous format's magic (`AMXCKPT1`, from
-/// before checkpoints held edge rows) is skipped with a degraded note,
-/// and the run starts over to the uninterrupted report.
+/// A checkpoint carrying the previous format's magic (`AMXCKPT2`, from
+/// before one seen set served every worker count) is skipped with a
+/// degraded note, and the run starts over to the uninterrupted report.
 #[test]
 fn previous_format_checkpoint_is_skipped() {
-    let dir = TempDir::new("v1");
+    let dir = TempDir::new("v2");
     let checker = || {
         ModelChecker::with_automata(alg1(2, 2), MemoryModel::Rw, 2, &Adversary::Identity)
             .unwrap()
@@ -302,10 +313,10 @@ fn previous_format_checkpoint_is_skipped() {
     let mut bytes = std::fs::read(&path).unwrap();
     assert_eq!(
         &bytes[..8],
-        b"AMXCKPT2",
+        b"AMXCKPT3",
         "checkpoints are written in the current format"
     );
-    bytes[..8].copy_from_slice(b"AMXCKPT1");
+    bytes[..8].copy_from_slice(b"AMXCKPT2");
     std::fs::write(&path, &bytes).unwrap();
 
     let resumed = checker()
@@ -329,7 +340,7 @@ fn previous_format_checkpoint_is_skipped() {
     assert_equivalent(
         &baseline,
         &resumed,
-        "alg1(2,2) after a skipped AMXCKPT1 file",
+        "alg1(2,2) after a skipped AMXCKPT2 file",
     );
 }
 

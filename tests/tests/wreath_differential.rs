@@ -3,7 +3,7 @@
 //!
 //! Three engine runs must agree on every automaton in this workspace:
 //! exhaustive (`Symmetry::Off`), wreath-reduced (`Symmetry::Wreath`)
-//! with one worker, and wreath-reduced on the sharded multi-worker
+//! with one worker, and wreath-reduced on the multi-worker
 //! level.  On top of verdict equivalence and exact orbit accounting we
 //! check that the two wreath runs are identical (witnesses included) and
 //! never store more than the exhaustive one — and, on rotation/ring
@@ -46,7 +46,7 @@ where
     };
     let full = run(Symmetry::Off, 1);
     let wreath = run(Symmetry::Wreath, 1);
-    let sharded = run(Symmetry::Wreath, 3);
+    let par = run(Symmetry::Wreath, 3);
     assert_eq!(
         std::mem::discriminant(&full.verdict),
         std::mem::discriminant(&wreath.verdict),
@@ -61,11 +61,11 @@ where
         );
     }
     assert_eq!(
-        wreath.verdict, sharded.verdict,
+        wreath.verdict, par.verdict,
         "worker count changed the verdict"
     );
-    assert_eq!(wreath.canonical_states, sharded.canonical_states);
-    assert_eq!(wreath.transitions, sharded.transitions);
+    assert_eq!(wreath.canonical_states, par.canonical_states);
+    assert_eq!(wreath.transitions, par.transitions);
     assert!(
         wreath.canonical_states <= full.canonical_states,
         "the reduction must never store more: wreath {} vs full {}",
