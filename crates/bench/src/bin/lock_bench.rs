@@ -28,10 +28,13 @@
 //!   --backoff NAME   contention backoff policy every participant uses:
 //!                    spin | spin-yield | spin-yield-park (default
 //!                    spin-yield, the runtime default)
-//!   --baseline PATH  regression gate: fail if this run's wall time
-//!                    exceeds 3× the `total_wall_ms` recorded in PATH
-//!                    (same budget rule as `mc_sweep --baseline`), or if
-//!                    a point recorded there is missing here
+//!   --baseline PATH  regression gates against a report of the same
+//!                    grid (`smoke` flag): fail if a point PATH measured
+//!                    is missing here, or if this run's wall time exceeds
+//!                    3× PATH's `total_wall_ms` (the budget rule
+//!                    `mc_sweep --baseline` shares)
+//!
+//! An unknown flag, or a missing or malformed value, exits with code 2.
 //!
 //! Families cap out where their register budget does: the anonymous
 //! algorithms need a valid `m ∈ M(n)` within the 64-register cap
@@ -44,6 +47,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use amx_baselines::{BurnsStepLock, PetersonTreeLock, TasStepLock};
+use amx_bench::{flag_value, json_number, json_string, Baseline};
 use amx_core::lock::AmxLock;
 use amx_core::spec::Model;
 use amx_core::{Backoff, MutexSpec, RmwAnonLock, RwAnonLock};
@@ -57,59 +61,48 @@ const FAMILIES: [&str; 5] = ["alg1", "alg2", "tas", "burns-lynch", "peterson"];
 const SMOKE_THREADS: [usize; 2] = [2, 4];
 const FULL_THREADS: [usize; 6] = [2, 4, 8, 16, 32, 64];
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Options {
     smoke: bool,
     ops: u64,
     out: String,
-    baseline: Option<String>,
+    baseline: Option<Baseline>,
     backoff: Backoff,
 }
 
-fn parse_args() -> Options {
+fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, String> {
     let mut smoke = false;
     let mut ops = None;
     let mut out = "BENCH_lock.json".to_string();
     let mut baseline = None;
     let mut backoff = Backoff::default();
-    let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--smoke" => smoke = true,
-            "--ops" => {
-                ops = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--ops needs a number"),
-                );
-            }
-            "--out" => out = args.next().expect("--out needs a path"),
-            "--baseline" => baseline = Some(args.next().expect("--baseline needs a path")),
+            "--ops" => ops = Some(flag_value(&arg, args.next())?),
+            "--out" => out = flag_value(&arg, args.next())?,
+            "--baseline" => baseline = Some(Baseline::read(flag_value(&arg, args.next())?)?),
             "--backoff" => {
-                let name = args.next().expect("--backoff needs a policy name");
+                let name: String = flag_value(&arg, args.next())?;
                 backoff = Backoff::all()
                     .into_iter()
                     .find(|b| b.name() == name)
-                    .unwrap_or_else(|| {
-                        eprintln!(
+                    .ok_or_else(|| {
+                        format!(
                             "unknown backoff policy: {name} (spin | spin-yield | spin-yield-park)"
-                        );
-                        std::process::exit(2);
-                    });
+                        )
+                    })?;
             }
-            other => {
-                eprintln!("unknown flag: {other}");
-                std::process::exit(2);
-            }
+            other => return Err(format!("unknown flag: {other}")),
         }
     }
-    Options {
+    Ok(Options {
         smoke,
         ops: ops.unwrap_or(if smoke { 150 } else { 200 }),
         out,
         baseline,
         backoff,
-    }
+    })
 }
 
 /// Builds the lock object for `family` at `threads` processes, or
@@ -379,51 +372,22 @@ fn render_json(points: &[Point], skipped: &[(String, usize, String)], opts: &Opt
     )
 }
 
-/// Pulls `"total_wall_ms": <number>` out of a previously written report
-/// (hand-rolled like the writer: the workspace takes no serde dep).
-fn extract_total_wall_ms(json: &str) -> Option<f64> {
-    let key = "\"total_wall_ms\": ";
-    let at = json.find(key)? + key.len();
-    let rest = &json[at..];
-    let end = rest
-        .find(|c: char| c != '.' && !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Pulls the `(family, threads)` identity of every point line out of a
-/// previously written report.
+/// The `(family, threads)` identity of every measured point of a
+/// previously written report (the `skipped` entries carry no `model`).
 fn extract_point_keys(json: &str) -> Vec<(String, usize)> {
-    let mut keys = Vec::new();
-    for line in json.lines() {
-        let line = line.trim_start();
-        let Some(rest) = line.strip_prefix("{\"family\": \"") else {
-            continue;
-        };
-        let Some(quote) = rest.find('"') else {
-            continue;
-        };
-        let family = rest[..quote].to_string();
-        let Some(at) = rest.find("\"threads\": ") else {
-            continue;
-        };
-        let tail = &rest[at + "\"threads\": ".len()..];
-        let end = tail
-            .find(|c: char| !c.is_ascii_digit())
-            .unwrap_or(tail.len());
-        if let Ok(threads) = tail[..end].parse() {
-            keys.push((family, threads));
-        }
-    }
-    keys
+    json.lines()
+        .filter(|line| json_string(line, "model").is_some())
+        .filter_map(|line| {
+            let family = json_string(line, "family")?.to_string();
+            Some((family, json_number(line, "threads")?))
+        })
+        .collect()
 }
 
 fn main() {
-    let opts = parse_args();
-    // Read the baseline up front: the gate may compare against the very
-    // file this run overwrites.
-    let baseline_text = opts.baseline.as_ref().map(|path| {
-        std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read baseline {path}: {e}"))
+    let opts = parse_args(std::env::args().skip(1)).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
     });
 
     let thread_counts: &[usize] = if opts.smoke {
@@ -493,28 +457,23 @@ fn main() {
         skipped.len()
     );
 
-    // Perf-regression gate, mirroring `mc_sweep --baseline`: a recorded
-    // report of the same grid shape grants 3× its wall time.
-    if let Some(text) = baseline_text {
-        let path = opts.baseline.as_deref().unwrap_or_default();
-        let baseline_smoke = text.contains("\"smoke\": true");
-        if baseline_smoke != opts.smoke {
-            println!(
-                "skipping perf budget: baseline {path} records a different grid \
-                 (smoke {baseline_smoke} vs this run's smoke {})",
-                opts.smoke
-            );
+    // Coverage and wall-time gates against a recorded report of the
+    // same grid.
+    if let Some(base) = &opts.baseline {
+        if let Some(why) = base.grid_differs(&[("smoke", opts.smoke)]) {
+            println!("skipping coverage and perf gates: {why}");
             return;
         }
         let mut failed = false;
-        for (family, threads) in extract_point_keys(&text) {
+        for (family, threads) in extract_point_keys(&base.text) {
             let here = points
                 .iter()
                 .any(|p| p.family == family && p.threads == threads);
             if !here {
                 eprintln!(
-                    "coverage regression: baseline {path} measured {family} at {threads} \
-                     threads, this run skipped it"
+                    "coverage regression: baseline {} measured {family} at {threads} \
+                     threads, this run skipped it",
+                    base.path
                 );
                 failed = true;
             }
@@ -522,15 +481,27 @@ fn main() {
         if failed {
             std::process::exit(1);
         }
-        let budget_ms = 3.0 * extract_total_wall_ms(&text).expect("baseline lacks total_wall_ms");
         let actual_ms: f64 = points.iter().map(|p| p.wall_secs * 1e3).sum();
-        if actual_ms > budget_ms {
-            eprintln!(
-                "perf regression: contention grid took {actual_ms:.0} ms > budget \
-                 {budget_ms:.0} ms (3× baseline {path})"
-            );
-            std::process::exit(1);
+        match base.wall_budget(actual_ms) {
+            Ok(line) => println!("{line}"),
+            Err(e) => {
+                eprintln!("{e}");
+                std::process::exit(1);
+            }
         }
-        println!("within perf budget: {actual_ms:.0} ms ≤ {budget_ms:.0} ms (3× baseline)");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn point_keys_are_the_measured_points_only() {
+        let keys = extract_point_keys(include_str!("../../../../BENCH_lock.json"));
+        assert_eq!(keys.len(), 10);
+        assert_eq!(keys[0], ("alg1".to_string(), 2));
+        let skipped = r#"    {"family": "peterson", "threads": 32, "reason": "register cap"}"#;
+        assert!(extract_point_keys(skipped).is_empty());
     }
 }

@@ -20,18 +20,17 @@
 //! Run: `cargo run --release -p amx-bench --bin mc_sweep -- [options]`
 //!
 //! Options:
-//!   --smoke          small CI grid (also capped max-states)
+//!   --smoke          small CI grid
 //!   --deep           add the deep + n = 4 frontier points to a smoke run
 //!   --threads N      worker-thread cap (default 1; the engine clamps
 //!                    to available cores)
-//!   --max-states N   canonical-state bound per point
 //!   --crashes K      add the crash-survival points: each algorithm's
 //!                    (3, m) configuration re-checked with a total
 //!                    crash budget of K under both crash modes
-//!                    (wipe-registers and stale-claims; the full grid
-//!                    adds the alg1 (4, 5) frontier under crashes).
-//!                    The verdicts land in the JSON and are gated
-//!                    exactly by --baseline
+//!                    (wipe-registers and stale-claims; the full and
+//!                    deep grids add the alg1 (4, 5) frontier under
+//!                    wipe-registers).  The verdicts land in the JSON
+//!                    and are gated exactly by --baseline
 //!   --out PATH       where to write the JSON report (default BENCH_mc.json)
 //!   --no-progress    disable the throttled live-progress lines on stderr
 //!   --property NAME  (repeatable) attach the named `amx-props` built-in
@@ -44,17 +43,8 @@
 //!                    report whether it holds somewhere/everywhere
 //!                    inside the livelock component (with a concrete
 //!                    witness schedule when somewhere)
-//!   --baseline PATH  regression gates: fail if this sweep's wall time
-//!                    exceeds 3× the `total_wall_ms` recorded in PATH,
-//!                    if `canonical_states`, `full_states`,
-//!                    `transitions` or `max_pending_depth` differs on
-//!                    any point of PATH this sweep also ran (all four
-//!                    are deterministic at every worker count, so any
-//!                    change is a regression — a weaker symmetry group,
-//!                    a wrong orbit count, a lost edge), or if any
-//!                    recorded property/SCC-query outcome changed on a
-//!                    grid-matched point (property regression); every
-//!                    gate but the wall time is exact, with no slack
+//!   --baseline PATH  gate this sweep against the report at PATH (see
+//!                    "Gates" below)
 //!
 //! Out-of-core / resumability options (see the `amx-sim` crate docs):
 //!   --resident-budget BYTES  cap the resident arena bytes per point;
@@ -72,6 +62,32 @@
 //!                    then exits with code 86 so CI can rerun it with
 //!                    `--resume` and assert bit-identical counts
 //!
+//! An unknown option, or a missing or malformed value, exits with code 2
+//! and a message naming the option.
+//!
+//! **The grid** is one table, [`GRID`], in report order.  A row names
+//! the grids that carry it (both, the full grid only, or the full grid
+//! plus `--smoke --deep`), its report section, the algorithm, `n` and
+//! `m`, its adversaries (every orbit or the first k, identity,
+//! rotations, the 3-cycle ring, or a crash mode) and the lowest
+//! canonical-state bound it needs.  A point's bound is the higher of
+//! that and the grid's: 500,000 on the smoke grid, 4,000,000 on the full
+//! grid.  One loop runs, records and prints every point.
+//!
+//! **Gates** (`--baseline PATH`), exact with no slack, on every point
+//! both this sweep and PATH hold: the verdict, `canonical_states`,
+//! `full_states`, `transitions` and `max_pending_depth`, and each
+//! property hit count and SCC-query answer recorded in both reports.
+//! All of them are deterministic at every worker count, so any change
+//! is a regression (a weaker symmetry group, a wrong orbit count, a
+//! lost edge, a crash-survival flip).  Two gates depend on which points
+//! the grid holds, so they run only when PATH records the same grid
+//! (its `smoke` and `deep` flags): coverage — every point of PATH must
+//! be in this sweep, crash points only when it passes `--crashes` —
+//! and the wall budget — the summed wall time may be at most 3× PATH's
+//! `total_wall_ms`.  A failed gate names the point and the field and
+//! exits with code 1.
+//!
 //! The JSON report (`BENCH_mc.json`) carries the perf trajectory the CI
 //! bench-smoke job tracks: aggregate states/second, the
 //! canonical-vs-full compression ratio, compressed-arena and seen-table
@@ -80,7 +96,7 @@
 //! verification, per-process `max_pending_depth` (longest observed
 //! wait), property-monitor hit counts and SCC-query answers.  The
 //! committed `BENCH_baseline.json` is the recorded smoke baseline the
-//! CI budget compares against.
+//! CI gates compare against.
 //!
 //! Grid notes: both grids carry the n = 4 point alg2 (4, 1); the full
 //! grid adds alg2 (5, 1) — the first n = 5 datapoint — and the alg1
@@ -98,307 +114,360 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use amx_baselines::automaton::{BurnsLynchAutomaton, PetersonTwoAutomaton, TasAutomaton};
+use amx_bench::{flag_value, json_number, json_string, Baseline, ByteCount};
 use amx_core::{Alg1Automaton, Alg2Automaton, MutexSpec};
 use amx_ids::PidPool;
-use amx_numth::{is_valid_m, smallest_valid_m};
+use amx_numth::is_valid_m;
 use amx_props::obs::Observe;
 use amx_props::predicate::{by_name, StatePredicate};
 use amx_props::property::{monitor_for, scc_query_for};
 use amx_registers::orbit::adversary_orbits;
-use amx_registers::Adversary;
+use amx_registers::{Adversary, Permutation};
 use amx_sim::mc::{
     CrashBudget, CrashMode, McError, McProgress, McReport, ModelChecker, Symmetry, Verdict,
 };
-use amx_sim::{EncodeState, MemoryModel};
+use amx_sim::EncodeState;
+use amx_sim::MemoryModel::{self, Rmw, Rw};
 
+/// Which grids carry a table row.
 #[derive(Debug, Clone, Copy)]
-struct Options {
+enum Grids {
+    /// The smoke grid and the full grid.
+    Both,
+    /// The full grid only.
+    Full,
+    /// The full grid, and the smoke grid with `--deep`.
+    Deep,
+}
+
+/// The adversaries a table row runs under.
+#[derive(Debug, Clone, Copy)]
+enum Adv {
+    /// One representative per adversary orbit.
+    AllOrbits,
+    /// The first k orbit representatives.
+    FirstOrbits(usize),
+    Identity,
+    /// `Adversary::Rotations { stride: 1 }`.
+    Rotations,
+    /// The 3-cycle ring (id, c, c²), c = (0 1 2), embedded in `m`
+    /// registers.
+    Ring3,
+    /// The identity adversary with `--crashes K` crashes of this mode;
+    /// the row runs only with `--crashes`.
+    Crash(CrashMode),
+}
+
+impl Adv {
+    /// The adversary family tag of the report and the point keys.
+    fn tag(self) -> &'static str {
+        match self {
+            Adv::AllOrbits | Adv::FirstOrbits(_) => "orbit",
+            Adv::Identity => "identity",
+            Adv::Rotations | Adv::Ring3 => "ring",
+            Adv::Crash(CrashMode::WipeRegisters) => "crash-wipe",
+            Adv::Crash(CrashMode::StaleClaims) => "crash-stale",
+        }
+    }
+}
+
+/// One row of [`GRID`].
+#[derive(Debug)]
+struct Row {
+    grids: Grids,
+    /// The report section: its header prints when the section changes
+    /// (an empty one prints nothing).  `{k}` stands for the crash budget.
+    section: &'static str,
+    /// Algorithm tag: `"1"`, `"2"`, or a model-checked baseline
+    /// (`"tas"`, `"burns"`, `"peterson"`).
+    alg: &'static str,
+    n: usize,
+    m: usize,
+    adv: Adv,
+    /// The lowest canonical-state bound the row needs.
+    bound: usize,
+}
+
+impl Row {
+    /// Whether `m ∈ M(n)`.  The baselines are not anonymous, so their
+    /// register count is always valid.
+    fn valid_m(&self) -> bool {
+        !matches!(self.alg, "1" | "2") || is_valid_m(self.m as u64, self.n as u64)
+    }
+}
+
+const fn row(
+    grids: Grids,
+    section: &'static str,
+    alg: &'static str,
+    n: usize,
+    m: usize,
+    adv: Adv,
+    bound: usize,
+) -> Row {
+    Row {
+        grids,
+        section,
+        alg,
+        n,
+        m,
+        adv,
+        bound,
+    }
+}
+
+const CONTROL: &str = "  (invalid-m control: first 3 of 17 orbits at alg1 n=2 m=4)";
+const BASELINES: &str = "\nnon-anonymous baselines (model-checked):";
+const RINGS: &str = "\nrotation/ring orbits (wreath-reduction showcases):";
+const CRASHES: &str = "\ncrash-survival points (total crash budget {k}):";
+const FRONTIER: &str = "\nn = 4 frontier point (122M concrete states):";
+const DEEP: &str = "\nDeep point (concrete space beyond the old 2M default bound):";
+
+use Adv::{AllOrbits, Crash, FirstOrbits, Identity, Ring3, Rotations};
+use CrashMode::{StaleClaims, WipeRegisters};
+use Grids::{Both, Deep, Full};
+
+/// The sweep grid, in report order.  Columns: grids, section,
+/// algorithm, n, m, adversaries, lowest state bound.
+const GRID: &[Row] = &[
+    // Algorithm 1 (RW): its smallest valid configurations, across every
+    // adversary orbit.
+    row(Both, "", "1", 2, 3, AllOrbits, 0),
+    row(Full, "", "1", 2, 5, AllOrbits, 0),
+    // Invalid control: gcd(2, 4) = 2, so every orbit must livelock.  It
+    // is a control point, not the sweep target, so 3 of its 17 orbits
+    // run.
+    row(Both, CONTROL, "1", 2, 4, FirstOrbits(3), 0),
+    // Algorithm 2 (RMW) across orbits: the degenerate m = 1, the
+    // smallest nontrivial valid m (3), an invalid control (2), and more
+    // processes on one register.  (4, 1) is small enough for the smoke
+    // grid; (5, 1) is the first n = 5 datapoint.
+    row(Both, "", "2", 2, 1, AllOrbits, 0),
+    row(Both, "", "2", 2, 3, AllOrbits, 0),
+    row(Both, "", "2", 2, 2, AllOrbits, 0),
+    row(Full, "", "2", 2, 5, AllOrbits, 0),
+    row(Full, "", "2", 3, 1, AllOrbits, 0),
+    row(Both, "", "2", 4, 1, AllOrbits, 0),
+    row(Full, "", "2", 5, 1, AllOrbits, 0),
+    // The non-anonymous comparators, all expected Ok: TAS, Burns–Lynch
+    // (the m ≥ n lower-bound-matching RW lock) and 2-process Peterson.
+    // They finish in milliseconds, so both grids machine-check mutual
+    // exclusion for every comparator the bench tables quote.
+    row(Both, BASELINES, "tas", 2, 1, Identity, 0),
+    row(Both, BASELINES, "tas", 3, 1, Identity, 0),
+    row(Both, BASELINES, "burns", 2, 2, Identity, 0),
+    row(Both, BASELINES, "burns", 3, 3, Identity, 0),
+    row(Both, BASELINES, "peterson", 2, 3, Identity, 0),
+    // Orbits whose permutations are pairwise distinct, so a process-only
+    // reduction stores every concrete state while the wreath group is
+    // the cyclic Z_3 "shift processes ∘ rotate registers".  (3, 3) is
+    // outside M(3) (expected livelock) for both algorithms; 5 ∈ M(3).
+    row(Both, RINGS, "1", 3, 3, Rotations, 0),
+    row(Both, RINGS, "2", 3, 3, Rotations, 0),
+    row(Both, RINGS, "1", 3, 5, Ring3, 2_000_000),
+    // Budget anchor: a mid-six-figure canonical space that takes long
+    // enough (~1 s) for the 3× wall budget to measure engine
+    // regressions above scheduler noise; the rest of the smoke grid
+    // finishes in milliseconds.
+    row(Both, RINGS, "1", 3, 5, Identity, 2_000_000),
+    // Crash-survival points: does deadlock-freedom survive an adversary
+    // that may crash up to K mid-invocation processes?  A crashed
+    // process reboots with no local memory; under WipeRegisters its
+    // claims evaporate with it, under StaleClaims they linger — the
+    // paper-relevant question for anonymous memory, where a rebooted
+    // process cannot remember which registers it owned.  The verdicts
+    // are the measurement, gated exactly against the baseline.
+    row(Both, CRASHES, "1", 3, 5, Crash(WipeRegisters), 2_000_000),
+    row(Both, CRASHES, "2", 3, 1, Crash(WipeRegisters), 2_000_000),
+    row(Both, CRASHES, "1", 3, 5, Crash(StaleClaims), 2_000_000),
+    row(Both, CRASHES, "2", 3, 1, Crash(StaleClaims), 2_000_000),
+    // The crash-free (4, 5) point is already 5.2M canonical states and
+    // crash counts multiply that; a bound overflow here is reported,
+    // not fatal.
+    row(Deep, CRASHES, "1", 4, 5, Crash(WipeRegisters), 32_000_000),
+    // Algorithm 1 at its smallest valid 4-process RW configuration:
+    // 5.2M canonical / 122M concrete states, minutes rather than
+    // seconds.
+    row(Deep, FRONTIER, "1", 4, 5, Identity, 8_000_000),
+    // The smallest valid 3-process RMW configuration: ~18.2M concrete
+    // states, 9× past the old engine's default 2,000,000-state bound
+    // (the seed test suite gave up on it); the reduction stores ~3.0M.
+    row(Deep, DEEP, "2", 3, 5, Identity, 8_000_000),
+];
+
+/// The command line (see the module docs).
+#[derive(Debug)]
+struct Cli {
     smoke: bool,
     deep: bool,
     threads: usize,
-    max_states: usize,
     progress: bool,
-    /// `--crashes k`: adds the crash-survival points (each algorithm's
-    /// `(3, m)` configuration under both [`CrashMode`]s with a total
-    /// crash budget of `k`) to the grid.
+    /// `--crashes K`: adds the crash-survival rows with a total crash
+    /// budget of K.
     crashes: Option<u8>,
-}
-
-/// Predicates attached to every grid point, parsed from `--property`
-/// (reachability monitors) and `--scc-query` (SCC-interior queries).
-#[derive(Debug, Default)]
-struct Props {
+    /// `--property`: reachability monitors on every point.
     monitors: Vec<StatePredicate>,
+    /// `--scc-query`: queries over every livelock component.
     queries: Vec<StatePredicate>,
-}
-
-/// Out-of-core / resumability configuration applied to every grid
-/// point (`--resident-budget`, `--spill-dir`, `--checkpoint-dir`,
-/// `--checkpoint-every`, `--resume`, `--halt-after-checkpoints`).
-#[derive(Debug)]
-struct OutOfCore {
     resident_budget: Option<usize>,
     spill_dir: Option<String>,
     checkpoint_dir: Option<String>,
     checkpoint_every: u32,
     resume: bool,
     halt_after_checkpoints: Option<u32>,
+    out: String,
+    baseline: Option<Baseline>,
 }
 
-impl OutOfCore {
-    fn inactive() -> Self {
-        OutOfCore {
-            resident_budget: None,
-            spill_dir: None,
-            checkpoint_dir: None,
-            checkpoint_every: 1,
-            resume: false,
-            halt_after_checkpoints: None,
+impl Cli {
+    /// The canonical-state bound of a point whose row needs no more.
+    fn max_states(&self) -> usize {
+        if self.smoke {
+            500_000
+        } else {
+            4_000_000
         }
     }
 }
 
-/// Parses a byte count with an optional binary `k`/`m`/`g` suffix
-/// (`64m` → 64 MiB); a bare number is bytes.
-fn parse_bytes(s: &str) -> usize {
-    let (digits, mult) = match s.trim().to_ascii_lowercase() {
-        ref t if t.ends_with('k') => (t[..t.len() - 1].to_string(), 1usize << 10),
-        ref t if t.ends_with('m') => (t[..t.len() - 1].to_string(), 1usize << 20),
-        ref t if t.ends_with('g') => (t[..t.len() - 1].to_string(), 1usize << 30),
-        t => (t, 1),
-    };
-    let n: usize = digits
-        .parse()
-        .unwrap_or_else(|_| panic!("bad byte count {s:?} (want e.g. 64m, 512k, 1g, or bytes)"));
-    n * mult
-}
-
-#[derive(Debug)]
-struct CliArgs {
-    opts: Options,
-    props: Props,
-    ooc: OutOfCore,
-    out_path: String,
-    baseline: Option<String>,
-}
-
-fn parse_args() -> CliArgs {
-    let mut opts = Options {
+fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Cli, String> {
+    let mut cli = Cli {
         smoke: false,
         deep: false,
         threads: 1,
-        max_states: 4_000_000,
         progress: true,
         crashes: None,
+        monitors: Vec::new(),
+        queries: Vec::new(),
+        resident_budget: None,
+        spill_dir: None,
+        checkpoint_dir: None,
+        checkpoint_every: 1,
+        resume: false,
+        halt_after_checkpoints: None,
+        out: "BENCH_mc.json".to_string(),
+        baseline: None,
     };
-    let mut props = Props::default();
-    let mut ooc = OutOfCore::inactive();
-    let mut out_path = "BENCH_mc.json".to_string();
-    let mut baseline = None;
-    let resolve = |name: &str| {
-        by_name(name).unwrap_or_else(|| {
-            eprintln!("unknown predicate {name}; see amx_props::predicate::by_name");
-            std::process::exit(2);
-        })
+    let predicate = |flag: &str, value: Option<String>| {
+        let name: String = flag_value(flag, value)?;
+        by_name(&name)
+            .ok_or_else(|| format!("unknown predicate {name}; see amx_props::predicate::by_name"))
     };
-    let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--smoke" => opts.smoke = true,
-            "--deep" => opts.deep = true,
-            "--no-progress" => opts.progress = false,
-            "--threads" => {
-                let v = args.next().expect("--threads needs a value");
-                opts.threads = v.parse().expect("--threads needs an integer");
-            }
-            "--max-states" => {
-                let v = args.next().expect("--max-states needs a value");
-                opts.max_states = v.parse().expect("--max-states needs an integer");
-            }
-            "--crashes" => {
-                let v = args.next().expect("--crashes needs a value");
-                opts.crashes = Some(v.parse().expect("--crashes needs a small integer"));
-            }
-            "--property" => {
-                let name = args.next().expect("--property needs a predicate name");
-                props.monitors.push(resolve(&name));
-            }
-            "--scc-query" => {
-                let name = args.next().expect("--scc-query needs a predicate name");
-                props.queries.push(resolve(&name));
-            }
-            "--out" => out_path = args.next().expect("--out needs a path"),
-            "--baseline" => baseline = Some(args.next().expect("--baseline needs a path")),
+            "--smoke" => cli.smoke = true,
+            "--deep" => cli.deep = true,
+            "--no-progress" => cli.progress = false,
+            "--threads" => cli.threads = flag_value(&arg, args.next())?,
+            "--crashes" => cli.crashes = Some(flag_value(&arg, args.next())?),
+            "--property" => cli.monitors.push(predicate(&arg, args.next())?),
+            "--scc-query" => cli.queries.push(predicate(&arg, args.next())?),
+            "--out" => cli.out = flag_value(&arg, args.next())?,
+            "--baseline" => cli.baseline = Some(Baseline::read(flag_value(&arg, args.next())?)?),
             "--resident-budget" => {
-                let v = args.next().expect("--resident-budget needs a byte count");
-                ooc.resident_budget = Some(parse_bytes(&v));
+                cli.resident_budget = Some(flag_value::<ByteCount>(&arg, args.next())?.0);
             }
-            "--spill-dir" => ooc.spill_dir = Some(args.next().expect("--spill-dir needs a path")),
-            "--checkpoint-dir" => {
-                ooc.checkpoint_dir = Some(args.next().expect("--checkpoint-dir needs a path"));
-            }
-            "--checkpoint-every" => {
-                let v = args.next().expect("--checkpoint-every needs a value");
-                ooc.checkpoint_every = v.parse().expect("--checkpoint-every needs an integer");
-            }
-            "--resume" => ooc.resume = true,
+            "--spill-dir" => cli.spill_dir = Some(flag_value(&arg, args.next())?),
+            "--checkpoint-dir" => cli.checkpoint_dir = Some(flag_value(&arg, args.next())?),
+            "--checkpoint-every" => cli.checkpoint_every = flag_value(&arg, args.next())?,
+            "--resume" => cli.resume = true,
             "--halt-after-checkpoints" => {
-                let v = args.next().expect("--halt-after-checkpoints needs a value");
-                ooc.halt_after_checkpoints = Some(
-                    v.parse()
-                        .expect("--halt-after-checkpoints needs an integer"),
-                );
+                cli.halt_after_checkpoints = Some(flag_value(&arg, args.next())?);
             }
-            other => {
-                eprintln!("unknown option {other}; see the crate docs");
-                std::process::exit(2);
-            }
+            other => return Err(format!("unknown option {other}; see the crate docs")),
         }
     }
-    if opts.smoke {
-        opts.max_states = opts.max_states.min(500_000);
+    Ok(cli)
+}
+
+/// The points `cli` selects, in report order: every carried row at each
+/// of its adversaries, numbered from 0 (the orbit index).
+fn grid(cli: &Cli) -> Vec<(&'static Row, usize, Adversary)> {
+    let mut points = Vec::new();
+    for row in GRID {
+        let carried = match row.grids {
+            Both => true,
+            Full => !cli.smoke,
+            Deep => !cli.smoke || cli.deep,
+        };
+        if !carried || (matches!(row.adv, Crash(_)) && cli.crashes.is_none()) {
+            continue;
+        }
+        let adversaries = match row.adv {
+            AllOrbits => adversary_orbits(row.n, row.m),
+            FirstOrbits(k) => adversary_orbits(row.n, row.m).into_iter().take(k).collect(),
+            Identity | Crash(_) => vec![Adversary::Identity],
+            Rotations => vec![Adversary::Rotations { stride: 1 }],
+            Ring3 => {
+                let forward = (0..row.m).map(|i| if i < 3 { (i + 1) % 3 } else { i });
+                let c = Permutation::from_forward(forward.collect()).expect("a 3-cycle");
+                let ring = vec![Permutation::identity(row.m), c.clone(), c.compose(&c)];
+                vec![Adversary::Explicit(ring)]
+            }
+        };
+        for (orbit, adversary) in adversaries.into_iter().enumerate() {
+            points.push((row, orbit, adversary));
+        }
     }
-    CliArgs {
-        opts,
-        props,
-        ooc,
-        out_path,
-        baseline,
+    points
+}
+
+/// Runs one grid point: builds the row's automata and checks them.
+fn run(row: &Row, orbit: usize, adversary: &Adversary, cli: &Cli) -> Result<McReport, McError> {
+    let (n, m) = (row.n, row.m);
+    let dir = point_dir_tag(row.alg, n, m, orbit, row.adv.tag());
+    let mut pool = PidPool::sequential();
+    match row.alg {
+        "1" => {
+            let spec = MutexSpec::rw_unchecked(n, m);
+            let automata = (0..n).map(|_| Alg1Automaton::new(spec, pool.mint()));
+            check(automata.collect(), Rw, row, adversary, &dir, cli)
+        }
+        "2" => {
+            let spec = MutexSpec::rmw_unchecked(n, m);
+            let automata = (0..n).map(|_| Alg2Automaton::new(spec, pool.mint()));
+            check(automata.collect(), Rmw, row, adversary, &dir, cli)
+        }
+        "tas" => {
+            let automata = (0..n).map(|_| TasAutomaton::new(pool.mint()));
+            check(automata.collect(), Rmw, row, adversary, &dir, cli)
+        }
+        "burns" => {
+            let automata = (0..n).map(|i| BurnsLynchAutomaton::new(pool.mint(), i, n));
+            check(automata.collect(), Rw, row, adversary, &dir, cli)
+        }
+        "peterson" => {
+            let automata = (0..n).map(|i| PetersonTwoAutomaton::new(pool.mint(), i));
+            check(automata.collect(), Rw, row, adversary, &dir, cli)
+        }
+        other => unreachable!("no algorithm {other}"),
     }
 }
 
-#[derive(Debug)]
-struct Point {
-    /// Algorithm tag: `"1"`, `"2"`, or a model-checked baseline
-    /// (`"tas"`, `"burns"`, `"peterson"`).
-    alg: &'static str,
-    n: usize,
-    m: usize,
-    orbit: usize,
-    /// Adversary family tag: `orbit` (enumerated representative),
-    /// `identity` (anchor/frontier points) or `ring` (explicit
-    /// rotation/ring assignments, the wreath-reduction showcases).
-    adv: &'static str,
-    valid_m: bool,
-    /// Total crash budget of this point (0 = the crash-free model).
-    crashes: u8,
-    report: Result<McReport, McError>,
-}
-
-/// Compiles the CLI-selected predicates onto one checker: monitors
-/// watch every stored state, queries answer over livelock components.
-fn attach_props<A>(
-    mut mc: ModelChecker<A>,
-    automata: &[A],
-    adv: &Adversary,
-    n: usize,
-    m: usize,
-    props: &Props,
-) -> ModelChecker<A>
+/// Configures one checker over `automata` and runs it: wreath symmetry,
+/// the row's state bound, then the command line's workers, progress,
+/// monitors and queries, crash budget, spill and checkpoints.  Each
+/// point checkpoints into its own subdirectory `dir` of
+/// `--checkpoint-dir`, so a killed sweep resumes every point from its
+/// own level boundary.
+fn check<A>(
+    automata: Vec<A>,
+    model: MemoryModel,
+    row: &Row,
+    adversary: &Adversary,
+    dir: &str,
+    cli: &Cli,
+) -> Result<McReport, McError>
 where
     A: Observe + Clone + Send + Sync + 'static,
     A::State: EncodeState + Send,
 {
-    if props.monitors.is_empty() && props.queries.is_empty() {
-        return mc;
-    }
-    let perms = adv.permutations(n, m).expect("valid adversary");
-    for p in &props.monitors {
-        mc = mc.monitor(monitor_for(p, automata, &perms, false));
-    }
-    for q in &props.queries {
-        mc = mc.scc_query(scc_query_for(q, automata, &perms));
-    }
-    mc
-}
-
-fn checker_alg1(
-    n: usize,
-    m: usize,
-    adv: &Adversary,
-    opts: Options,
-    props: &Props,
-) -> ModelChecker<Alg1Automaton> {
-    let spec = MutexSpec::rw_unchecked(n, m);
-    let mut pool = PidPool::sequential();
-    let automata: Vec<Alg1Automaton> = (0..n)
-        .map(|_| Alg1Automaton::new(spec, pool.mint()))
-        .collect();
-    let mc = configure(
-        ModelChecker::with_automata(automata.clone(), MemoryModel::Rw, m, adv)
-            .expect("valid adversary"),
-        opts,
-    );
-    attach_props(mc, &automata, adv, n, m, props)
-}
-
-fn checker_alg2(
-    n: usize,
-    m: usize,
-    adv: &Adversary,
-    opts: Options,
-    props: &Props,
-) -> ModelChecker<Alg2Automaton> {
-    let spec = MutexSpec::rmw_unchecked(n, m);
-    let mut pool = PidPool::sequential();
-    let automata: Vec<Alg2Automaton> = (0..n)
-        .map(|_| Alg2Automaton::new(spec, pool.mint()))
-        .collect();
-    let mc = configure(
-        ModelChecker::with_automata(automata.clone(), MemoryModel::Rmw, m, adv)
-            .expect("valid adversary"),
-        opts,
-    );
-    attach_props(mc, &automata, adv, n, m, props)
-}
-
-fn checker_tas(n: usize, opts: Options, props: &Props) -> ModelChecker<TasAutomaton> {
-    let mut pool = PidPool::sequential();
-    let automata: Vec<TasAutomaton> = (0..n).map(|_| TasAutomaton::new(pool.mint())).collect();
-    let adv = Adversary::Identity;
-    let mc = configure(
-        ModelChecker::with_automata(automata.clone(), MemoryModel::Rmw, 1, &adv)
-            .expect("identity adversary"),
-        opts,
-    );
-    attach_props(mc, &automata, &adv, n, 1, props)
-}
-
-fn checker_burns(n: usize, opts: Options, props: &Props) -> ModelChecker<BurnsLynchAutomaton> {
-    let mut pool = PidPool::sequential();
-    let automata: Vec<BurnsLynchAutomaton> = (0..n)
-        .map(|i| BurnsLynchAutomaton::new(pool.mint(), i, n))
-        .collect();
-    let adv = Adversary::Identity;
-    let mc = configure(
-        ModelChecker::with_automata(automata.clone(), MemoryModel::Rw, n, &adv)
-            .expect("identity adversary"),
-        opts,
-    );
-    attach_props(mc, &automata, &adv, n, n, props)
-}
-
-fn checker_peterson(opts: Options, props: &Props) -> ModelChecker<PetersonTwoAutomaton> {
-    let mut pool = PidPool::sequential();
-    let automata = vec![
-        PetersonTwoAutomaton::new(pool.mint(), 0),
-        PetersonTwoAutomaton::new(pool.mint(), 1),
-    ];
-    let adv = Adversary::Identity;
-    let mc = configure(
-        ModelChecker::with_automata(automata.clone(), MemoryModel::Rw, 3, &adv)
-            .expect("identity adversary"),
-        opts,
-    );
-    attach_props(mc, &automata, &adv, 2, 3, props)
-}
-
-fn configure<A: amx_sim::Automaton>(mut mc: ModelChecker<A>, opts: Options) -> ModelChecker<A> {
-    mc = mc
+    let mut mc = ModelChecker::with_automata(automata.clone(), model, row.m, adversary)
+        .expect("grid adversaries are valid")
         .symmetry(Symmetry::Wreath)
-        .max_states(opts.max_states)
-        .threads(opts.threads);
-    if opts.progress {
+        .max_states(cli.max_states().max(row.bound))
+        .threads(cli.threads);
+    if cli.progress {
         // Live progress on stderr, throttled to one line every 2 s: the
         // orbit accounting gives an exact concrete-state figure cheaply,
         // so big points show canonical throughput AND what fraction of
@@ -421,34 +490,51 @@ fn configure<A: amx_sim::Automaton>(mut mc: ModelChecker<A>, opts: Options) -> M
             );
         });
     }
-    mc
-}
-
-/// Applies the out-of-core configuration to one point's checker and
-/// runs it.  Each point checkpoints into its own subdirectory of
-/// `--checkpoint-dir` (the directory tag is the stable point key), so
-/// a killed sweep resumes every point from its own level boundary.
-fn run_point<A>(mut mc: ModelChecker<A>, ooc: &OutOfCore, tag: &str) -> Result<McReport, McError>
-where
-    A: amx_sim::Automaton + Sync,
-    A::State: EncodeState + Send,
-{
-    if let Some(bytes) = ooc.resident_budget {
+    if !cli.monitors.is_empty() || !cli.queries.is_empty() {
+        let perms = adversary
+            .permutations(automata.len(), row.m)
+            .expect("grid adversaries are valid");
+        for p in &cli.monitors {
+            mc = mc.monitor(monitor_for(p, &automata, &perms, false));
+        }
+        for q in &cli.queries {
+            mc = mc.scc_query(scc_query_for(q, &automata, &perms));
+        }
+    }
+    if let (Crash(mode), Some(k)) = (row.adv, cli.crashes) {
+        mc = mc.crashes(CrashBudget::total(k), mode);
+    }
+    if let Some(bytes) = cli.resident_budget {
         mc = mc.resident_budget(bytes);
     }
-    if let Some(dir) = &ooc.spill_dir {
-        mc = mc.spill_dir(dir);
+    if let Some(spill_dir) = &cli.spill_dir {
+        mc = mc.spill_dir(spill_dir);
     }
-    if let Some(dir) = &ooc.checkpoint_dir {
+    if let Some(root) = &cli.checkpoint_dir {
         mc = mc
-            .checkpoint_dir(std::path::Path::new(dir).join(tag))
-            .checkpoint_every(ooc.checkpoint_every)
-            .resume(ooc.resume);
-        if let Some(k) = ooc.halt_after_checkpoints {
+            .checkpoint_dir(std::path::Path::new(root).join(dir))
+            .checkpoint_every(cli.checkpoint_every)
+            .resume(cli.resume);
+        if let Some(k) = cli.halt_after_checkpoints {
             mc = mc.halt_after_checkpoints(k);
         }
     }
     mc.run()
+}
+
+/// One grid point and its outcome.
+#[derive(Debug)]
+struct Point {
+    row: &'static Row,
+    orbit: usize,
+    /// Total crash budget of this point (0 = the crash-free model).
+    crashes: u8,
+    report: Result<McReport, McError>,
+}
+
+/// Stable identity of a grid point across sweeps, for baseline matching.
+fn point_key(alg: &str, n: usize, m: usize, orbit: usize, adv: &str) -> String {
+    format!("alg{alg} n={n} m={m} orbit={orbit} adv={adv}")
 }
 
 /// Filesystem-safe per-point checkpoint subdirectory name; unique
@@ -475,12 +561,16 @@ fn verdict_tag(r: &Result<McReport, McError>) -> &'static str {
 fn print_point(p: &Point) {
     let head = format!(
         "  {:<11} n={} m={} ({})  orbit {:>3} {:<8}",
-        format!("alg{}", p.alg),
-        p.n,
-        p.m,
-        if p.valid_m { "valid  " } else { "invalid" },
+        format!("alg{}", p.row.alg),
+        p.row.n,
+        p.row.m,
+        if p.row.valid_m() {
+            "valid  "
+        } else {
+            "invalid"
+        },
         p.orbit,
-        p.adv,
+        p.row.adv.tag(),
     );
     match &p.report {
         Ok(rep) => {
@@ -547,410 +637,97 @@ fn print_point(p: &Point) {
 }
 
 fn main() {
-    let CliArgs {
-        opts,
-        props,
-        ooc,
-        out_path,
-        baseline,
-    } = parse_args();
+    let cli = parse_args(std::env::args().skip(1)).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    });
     let started = Instant::now();
     println!(
         "mc_sweep — exhaustive adversary-orbit verification (symmetry: Wreath, {})\n",
-        if opts.smoke {
-            "smoke grid"
-        } else {
-            "full grid"
-        }
+        if cli.smoke { "smoke grid" } else { "full grid" }
     );
     println!("Each orbit representative stands for a whole class of permutation");
     println!("assignments (global relabeling × process reordering) — covering the");
     println!("class-count formula, every adversary is verified exactly once.\n");
 
     let mut points: Vec<Point> = Vec::new();
-
-    // Algorithm 1 (RW): the smallest valid configuration across every
-    // adversary orbit, plus an invalid control point.
-    let alg1_grid: Vec<(usize, usize)> = if opts.smoke {
-        vec![(2, 3)]
-    } else {
-        vec![(2, 3), (2, 5)]
-    };
-    for &(n, m) in &alg1_grid {
-        for (oi, adv) in adversary_orbits(n, m).iter().enumerate() {
-            let report = run_point(
-                checker_alg1(n, m, adv, opts, &props),
-                &ooc,
-                &point_dir_tag("1", n, m, oi, "orbit"),
-            );
-            points.push(Point {
-                alg: "1",
-                n,
-                m,
-                orbit: oi,
-                adv: "orbit",
-                valid_m: is_valid_m(m as u64, n as u64),
-                crashes: 0,
-                report,
-            });
-            print_point(points.last().expect("just pushed"));
+    let mut section = "";
+    for (row, orbit, adversary) in grid(&cli) {
+        if row.section != section {
+            section = row.section;
+            if !section.is_empty() {
+                let k = cli.crashes.unwrap_or(0).to_string();
+                println!("{}", section.replace("{k}", &k));
+            }
         }
-    }
-    // Invalid control: gcd(2, 4) = 2 — every orbit must livelock.  Only
-    // the first 3 of the 17 orbits run here (it is a control point, not
-    // the sweep target); the valid-m grids above run ALL orbits.
-    println!("  (invalid-m control: first 3 of 17 orbits at alg1 n=2 m=4)");
-    for (oi, adv) in adversary_orbits(2, 4).iter().enumerate().take(3) {
-        let report = run_point(
-            checker_alg1(2, 4, adv, opts, &props),
-            &ooc,
-            &point_dir_tag("1", 2, 4, oi, "orbit"),
-        );
+        let report = run(row, orbit, &adversary, &cli);
+        let crashes = match row.adv {
+            Crash(_) => cli.crashes.unwrap_or(0),
+            _ => 0,
+        };
         points.push(Point {
-            alg: "1",
-            n: 2,
-            m: 4,
-            orbit: oi,
-            adv: "orbit",
-            valid_m: false,
-            crashes: 0,
+            row,
+            orbit,
+            crashes,
             report,
         });
         print_point(points.last().expect("just pushed"));
     }
 
-    // Algorithm 2 (RMW): degenerate m = 1, the smallest nontrivial valid
-    // m, and an invalid control point — across orbits.
-    // Both grids now carry an n = 4 point: (4, 1) is the degenerate
-    // valid single-RMW-register configuration — small enough for the
-    // smoke budget, and the first 4-process datapoint on the tracked
-    // perf trajectory (PR 2's engine had none).
-    // The full grid's (5, 1) point is the first n = 5 datapoint in the
-    // tracked trajectory: the degenerate single-RMW-register
-    // configuration scales to five processes while staying exhaustive.
-    let n2m = smallest_valid_m(2) as usize; // 3
-    let alg2_grid: Vec<(usize, usize)> = if opts.smoke {
-        vec![(2, 1), (2, n2m), (2, 2), (4, 1)]
-    } else {
-        vec![(2, 1), (2, n2m), (2, 2), (2, 5), (3, 1), (4, 1), (5, 1)]
-    };
-    for &(n, m) in &alg2_grid {
-        for (oi, adv) in adversary_orbits(n, m).iter().enumerate() {
-            let report = run_point(
-                checker_alg2(n, m, adv, opts, &props),
-                &ooc,
-                &point_dir_tag("2", n, m, oi, "orbit"),
-            );
-            points.push(Point {
-                alg: "2",
-                n,
-                m,
-                orbit: oi,
-                adv: "orbit",
-                valid_m: is_valid_m(m as u64, n as u64),
-                crashes: 0,
-                report,
-            });
-            print_point(points.last().expect("just pushed"));
+    // Verify the sweep-wide invariants before reporting.  Every grid
+    // point is sized to complete: a bound overflow is itself a severe
+    // engine regression (and would otherwise silently shrink the
+    // wall-time sum the perf budget below gates on), so Err is fatal.
+    for p in &points {
+        let (alg, n, m) = (p.row.alg, p.row.n, p.row.m);
+        if p.crashes > 0 {
+            // Crash-survival verdicts are the *measurement*, not an
+            // invariant: whether deadlock-freedom survives crashes is
+            // exactly what the sweep records (and the baseline gate
+            // then pins).  A bound overflow on the exploratory crash
+            // frontier is reported in the JSON rather than fatal.
+            if let Err(e) = &p.report {
+                println!(
+                    "  note: crash point alg{alg} n={n} m={m} ({}) incomplete: {e}",
+                    p.row.adv.tag()
+                );
+            }
+            continue;
         }
-    }
-
-    // Model-checked non-anonymous baselines (amx_baselines::automaton):
-    // the comparators are now *verified*, not just stress-tested — TAS
-    // ("simple"), Burns–Lynch (the m ≥ n lower-bound-matching RW lock)
-    // and 2-process Peterson, all expected Ok.  They ride in both grids
-    // (all finish in milliseconds) so mutual exclusion is machine-checked
-    // for every comparator the bench tables quote.
-    println!("\nnon-anonymous baselines (model-checked):");
-    for (n, report) in [2usize, 3].map(|n| {
-        let tag = point_dir_tag("tas", n, 1, 0, "identity");
-        (n, run_point(checker_tas(n, opts, &props), &ooc, &tag))
-    }) {
-        points.push(Point {
-            alg: "tas",
-            n,
-            m: 1,
-            orbit: 0,
-            adv: "identity",
-            valid_m: true,
-            crashes: 0,
-            report,
-        });
-        print_point(points.last().expect("just pushed"));
-    }
-    for (n, report) in [2usize, 3].map(|n| {
-        let tag = point_dir_tag("burns", n, n, 0, "identity");
-        (n, run_point(checker_burns(n, opts, &props), &ooc, &tag))
-    }) {
-        points.push(Point {
-            alg: "burns",
-            n,
-            m: n,
-            orbit: 0,
-            adv: "identity",
-            valid_m: true,
-            crashes: 0,
-            report,
-        });
-        print_point(points.last().expect("just pushed"));
-    }
-    {
-        let report = run_point(
-            checker_peterson(opts, &props),
-            &ooc,
-            &point_dir_tag("peterson", 2, 3, 0, "identity"),
-        );
-        points.push(Point {
-            alg: "peterson",
-            n: 2,
-            m: 3,
-            orbit: 0,
-            adv: "identity",
-            valid_m: true,
-            crashes: 0,
-            report,
-        });
-        print_point(points.last().expect("just pushed"));
-    }
-
-    // Rotation/ring showcases: orbits whose permutations are pairwise
-    // distinct, so the old process-only reduction stored every concrete
-    // state (canonical ≈ full) while the wreath group is the cyclic Z_3
-    // "shift processes ∘ rotate registers".  (3, 3) is outside M(3)
-    // (expected livelock) for both algorithms; the valid-m point embeds
-    // the 3-cycle ring (id, c, c²), c = (0 1 2), in m = 5 ∈ M(3).
-    println!("\nrotation/ring orbits (wreath-reduction showcases):");
-    let rot3 = Adversary::Rotations { stride: 1 };
-    for (alg, report) in [
-        (
-            "1",
-            run_point(
-                checker_alg1(3, 3, &rot3, opts, &props),
-                &ooc,
-                &point_dir_tag("1", 3, 3, 0, "ring"),
+        let rep = match &p.report {
+            Ok(rep) => rep,
+            Err(e) => panic!(
+                "alg{alg} n={n} m={m} orbit {} failed to complete: {e}",
+                p.orbit
             ),
-        ),
-        (
-            "2",
-            run_point(
-                checker_alg2(3, 3, &rot3, opts, &props),
-                &ooc,
-                &point_dir_tag("2", 3, 3, 0, "ring"),
+        };
+        // A point halted by --halt-after-checkpoints has no verdict to
+        // check yet; the --resume rerun finishes it.
+        if matches!(rep.verdict, Verdict::Interrupted { .. }) {
+            continue;
+        }
+        let expected_livelock = !p.row.valid_m() || (alg == "1" && m < n);
+        // Known deviation, under investigation (see ROADMAP): Algorithm
+        // 1's deterministic free-slot refinement admits a fair livelock
+        // at (n = 4, m = 5) even though 5 ∈ M(4) — found by this
+        // engine's first n = 4 sweep and confirmed by an independent
+        // earlier engine (identical canonical and concrete state
+        // counts, same verdict).
+        let known_deviation = alg == "1" && n == 4 && m == 5;
+        match (&rep.verdict, expected_livelock) {
+            (Verdict::Ok, false) | (Verdict::FairLivelock { .. }, true) => {}
+            (Verdict::FairLivelock { .. }, false) if known_deviation => {
+                println!(
+                    "  note: alg1 n=4 m=5 fair livelock is the tracked known \
+                     deviation (ROADMAP: Alg 1 n = 4 livelock)"
+                );
+            }
+            (v, _) => panic!(
+                "alg{alg} n={n} m={m} orbit {}: unexpected verdict {v:?}",
+                p.orbit
             ),
-        ),
-    ] {
-        points.push(Point {
-            alg,
-            n: 3,
-            m: 3,
-            orbit: 0,
-            adv: "ring",
-            valid_m: false,
-            crashes: 0,
-            report,
-        });
-        print_point(points.last().expect("just pushed"));
-    }
-    {
-        let c = amx_registers::Permutation::from_forward(vec![1, 2, 0, 3, 4]).expect("3-cycle");
-        let ring5 = Adversary::Explicit(vec![
-            amx_registers::Permutation::identity(5),
-            c.clone(),
-            c.compose(&c),
-        ]);
-        let ring_opts = Options {
-            max_states: opts.max_states.max(2_000_000),
-            ..opts
-        };
-        let report = run_point(
-            checker_alg1(3, 5, &ring5, ring_opts, &props),
-            &ooc,
-            &point_dir_tag("1", 3, 5, 0, "ring"),
-        );
-        points.push(Point {
-            alg: "1",
-            n: 3,
-            m: 5,
-            orbit: 0,
-            adv: "ring",
-            valid_m: true,
-            crashes: 0,
-            report,
-        });
-        print_point(points.last().expect("just pushed"));
-    }
-
-    // Budget anchor: Algorithm 1 at (3, 5) under the Identity
-    // adversary — a mid-six-figure canonical space that takes long
-    // enough (~1 s) for the CI perf budget (3× the recorded baseline's
-    // wall time) to measure engine regressions above scheduler noise;
-    // the rest of the smoke grid finishes in milliseconds.
-    {
-        let anchor_opts = Options {
-            max_states: opts.max_states.max(2_000_000),
-            ..opts
-        };
-        let report = run_point(
-            checker_alg1(3, 5, &Adversary::Identity, anchor_opts, &props),
-            &ooc,
-            &point_dir_tag("1", 3, 5, 0, "identity"),
-        );
-        points.push(Point {
-            alg: "1",
-            n: 3,
-            m: 5,
-            orbit: 0,
-            adv: "identity",
-            valid_m: true,
-            crashes: 0,
-            report,
-        });
-        print_point(points.last().expect("just pushed"));
-    }
-
-    // Crash-survival points (--crashes K): does deadlock-freedom
-    // survive an adversary that may crash up to K mid-invocation
-    // processes?  A crashed process reboots with no local memory
-    // (`Automaton::crash_state`); under `WipeRegisters` its shared
-    // claims evaporate with it, under `StaleClaims` they linger — the
-    // paper-relevant question for anonymous memory, where a rebooted
-    // process cannot remember which registers it owned.  Both
-    // algorithms run their (3, m) configuration (alg1 at its smallest
-    // valid 3-process RW point m = 5, alg2 at the degenerate m = 1)
-    // under both modes; verdicts are recorded, not asserted — they ARE
-    // the datapoint — and gated exactly against the baseline.
-    if let Some(k) = opts.crashes {
-        println!("\ncrash-survival points (total crash budget {k}):");
-        let crash_opts = Options {
-            max_states: opts.max_states.max(2_000_000),
-            ..opts
-        };
-        for (mode, tag) in [
-            (CrashMode::WipeRegisters, "crash-wipe"),
-            (CrashMode::StaleClaims, "crash-stale"),
-        ] {
-            let report = run_point(
-                checker_alg1(3, 5, &Adversary::Identity, crash_opts, &props)
-                    .crashes(CrashBudget::total(k), mode),
-                &ooc,
-                &point_dir_tag("1", 3, 5, 0, tag),
-            );
-            points.push(Point {
-                alg: "1",
-                n: 3,
-                m: 5,
-                orbit: 0,
-                adv: tag,
-                valid_m: true,
-                crashes: k,
-                report,
-            });
-            print_point(points.last().expect("just pushed"));
-            let report = run_point(
-                checker_alg2(3, 1, &Adversary::Identity, crash_opts, &props)
-                    .crashes(CrashBudget::total(k), mode),
-                &ooc,
-                &point_dir_tag("2", 3, 1, 0, tag),
-            );
-            points.push(Point {
-                alg: "2",
-                n: 3,
-                m: 1,
-                orbit: 0,
-                adv: tag,
-                valid_m: true,
-                crashes: k,
-                report,
-            });
-            print_point(points.last().expect("just pushed"));
         }
-        // The (4, 5) crash frontier rides only on the full/deep grids:
-        // the crash-free point is already 5.2M canonical states, and
-        // crash counts multiply that.  A bound overflow here is
-        // reported, not fatal (the point is exploratory).
-        if opts.deep || !opts.smoke {
-            let frontier_opts = Options {
-                max_states: opts.max_states.max(32_000_000),
-                ..opts
-            };
-            let report = run_point(
-                checker_alg1(4, 5, &Adversary::Identity, frontier_opts, &props)
-                    .crashes(CrashBudget::total(k), CrashMode::WipeRegisters),
-                &ooc,
-                &point_dir_tag("1", 4, 5, 0, "crash-wipe"),
-            );
-            points.push(Point {
-                alg: "1",
-                n: 4,
-                m: 5,
-                orbit: 0,
-                adv: "crash-wipe",
-                valid_m: true,
-                crashes: k,
-                report,
-            });
-            print_point(points.last().expect("just pushed"));
-        }
-    }
-
-    // The n = 4 frontier point: Algorithm 1 at its smallest valid
-    // 4-process RW configuration (m = 5), Identity adversary — 5.2M
-    // canonical / 122M concrete states, 24× beyond anything PR 2's
-    // engine touched.  Excluded from --smoke (minutes, not seconds).
-    if opts.deep || !opts.smoke {
-        println!("\nn = 4 frontier point (122M concrete states):");
-        let n4_opts = Options {
-            max_states: opts.max_states.max(8_000_000),
-            ..opts
-        };
-        let report = run_point(
-            checker_alg1(4, 5, &Adversary::Identity, n4_opts, &props),
-            &ooc,
-            &point_dir_tag("1", 4, 5, 0, "identity"),
-        );
-        points.push(Point {
-            alg: "1",
-            n: 4,
-            m: 5,
-            orbit: 0,
-            adv: "identity",
-            valid_m: true,
-            crashes: 0,
-            report,
-        });
-        print_point(points.last().expect("just pushed"));
-    }
-
-    // The beyond-the-old-engine point: Algorithm 2 at n = 3, m = 5 —
-    // the smallest valid 3-process RMW configuration, whose ~18.2M
-    // *concrete* states are 9× past the old engine's default 2,000,000
-    // state bound (the seed test suite explicitly gave up on it and fell
-    // back to randomized runs).  The symmetry-reduced engine stores one
-    // canonical state per S₃ orbit (~3.0M) and proves the verdict
-    // exhaustively.  Takes ~½ minute in release; excluded from --smoke.
-    if opts.deep || !opts.smoke {
-        println!("\nDeep point (concrete space beyond the old 2M default bound):");
-        let deep_opts = Options {
-            max_states: opts.max_states.max(8_000_000),
-            ..opts
-        };
-        let report = run_point(
-            checker_alg2(3, 5, &Adversary::Identity, deep_opts, &props),
-            &ooc,
-            &point_dir_tag("2", 3, 5, 0, "identity"),
-        );
-        points.push(Point {
-            alg: "2",
-            n: 3,
-            m: 5,
-            orbit: 0,
-            adv: "identity",
-            valid_m: true,
-            crashes: 0,
-            report,
-        });
-        print_point(points.last().expect("just pushed"));
-        if let Ok(rep) = &points.last().expect("just pushed").report {
+        if p.row.section == DEEP {
             assert!(
                 rep.full_states_estimate > 2_000_000,
                 "deep point no longer exceeds the old engine's default bound \
@@ -960,67 +737,13 @@ fn main() {
         }
     }
 
-    // Verify the sweep-wide invariants before reporting.  Every grid
-    // point is sized to complete: a bound overflow is itself a severe
-    // engine regression (and would otherwise silently shrink the
-    // wall-time sum the perf budget below gates on), so Err is fatal.
-    for p in &points {
-        if p.crashes > 0 {
-            // Crash-survival verdicts are the *measurement*, not an
-            // invariant: whether deadlock-freedom survives crashes is
-            // exactly what the sweep records (and the baseline gate
-            // then pins).  A bound overflow on the exploratory crash
-            // frontier is reported in the JSON rather than fatal.
-            if let Err(e) = &p.report {
-                println!(
-                    "  note: crash point alg{} n={} m={} ({}) incomplete: {e}",
-                    p.alg, p.n, p.m, p.adv
-                );
-            }
-            continue;
-        }
-        if let Err(e) = &p.report {
-            panic!(
-                "alg{} n={} m={} orbit {} failed to complete: {e}",
-                p.alg, p.n, p.m, p.orbit
-            );
-        }
-        if let Ok(rep) = &p.report {
-            // A point halted by --halt-after-checkpoints has no verdict
-            // to check yet; the --resume rerun finishes it.
-            if matches!(rep.verdict, Verdict::Interrupted { .. }) {
-                continue;
-            }
-            let expected_livelock = !p.valid_m || (p.alg == "1" && p.m < p.n);
-            // Known deviation, under investigation (see ROADMAP):
-            // Algorithm 1's deterministic free-slot refinement admits a
-            // fair livelock at (n = 4, m = 5) even though 5 ∈ M(4) —
-            // found by this engine's first n = 4 sweep and confirmed by
-            // the independent PR 2 engine (identical canonical and
-            // concrete state counts, same verdict).
-            let known_deviation = p.alg == "1" && p.n == 4 && p.m == 5;
-            match (&rep.verdict, expected_livelock) {
-                (Verdict::Ok, false) | (Verdict::FairLivelock { .. }, true) => {}
-                (Verdict::FairLivelock { .. }, false) if known_deviation => {
-                    println!(
-                        "  note: alg1 n=4 m=5 fair livelock is the tracked known \
-                         deviation (ROADMAP: Alg 1 n = 4 livelock)"
-                    );
-                }
-                (v, _) => panic!(
-                    "alg{} n={} m={} orbit {}: unexpected verdict {v:?}",
-                    p.alg, p.n, p.m, p.orbit
-                ),
-            }
-        }
-    }
-
-    let json = render_json(&points, opts);
-    std::fs::write(&out_path, &json).expect("write BENCH_mc.json");
+    let json = render_json(&points, &cli);
+    std::fs::write(&cli.out, &json).expect("write the --out report");
     println!(
-        "\n{} grid points in {:.2?}; wrote {out_path}",
+        "\n{} grid points in {:.2?}; wrote {}",
         points.len(),
-        started.elapsed()
+        started.elapsed(),
+        cli.out
     );
 
     // A sweep stopped by --halt-after-checkpoints is incomplete by
@@ -1035,177 +758,163 @@ fn main() {
         std::process::exit(86);
     }
 
-    // Perf-regression gate: with a recorded baseline report, fail when
-    // this sweep's measured wall time exceeds 3× the baseline's (the
-    // slack absorbs CI-runner speed variance; a real engine regression
-    // blows well past it).
-    if let Some(path) = baseline {
-        let text =
-            std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read baseline {path}: {e}"));
-        // A run compared against a baseline of a different grid shape
-        // (smoke vs full, with or without the deep/frontier points)
-        // measures grid composition, not the engine: skip.
-        let baseline_smoke = text.contains("\"smoke\": true");
-        let baseline_deep = text.contains("\"deep\": true");
-        if baseline_smoke != opts.smoke || baseline_deep != opts.deep {
-            println!(
-                "skipping perf budget: baseline {path} records a different grid \
-                 (smoke {baseline_smoke}/deep {baseline_deep} vs this run's smoke {}/deep {})",
-                opts.smoke, opts.deep,
+    if let Some(base) = &cli.baseline {
+        let other_grid = base.grid_differs(&[("smoke", cli.smoke), ("deep", cli.deep)]);
+        let (failures, matched, compared) = gate(
+            &recorded_points(&json),
+            &recorded_points(&base.text),
+            other_grid.is_none(),
+            cli.crashes.is_some(),
+        );
+        if !failures.is_empty() {
+            for failure in &failures {
+                eprintln!("{failure}");
+            }
+            eprintln!(
+                "{} gate failure(s) against baseline {}",
+                failures.len(),
+                base.path
             );
-            return;
-        }
-        // Exact gates on every point both the baseline and this sweep
-        // ran: verdicts, counts and property outcomes.
-        let baseline_points = extract_points(&text);
-        let mut matched = 0usize;
-        let mut prop_matched = 0usize;
-        let mut regressed = false;
-        for p in &points {
-            let Ok(rep) = &p.report else { continue };
-            let key = point_key(p.alg, p.n, p.m, p.orbit, p.adv);
-            let Some(base) = baseline_points.iter().find(|b| b.key == key) else {
-                continue;
-            };
-            matched += 1;
-            // Verdict gate: verdicts are deterministic per point, so
-            // any change — an Ok point livelocking, a crash-survival
-            // flip — is a regression, exact with no slack.
-            if !base.verdict.is_empty() && verdict_tag(&p.report) != base.verdict {
-                eprintln!(
-                    "VERDICT REGRESSION: {key} is now \"{}\", baseline {path} \
-                     recorded \"{}\"",
-                    verdict_tag(&p.report),
-                    base.verdict
-                );
-                regressed = true;
-            }
-            // Count gate: canonical and concrete state counts,
-            // transitions and per-process longest waits are
-            // deterministic at every worker count, so any change names
-            // the point and the field and fails, exact with no slack.
-            // A wrong stabilizer count shows in `full_states`.
-            let counts = [
-                (
-                    "canonical_states",
-                    rep.canonical_states,
-                    base.canonical_states,
-                ),
-                ("full_states", rep.full_states_estimate, base.full_states),
-                ("transitions", rep.transitions, base.transitions),
-            ];
-            for (field, now, recorded) in counts {
-                if now as u64 != recorded {
-                    eprintln!(
-                        "COUNT REGRESSION: {key} {field} is {now}, baseline {path} \
-                         recorded {recorded}"
-                    );
-                    regressed = true;
-                }
-            }
-            if rep.max_pending_depth != base.max_pending_depth {
-                eprintln!(
-                    "COUNT REGRESSION: {key} max_pending_depth is {:?}, baseline \
-                     {path} recorded {:?}",
-                    rep.max_pending_depth, base.max_pending_depth
-                );
-                regressed = true;
-            }
-            // Property gate: monitor hit counts and SCC-query verdicts
-            // are exact and deterministic; any change on a recorded
-            // point is a property regression — fail with no slack.
-            // Only names recorded in BOTH reports are compared, so
-            // adding or dropping --property flags does not trip it.
-            for (name, base_hits) in &base.properties {
-                let Some(mon) = rep.monitors.iter().find(|m| &m.name == name) else {
-                    continue;
-                };
-                prop_matched += 1;
-                if mon.hit_states as u64 != *base_hits {
-                    eprintln!(
-                        "PROPERTY REGRESSION: {key} property {name} hit {} states, \
-                         baseline {path} recorded {base_hits}",
-                        mon.hit_states
-                    );
-                    regressed = true;
-                }
-            }
-            for (name, base_verdict) in &base.scc_queries {
-                let Some(q) = rep.scc_queries.iter().find(|q| &q.name == name) else {
-                    continue;
-                };
-                prop_matched += 1;
-                let verdict = if q.holds_everywhere {
-                    "everywhere"
-                } else if q.holds_somewhere {
-                    "somewhere"
-                } else {
-                    "absent"
-                };
-                if verdict != base_verdict {
-                    eprintln!(
-                        "PROPERTY REGRESSION: {key} scc-query {name} is now \"{verdict}\", \
-                         baseline {path} recorded \"{base_verdict}\""
-                    );
-                    regressed = true;
-                }
-            }
-        }
-        if regressed {
             std::process::exit(1);
         }
         println!(
-            "count gate: canonical_states, full_states, transitions and max_pending_depth \
-             unchanged on {matched} grid-matched points; \
-             property gate: {prop_matched} recorded outcomes unchanged"
+            "exact gates: {compared} recorded verdicts, counts, property hits and SCC-query \
+             answers unchanged on {matched} grid-matched points"
         );
-
-        let budget_ms = 3.0 * extract_total_wall_ms(&text).expect("baseline lacks total_wall_ms");
+        if let Some(why) = other_grid {
+            println!("skipping coverage and perf gates: {why}");
+            return;
+        }
+        println!("coverage gate: every baseline point ran (crash points only with --crashes)");
         let actual_ms: f64 = points
             .iter()
             .filter_map(|p| p.report.as_ref().ok())
             .map(|r| r.wall_time.as_secs_f64() * 1e3)
             .sum();
-        if actual_ms > budget_ms {
-            eprintln!(
-                "PERF REGRESSION: sweep took {actual_ms:.0} ms, budget {budget_ms:.0} ms \
-                 (3× baseline {path})"
-            );
-            std::process::exit(1);
+        match base.wall_budget(actual_ms) {
+            Ok(line) => println!("{line}"),
+            Err(e) => {
+                eprintln!("{e}");
+                std::process::exit(1);
+            }
         }
-        println!("within perf budget: {actual_ms:.0} ms ≤ {budget_ms:.0} ms (3× baseline)");
     }
 }
 
-/// Stable identity of a grid point across sweeps, for baseline matching.
-fn point_key(alg: &str, n: usize, m: usize, orbit: usize, adv: &str) -> String {
-    format!("alg{alg} n={n} m={m} orbit={orbit} adv={adv}")
-}
-
-/// One baseline point's recorded facts the regression gates compare.
-#[derive(Debug, Clone)]
-struct BaselinePoint {
+/// A point as the gates compare it: its key and its gated fields, each
+/// as its report text.
+#[derive(Debug, PartialEq)]
+struct Recorded {
     key: String,
-    canonical_states: u64,
-    full_states: u64,
-    transitions: u64,
-    max_pending_depth: Vec<usize>,
-    /// The recorded verdict tag; deterministic, so any change on a
-    /// grid-matched point (crash-survival flips included) is a
-    /// regression.
-    verdict: String,
-    /// `"name" → hit count` pairs from the `properties` object.
-    properties: Vec<(String, u64)>,
-    /// `"name" → verdict` pairs from the `scc_queries` object.
-    scc_queries: Vec<(String, String)>,
+    /// `verdict`; `canonical_states`, `full_states`, `transitions` and
+    /// `max_pending_depth` (absent on a point that ended in an error);
+    /// `property NAME` hit counts; `scc-query NAME` answers.
+    fields: Vec<(String, String)>,
 }
 
-/// Extracts a `"key": { ... }` object's flat entries off a point line.
-fn extract_object(line: &str, key: &str) -> Vec<(String, String)> {
-    let Some(at) = line.find(&format!("\"{key}\": {{")) else {
+/// Reads the points of a report back (one point per line), for the
+/// gates: the baseline's, and this sweep's own as written.
+fn recorded_points(json: &str) -> Vec<Recorded> {
+    let mut out = Vec::new();
+    for line in json.lines() {
+        if !line.trim_start().starts_with("{\"alg\":") {
+            continue;
+        }
+        let (Some(alg), Some(n), Some(m), Some(orbit)) = (
+            json_string(line, "alg"),
+            json_number(line, "n"),
+            json_number(line, "m"),
+            json_number(line, "orbit"),
+        ) else {
+            continue;
+        };
+        let adv = json_string(line, "adv").unwrap_or("orbit");
+        let mut fields = Vec::new();
+        if let Some(verdict) = json_string(line, "verdict") {
+            fields.push(("verdict".to_string(), verdict.to_string()));
+        }
+        for count in ["canonical_states", "full_states", "transitions"] {
+            if let Some(v) = json_number::<u64>(line, count) {
+                fields.push((count.to_string(), v.to_string()));
+            }
+        }
+        if let Some(depths) = json_list(line, "max_pending_depth") {
+            fields.push(("max_pending_depth".to_string(), depths.to_string()));
+        }
+        for (object, kind) in [("properties", "property"), ("scc_queries", "scc-query")] {
+            for (name, value) in json_object(line, object) {
+                fields.push((format!("{kind} {name}"), value));
+            }
+        }
+        out.push(Recorded {
+            key: point_key(alg, n, m, orbit, adv),
+            fields,
+        });
+    }
+    out
+}
+
+/// The exact gates.  On every point in both `now` and `base`, each field
+/// recorded in both must be equal; fields in one report only (a
+/// `--property` flag added or dropped, the counts of a point that
+/// ended in an error) are not compared.  With `coverage`, every point
+/// of `base` must be in `now` too, crash points only when `crashes`.
+/// Returns the failures, the number of matched points and the number of
+/// compared fields.
+fn gate(
+    now: &[Recorded],
+    base: &[Recorded],
+    coverage: bool,
+    crashes: bool,
+) -> (Vec<String>, usize, usize) {
+    let mut failures = Vec::new();
+    let (mut matched, mut compared) = (0, 0);
+    for b in base {
+        let Some(p) = now.iter().find(|p| p.key == b.key) else {
+            if coverage && (crashes || !b.key.contains(" adv=crash-")) {
+                failures.push(format!(
+                    "COVERAGE REGRESSION: {} is in the baseline but did not run",
+                    b.key
+                ));
+            }
+            continue;
+        };
+        matched += 1;
+        for (field, recorded) in &b.fields {
+            let Some((_, value)) = p.fields.iter().find(|(f, _)| f == field) else {
+                continue;
+            };
+            compared += 1;
+            if value != recorded {
+                let class = match field.split(' ').next() {
+                    Some("verdict") => "VERDICT",
+                    Some("property" | "scc-query") => "PROPERTY",
+                    _ => "COUNT",
+                };
+                failures.push(format!(
+                    "{class} REGRESSION: {} {field} is {value}, baseline recorded {recorded}",
+                    b.key
+                ));
+            }
+        }
+    }
+    (failures, matched, compared)
+}
+
+/// The text between the brackets of `"key": [...]` on one line.
+fn json_list<'a>(line: &'a str, key: &str) -> Option<&'a str> {
+    let k = format!("\"{key}\": [");
+    let rest = &line[line.find(&k)? + k.len()..];
+    Some(&rest[..rest.find(']')?])
+}
+
+/// The flat entries of a `"key": { ... }` object on one line.
+fn json_object(line: &str, key: &str) -> Vec<(String, String)> {
+    let k = format!("\"{key}\": {{");
+    let Some(at) = line.find(&k) else {
         return Vec::new();
     };
-    let rest = &line[at + key.len() + 5..];
+    let rest = &line[at + k.len()..];
     let Some(end) = rest.find('}') else {
         return Vec::new();
     };
@@ -1221,95 +930,9 @@ fn extract_object(line: &str, key: &str) -> Vec<(String, String)> {
         .collect()
 }
 
-/// Pulls the recorded points out of a previously written report
-/// (hand-rolled like the writer: no serde dep; each point is one line
-/// of the JSON body).
-fn extract_points(json: &str) -> Vec<BaselinePoint> {
-    let mut out = Vec::new();
-    for line in json.lines() {
-        if !line.trim_start().starts_with("{\"alg\":") {
-            continue;
-        }
-        let num = |key: &str| -> Option<u64> {
-            let k = format!("\"{key}\": ");
-            let at = line.find(&k)? + k.len();
-            let rest = &line[at..];
-            let end = rest
-                .find(|c: char| !c.is_ascii_digit())
-                .unwrap_or(rest.len());
-            rest[..end].parse().ok()
-        };
-        let string = |key: &str| -> Option<&str> {
-            let k = format!("\"{key}\": \"");
-            let at = line.find(&k)? + k.len();
-            let rest = &line[at..];
-            Some(&rest[..rest.find('"')?])
-        };
-        let list = |key: &str| -> Option<Vec<usize>> {
-            let k = format!("\"{key}\": [");
-            let at = line.find(&k)? + k.len();
-            let rest = &line[at..];
-            let items = rest[..rest.find(']')?].trim();
-            if items.is_empty() {
-                return Some(Vec::new());
-            }
-            items.split(',').map(|v| v.trim().parse().ok()).collect()
-        };
-        let adv = string("adv").unwrap_or("orbit");
-        // A completed point records all four counts; points that ended
-        // in an error record none and are not matched.
-        if let (
-            Some(alg),
-            Some(n),
-            Some(m),
-            Some(orbit),
-            Some(canon),
-            Some(full),
-            Some(transitions),
-            Some(depths),
-        ) = (
-            string("alg"),
-            num("n"),
-            num("m"),
-            num("orbit"),
-            num("canonical_states"),
-            num("full_states"),
-            num("transitions"),
-            list("max_pending_depth"),
-        ) {
-            out.push(BaselinePoint {
-                key: point_key(alg, n as usize, m as usize, orbit as usize, adv),
-                canonical_states: canon,
-                full_states: full,
-                transitions,
-                max_pending_depth: depths,
-                verdict: string("verdict").unwrap_or_default().to_string(),
-                properties: extract_object(line, "properties")
-                    .into_iter()
-                    .filter_map(|(k, v)| Some((k, v.parse().ok()?)))
-                    .collect(),
-                scc_queries: extract_object(line, "scc_queries"),
-            });
-        }
-    }
-    out
-}
-
-/// Pulls `"total_wall_ms": <number>` out of a previously written report
-/// (hand-rolled like the writer: the workspace takes no serde dep).
-fn extract_total_wall_ms(json: &str) -> Option<f64> {
-    let key = "\"total_wall_ms\": ";
-    let at = json.find(key)? + key.len();
-    let rest = &json[at..];
-    let end = rest
-        .find(|c: char| c != '.' && !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
 /// Renders the sweep report as JSON (hand-rolled: the workspace has no
 /// serde and takes no new dependencies).
-fn render_json(points: &[Point], opts: Options) -> String {
+fn render_json(points: &[Point], cli: &Cli) -> String {
     let mut total_canon = 0usize;
     let mut total_full = 0usize;
     let mut total_secs = 0f64;
@@ -1323,12 +946,12 @@ fn render_json(points: &[Point], opts: Options) -> String {
             body,
             "\n    {{\"alg\": \"{}\", \"n\": {}, \"m\": {}, \"orbit\": {}, \"adv\": \"{}\", \
              \"valid_m\": {}, \"verdict\": \"{}\"",
-            p.alg,
-            p.n,
-            p.m,
+            p.row.alg,
+            p.row.n,
+            p.row.m,
             p.orbit,
-            p.adv,
-            p.valid_m,
+            p.row.adv.tag(),
+            p.row.valid_m(),
             verdict_tag(&p.report)
         );
         if let Ok(rep) = &p.report {
@@ -1429,13 +1052,13 @@ fn render_json(points: &[Point], opts: Options) -> String {
          \"canonical_vs_full\": {:.4},\n    \"states_per_sec\": {:.0},\n    \
          \"total_wall_ms\": {:.3},\n    \"total_scc_wall_ms\": {:.3},\n    \
          \"total_steals\": {},\n    \"peak_arena_bytes\": {}\n  }}\n}}\n",
-        opts.smoke,
-        opts.deep,
-        opts.threads,
+        cli.smoke,
+        cli.deep,
+        cli.threads,
         // Disambiguates "steal_count: 0 because 1-core container" from
         // "steal_count: 0 because the work-stealing frontier regressed".
         std::thread::available_parallelism().map_or(1, |p| p.get()),
-        opts.max_states,
+        cli.max_states(),
         body,
         total_canon,
         total_full,
@@ -1454,4 +1077,197 @@ fn render_json(points: &[Point], opts: Options) -> String {
             .sum::<usize>(),
         peak_arena,
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn cli(args: &[&str]) -> Result<Cli, String> {
+        parse_args(args.iter().map(ToString::to_string))
+    }
+
+    #[test]
+    fn smoke_crash_grid_is_the_committed_baseline_in_order() {
+        let baseline = include_str!("../../../../BENCH_baseline.json");
+        let keys: Vec<String> = recorded_points(baseline)
+            .into_iter()
+            .map(|r| r.key)
+            .collect();
+        let grid: Vec<String> = grid(&cli(&["--smoke", "--crashes", "1"]).unwrap())
+            .into_iter()
+            .map(|(row, orbit, _)| point_key(row.alg, row.n, row.m, orbit, row.adv.tag()))
+            .collect();
+        assert_eq!(keys.len(), 30);
+        assert_eq!(grid, keys);
+    }
+
+    #[test]
+    fn bad_values_are_errors_that_name_the_flag() {
+        for (args, names) in [
+            (&["--threads", "x"][..], "--threads"),
+            (&["--crashes", "256"], "--crashes"),
+            (&["--checkpoint-every"], "--checkpoint-every"),
+            (&["--resident-budget", "12q"], "--resident-budget"),
+            (&["--resident-budget", "17179869184g"], "--resident-budget"),
+            (&["--property", "no-such-predicate"], "no-such-predicate"),
+            (&["--max-states", "5"], "--max-states"),
+        ] {
+            let err = cli(args).unwrap_err();
+            assert!(err.contains(names), "{args:?}: {err}");
+        }
+        assert_eq!(
+            cli(&["--resident-budget", "64m"]).unwrap().resident_budget,
+            Some(64 << 20)
+        );
+    }
+
+    /// Runs the smoke grid's two-process points and the baselines'
+    /// with a monitor and an SCC query.
+    fn small_points() -> (Vec<Point>, Cli) {
+        let cli = cli(&[
+            "--smoke",
+            "--no-progress",
+            "--property",
+            "writer-collision",
+            "--scc-query",
+            "full-view",
+        ])
+        .unwrap();
+        let points = grid(&cli)
+            .into_iter()
+            .filter(|(row, _, _)| row.n == 2)
+            .map(|(row, orbit, adversary)| Point {
+                row,
+                orbit,
+                crashes: 0,
+                report: run(row, orbit, &adversary, &cli),
+            })
+            .collect();
+        (points, cli)
+    }
+
+    #[test]
+    fn the_gates_read_every_gated_field_back_and_name_each_change() {
+        let (points, cli) = small_points();
+        let json = render_json(&points, &cli);
+        let recorded = recorded_points(&json);
+        assert_eq!(recorded.len(), points.len());
+        for (p, r) in points.iter().zip(&recorded) {
+            let rep = p.report.as_ref().unwrap();
+            let depths: Vec<String> = rep.max_pending_depth.iter().map(usize::to_string).collect();
+            let mut fields = vec![
+                ("verdict".to_string(), verdict_tag(&p.report).to_string()),
+                (
+                    "canonical_states".to_string(),
+                    rep.canonical_states.to_string(),
+                ),
+                (
+                    "full_states".to_string(),
+                    rep.full_states_estimate.to_string(),
+                ),
+                ("transitions".to_string(), rep.transitions.to_string()),
+                ("max_pending_depth".to_string(), depths.join(", ")),
+            ];
+            for mon in &rep.monitors {
+                fields.push((format!("property {}", mon.name), mon.hit_states.to_string()));
+            }
+            for q in &rep.scc_queries {
+                let answer = match (q.holds_everywhere, q.holds_somewhere) {
+                    (true, _) => "everywhere",
+                    (false, true) => "somewhere",
+                    (false, false) => "absent",
+                };
+                fields.push((format!("scc-query {}", q.name), answer.to_string()));
+            }
+            let key = point_key(p.row.alg, p.row.n, p.row.m, p.orbit, p.row.adv.tag());
+            assert_eq!(r, &Recorded { key, fields });
+        }
+        let (failures, matched, _) = gate(&recorded, &recorded, true, false);
+        assert_eq!((failures, matched), (vec![], points.len()));
+
+        // The first invalid-m control point livelocks, so it carries an
+        // SCC-query answer as well as every other gated field.
+        let at = points.iter().position(|p| p.row.m == 4).unwrap();
+        let r = &recorded[at];
+        assert_eq!(r.key, "alg1 n=2 m=4 orbit=0 adv=orbit");
+        let value = |field: &str| &r.fields.iter().find(|(f, _)| f == field).unwrap().1;
+        let line = json
+            .lines()
+            .find(|l| l.contains("\"m\": 4, \"orbit\": 0"))
+            .unwrap();
+        for (field, from, to) in [
+            (
+                "verdict",
+                "\"verdict\": \"fair-livelock\"",
+                "\"verdict\": \"ok\"".to_string(),
+            ),
+            (
+                "canonical_states",
+                &*format!("\"canonical_states\": {}", value("canonical_states")),
+                format!("\"canonical_states\": {}1", value("canonical_states")),
+            ),
+            (
+                "max_pending_depth",
+                &*format!("\"max_pending_depth\": [{}", value("max_pending_depth")),
+                format!("\"max_pending_depth\": [0, {}", value("max_pending_depth")),
+            ),
+            (
+                "property writer-collision",
+                &*format!(
+                    "\"writer-collision\": {}",
+                    value("property writer-collision")
+                ),
+                format!(
+                    "\"writer-collision\": {}1",
+                    value("property writer-collision")
+                ),
+            ),
+            (
+                "scc-query full-view",
+                "\"full-view\": \"everywhere\"",
+                "\"full-view\": \"absent\"".to_string(),
+            ),
+        ] {
+            assert!(line.contains(from), "{from}");
+            let changed = json.replacen(line, &line.replacen(from, &to, 1), 1);
+            let (failures, _, _) = gate(&recorded, &recorded_points(&changed), true, false);
+            assert_eq!(failures.len(), 1, "{failures:?}");
+            assert!(
+                failures[0].contains(&format!("{} {field} is ", r.key)),
+                "{failures:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_baseline_point_that_did_not_run_fails_the_coverage_gate() {
+        let (points, cli) = small_points();
+        let json = render_json(&points, &cli);
+        let line = json
+            .lines()
+            .find(|l| l.contains("\"m\": 4, \"orbit\": 0"))
+            .unwrap();
+        let now = recorded_points(&json.replacen(&format!("{line}\n"), "", 1));
+        let mut base = recorded_points(&json);
+        assert_eq!(now.len() + 1, base.len());
+        let (failures, _, _) = gate(&now, &base, true, false);
+        assert_eq!(
+            failures,
+            [
+                "COVERAGE REGRESSION: alg1 n=2 m=4 orbit=0 adv=orbit is in the baseline but did \
+              not run"
+            ]
+        );
+        // A different grid shape skips coverage; so does a crash point
+        // when this run has no --crashes.
+        assert!(gate(&now, &base, false, false).0.is_empty());
+        base.retain(|b| now.contains(b));
+        base.push(Recorded {
+            key: point_key("1", 3, 5, 0, "crash-stale"),
+            fields: Vec::new(),
+        });
+        assert!(gate(&now, &base, true, false).0.is_empty());
+        assert_eq!(gate(&now, &base, true, true).0.len(), 1);
+    }
 }

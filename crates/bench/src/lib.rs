@@ -15,10 +15,16 @@
 //!
 //! plus criterion benches `alg_throughput`, `baseline_comparison`,
 //! `snapshot_cost`, `entry_cost` and `mc_cost`.
+//!
+//! `mc_sweep` and `lock_bench` share the code below for reading their
+//! command lines and for gating a run against a recorded report
+//! (`--baseline`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::fmt::Display;
+use std::str::FromStr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
@@ -110,9 +116,205 @@ pub fn yn(b: bool) -> &'static str {
     }
 }
 
+/// Parses the value that follows `flag` on a command line.
+///
+/// # Errors
+///
+/// When the value is missing or is not a `T`; the message names the
+/// flag, and the binaries print it and exit with code 2.
+pub fn flag_value<T: FromStr>(flag: &str, value: Option<String>) -> Result<T, String>
+where
+    T::Err: Display,
+{
+    let value = value.ok_or_else(|| format!("{flag} needs a value"))?;
+    value.parse().map_err(|e| format!("{flag} {value:?}: {e}"))
+}
+
+/// A byte count: bare bytes, or a number with a binary `k`/`m`/`g`
+/// suffix (`64m` is 64 MiB).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ByteCount(pub usize);
+
+impl FromStr for ByteCount {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, String> {
+        let s = s.trim().to_ascii_lowercase();
+        let (digits, shift) = match s.chars().last() {
+            Some('k') => (&s[..s.len() - 1], 10),
+            Some('m') => (&s[..s.len() - 1], 20),
+            Some('g') => (&s[..s.len() - 1], 30),
+            _ => (s.as_str(), 0),
+        };
+        let n: usize = digits
+            .parse()
+            .map_err(|_| "not a byte count (want e.g. 64m, 512k, 1g, or bytes)".to_string())?;
+        n.checked_mul(1 << shift)
+            .map(ByteCount)
+            .ok_or_else(|| "byte count overflows usize".to_string())
+    }
+}
+
+/// Reads `"key": <number>` out of a report written by one of the
+/// binaries: out of one point line, or out of the whole report for a
+/// header or totals field (the first occurrence counts).  The writers
+/// are hand-rolled, as the workspace takes no serde dependency, and so
+/// are the readers.
+#[must_use]
+pub fn json_number<T: FromStr>(text: &str, key: &str) -> Option<T> {
+    let rest = after(text, &format!("\"{key}\": "))?;
+    let end = rest
+        .find(|c: char| c != '.' && !c.is_ascii_digit())
+        .unwrap_or(rest.len());
+    rest[..end].parse().ok()
+}
+
+/// Reads `"key": "<string>"` out of a report, like [`json_number`].
+#[must_use]
+pub fn json_string<'a>(text: &'a str, key: &str) -> Option<&'a str> {
+    let rest = after(text, &format!("\"{key}\": \""))?;
+    Some(&rest[..rest.find('"')?])
+}
+
+fn after<'a>(text: &'a str, pattern: &str) -> Option<&'a str> {
+    text.find(pattern).map(|at| &text[at + pattern.len()..])
+}
+
+/// A report read back as the regression baseline of a run
+/// (`--baseline PATH`).  It is read before the run starts, because the
+/// run may overwrite the very file.
+#[derive(Debug)]
+pub struct Baseline {
+    /// Where the report was read from.
+    pub path: String,
+    /// The report itself.
+    pub text: String,
+}
+
+impl Baseline {
+    /// Reads the report at `path`.
+    ///
+    /// # Errors
+    ///
+    /// When the file cannot be read; the message names the flag.
+    pub fn read(path: String) -> Result<Self, String> {
+        let text = std::fs::read_to_string(&path).map_err(|e| format!("--baseline {path}: {e}"))?;
+        Ok(Baseline { path, text })
+    }
+
+    /// Compares the grid flags in the report's header (`"smoke"`, and
+    /// `"deep"` for the sweep) with this run's `(name, value)` pairs.
+    /// Returns `None` when the report records the same grid, else what
+    /// differs.  Gates that depend on which points the grid holds
+    /// apply only to the same grid.
+    #[must_use]
+    pub fn grid_differs(&self, flags: &[(&str, bool)]) -> Option<String> {
+        let differ: Vec<String> = flags
+            .iter()
+            .filter_map(|&(name, here)| {
+                let recorded = self.text.contains(&format!("\"{name}\": true"));
+                (recorded != here).then(|| format!("{name} {recorded} vs this run's {here}"))
+            })
+            .collect();
+        (!differ.is_empty()).then(|| {
+            format!(
+                "baseline {} records a different grid ({})",
+                self.path,
+                differ.join(", ")
+            )
+        })
+    }
+
+    /// The wall-time gate: a run of the same grid may take at most three
+    /// times the report's `total_wall_ms`.  The slack absorbs the speed
+    /// differences of CI runners; a real engine regression blows well
+    /// past it.  Returns the line to print.
+    ///
+    /// # Errors
+    ///
+    /// When `actual_ms` exceeds the budget, or the report records no
+    /// `total_wall_ms`.
+    pub fn wall_budget(&self, actual_ms: f64) -> Result<String, String> {
+        let recorded: f64 = json_number(&self.text, "total_wall_ms")
+            .ok_or_else(|| format!("baseline {} records no total_wall_ms", self.path))?;
+        let budget_ms = 3.0 * recorded;
+        if actual_ms > budget_ms {
+            Err(format!(
+                "PERF REGRESSION: {actual_ms:.0} ms > budget {budget_ms:.0} ms (3× baseline {})",
+                self.path
+            ))
+        } else {
+            Ok(format!(
+                "within perf budget: {actual_ms:.0} ms ≤ {budget_ms:.0} ms (3× baseline)"
+            ))
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn byte_counts_parse_suffixes_and_reject_junk_and_overflow() {
+        let parse = |s: &str| s.parse::<ByteCount>().map(|b| b.0);
+        assert_eq!(parse("4096"), Ok(4096));
+        assert_eq!(parse("0"), Ok(0));
+        assert_eq!(parse("512k"), Ok(512 << 10));
+        assert_eq!(parse("64m"), Ok(64 << 20));
+        assert_eq!(parse(" 1G "), Ok(1 << 30));
+        for junk in ["", "k", "12q", "-1", "1.5m", "m64", "64 m"] {
+            assert!(
+                parse(junk).unwrap_err().contains("not a byte count"),
+                "{junk:?}"
+            );
+        }
+        // 16 EiB: the multiplication overflows instead of wrapping to 0.
+        assert!(parse("17179869184g").unwrap_err().contains("overflows"));
+        assert!(parse("18446744073709551616").is_err());
+    }
+
+    #[test]
+    fn flag_values_name_the_flag_on_error() {
+        let v = |s: &str| Some(s.to_string());
+        assert_eq!(flag_value::<usize>("--threads", v("2")), Ok(2));
+        assert_eq!(
+            flag_value::<ByteCount>("--resident-budget", v("1m")),
+            Ok(ByteCount(1 << 20))
+        );
+        assert!(flag_value::<usize>("--threads", v("x"))
+            .unwrap_err()
+            .starts_with("--threads \"x\": "));
+        assert!(flag_value::<u8>("--crashes", v("300"))
+            .unwrap_err()
+            .starts_with("--crashes \"300\": "));
+        assert_eq!(
+            flag_value::<String>("--out", None),
+            Err("--out needs a value".to_string())
+        );
+    }
+
+    #[test]
+    fn report_readers_and_gates() {
+        let line = r#"{"alg": "1", "n": 2, "m": 13, "wall_ms": 0.5, "verdict": "ok"}"#;
+        assert_eq!(json_string(line, "alg"), Some("1"));
+        assert_eq!(json_number::<usize>(line, "m"), Some(13));
+        assert_eq!(json_number::<f64>(line, "wall_ms"), Some(0.5));
+        assert_eq!(json_number::<usize>(line, "orbit"), None);
+        let base = Baseline {
+            path: "b.json".to_string(),
+            text: "{\n  \"smoke\": true,\n  \"deep\": false,\n  \"total_wall_ms\": 100.0\n}"
+                .to_string(),
+        };
+        assert_eq!(base.grid_differs(&[("smoke", true), ("deep", false)]), None);
+        let differs = base.grid_differs(&[("smoke", true), ("deep", true)]);
+        assert!(differs.unwrap().contains("deep false vs this run's true"));
+        assert!(base.wall_budget(300.0).is_ok());
+        assert!(base
+            .wall_budget(300.5)
+            .unwrap_err()
+            .starts_with("PERF REGRESSION"));
+    }
 
     #[test]
     fn stress_rw_runs_clean() {
