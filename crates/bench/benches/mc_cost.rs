@@ -134,12 +134,14 @@ fn bench_mc(c: &mut Criterion) {
 /// Per-state overhead of the wreath canonicalization, measured on a
 /// rotation orbit — an adversary family where no two processes share a
 /// permutation, so every symmetry is a joint process × register one and
-/// every successor pays the group's extra images (each encoded only up
-/// to its first component above the least image so far).  `off` is the
-/// baseline cost of exploring the same space without reduction;
-/// `wreath` adds the `Z_3` canonicalization per transition and is repaid
-/// in stored states (≈ 3× fewer), arena bytes and SCC size.  Tracked in
-/// CI bench-smoke so a canonicalization-cost regression is visible.
+/// every successor ranks the group's extra images by their slot sections
+/// (integer keys, no bytes written) and encodes only the images tied on
+/// the least slot section, each up to its first component above the
+/// least image so far.  `off` is the baseline cost of exploring the same
+/// space without reduction; `wreath` adds the `Z_3` canonicalization per
+/// transition and is repaid in stored states (≈ 3× fewer), arena bytes
+/// and SCC size.  CI only compiles this bench (`cargo bench --workspace
+/// --no-run`); run it with `cargo bench -p amx-bench --bench mc_cost`.
 fn bench_canonicalize(c: &mut Criterion) {
     let mut group = c.benchmark_group("canonicalize");
     group.sample_size(10);

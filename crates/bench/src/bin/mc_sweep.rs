@@ -76,11 +76,14 @@
 //!
 //! **Gates** (`--baseline PATH`), exact with no slack, on every point
 //! both this sweep and PATH hold: the verdict, `canonical_states`,
-//! `full_states`, `transitions` and `max_pending_depth`, and each
-//! property hit count and SCC-query answer recorded in both reports.
-//! All of them are deterministic at every worker count, so any change
-//! is a regression (a weaker symmetry group, a wrong orbit count, a
-//! lost edge, a crash-survival flip).  Two gates depend on which points
+//! `full_states`, `transitions` and `max_pending_depth`; the witness —
+//! a livelock's `pending`, `scc_states` and `witness_schedule`, or a
+//! violation's schedule; and each property hit count and SCC-query
+//! answer, with its witness schedule, recorded in both reports.  All of
+//! them are deterministic at every worker count, so any change is a
+//! regression (a weaker symmetry group, a wrong orbit count, a lost
+//! edge, a crash-survival flip, a witness moved by a changed group
+//! element or confirmation).  Two gates depend on which points
 //! the grid holds, so they run only when PATH records the same grid
 //! (its `smoke` and `deep` flags): coverage — every point of PATH must
 //! be in this sweep, crash points only when it passes `--crashes` —
@@ -778,8 +781,8 @@ fn main() {
             std::process::exit(1);
         }
         println!(
-            "exact gates: {compared} recorded verdicts, counts, property hits and SCC-query \
-             answers unchanged on {matched} grid-matched points"
+            "exact gates: {compared} recorded verdicts, counts, witnesses, property hits and \
+             SCC-query answers unchanged on {matched} grid-matched points"
         );
         if let Some(why) = other_grid {
             println!("skipping coverage and perf gates: {why}");
@@ -808,7 +811,10 @@ struct Recorded {
     key: String,
     /// `verdict`; `canonical_states`, `full_states`, `transitions` and
     /// `max_pending_depth` (absent on a point that ended in an error);
-    /// `property NAME` hit counts; `scc-query NAME` answers.
+    /// a livelock's `pending`, `scc_states` and `witness_schedule`, or a
+    /// violation's `witness_schedule`; `property NAME` hit counts and
+    /// `property-witness NAME` schedules; `scc-query NAME` answers and
+    /// `scc-query-witness NAME` schedules.
     fields: Vec<(String, String)>,
 }
 
@@ -838,10 +844,23 @@ fn recorded_points(json: &str) -> Vec<Recorded> {
                 fields.push((count.to_string(), v.to_string()));
             }
         }
-        if let Some(depths) = json_list(line, "max_pending_depth") {
-            fields.push(("max_pending_depth".to_string(), depths.to_string()));
+        for list in ["max_pending_depth", "pending"] {
+            if let Some(items) = json_list(line, list) {
+                fields.push((list.to_string(), items.to_string()));
+            }
         }
-        for (object, kind) in [("properties", "property"), ("scc_queries", "scc-query")] {
+        if let Some(size) = json_number::<u64>(line, "scc_states") {
+            fields.push(("scc_states".to_string(), size.to_string()));
+        }
+        if let Some(schedule) = json_list(line, "witness_schedule") {
+            fields.push(("witness_schedule".to_string(), schedule.to_string()));
+        }
+        for (object, kind) in [
+            ("properties", "property"),
+            ("property_witnesses", "property-witness"),
+            ("scc_queries", "scc-query"),
+            ("scc_query_witnesses", "scc-query-witness"),
+        ] {
             for (name, value) in json_object(line, object) {
                 fields.push((format!("{kind} {name}"), value));
             }
@@ -889,6 +908,10 @@ fn gate(
                 let class = match field.split(' ').next() {
                     Some("verdict") => "VERDICT",
                     Some("property" | "scc-query") => "PROPERTY",
+                    Some(
+                        "pending" | "scc_states" | "witness_schedule" | "property-witness"
+                        | "scc-query-witness",
+                    ) => "WITNESS",
                     _ => "COUNT",
                 };
                 failures.push(format!(
@@ -928,6 +951,30 @@ fn json_object(line: &str, key: &str) -> Vec<(String, String)> {
             ))
         })
         .collect()
+}
+
+/// `items` joined by `sep`.
+fn join(items: &[usize], sep: &str) -> String {
+    let items: Vec<String> = items.iter().map(ToString::to_string).collect();
+    items.join(sep)
+}
+
+/// Writes `, "key": {"NAME": "a b c", ...}`, one witness schedule per
+/// name (`null` for none); nothing when there are no names.
+fn write_witnesses<'a>(
+    body: &mut String,
+    key: &str,
+    witnesses: impl Iterator<Item = (&'a String, &'a Option<Vec<usize>>)>,
+) {
+    let entries: Vec<String> = witnesses
+        .map(|(name, schedule)| match schedule {
+            Some(s) => format!("\"{name}\": \"{}\"", join(s, " ")),
+            None => format!("\"{name}\": null"),
+        })
+        .collect();
+    if !entries.is_empty() {
+        let _ = write!(body, ", \"{key}\": {{{}}}", entries.join(", "));
+    }
 }
 
 /// Renders the sweep report as JSON (hand-rolled: the workspace has no
@@ -1003,12 +1050,11 @@ fn render_json(points: &[Point], cli: &Cli) -> String {
             }
             // Per-process longest observed wait (quantitative
             // starvation data; canonical positions under reduction).
-            let depths: Vec<String> = rep
-                .max_pending_depth
-                .iter()
-                .map(ToString::to_string)
-                .collect();
-            let _ = write!(body, ", \"max_pending_depth\": [{}]", depths.join(", "));
+            let _ = write!(
+                body,
+                ", \"max_pending_depth\": [{}]",
+                join(&rep.max_pending_depth, ", ")
+            );
             // Property-monitor hit counts (deterministic: canonical
             // states are) — the object the --baseline property gate
             // compares exactly.
@@ -1041,6 +1087,37 @@ fn render_json(points: &[Point], cli: &Cli) -> String {
                     .collect();
                 let _ = write!(body, ", \"scc_queries\": {{{}}}", entries.join(", "));
             }
+            // Witnesses, gated as exactly as the counts: the livelock's
+            // pending set, component size and schedule, or the
+            // violation's schedule; then each property's and each SCC
+            // query's witness schedule (space-separated, null for none).
+            match &rep.verdict {
+                Verdict::FairLivelock {
+                    pending,
+                    scc_states,
+                    witness_schedule,
+                } => {
+                    let _ = write!(
+                        body,
+                        ", \"pending\": [{}], \"scc_states\": {scc_states}, \
+                         \"witness_schedule\": [{}]",
+                        join(pending, ", "),
+                        join(witness_schedule, ", ")
+                    );
+                }
+                Verdict::MutualExclusionViolation { schedule, .. }
+                | Verdict::PropertyViolation { schedule, .. } => {
+                    let _ = write!(body, ", \"witness_schedule\": [{}]", join(schedule, ", "));
+                }
+                Verdict::Ok | Verdict::Interrupted { .. } => {}
+            }
+            let monitors = rep.monitors.iter().map(|m| (&m.name, &m.witness_schedule));
+            write_witnesses(&mut body, "property_witnesses", monitors);
+            let queries = rep
+                .scc_queries
+                .iter()
+                .map(|q| (&q.name, &q.witness_schedule));
+            write_witnesses(&mut body, "scc_query_witnesses", queries);
         }
         body.push('}');
     }
@@ -1169,8 +1246,28 @@ mod tests {
                 ("transitions".to_string(), rep.transitions.to_string()),
                 ("max_pending_depth".to_string(), depths.join(", ")),
             ];
+            match &rep.verdict {
+                Verdict::FairLivelock {
+                    pending,
+                    scc_states,
+                    witness_schedule,
+                } => {
+                    fields.push(("pending".to_string(), join(pending, ", ")));
+                    fields.push(("scc_states".to_string(), scc_states.to_string()));
+                    let schedule = join(witness_schedule, ", ");
+                    fields.push(("witness_schedule".to_string(), schedule));
+                }
+                Verdict::Ok => {}
+                other => panic!("no small point should end in {other:?}"),
+            }
+            let witness =
+                |s: &Option<Vec<usize>>| s.as_ref().map_or("null".into(), |s| join(s, " "));
             for mon in &rep.monitors {
                 fields.push((format!("property {}", mon.name), mon.hit_states.to_string()));
+            }
+            for mon in &rep.monitors {
+                let schedule = witness(&mon.witness_schedule);
+                fields.push((format!("property-witness {}", mon.name), schedule));
             }
             for q in &rep.scc_queries {
                 let answer = match (q.holds_everywhere, q.holds_somewhere) {
@@ -1180,14 +1277,19 @@ mod tests {
                 };
                 fields.push((format!("scc-query {}", q.name), answer.to_string()));
             }
+            for q in &rep.scc_queries {
+                let schedule = witness(&q.witness_schedule);
+                fields.push((format!("scc-query-witness {}", q.name), schedule));
+            }
             let key = point_key(p.row.alg, p.row.n, p.row.m, p.orbit, p.row.adv.tag());
             assert_eq!(r, &Recorded { key, fields });
         }
         let (failures, matched, _) = gate(&recorded, &recorded, true, false);
         assert_eq!((failures, matched), (vec![], points.len()));
 
-        // The first invalid-m control point livelocks, so it carries an
-        // SCC-query answer as well as every other gated field.
+        // The first invalid-m control point livelocks, so it carries
+        // every gated field: the livelock witness, and a witness for its
+        // property and its SCC query.
         let at = points.iter().position(|p| p.row.m == 4).unwrap();
         let r = &recorded[at];
         assert_eq!(r.key, "alg1 n=2 m=4 orbit=0 adv=orbit");
@@ -1227,6 +1329,27 @@ mod tests {
                 "scc-query full-view",
                 "\"full-view\": \"everywhere\"",
                 "\"full-view\": \"absent\"".to_string(),
+            ),
+            ("pending", "\"pending\": [", "\"pending\": [9, ".to_string()),
+            (
+                "scc_states",
+                &*format!("\"scc_states\": {}", value("scc_states")),
+                format!("\"scc_states\": {}1", value("scc_states")),
+            ),
+            (
+                "witness_schedule",
+                "\"witness_schedule\": [",
+                "\"witness_schedule\": [9, ".to_string(),
+            ),
+            (
+                "property-witness writer-collision",
+                "\"property_witnesses\": {\"writer-collision\": \"",
+                "\"property_witnesses\": {\"writer-collision\": \"9 ".to_string(),
+            ),
+            (
+                "scc-query-witness full-view",
+                "\"scc_query_witnesses\": {\"full-view\": \"",
+                "\"scc_query_witnesses\": {\"full-view\": \"9 ".to_string(),
             ),
         ] {
             assert!(line.contains(from), "{from}");

@@ -45,7 +45,7 @@
 //! orbits today's process-only reduction cannot touch at all, because no
 //! two ring processes share a permutation.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 
 use crate::permutation::Permutation;
 
@@ -65,6 +65,21 @@ impl AdvAutomorphism {
     pub fn is_identity(&self) -> bool {
         self.pi.iter().enumerate().all(|(i, &v)| i == v) && self.rho.is_identity()
     }
+}
+
+/// The panics [`adversary_automorphisms`] documents.
+fn check_inputs(perms: &[Permutation], class_of: &[Option<u64>]) {
+    assert!(!perms.is_empty(), "need at least one process");
+    assert_eq!(
+        perms.len(),
+        class_of.len(),
+        "one class token per permutation"
+    );
+    let m = perms[0].len();
+    assert!(
+        perms.iter().all(|p| p.len() == m),
+        "mismatched permutation sizes"
+    );
 }
 
 /// Whether `π(i) = j` is admissible class-wise: a process may move onto
@@ -94,17 +109,7 @@ pub fn adversary_automorphisms(
     perms: &[Permutation],
     class_of: &[Option<u64>],
 ) -> Vec<AdvAutomorphism> {
-    assert!(!perms.is_empty(), "need at least one process");
-    assert_eq!(
-        perms.len(),
-        class_of.len(),
-        "one class token per permutation"
-    );
-    let m = perms[0].len();
-    assert!(
-        perms.iter().all(|p| p.len() == m),
-        "mismatched permutation sizes"
-    );
+    check_inputs(perms, class_of);
     let n = perms.len();
     let inv0 = perms[0].inverse();
     let mut out = Vec::new();
@@ -143,6 +148,60 @@ pub fn adversary_automorphisms(
         "the identity automorphism must come first"
     );
     out
+}
+
+/// The order of the group [`adversary_automorphisms`] enumerates,
+/// counted without enumerating it, saturating at `usize::MAX`.
+///
+/// Each automorphism is `(π, ρ)` with `ρ = f_{π(0)} ∘ f_0⁻¹`, so the
+/// order is a sum over the distinct `ρ` that process 0's admissible
+/// images give.  For one `ρ`, `π(i)` must land on a process holding
+/// `ρ ∘ f_i`: a `None` process only on itself, a `Some` process on one
+/// with the same token.  Keyed by (token, permutation), the processes
+/// that need a key and the processes that hold it must be equally many
+/// in every key, and the admissible `π` then number `Π k!` over the
+/// keys, `k` the processes of each; otherwise none.
+///
+/// # Panics
+///
+/// Under the same conditions as [`adversary_automorphisms`].
+#[must_use]
+pub fn adversary_automorphism_count(perms: &[Permutation], class_of: &[Option<u64>]) -> usize {
+    check_inputs(perms, class_of);
+    let n = perms.len();
+    let inv0 = perms[0].inverse();
+    let mut seen_rho: HashSet<Vec<usize>> = HashSet::new();
+    let mut order = 0usize;
+    for j0 in (0..n).filter(|&j0| class_compatible(0, j0, class_of)) {
+        let rho = perms[j0].compose(&inv0);
+        if !seen_rho.insert(rho.as_slice().to_vec()) {
+            continue;
+        }
+        let needed: Vec<Permutation> = perms.iter().map(|f| rho.compose(f)).collect();
+        // A pinned process must be fixed by ρ.
+        if (0..n).any(|i| class_of[i].is_none() && needed[i] != perms[i]) {
+            continue;
+        }
+        // Per (token, permutation): the processes holding it and the
+        // processes needing it.
+        let mut keys: HashMap<(u64, &[usize]), (usize, usize)> = HashMap::new();
+        for i in 0..n {
+            if let Some(token) = class_of[i] {
+                keys.entry((token, perms[i].as_slice())).or_default().0 += 1;
+                keys.entry((token, needed[i].as_slice())).or_default().1 += 1;
+            }
+        }
+        if keys.values().any(|&(held, need)| held != need) {
+            continue;
+        }
+        let matchings = keys
+            .values()
+            .flat_map(|&(k, _)| 1..=k)
+            .try_fold(1usize, usize::checked_mul)
+            .unwrap_or(usize::MAX);
+        order = order.saturating_add(matchings);
+    }
+    order
 }
 
 /// Backtracks over the residual bijection choices once ρ is fixed
@@ -318,6 +377,76 @@ mod tests {
                 "mismatch for {perms:?}"
             );
         }
+    }
+
+    #[test]
+    fn the_count_is_the_enumerations_length() {
+        // The oracle's configurations under every class pattern: one
+        // token, mixed Some/None, two tokens, everything pinned.
+        let cases: Vec<Vec<Permutation>> = vec![
+            Adversary::Identity.permutations(3, 3).unwrap(),
+            Adversary::Identity.permutations(4, 2).unwrap(),
+            Adversary::Rotations { stride: 1 }
+                .permutations(3, 3)
+                .unwrap(),
+            Adversary::Ring { ell: 2 }.permutations(2, 4).unwrap(),
+            Adversary::Ring { ell: 3 }.permutations(3, 6).unwrap(),
+            vec![
+                Permutation::identity(3),
+                Permutation::identity(3),
+                Permutation::rotation(3, 1),
+            ],
+            vec![
+                Permutation::identity(3),
+                Permutation::identity(3),
+                Permutation::rotation(3, 1),
+                Permutation::rotation(3, 1),
+            ],
+            vec![
+                Permutation::random(4, 11),
+                Permutation::random(4, 22),
+                Permutation::random(4, 33),
+            ],
+        ];
+        for perms in cases {
+            let n = perms.len();
+            let patterns: Vec<Vec<Option<u64>>> = vec![
+                all_same_class(n),
+                (0..n).map(|i| (i != 1).then_some(7)).collect(),
+                (0..n).map(|i| (i != 0).then_some(7)).collect(),
+                (0..n).map(|i| Some(i as u64 % 2)).collect(),
+                vec![None; n],
+            ];
+            for classes in patterns {
+                let enumerated = adversary_automorphisms(&perms, &classes).len();
+                assert_eq!(
+                    adversary_automorphism_count(&perms, &classes),
+                    enumerated,
+                    "{perms:?} {classes:?}"
+                );
+                if perms[0].len() <= 4 {
+                    assert_eq!(enumerated, brute_force(&perms, &classes).len());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_count_does_not_enumerate() {
+        // S_10 and S_20 on the identity adversary; S_21's order, 21!,
+        // overflows 64 bits and saturates.
+        for (n, order) in [(10, 3_628_800), (20, 2_432_902_008_176_640_000)] {
+            let perms = Adversary::Identity.permutations(n, 1).unwrap();
+            assert_eq!(
+                adversary_automorphism_count(&perms, &all_same_class(n)),
+                order
+            );
+        }
+        let perms = Adversary::Identity.permutations(21, 1).unwrap();
+        assert_eq!(
+            adversary_automorphism_count(&perms, &all_same_class(21)),
+            usize::MAX
+        );
     }
 
     #[test]

@@ -51,7 +51,7 @@ pub mod rw;
 pub mod stats;
 
 pub use adversary::Adversary;
-pub use automorphism::{adversary_automorphisms, AdvAutomorphism};
+pub use automorphism::{adversary_automorphism_count, adversary_automorphisms, AdvAutomorphism};
 pub use orbit::{adversary_orbits, canonical_form};
 pub use permutation::{all_permutations, Permutation, PermutationError};
 pub use rmw::{AnonymousRmwMemory, RmwHandle};

@@ -68,13 +68,27 @@ pub fn put_u64(v: u64, out: &mut Vec<u8>) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
+/// Bytes per slot in [`put_slot`]'s encoding.
+pub const SLOT_BYTES: usize = 4;
+
+/// The raw token of a slot relabeled by `map` (0 = ⊥).
+fn slot_token(slot: Slot, map: &PidMap) -> u32 {
+    match map.map_slot(slot).pid() {
+        None => 0,
+        Some(p) => p.to_raw(),
+    }
+}
+
 /// Appends a slot as its 4-byte raw token (0 = ⊥), relabeled by `map`.
 pub fn put_slot(slot: Slot, map: &PidMap, out: &mut Vec<u8>) {
-    let raw = match map.map_slot(slot).pid() {
-        None => 0u32,
-        Some(p) => p.to_raw(),
-    };
-    out.extend_from_slice(&raw.to_le_bytes());
+    out.extend_from_slice(&slot_token(slot, map).to_le_bytes());
+}
+
+/// The order key of a slot relabeled by `map`: keys compare as the
+/// slots' [`put_slot`] encodings compare bytewise.  Those are the
+/// token's little-endian bytes, so the key is the token byte-swapped.
+pub fn slot_key(slot: Slot, map: &PidMap) -> u32 {
+    slot_token(slot, map).swap_bytes()
 }
 
 /// Reads one byte from the front of `bytes`.
@@ -120,6 +134,28 @@ mod tests {
         assert_eq!(take_slot(&mut cur), Some(Slot::BOTTOM));
         assert!(cur.is_empty());
         assert_eq!(take_u8(&mut cur), None, "exhausted input");
+    }
+
+    #[test]
+    fn slot_keys_order_slots_as_their_encodings_do() {
+        let mut pool = PidPool::sequential();
+        let mut slots = vec![Slot::BOTTOM];
+        slots.extend(pool.mint_many(300).into_iter().map(Slot::from));
+        let encoded = |s: Slot| {
+            let mut buf = Vec::new();
+            put_slot(s, &PidMap::identity(), &mut buf);
+            buf
+        };
+        let identity = PidMap::identity();
+        for &a in &slots {
+            for &b in slots.iter().step_by(7) {
+                assert_eq!(
+                    slot_key(a, &identity).cmp(&slot_key(b, &identity)),
+                    encoded(a).cmp(&encoded(b)),
+                    "{a:?} vs {b:?}"
+                );
+            }
+        }
     }
 
     #[test]

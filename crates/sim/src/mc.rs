@@ -63,11 +63,12 @@
 //!   symmetric by construction, so orbits collapse by up to the group
 //!   order and the stored state count drops accordingly.  The
 //!   canonical representative is the lexicographically least image.
-//!   The identity image is encoded in full; every other image is built
-//!   component by component and abandoned at the first component above
-//!   the running minimum.  The elements whose image equals the minimum
-//!   form one coset of the state's stabilizer, so counting them gives
-//!   the exact orbit size.  Witness
+//!   Images are ranked on their slot sections first, as integer keys
+//!   without writing a byte; only the elements tied on the least slot
+//!   section are encoded, component by component, each abandoned at its
+//!   first component above the running minimum.  The elements whose
+//!   image equals the minimum form one coset of the state's stabilizer,
+//!   so counting them gives the exact orbit size.  Witness
 //!   schedules remain concrete: the group element used on each tree
 //!   edge is recorded, and parent chains are mapped back through the
 //!   accumulated permutation (`ρ` never appears in schedules — it only
@@ -104,10 +105,13 @@
 //! already expanded, so a resumed run needs no regeneration either.
 //!
 //! Under [`Symmetry::Wreath`], the fair-livelock check runs on the orbit
-//! quotient with fairness at the granularity of symmetry classes
-//! (processes in one group orbit are indistinguishable in the
-//! quotient), and candidate components are then confirmed exactly on
-//! their concrete orbit expansion.  The differential test suites
+//! quotient.  A component none of whose internal edges relabels
+//! positions is decided exactly there, per position, without decoding
+//! more than one member; a component whose edges relabel is checked at
+//! the granularity of symmetry classes (processes in one group orbit are
+//! indistinguishable in the quotient).  Candidates that pass are then
+//! confirmed exactly on their concrete orbit expansion, the only path
+//! that reports a livelock under symmetry.  The differential test suites
 //! cross-validate the reduction against the full exploration on every
 //! algorithm in this workspace; [`Symmetry::Off`] remains the default
 //! and is exact.
@@ -642,13 +646,11 @@ pub enum ConfigError {
     /// The [`Symmetry::Wreath`] group has more elements than the 16-bit
     /// group-element index of the BFS metadata and the edge table can
     /// name (`u16::MAX`); nine interchangeable processes (`9!` elements)
-    /// already exceed it.  The group is enumerated in full before this
-    /// check: stopping the enumeration at the cap would need a bounded
-    /// entry point in `amx-registers` next to
-    /// [`amx_registers::automorphism::adversary_automorphisms`], whose
-    /// signature the benchmark package relies on.
+    /// already exceed it.  The order is counted
+    /// ([`amx_registers::adversary_automorphism_count`]) before the
+    /// group is enumerated, so refusing a large group costs no memory.
     SymmetryGroupTooLarge {
-        /// The group order.
+        /// The group order (saturating at `usize::MAX`).
         order: usize,
     },
 }
@@ -1169,8 +1171,7 @@ where
                 &scratch.slots,
                 &scratch.procs,
                 &scratch.crashes,
-                &mut scratch.enc,
-                &mut scratch.best,
+                &mut scratch.canon,
             );
             debug_assert_eq!(
                 (sigma0, orbit0),
@@ -1183,15 +1184,16 @@ where
                 actor: 0,
                 sigma: sigma0,
             };
+            let root_bytes = &scratch.canon.best;
             let (root, _) = intern_into(
                 &shared,
                 &mut shard,
-                hash_bytes(&scratch.best),
-                &scratch.best,
+                hash_bytes(root_bytes),
+                root_bytes,
                 meta0,
                 orbit0,
             );
-            frontier.push(root, &scratch.best);
+            frontier.push(root, root_bytes);
 
             // The initial state is reachable too: monitors see it first.
             for (mi, mon) in self.monitors.iter().enumerate() {
@@ -1223,6 +1225,7 @@ where
             }
         }
 
+        let mut round_bufs = RoundBufs::new(workers);
         let mut halted = false;
         let mut ckpt_enabled = true;
         while !frontier.is_empty()
@@ -1238,8 +1241,8 @@ where
                 &frontier,
                 &mut next,
                 &mut edges,
-                workers,
                 &mut scratch,
+                &mut round_bufs,
             );
             acquisitions += out.acquisitions;
             transitions += out.transitions;
@@ -1472,12 +1475,26 @@ where
     ///
     /// Runs over the edge table exploration recorded (`edges`):
     /// Tarjan's decomposition over node ids in breadth-first discovery
-    /// order — so the candidate
-    /// order, and with it the reported component and witnesses, is the
-    /// same at every worker count — then the per-component fairness
-    /// scan.  Nothing is stepped, canonicalized or looked up here;
-    /// states are decoded only to read their phases and to evaluate
-    /// queries.
+    /// order — so the candidate order, and with it the reported
+    /// component and witnesses, is the same at every worker count — then
+    /// a fairness decision per component.  Nothing is stepped,
+    /// canonicalized or looked up here.
+    ///
+    /// Each component's internal edges (those whose target is in it) are
+    /// scanned once without decoding: which positions step, and whether
+    /// any edge relabels positions (`σ ≠ id`).  One member is decoded,
+    /// for its phases.  When no internal edge relabels, the decision is
+    /// exact on the quotient: each position's phase is constant across
+    /// the component (a `Progress` edge moves a phase one way only, and
+    /// no edge moves it to another position), and its orbit expansion is
+    /// `|G|` copies of it with positions renamed, so a concrete fair
+    /// component exists exactly when every pending position steps on an
+    /// internal edge.  Under [`Symmetry::Off`] this is the per-process
+    /// check itself.  A component whose edges relabel takes a cheap
+    /// necessary check per symmetry class instead.  Under symmetry,
+    /// every component that passes is confirmed on its concrete orbit by
+    /// [`Self::confirm_livelock_on_orbit`], the only path that reports a
+    /// livelock there.
     fn find_fair_livelock(
         &self,
         store: &Store,
@@ -1506,26 +1523,31 @@ where
                 comp[v as usize] = cid as u32;
             }
         }
-        let n_classes = class_of.iter().copied().max().unwrap_or(0) + 1;
         // Built on the first candidate that needs orbit confirmation: a
         // |G|² table, which Ok verdicts on large groups never touch.
         let mut gtab: Option<GroupTables> = None;
         for members in sccs.iter() {
-            // Singleton components without a self-loop — the vast
-            // majority on Ok verdicts — cannot carry an infinite
-            // execution; skip them before decoding anything.
-            if members.len() == 1 {
-                let v = members[0] as usize;
-                if csr[v * n..(v + 1) * n].iter().all(|&w| w != members[0]) {
-                    continue;
+            let cid = comp[members[0] as usize];
+            // Internal edges, undecoded.  A singleton without a
+            // self-loop — most components on Ok verdicts — has none.
+            let (mut steps, mut relabels, mut has_edge) = (0u64, false, false);
+            for &v in members {
+                let row = v as usize * n;
+                for k in 0..n {
+                    let w = csr[row + k];
+                    if w != scc::NO_EDGE && comp[w as usize] == cid {
+                        has_edge = true;
+                        steps |= 1 << k;
+                        relabels |= edges.sigmas.get(row + k).is_some_and(|&g| g != 0);
+                    }
                 }
             }
-            // Phase filters next — one decode per component instead of
-            // scanning every member of components that cannot livelock.
-            // Within a completion-free SCC each process's phase is
-            // constant up to within-class permutation (phase changes
-            // other than via completions cannot be undone without a
-            // completion); read phases off any member.
+            if !has_edge {
+                continue;
+            }
+            // Phases, off one member: within a completion-free SCC each
+            // process's phase is constant up to relabeling (phase changes
+            // other than via completions cannot be undone without one).
             store.bytes_into(members[0], &mut scratch.cache, &mut scratch.node)?;
             decode_node(
                 &scratch.node,
@@ -1535,59 +1557,68 @@ where
                 &mut scratch.procs,
                 &mut scratch.crashes,
             );
-            let phases: Vec<Phase> = scratch.procs.iter().map(|(p, _)| *p).collect();
-            if phases.contains(&Phase::Cs) {
+            if scratch.procs.iter().any(|(p, _)| *p == Phase::Cs) {
                 // Someone is parked in the CS: the antecedent of
                 // deadlock-freedom fails; this is just "the lock is held".
                 continue;
             }
-            let pending: Vec<usize> = (0..n)
-                .filter(|&i| matches!(phases[i], Phase::Trying | Phase::Exiting))
-                .collect();
-            if pending.is_empty() {
+            // Positions as bits: `n ≤ 64` (see `with_automata`).
+            let pending = (0..n)
+                .filter(|&i| matches!(scratch.procs[i].0, Phase::Trying | Phase::Exiting))
+                .fold(0u64, |mask, i| mask | 1 << i);
+            if pending == 0 {
                 continue;
             }
-            // Which symmetry classes step (while pending) inside this
-            // component?  With symmetry off every class is a singleton,
-            // so this is exactly per-process fairness; with symmetry on
-            // it is a cheap *necessary* condition (every concrete fair
-            // component projects onto a quotient SCC passing it), and
-            // candidates are then confirmed exactly on their concrete
-            // orbit expansion below.
-            let mut pending_steppers = vec![false; n_classes];
-            let mut has_edge = false;
-            for &v in members {
-                store.bytes_into(v, &mut scratch.cache, &mut scratch.node)?;
-                decode_node(
-                    &scratch.node,
-                    m,
-                    n,
-                    &mut scratch.slots,
-                    &mut scratch.procs,
-                    &mut scratch.crashes,
-                );
-                for k in 0..n {
-                    let w = csr[v as usize * n + k];
-                    if w != scc::NO_EDGE && comp[w as usize] == comp[v as usize] {
-                        has_edge = true;
-                        if matches!(scratch.procs[k].0, Phase::Trying | Phase::Exiting) {
-                            pending_steppers[class_of[k]] = true;
+            #[cfg(test)]
+            if group.len() > 1 {
+                // Every decision is audited against the confirmation.
+                let gtab = gtab.get_or_insert_with(|| group_tables(group));
+                let sigmas = &edges.sigmas;
+                let confirmed = self.confirm_livelock_on_orbit(
+                    store, group, gtab, members, csr, sigmas, &comp, cid, scratch,
+                )?;
+                tests::audit_livelock_decision(relabels, pending & !steps == 0, confirmed);
+            }
+            if relabels {
+                // Which symmetry classes step, while pending, inside this
+                // component?  The quotient folds interchangeable processes
+                // together, so this is only *necessary* for a concrete
+                // fair component (every one projects onto a quotient SCC
+                // passing it); the confirmation below decides.
+                let mut classes = 0u64; // at most n ≤ 64 classes
+                for &v in members {
+                    store.bytes_into(v, &mut scratch.cache, &mut scratch.node)?;
+                    decode_node(
+                        &scratch.node,
+                        m,
+                        n,
+                        &mut scratch.slots,
+                        &mut scratch.procs,
+                        &mut scratch.crashes,
+                    );
+                    for k in 0..n {
+                        let w = csr[v as usize * n + k];
+                        if w != scc::NO_EDGE
+                            && comp[w as usize] == cid
+                            && matches!(scratch.procs[k].0, Phase::Trying | Phase::Exiting)
+                        {
+                            classes |= 1 << class_of[k];
                         }
                     }
                 }
-            }
-            if !has_edge {
-                continue;
-            }
-            // Fairness: every pending process must itself keep stepping
-            // in the component; a component where some pending process
-            // is starved is an unfair execution and proves nothing.
-            if !pending.iter().all(|&i| pending_steppers[class_of[i]]) {
+                if (0..n).any(|i| pending & 1 << i != 0 && classes & 1 << class_of[i] == 0) {
+                    continue;
+                }
+            } else if pending & !steps != 0 {
+                // Fairness, exact on the quotient: a component where some
+                // pending process is starved is an unfair execution and
+                // proves nothing.
                 continue;
             }
             if group.len() == 1 {
                 // No reduction: the quotient IS the concrete graph and
-                // the class-level check was per-process; done.
+                // the check was per process; done.
+                let pending = (0..n).filter(|&i| pending & 1 << i != 0).collect();
                 let queries = self.eval_queries_concrete(store, group, members, scratch)?;
                 let entry = *members.iter().min().expect("nonempty SCC");
                 let chain = chain_from_root(store, entry);
@@ -1601,13 +1632,9 @@ where
                     queries,
                 )));
             }
-            // Reduced mode: the quotient folds interchangeable processes
-            // together, so "some process of the class steps" does not yet
-            // prove "every pending process steps" in one concrete
-            // execution.  Confirm exactly on the concrete orbit of this
+            // Reduced mode: confirm exactly on the concrete orbit of this
             // component (≤ |SCC|·|G| states).
             let gtab = gtab.get_or_insert_with(|| group_tables(group));
-            let cid = comp[members[0] as usize];
             if let Some(v) = self.confirm_livelock_on_orbit(
                 store,
                 group,
@@ -1629,6 +1656,12 @@ where
     /// the concrete completion-free SCCs inside, and applies the exact
     /// per-process fairness check there.  Returns a concrete witness on
     /// success.
+    ///
+    /// Under symmetry this is the only path that reports a livelock.
+    /// [`Self::find_fair_livelock`] calls it only for components that
+    /// can be livelocks: those without a relabeling internal edge that
+    /// pass the position check (which then always confirm), and those
+    /// with one that pass the class-level check.
     ///
     /// Every concrete fair-livelock component is contained in the orbit
     /// expansion of exactly one quotient SCC (projection of a strongly
@@ -1786,9 +1819,9 @@ where
                     &scratch.slots,
                     &scratch.procs,
                     &scratch.crashes,
-                    &mut scratch.enc,
+                    &mut scratch.canon.enc,
                 );
-                distinct.insert(scratch.enc.clone());
+                distinct.insert(scratch.canon.enc.clone());
             }
             let queries = self.eval_queries_orbit(store, group, members, sub, scratch)?;
             // `pending` (from sub[0]) equals the pending set at `entry`:
@@ -1945,13 +1978,13 @@ where
                         &scratch.slots,
                         &scratch.procs,
                         &scratch.crashes,
-                        &mut scratch.enc,
+                        &mut scratch.canon.enc,
                     );
-                    if !seen.insert(scratch.enc.clone()) {
+                    if !seen.insert(scratch.canon.enc.clone()) {
                         continue; // a stabilizer copy of an examined state
                     }
                     decode_node(
-                        &scratch.enc,
+                        &scratch.canon.enc,
                         m,
                         n,
                         &mut slots_img,
@@ -2067,6 +2100,17 @@ struct SymElem {
     regs: RegMap,
 }
 
+impl SymElem {
+    /// The physical slot the image's slot `j` is read from.
+    fn slot_source(&self, j: usize) -> usize {
+        if self.rho_inv.is_empty() {
+            j
+        } else {
+            self.rho_inv[j]
+        }
+    }
+}
+
 /// Computes the symmetry group and the class id of every process.
 ///
 /// Under [`Symmetry::Wreath`] the group is the adversary's automorphism
@@ -2079,7 +2123,9 @@ struct SymElem {
 /// trivial.  The identity is always element 0.
 ///
 /// A group with more than `u16::MAX` elements is refused with
-/// [`ConfigError::SymmetryGroupTooLarge`] (after enumerating it).
+/// [`ConfigError::SymmetryGroupTooLarge`], counted
+/// ([`amx_registers::adversary_automorphism_count`]) before anything is
+/// enumerated.
 fn build_group<A: Automaton>(
     automata: &[A],
     mem0: &SimMemory,
@@ -2099,10 +2145,11 @@ fn build_group<A: Automaton>(
     let keys: Vec<Option<u64>> = automata.iter().map(Automaton::symmetry_class).collect();
     let perms: Vec<amx_registers::Permutation> =
         (0..n).map(|i| mem0.permutation(i).clone()).collect();
-    let autos = amx_registers::adversary_automorphisms(&perms, &keys);
-    if autos.len() > usize::from(u16::MAX) {
-        return Err(ConfigError::SymmetryGroupTooLarge { order: autos.len() });
+    let order = amx_registers::adversary_automorphism_count(&perms, &keys);
+    if order > usize::from(u16::MAX) {
+        return Err(ConfigError::SymmetryGroupTooLarge { order });
     }
+    let autos = amx_registers::adversary_automorphisms(&perms, &keys);
 
     // Process classes: orbits under the π-components (the finest
     // partition the quotient can still tell apart).
@@ -2271,8 +2318,7 @@ struct Scratch<S> {
     crashes: Vec<u8>,
     /// Slot buffer for building a crash successor's memory image.
     crash_slots: Vec<Slot>,
-    enc: Vec<u8>,
-    best: Vec<u8>,
+    canon: Canon,
     node: Vec<u8>,
     cache: PageCache,
 }
@@ -2285,15 +2331,15 @@ impl<S> Scratch<S> {
             procs: Vec::new(),
             crashes: Vec::new(),
             crash_slots: Vec::new(),
-            enc: Vec::new(),
-            best: Vec::new(),
+            canon: Canon::default(),
             node: Vec::new(),
             cache: PageCache::new(),
         }
     }
 }
 
-struct WorkerOut {
+/// What one breadth-first level found, for [`ModelChecker::run`].
+struct LevelOut {
     acquisitions: usize,
     transitions: usize,
     violation: Option<Violation>,
@@ -2303,9 +2349,9 @@ struct WorkerOut {
     monitor_hits: Vec<MonitorHit>,
 }
 
-impl WorkerOut {
+impl LevelOut {
     fn new(n_monitors: usize) -> Self {
-        WorkerOut {
+        LevelOut {
             acquisitions: 0,
             transitions: 0,
             violation: None,
@@ -2415,7 +2461,11 @@ fn encode_node_with<S: EncodeState>(
     crashes: &[u8],
     out: &mut Vec<u8>,
 ) {
-    encode_node_pruned(elem, slots, procs, crashes, None, out);
+    out.clear();
+    for j in 0..slots.len() {
+        encode::put_slot(slots[elem.slot_source(j)], &elem.map, out);
+    }
+    encode_node_pruned(elem, procs, crashes, None, out);
 }
 
 /// Settles the component just written at `out[from..]` against `best`
@@ -2437,37 +2487,24 @@ fn above_best(tied: &mut bool, out: &[u8], from: usize, best: &[u8]) -> bool {
     false
 }
 
-/// [`encode_node_with`], pruned against `best`, the least image found
-/// so far: the image is written component by component — each slot,
-/// each process, then the crash counts — and abandoned (returning
-/// [`Greater`](std::cmp::Ordering::Greater), `out` left partial) at the
-/// first component that makes it compare greater than `best`.  Once it
-/// compares smaller, the remainder is written without comparing.
-/// `Less` and `Equal` leave the full image in `out`; with no `best`
-/// the image is written in full and the result is `Less`.
+/// Appends the process components of the node image under `elem` —
+/// each process, then the crash counts — to `out`, which holds the
+/// image's slot section, equal to `best`'s when there is a `best`.
+/// Against `best`, the least image found so far, the image is pruned:
+/// abandoned (returning [`Greater`](std::cmp::Ordering::Greater), `out`
+/// left partial) at the first component that makes it compare greater,
+/// and once it compares smaller, the remainder is written without
+/// comparing.  `Less` and `Equal` leave the full image in `out`; with no
+/// `best` the image is written in full and the result is `Less`.
 fn encode_node_pruned<S: EncodeState>(
     elem: &SymElem,
-    slots: &[Slot],
     procs: &[(Phase, S)],
     crashes: &[u8],
     best: Option<&[u8]>,
     out: &mut Vec<u8>,
 ) -> std::cmp::Ordering {
-    out.clear();
     let mut tied = best.is_some();
     let best = best.unwrap_or_default();
-    for j in 0..slots.len() {
-        let src = if elem.rho_inv.is_empty() {
-            j
-        } else {
-            elem.rho_inv[j]
-        };
-        let from = out.len();
-        encode::put_slot(slots[src], &elem.map, out);
-        if above_best(&mut tied, out, from, best) {
-            return std::cmp::Ordering::Greater;
-        }
-    }
     for j in 0..procs.len() {
         let (phase, state) = &procs[elem.pi_inv[j]];
         let from = out.len();
@@ -2492,15 +2529,35 @@ fn encode_node_pruned<S: EncodeState>(
     }
 }
 
-/// Canonicalizes a node under the group: `best` receives the
+/// Reusable buffers of [`canonicalize`], one set per worker.
+#[derive(Debug, Default)]
+struct Canon {
+    /// The least image (the canonical encoding) after a call.
+    best: Vec<u8>,
+    /// The image being built.
+    enc: Vec<u8>,
+    /// Slot keys of the least slot section.
+    keys: Vec<u32>,
+    /// Indices of the group elements whose slot section is the least.
+    ties: Vec<u16>,
+}
+
+/// Canonicalizes a node under the group: `canon.best` receives the
 /// lexicographically least image; returns the index of the group
 /// element achieving it (the first such index) plus the exact orbit
 /// size.
 ///
-/// `best` starts as the identity image, encoded in full.  Every other
-/// image is built by [`encode_node_pruned`], which abandons it at the
-/// first component that compares greater than the running minimum, so
-/// a losing image costs only the components written before it lost.
+/// An image starts with its slot section, `m` slots of four bytes each,
+/// so images are ordered first by their slot sections.  Stage 1 ranks
+/// the elements on those alone, as `m` integer keys per element
+/// ([`encode::slot_key`]) compared with the running minimum and
+/// abandoned at the first greater slot; it writes no bytes and leaves in
+/// `canon.ties` the elements whose slot section is the least, in index
+/// order.  Stage 2 encodes the first of them in full and compares every
+/// other one from its first process component on
+/// ([`encode_node_pruned`]), its slot section being known equal.  When
+/// one element holds the least slot section, as it does for most nodes,
+/// stage 2 is one encoding.
 ///
 /// The orbit size comes from the orbit–stabilizer theorem.  The group
 /// elements whose image equals the least image form one coset
@@ -2513,22 +2570,57 @@ fn canonicalize<S: EncodeState>(
     slots: &[Slot],
     procs: &[(Phase, S)],
     crashes: &[u8],
-    enc: &mut Vec<u8>,
-    best: &mut Vec<u8>,
+    canon: &mut Canon,
 ) -> (u16, u32) {
-    encode_node_with(&group[0], slots, procs, crashes, best);
-    if group.len() == 1 {
-        return (0, 1);
+    let Canon {
+        best,
+        enc,
+        keys,
+        ties,
+    } = canon;
+    ties.clear();
+    ties.push(0);
+    if group.len() > 1 {
+        let identity = &group[0];
+        keys.clear();
+        keys.extend(slots.iter().map(|&s| encode::slot_key(s, &identity.map)));
+        for (gi, elem) in group.iter().enumerate().skip(1) {
+            let mut order = std::cmp::Ordering::Equal;
+            for (j, least) in keys.iter_mut().enumerate() {
+                let key = encode::slot_key(slots[elem.slot_source(j)], &elem.map);
+                if order.is_eq() {
+                    order = key.cmp(least);
+                    if order.is_gt() {
+                        break;
+                    }
+                }
+                // Past the first smaller slot, the rest of this element's
+                // keys replace the minimum's.
+                *least = key;
+            }
+            match order {
+                std::cmp::Ordering::Greater => {}
+                std::cmp::Ordering::Equal => ties.push(gi as u16),
+                std::cmp::Ordering::Less => {
+                    ties.clear();
+                    ties.push(gi as u16);
+                }
+            }
+        }
     }
-    let mut sigma = 0u16;
-    let mut coset = 1u32; // the identity's image is the minimum so far
-    for (gi, elem) in group.iter().enumerate().skip(1) {
-        match encode_node_pruned(elem, slots, procs, crashes, Some(best), enc) {
+    let mut sigma = ties[0];
+    encode_node_with(&group[usize::from(sigma)], slots, procs, crashes, best);
+    let mut coset = 1u32;
+    let slot_bytes = encode::SLOT_BYTES * slots.len();
+    for &gi in &ties[1..] {
+        enc.clear();
+        enc.extend_from_slice(&best[..slot_bytes]);
+        match encode_node_pruned(&group[usize::from(gi)], procs, crashes, Some(best), enc) {
             std::cmp::Ordering::Greater => {}
             std::cmp::Ordering::Equal => coset += 1,
             std::cmp::Ordering::Less => {
                 std::mem::swap(enc, best);
-                sigma = gi as u16;
+                sigma = gi;
                 coset = 1;
             }
         }
@@ -2732,20 +2824,54 @@ struct PendingInsert {
 }
 
 impl PendingInsert {
-    fn bytes<'b>(&self, bufs: &'b [Vec<u8>]) -> &'b [u8] {
+    fn bytes<'b>(&self, outboxes: &'b [Outbox]) -> &'b [u8] {
         let start = self.start as usize;
-        &bufs[self.worker as usize][start..start + self.len as usize]
+        &outboxes[self.worker as usize].bytes[start..start + self.len as usize]
     }
 }
 
 /// One expand worker's output for a round: pending inserts, their
-/// encodings packed in one buffer, and the edges whose targets the
-/// seen-set probe already resolved.
+/// encodings packed in one buffer, the edges whose targets the seen-set
+/// probe already resolved, and the steps, acquisitions and least
+/// violation met.
 #[derive(Default)]
 struct Outbox {
     pending: Vec<PendingInsert>,
     bytes: Vec<u8>,
     edges: Vec<Edge>,
+    acquisitions: usize,
+    transitions: usize,
+    violation: Option<Violation>,
+}
+
+impl Outbox {
+    /// Empties the outbox for the next round, keeping its capacity.
+    fn clear(&mut self) {
+        self.pending.clear();
+        self.bytes.clear();
+        self.edges.clear();
+        self.acquisitions = 0;
+        self.transitions = 0;
+        self.violation = None;
+    }
+}
+
+/// The buffers of [`run_level`]'s rounds, owned by the level loop and
+/// cleared each round, so a check allocates them once it has seen its
+/// widest round: one [`Outbox`] per worker and their merged pending
+/// inserts.
+struct RoundBufs {
+    outboxes: Vec<Outbox>,
+    pending: Vec<PendingInsert>,
+}
+
+impl RoundBufs {
+    fn new(workers: usize) -> Self {
+        RoundBufs {
+            outboxes: (0..workers).map(|_| Outbox::default()).collect(),
+            pending: Vec::new(),
+        }
+    }
 }
 
 /// Expands one breadth-first level.
@@ -2777,21 +2903,22 @@ struct Outbox {
 ///
 /// The level appends one [`EdgeTable`] row per frontier node and fills
 /// it from both phases: targets the expand probe found, and targets the
-/// drain interned (fresh or not).
+/// drain interned (fresh or not).  The worker count is the number of
+/// outboxes in `bufs`.
 fn run_level<A: Automaton + Sync>(
     shared: &EngineShared<'_, A>,
     shard: &mut Shard,
     frontier: &Frontier,
     next: &mut Frontier,
     edges: &mut EdgeTable,
-    workers: usize,
     scratch: &mut Scratch<A::State>,
-) -> WorkerOut
+    bufs: &mut RoundBufs,
+) -> LevelOut
 where
     A::State: EncodeState + Send,
 {
     let (n, m) = (shared.automata.len(), shared.mem0.m());
-    let mut out = WorkerOut::new(shared.monitors.len());
+    let mut out = LevelOut::new(shared.monitors.len());
     next.clear();
     let row_base = edges.rows();
     edges.add_rows(frontier.len());
@@ -2803,9 +2930,10 @@ where
         let round = base..frontier.len().min(base + LEVEL_CHUNK);
         base = round.end;
         // Phase 1: expand the round.
-        let results = if workers == 1 {
-            let mut wout = WorkerOut::new(shared.monitors.len());
-            let mut outbox = Outbox::default();
+        for outbox in &mut bufs.outboxes {
+            outbox.clear();
+        }
+        if let [outbox] = bufs.outboxes.as_mut_slice() {
             let mut seen = |hash: u64, bytes: &[u8], _: &mut PageCache| {
                 shard.arena.lookup_hashed_mut(hash, bytes)
             };
@@ -2816,39 +2944,32 @@ where
                     id,
                     bytes,
                 };
-                expand_item(shared, &item, 0, scratch, &mut wout, &mut outbox, &mut seen);
+                expand_item(shared, &item, 0, scratch, outbox, &mut seen);
             }
-            vec![(wout, outbox)]
         } else {
-            expand_round_stealing(shared, &*shard, frontier, round, workers)
-        };
-        let mut pending: Vec<PendingInsert> = Vec::new();
-        let mut bufs: Vec<Vec<u8>> = Vec::with_capacity(results.len());
-        for (wout, mut outbox) in results {
-            out.acquisitions += wout.acquisitions;
-            out.transitions += wout.transitions;
-            if let Some(v) = wout.violation {
+            expand_round_stealing(shared, &*shard, frontier, round, &mut bufs.outboxes);
+        }
+        bufs.pending.clear();
+        for outbox in &bufs.outboxes {
+            out.acquisitions += outbox.acquisitions;
+            out.transitions += outbox.transitions;
+            if let Some(v) = outbox.violation {
                 if out.violation.is_none_or(|best| v.order < best.order) {
                     out.violation = Some(v);
                 }
             }
-            if pending.is_empty() {
-                pending = outbox.pending;
-            } else {
-                pending.append(&mut outbox.pending);
-            }
+            bufs.pending.extend_from_slice(&outbox.pending);
             for e in &outbox.edges {
                 edges.set(row_base + e.pos as usize, e);
             }
-            bufs.push(outbox.bytes);
         }
         // Phase 2: drain the round into the seen set.
-        pending.sort_unstable_by_key(|p| (p.pos, p.actor));
-        for p in &pending {
+        bufs.pending.sort_unstable_by_key(|p| (p.pos, p.actor));
+        for p in &bufs.pending {
             if shared.overflow.load(Ordering::Relaxed) {
                 break;
             }
-            let bytes = p.bytes(&bufs);
+            let bytes = p.bytes(&bufs.outboxes);
             let meta = NodeMeta {
                 parent: p.parent,
                 actor: p.actor,
@@ -2906,21 +3027,20 @@ where
     out
 }
 
-/// Phase-1 worker pool of [`run_level`] with several workers: the
-/// round's nodes go into per-worker deques (block partition, back-half
-/// stealing); every worker returns its [`WorkerOut`] (transitions and
-/// violation candidates — nothing is interned here) plus its
-/// [`Outbox`].
+/// Phase-1 worker pool of [`run_level`] with several workers, one per
+/// outbox: the round's nodes go into per-worker deques (block
+/// partition, back-half stealing); every worker fills its own
+/// [`Outbox`] — nothing is interned here.
 fn expand_round_stealing<A: Automaton + Sync>(
     shared: &EngineShared<'_, A>,
     shard: &Shard,
     frontier: &Frontier,
     round: std::ops::Range<usize>,
-    workers: usize,
-) -> Vec<(WorkerOut, Outbox)>
-where
+    outboxes: &mut [Outbox],
+) where
     A::State: EncodeState + Send,
 {
+    let workers = outboxes.len();
     let (base, round_len) = (round.start, round.len());
     let mut qs: Vec<VecDeque<LevelItem<'_>>> = (0..workers).map(|_| VecDeque::new()).collect();
     for pos in round {
@@ -2933,17 +3053,18 @@ where
     }
     let queues: Vec<Mutex<VecDeque<LevelItem<'_>>>> = qs.into_iter().map(Mutex::new).collect();
     std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
+        let handles: Vec<_> = outboxes
+            .iter_mut()
+            .enumerate()
+            .map(|(w, outbox)| {
                 let queues = &queues;
-                s.spawn(move || expand_worker(shared, shard, queues, w))
+                s.spawn(move || expand_worker(shared, shard, queues, w, outbox))
             })
             .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("model-checker expand worker panicked"))
-            .collect()
-    })
+        for h in handles {
+            h.join().expect("model-checker expand worker panicked");
+        }
+    });
 }
 
 /// One phase-1 stealing worker: drain the own deque front in batches;
@@ -2953,14 +3074,12 @@ fn expand_worker<'f, A: Automaton + Sync>(
     shard: &Shard,
     queues: &[Mutex<VecDeque<LevelItem<'f>>>],
     w: usize,
-) -> (WorkerOut, Outbox)
-where
+    outbox: &mut Outbox,
+) where
     A::State: EncodeState + Send,
 {
     let workers = queues.len();
     let mut sc: Scratch<A::State> = Scratch::new(shared.mem0.clone());
-    let mut out = WorkerOut::new(shared.monitors.len());
-    let mut outbox = Outbox::default();
     let mut seen = |hash: u64, bytes: &[u8], cache: &mut PageCache| {
         shard.arena.lookup_hashed_cached(hash, bytes, cache)
     };
@@ -3006,10 +3125,9 @@ where
             continue 'round;
         }
         for item in &batch {
-            expand_item(shared, item, w, &mut sc, &mut out, &mut outbox, &mut seen);
+            expand_item(shared, item, w, &mut sc, outbox, &mut seen);
         }
     }
-    (out, outbox)
 }
 
 /// Phase 1 for one frontier node: expands it and queues every successor
@@ -3021,7 +3139,6 @@ fn expand_item<A: Automaton>(
     item: &LevelItem<'_>,
     worker: usize,
     sc: &mut Scratch<A::State>,
-    out: &mut WorkerOut,
     outbox: &mut Outbox,
     seen: &mut impl FnMut(u64, &[u8], &mut PageCache) -> Result<Option<u32>, SpillError>,
 ) where
@@ -3033,10 +3150,11 @@ fn expand_item<A: Automaton>(
         item.id,
         item.bytes,
         sc,
-        out,
-        |sc, actor, sigma, orbit, edge| {
-            let hash = hash_bytes(&sc.best);
-            match seen(hash, &sc.best, &mut sc.cache) {
+        outbox,
+        |sc, outbox, actor, sigma, orbit, edge| {
+            let best = &sc.canon.best;
+            let hash = hash_bytes(best);
+            match seen(hash, best, &mut sc.cache) {
                 // Interned by a previous round or level: the probe is exact
                 // for those, so nothing to buffer but the edge.
                 // Intra-round duplicates fall through and lose in the
@@ -3063,7 +3181,7 @@ fn expand_item<A: Automaton>(
                 }
             }
             let start = outbox.bytes.len();
-            outbox.bytes.extend_from_slice(&sc.best);
+            outbox.bytes.extend_from_slice(best);
             outbox.pending.push(PendingInsert {
                 hash,
                 pos: item.pos,
@@ -3071,7 +3189,7 @@ fn expand_item<A: Automaton>(
                 orbit,
                 worker: worker as u32,
                 start: start as u32,
-                len: sc.best.len() as u32,
+                len: best.len() as u32,
                 sigma,
                 actor: actor as u8,
                 edge,
@@ -3082,22 +3200,23 @@ fn expand_item<A: Automaton>(
 
 /// Expands one frontier node — the successor-generation skeleton.  For
 /// every step that is not a violation (and every admissible crash) the
-/// successor is canonicalized into `scratch.best` (concrete frame left
-/// in `scratch.mem`/`scratch.procs`) and handed to `sink` as
-/// `(scratch, actor, sigma, orbit, edge)`, `edge` telling whether the
-/// step belongs to the completion-free graph (a `Progress` step).  A
-/// found violation never aborts mid-node: the candidate is merged by
-/// minimum `(pos, actor)` into `out` and the node's remaining actors
-/// still run (stolen items arrive out of position order, and the round
-/// finishes regardless).
+/// successor is canonicalized into `scratch.canon.best` (concrete frame
+/// left in `scratch.mem`/`scratch.procs`) and handed to `sink` as
+/// `(scratch, out, actor, sigma, orbit, edge)`, `edge` telling whether
+/// the step belongs to the completion-free graph (a `Progress` step).
+/// Steps and acquisitions are counted into `out`.  A found violation
+/// never aborts mid-node: the candidate is merged by minimum
+/// `(pos, actor)` into `out` and the node's remaining actors still run
+/// (stolen items arrive out of position order, and the round finishes
+/// regardless).
 fn expand_node<A: Automaton>(
     shared: &EngineShared<'_, A>,
     pos: u32,
     id: u32,
     bytes: &[u8],
     scratch: &mut Scratch<A::State>,
-    out: &mut WorkerOut,
-    mut sink: impl FnMut(&mut Scratch<A::State>, usize, u16, u32, bool),
+    out: &mut Outbox,
+    mut sink: impl FnMut(&mut Scratch<A::State>, &mut Outbox, usize, u16, u32, bool),
 ) where
     A::State: EncodeState,
 {
@@ -3144,10 +3263,9 @@ fn expand_node<A: Automaton>(
             scratch.mem.slots(),
             &scratch.procs,
             &scratch.crashes,
-            &mut scratch.enc,
-            &mut scratch.best,
+            &mut scratch.canon,
         );
-        sink(scratch, i, sigma, orbit, outcome == Outcome::Progress);
+        sink(scratch, out, i, sigma, orbit, outcome == Outcome::Progress);
         scratch.procs[i] = saved;
     }
     // Crash edges: the adversary may crash any process that is mid-
@@ -3194,10 +3312,16 @@ fn expand_node<A: Automaton>(
                 scratch.mem.slots(),
                 &scratch.procs,
                 &scratch.crashes,
-                &mut scratch.enc,
-                &mut scratch.best,
+                &mut scratch.canon,
             );
-            sink(scratch, usize::from(CRASH_ACTOR) | i, sigma, orbit, false);
+            sink(
+                scratch,
+                out,
+                usize::from(CRASH_ACTOR) | i,
+                sigma,
+                orbit,
+                false,
+            );
             scratch.crashes[i] -= 1;
             scratch.procs[i] = saved;
         }
@@ -3377,6 +3501,57 @@ mod tests {
     use crate::toys::{CasLock, NaiveFlagLock, SpinForever};
     use amx_ids::PidPool;
     use amx_registers::Adversary;
+
+    /// Candidate components the fair-livelock pass met on this test
+    /// thread, by how it decided them under symmetry.
+    #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+    struct LivelockBranches {
+        /// Rejected on the quotient: some pending position never steps.
+        rejected: usize,
+        /// Passed on the quotient, on to the orbit confirmation.
+        passed: usize,
+        /// An internal edge relabels: the class-level fallback.
+        relabeling: usize,
+    }
+
+    thread_local! {
+        static LIVELOCK_BRANCHES: std::cell::Cell<LivelockBranches> =
+            std::cell::Cell::new(LivelockBranches::default());
+    }
+
+    /// Records one candidate's branch, asserting that a decision taken
+    /// on the quotient is what the orbit confirmation finds.
+    pub(super) fn audit_livelock_decision(
+        relabels: bool,
+        passes: bool,
+        confirmed: Option<(Verdict, Vec<SccQueryResult>)>,
+    ) {
+        LIVELOCK_BRANCHES.with(|b| {
+            let mut counts = b.get();
+            if relabels {
+                counts.relabeling += 1;
+            } else {
+                assert_eq!(
+                    passes,
+                    confirmed.is_some(),
+                    "the quotient decision disagrees with the orbit confirmation"
+                );
+                if passes {
+                    counts.passed += 1;
+                } else {
+                    counts.rejected += 1;
+                }
+            }
+            b.set(counts);
+        });
+    }
+
+    /// The branches the fair-livelock pass of one run takes.
+    fn livelock_branches(run: impl FnOnce() -> McReport) -> (McReport, LivelockBranches) {
+        LIVELOCK_BRANCHES.with(|b| b.set(LivelockBranches::default()));
+        let report = run();
+        (report, LIVELOCK_BRANCHES.with(std::cell::Cell::get))
+    }
 
     fn check<A: Automaton + Sync>(automata: Vec<A>, model: MemoryModel, m: usize) -> McReport
     where
@@ -3799,6 +3974,237 @@ mod tests {
             .filter(|&i| matches!(procs[i].0, Phase::Trying | Phase::Exiting))
             .collect();
         assert_eq!(reached, pending);
+    }
+
+    /// A [`CasLock`] whose `unlock()` takes two steps, a read and then the
+    /// clearing write.  Between them the holder is pending and the others
+    /// spin in place, so the fair-livelock pass meets components that a
+    /// pending process can only leave: candidates that are no livelock.
+    #[derive(Debug, Clone)]
+    struct TwoStepUnlock(amx_ids::Pid);
+
+    /// [`TwoStepUnlock`]'s program counter.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    enum TwoStep {
+        Idle,
+        TryCas,
+        Read,
+        Clear,
+    }
+
+    impl Automaton for TwoStepUnlock {
+        type State = TwoStep;
+
+        fn init_state(&self) -> TwoStep {
+            TwoStep::Idle
+        }
+
+        fn start_lock(&self, state: &mut TwoStep) {
+            *state = TwoStep::TryCas;
+        }
+
+        fn start_unlock(&self, state: &mut TwoStep) {
+            *state = TwoStep::Read;
+        }
+
+        fn step<M: crate::mem::MemoryOps + ?Sized>(
+            &self,
+            state: &mut TwoStep,
+            mem: &mut M,
+        ) -> Outcome {
+            match *state {
+                TwoStep::TryCas => {
+                    if !mem.compare_and_swap(0, Slot::BOTTOM, Slot::from(self.0)) {
+                        return Outcome::Progress;
+                    }
+                    *state = TwoStep::Idle;
+                    Outcome::Acquired
+                }
+                TwoStep::Read => {
+                    let _ = mem.read(0);
+                    *state = TwoStep::Clear;
+                    Outcome::Progress
+                }
+                TwoStep::Clear => {
+                    mem.write(0, Slot::BOTTOM);
+                    *state = TwoStep::Idle;
+                    Outcome::Released
+                }
+                TwoStep::Idle => panic!("step without pending invocation"),
+            }
+        }
+
+        fn pid(&self) -> Option<amx_ids::Pid> {
+            Some(self.0)
+        }
+
+        fn symmetry_class(&self) -> Option<u64> {
+            Some(0)
+        }
+    }
+
+    impl EncodeState for TwoStep {
+        fn encode_with(&self, _pids: &PidMap, _regs: &RegMap, out: &mut Vec<u8>) {
+            out.push(*self as u8);
+        }
+
+        fn decode(bytes: &mut &[u8]) -> Option<Self> {
+            let states = [
+                TwoStep::Idle,
+                TwoStep::TryCas,
+                TwoStep::Read,
+                TwoStep::Clear,
+            ];
+            states.get(usize::from(encode::take_u8(bytes)?)).copied()
+        }
+    }
+
+    /// A lock that never acquires: `lock()` writes the caller's identity
+    /// into its local registers 0 and 1 in turn, forever.  Overwriting
+    /// another process's identity moves a state to another member of its
+    /// orbit, so quotient edges relabel positions.
+    #[derive(Debug, Clone)]
+    struct Scribbler(amx_ids::Pid);
+
+    /// [`Scribbler`]'s state: `None` idle, else the next local register.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    struct Cursor(Option<u8>);
+
+    impl Automaton for Scribbler {
+        type State = Cursor;
+
+        fn init_state(&self) -> Cursor {
+            Cursor(None)
+        }
+
+        fn start_lock(&self, state: &mut Cursor) {
+            *state = Cursor(Some(0));
+        }
+
+        fn start_unlock(&self, _state: &mut Cursor) {
+            unreachable!("Scribbler never acquires")
+        }
+
+        fn step<M: crate::mem::MemoryOps + ?Sized>(
+            &self,
+            state: &mut Cursor,
+            mem: &mut M,
+        ) -> Outcome {
+            let at = state.0.expect("step without pending invocation");
+            mem.write(usize::from(at), Slot::from(self.0));
+            *state = Cursor(Some(1 - at));
+            Outcome::Progress
+        }
+
+        fn pid(&self) -> Option<amx_ids::Pid> {
+            Some(self.0)
+        }
+
+        fn symmetry_class(&self) -> Option<u64> {
+            Some(0)
+        }
+    }
+
+    impl EncodeState for Cursor {
+        fn encode_with(&self, _pids: &PidMap, _regs: &RegMap, out: &mut Vec<u8>) {
+            out.push(self.0.map_or(0, |at| at + 1));
+        }
+
+        fn decode(bytes: &mut &[u8]) -> Option<Self> {
+            match encode::take_u8(bytes)? {
+                0 => Some(Cursor(None)),
+                b @ 1..=2 => Some(Cursor(Some(b - 1))),
+                _ => None,
+            }
+        }
+    }
+
+    #[test]
+    fn quotient_livelock_decisions_agree_with_the_orbit_confirmation() {
+        // Test builds audit every candidate component against
+        // `confirm_livelock_on_orbit` (see `audit_livelock_decision`);
+        // these three configurations take each branch.
+        fn run<A: Automaton + Sync>(
+            automata: Vec<A>,
+            model: MemoryModel,
+            m: usize,
+            adv: &Adversary,
+            symmetry: Symmetry,
+        ) -> McReport
+        where
+            A::State: EncodeState + Send,
+        {
+            ModelChecker::with_automata(automata, model, m, adv)
+                .unwrap()
+                .symmetry(symmetry)
+                .run()
+                .unwrap()
+        }
+        let pending = |report: &McReport| match &report.verdict {
+            Verdict::FairLivelock { pending, .. } => Some(pending.clone()),
+            _ => None,
+        };
+        for n in 2..=4 {
+            let pids = PidPool::sequential().mint_many(n);
+            let id = &Adversary::Identity;
+            // Ok, with spin-while-exiting candidates: rejected on the
+            // quotient, one per number of spinners.
+            let two_step: Vec<TwoStepUnlock> = pids.iter().copied().map(TwoStepUnlock).collect();
+            let (report, branches) = livelock_branches(|| {
+                run(two_step.clone(), MemoryModel::Rmw, 1, id, Symmetry::Wreath)
+            });
+            assert_eq!(report.verdict, Verdict::Ok);
+            let expected = LivelockBranches {
+                rejected: n - 1,
+                ..LivelockBranches::default()
+            };
+            assert_eq!(branches, expected, "n = {n}");
+            assert_eq!(
+                run(two_step, MemoryModel::Rmw, 1, id, Symmetry::Off).verdict,
+                Verdict::Ok
+            );
+
+            // A livelock whose edges keep every position: passed on.
+            let (report, branches) = livelock_branches(|| {
+                run(
+                    vec![SpinForever; n],
+                    MemoryModel::Rw,
+                    1,
+                    id,
+                    Symmetry::Wreath,
+                )
+            });
+            assert_eq!(pending(&report), Some((0..n).collect()));
+            let expected = LivelockBranches {
+                passed: 1,
+                ..LivelockBranches::default()
+            };
+            assert_eq!(branches, expected, "n = {n}");
+
+            // Rotations, overwritten identities: edges relabel, so the
+            // class-level check and the confirmation decide.
+            let rot = &Adversary::Rotations { stride: 1 };
+            let scribblers: Vec<Scribbler> = pids.iter().copied().map(Scribbler).collect();
+            let (report, branches) = livelock_branches(|| {
+                run(
+                    scribblers.clone(),
+                    MemoryModel::Rw,
+                    n,
+                    rot,
+                    Symmetry::Wreath,
+                )
+            });
+            assert_eq!(pending(&report), Some((0..n).collect()));
+            assert_eq!(
+                pending(&run(scribblers, MemoryModel::Rw, n, rot, Symmetry::Off)),
+                pending(&report)
+            );
+            let expected = LivelockBranches {
+                relabeling: 1,
+                ..LivelockBranches::default()
+            };
+            assert_eq!(branches, expected, "n = {n}");
+        }
     }
 
     /// Both processes of a [`NaiveFlagLock`] pair sit in the post-check
@@ -4251,20 +4657,24 @@ mod tests {
 
     #[test]
     fn oversized_symmetry_group_is_a_config_error() {
-        // Nine interchangeable processes: S_9 has 362,880 elements, more
-        // than a 16-bit group-element index can name.
-        let ids = PidPool::sequential().mint_many(9);
-        let automata: Vec<CasLock> = ids.into_iter().map(CasLock::new).collect();
-        let err = ModelChecker::with_automata(automata, MemoryModel::Rmw, 1, &Adversary::Identity)
-            .unwrap()
-            .symmetry(Symmetry::Wreath)
-            .run()
-            .unwrap_err();
-        assert_eq!(
-            err.config(),
-            Some(&ConfigError::SymmetryGroupTooLarge { order: 362_880 })
-        );
-        assert!(err.to_string().starts_with("invalid configuration"));
+        // Nine and ten interchangeable processes: S_9 and S_10 have more
+        // elements than a 16-bit group-element index can name.  The order
+        // is counted, not enumerated (enumerating S_10 took 626 MB).
+        for (n, order) in [(9, 362_880), (10, 3_628_800)] {
+            let ids = PidPool::sequential().mint_many(n);
+            let automata: Vec<CasLock> = ids.into_iter().map(CasLock::new).collect();
+            let err =
+                ModelChecker::with_automata(automata, MemoryModel::Rmw, 1, &Adversary::Identity)
+                    .unwrap()
+                    .symmetry(Symmetry::Wreath)
+                    .run()
+                    .unwrap_err();
+            assert_eq!(
+                err.config(),
+                Some(&ConfigError::SymmetryGroupTooLarge { order })
+            );
+            assert!(err.to_string().starts_with("invalid configuration"));
+        }
     }
 
     /// The full scan [`canonicalize`] prunes: every image encoded in
@@ -4294,22 +4704,38 @@ mod tests {
     }
 
     /// Asserts that [`canonicalize`] returns the full scan's `(best, σ,
-    /// orbit)` on one node, from scratch buffers holding stale bytes;
-    /// returns the orbit size.
+    /// orbit)` on one node, from scratch buffers holding stale bytes, and
+    /// that its stage 1 ties exactly the elements whose image has the
+    /// least slot section; returns the orbit size and that tie count.
     fn assert_pruned_matches_full<S: EncodeState>(
         group: &[SymElem],
         slots: &[Slot],
         procs: &[(Phase, S)],
         crashes: &[u8],
-    ) -> u32 {
-        let (mut enc, mut best) = (vec![0xFF; 9], vec![0x00; 3]);
-        let (sigma, orbit) = canonicalize(group, slots, procs, crashes, &mut enc, &mut best);
+    ) -> (u32, usize) {
+        let mut canon = Canon {
+            best: vec![0x00; 3],
+            enc: vec![0xFF; 9],
+            keys: vec![7; 2],
+            ties: vec![5],
+        };
+        let (sigma, orbit) = canonicalize(group, slots, procs, crashes, &mut canon);
+        let (best, full_sigma, full_orbit) = canonicalize_full_scan(group, slots, procs, crashes);
         assert_eq!(
-            (best, sigma, orbit),
-            canonicalize_full_scan(group, slots, procs, crashes),
+            (&canon.best, sigma, orbit),
+            (&best, full_sigma, full_orbit),
             "slots {slots:?}, procs {procs:?}, crashes {crashes:?}"
         );
-        orbit
+        let slot_bytes = encode::SLOT_BYTES * slots.len();
+        let mut image = Vec::new();
+        let ties: Vec<u16> = (0..group.len() as u16)
+            .filter(|&gi| {
+                encode_node_with(&group[gi as usize], slots, procs, crashes, &mut image);
+                image[..slot_bytes] == best[..slot_bytes]
+            })
+            .collect();
+        assert_eq!(canon.ties, ties, "slots {slots:?}");
+        (orbit, ties.len())
     }
 
     /// A node's slots, processes and crash counts.
@@ -4388,6 +4814,17 @@ mod tests {
             .collect()
     }
 
+    /// Stage 1 ties one coset of the least slot section's stabilizer.
+    /// Under `S_n` acting on slots that name `d` distinct identities that
+    /// is `(n − d)!` elements, so these are the tie counts `0 ≤ d ≤
+    /// min(n, m)` allow: the whole group at `d = 0` (every slot ⊥), down
+    /// to one element once `d ≥ n − 1`.
+    fn symmetric_tie_counts(n: usize, m: usize) -> std::collections::BTreeSet<usize> {
+        (0..=n.min(m))
+            .map(|d| (1..=n - d).product::<usize>())
+            .collect()
+    }
+
     #[test]
     fn pruned_canonicalization_matches_full_scan_under_full_symmetric_groups() {
         // S_3 and S_4 with ρ = id: n interchangeable CasLocks on the
@@ -4401,24 +4838,29 @@ mod tests {
             assert!(group.iter().all(|e| e.rho_inv.is_empty()));
 
             let states = reachable_states(automata, MemoryModel::Rmw, 1, &Adversary::Identity);
-            let orbits: Vec<u32> = states
+            let (orbits, ties): (Vec<u32>, std::collections::BTreeSet<usize>) = states
                 .iter()
                 .map(|(slots, procs, crashes)| {
                     assert_pruned_matches_full(&group, slots, procs, crashes)
                 })
-                .collect();
+                .unzip();
             // The all-⊥ start is fixed by the whole group; states with
             // some processes alike have stabilizers strictly between.
             assert_eq!(orbits[0], 1, "the initial state's orbit");
             assert!(orbits.iter().any(|&o| o > 1 && (o as usize) < order));
+            assert_eq!(ties, symmetric_tie_counts(n, 1));
 
-            let orbits: Vec<u32> = random_nodes(n as u64, 2_000, 3, n, &pids, &CAS_STATES)
-                .iter()
-                .map(|(slots, procs, crashes)| {
-                    assert_pruned_matches_full(&group, slots, procs, crashes)
-                })
-                .collect();
+            let (orbits, ties): (Vec<u32>, std::collections::BTreeSet<usize>) =
+                random_nodes(n as u64, 2_000, 3, n, &pids, &CAS_STATES)
+                    .iter()
+                    .map(|(slots, procs, crashes)| {
+                        assert_pruned_matches_full(&group, slots, procs, crashes)
+                    })
+                    .unzip();
             assert!(orbits.contains(&(order as u32)), "some random node is free");
+            assert_eq!(ties, symmetric_tie_counts(n, 3));
+            assert_eq!(ties.first(), Some(&1));
+            assert_eq!(ties.last(), Some(&order));
         }
     }
 
@@ -4435,20 +4877,24 @@ mod tests {
         assert!(group[1..].iter().all(|e| !e.rho_inv.is_empty()));
 
         let states = reachable_states(automata, MemoryModel::Rmw, 3, &adv);
-        let orbits: Vec<u32> = states
+        let (orbits, mut ties): (Vec<u32>, std::collections::BTreeSet<usize>) = states
             .iter()
             .map(|(slots, procs, crashes)| {
                 assert_pruned_matches_full(&group, slots, procs, crashes)
             })
-            .collect();
+            .unzip();
         assert_eq!(orbits[0], 1, "the initial state's orbit");
-        let orbits: Vec<u32> = random_nodes(7, 2_000, 3, 3, &pids, &CAS_STATES)
-            .iter()
-            .map(|(slots, procs, crashes)| {
-                assert_pruned_matches_full(&group, slots, procs, crashes)
-            })
-            .collect();
+        let (orbits, random_ties): (Vec<u32>, std::collections::BTreeSet<usize>) =
+            random_nodes(7, 2_000, 3, 3, &pids, &CAS_STATES)
+                .iter()
+                .map(|(slots, procs, crashes)| {
+                    assert_pruned_matches_full(&group, slots, procs, crashes)
+                })
+                .unzip();
         assert!(orbits.contains(&3), "some random node is free");
+        // Z_3 has no subgroup between: one element or all three tie.
+        ties.extend(random_ties);
+        assert_eq!(ties, [1, 3].into());
     }
 
     /// Test-only process state whose encodings differ in length: 7-bit
@@ -4497,10 +4943,14 @@ mod tests {
             let automata: Vec<CasLock> = pids[..n].iter().copied().map(CasLock::new).collect();
             let mem = SimMemory::new(MemoryModel::Rmw, 2, &Adversary::Identity, n).unwrap();
             let (group, _) = build_group(&automata, &mem, Symmetry::Wreath).unwrap();
-            for (slots, procs, crashes) in random_nodes(11 + n as u64, 3_000, 2, n, &pids, &ragged)
-            {
-                assert_pruned_matches_full(&group, &slots, &procs, &crashes);
-            }
+            let ties: std::collections::BTreeSet<usize> =
+                random_nodes(11 + n as u64, 3_000, 2, n, &pids, &ragged)
+                    .iter()
+                    .map(|(slots, procs, crashes)| {
+                        assert_pruned_matches_full(&group, slots, procs, crashes).1
+                    })
+                    .collect();
+            assert_eq!(ties, symmetric_tie_counts(n, 2));
         }
     }
 }
