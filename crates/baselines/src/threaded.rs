@@ -48,17 +48,6 @@ use crate::automaton::{
     BurnsLynchAutomaton, BurnsState, PetersonTwoAutomaton, PetersonTwoState, TasAutomaton, TasState,
 };
 
-/// How often a spinning endpoint yields to the OS scheduler.
-const YIELD_EVERY: u64 = 64;
-
-fn spin_pause(step: u64) {
-    if step.is_multiple_of(YIELD_EVERY) {
-        std::thread::yield_now();
-    } else {
-        std::hint::spin_loop();
-    }
-}
-
 /// Test-and-set over one RMW register, as an [`AmxLock`].
 ///
 /// The `m = 1` baseline every RMW lock is compared against: one CAS to
@@ -152,17 +141,6 @@ impl RawEndpoint for TasEndpoint {
 
     fn counters(&self) -> &OpCounters {
         &self.counters
-    }
-
-    fn acquire(&mut self) {
-        if self.state == TasState::Idle {
-            self.automaton.start_lock(&mut self.state);
-        }
-        let mut step = 0u64;
-        while self.automaton.step(&mut self.state, &mut self.ops) != Outcome::Acquired {
-            step += 1;
-            spin_pause(step);
-        }
     }
 
     fn try_acquire(&mut self, max_steps: u64) -> bool {
@@ -287,17 +265,6 @@ impl RawEndpoint for BurnsEndpoint {
 
     fn counters(&self) -> &OpCounters {
         &self.counters
-    }
-
-    fn acquire(&mut self) {
-        if self.state == BurnsState::Idle {
-            self.automaton.start_lock(&mut self.state);
-        }
-        let mut step = 0u64;
-        while self.automaton.step(&mut self.state, &mut self.ops) != Outcome::Acquired {
-            step += 1;
-            spin_pause(step);
-        }
     }
 
     fn try_acquire(&mut self, max_steps: u64) -> bool {
@@ -481,7 +448,7 @@ impl MemoryOps for NodeView<'_> {
         panic!("Peterson is a read/write algorithm: compare&swap does not exist here")
     }
 
-    fn snapshot(&mut self) -> Vec<Slot> {
+    fn snapshot_into(&mut self, _out: &mut Vec<Slot>) {
         panic!("Peterson never snapshots")
     }
 }
@@ -493,25 +460,6 @@ impl RawEndpoint for PetersonEndpoint {
 
     fn counters(&self) -> &OpCounters {
         &self.counters
-    }
-
-    fn acquire(&mut self) {
-        let mut step = 0u64;
-        while self.won < self.nodes.len() {
-            let node = &mut self.nodes[self.won];
-            if node.state == PetersonTwoState::Idle {
-                node.automaton.start_lock(&mut node.state);
-            }
-            let mut view = NodeView {
-                ops: &mut self.ops,
-                base: node.base,
-            };
-            while node.automaton.step(&mut node.state, &mut view) != Outcome::Acquired {
-                step += 1;
-                spin_pause(step);
-            }
-            self.won += 1;
-        }
     }
 
     fn try_acquire(&mut self, max_steps: u64) -> bool {

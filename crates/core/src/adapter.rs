@@ -6,9 +6,14 @@
 //! and the model-checked automata cannot diverge.
 //!
 //! Model enforcement mirrors [`amx_sim::mem::SimMemory`]: invoking
-//! `compare_and_swap` through an RW adapter (or `snapshot` through an RMW
-//! adapter) panics, because the corresponding operation does not exist in
-//! that register family.
+//! `compare_and_swap` through an RW adapter (or a snapshot through an
+//! RMW adapter) panics, because the corresponding operation does not
+//! exist in that register family.
+//!
+//! The RW adapter's `snapshot_into` is the handle's own
+//! [`RwHandle::snapshot_into`]: Algorithm 1's line-4 snapshot reuses the
+//! automaton's buffer and the handle's collect buffers, so a steady-state
+//! threaded lock/unlock cycle allocates nothing.
 
 use amx_ids::Slot;
 use amx_registers::{RmwHandle, RwHandle};
@@ -16,7 +21,7 @@ use amx_sim::mem::MemoryOps;
 
 /// [`MemoryOps`] over an anonymous **read/write** register array.
 ///
-/// Snapshots delegate to the handle's double-collect implementation.
+/// Snapshots delegate to the handle's allocation-free double collect.
 #[derive(Debug)]
 pub struct RwMemoryOps {
     handle: RwHandle,
@@ -59,8 +64,8 @@ impl MemoryOps for RwMemoryOps {
         panic!("compare&swap invoked on a read/write-only anonymous memory")
     }
 
-    fn snapshot(&mut self) -> Vec<Slot> {
-        self.handle.snapshot()
+    fn snapshot_into(&mut self, out: &mut Vec<Slot>) {
+        self.handle.snapshot_into(out);
     }
 }
 
@@ -107,7 +112,7 @@ impl MemoryOps for RmwMemoryOps {
         self.handle.compare_and_swap(x, old, new)
     }
 
-    fn snapshot(&mut self) -> Vec<Slot> {
+    fn snapshot_into(&mut self, _out: &mut Vec<Slot>) {
         panic!("Algorithm 2 takes no snapshots; RMW adapter does not provide them")
     }
 }
@@ -130,6 +135,22 @@ mod tests {
         let snap = ops.snapshot();
         assert!(snap[0].is_owned_by(id));
         assert_eq!(snap.iter().filter(|s| !s.is_bottom()).count(), 1);
+    }
+
+    #[test]
+    fn rw_adapter_snapshot_into_matches_snapshot_and_reuses_buffer() {
+        let mem = AnonymousRwMemory::new(3);
+        let mut pool = PidPool::sequential();
+        let (a, b) = (pool.mint(), pool.mint());
+        let mut ops_a = RwMemoryOps::new(mem.handle(a, Permutation::identity(3)));
+        let mut ops_b = RwMemoryOps::new(mem.handle(b, Permutation::rotation(3, 1)));
+        ops_a.write(1, Slot::from(a));
+        let mut buf = vec![Slot::BOTTOM; 64]; // stale, oversized: must be cleared
+        ops_b.snapshot_into(&mut buf);
+        assert_eq!(buf, ops_b.snapshot());
+        assert_eq!(buf.len(), 3);
+        assert_eq!(buf.capacity(), 64, "the caller's buffer is reused");
+        assert!(buf[0].is_owned_by(a), "b's local 0 is physical 1");
     }
 
     #[test]

@@ -139,17 +139,15 @@ pub trait RawEndpoint: Send + fmt::Debug {
     /// Cumulative shared-memory operation counters for this endpoint.
     fn counters(&self) -> &OpCounters;
 
-    /// Runs the entry protocol to completion (spinning as needed).
-    /// Resumes a competition left pending by a failed `try_acquire`.
-    fn acquire(&mut self);
-
     /// Runs at most `max_steps` entry-protocol steps; returns whether
     /// the lock was acquired.  On `false` the process is **still
     /// competing** (it may own registers) — callers either resume with
-    /// `acquire` or leave with `abandon`.
+    /// another `try_acquire` (which continues the same invocation) or
+    /// leave with `abandon`.
     fn try_acquire(&mut self, max_steps: u64) -> bool;
 
-    /// Runs the (wait-free) exit protocol to completion.
+    /// Runs the (wait-free) exit protocol to completion, without pauses:
+    /// nothing in an unlock waits for another process.
     fn release(&mut self);
 
     /// Cleanly leaves a pending competition, erasing every claim this

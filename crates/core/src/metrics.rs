@@ -84,20 +84,16 @@ mod tests {
     #[test]
     fn summarize_divides_by_entries() {
         let c = OpCounters::new();
-        for _ in 0..30 {
-            c.record_read();
-        }
+        // 4 snapshots of 10 collect rounds over m = 3: 30 reads.
+        c.record_collects(4, 3, true);
+        c.record_collects(3, 3, true);
+        c.record_collects(2, 3, true);
+        c.record_collects(1, 3, true);
         for _ in 0..10 {
             c.record_write();
         }
         for _ in 0..5 {
             c.record_cas();
-        }
-        for _ in 0..4 {
-            c.record_snapshot();
-        }
-        for _ in 0..10 {
-            c.record_collect_round();
         }
         let s = EntryCosts::summarize(&c, 10);
         assert_eq!(s.reads_per_entry, 3.0);

@@ -103,9 +103,12 @@ impl Backoff {
 
     /// Waits according to this policy for the given 0-based `attempt`.
     ///
-    /// Callers reset `attempt` whenever they observe progress; the ladder
-    /// is monotone in `attempt`, so resetting re-arms the low-latency
-    /// bands.
+    /// [`Participant::lock`](crate::lock::Participant::lock) and
+    /// [`try_lock_for`](crate::lock::Participant::try_lock_for) count
+    /// `attempt` from 0 per call, one per failed protocol slice, and
+    /// never reset it within the call: the ladder is monotone in
+    /// `attempt`, so a long wait climbs it and the next acquisition
+    /// starts again in the low-latency bands.
     pub fn wait(self, attempt: u32) {
         match self {
             Backoff::Spin => std::hint::spin_loop(),

@@ -50,17 +50,6 @@ use crate::lock::{AmxLock, BuildLock, Participant, RawEndpoint};
 use crate::policy::FreeSlotPolicy;
 use crate::spec::{Model, MutexSpec};
 
-/// How often a spinning participant yields to the OS scheduler.
-const YIELD_EVERY: u64 = 64;
-
-pub(crate) fn spin_pause(step: u64) {
-    if step.is_multiple_of(YIELD_EVERY) {
-        std::thread::yield_now();
-    } else {
-        std::hint::spin_loop();
-    }
-}
-
 /// The Algorithm 1 lock object: an anonymous RW register array shared by
 /// `n` participants.
 #[derive(Debug, Clone)]
@@ -176,17 +165,6 @@ impl RawEndpoint for RwEndpoint {
         &self.counters
     }
 
-    fn acquire(&mut self) {
-        if self.state == Alg1State::Idle {
-            self.automaton.start_lock(&mut self.state);
-        }
-        let mut step = 0u64;
-        while self.automaton.step(&mut self.state, &mut self.ops) != Outcome::Acquired {
-            step += 1;
-            spin_pause(step);
-        }
-    }
-
     fn try_acquire(&mut self, max_steps: u64) -> bool {
         if self.state == Alg1State::Idle {
             self.automaton.start_lock(&mut self.state);
@@ -201,11 +179,7 @@ impl RawEndpoint for RwEndpoint {
 
     fn release(&mut self) {
         self.automaton.start_unlock(&mut self.state);
-        let mut step = 0u64;
-        while self.automaton.step(&mut self.state, &mut self.ops) != Outcome::Released {
-            step += 1;
-            spin_pause(step);
-        }
+        while self.automaton.step(&mut self.state, &mut self.ops) != Outcome::Released {}
     }
 
     fn abandon(&mut self) {
@@ -341,17 +315,6 @@ impl RawEndpoint for RmwEndpoint {
         &self.counters
     }
 
-    fn acquire(&mut self) {
-        if self.state == Alg2State::Idle {
-            self.automaton.start_lock(&mut self.state);
-        }
-        let mut step = 0u64;
-        while self.automaton.step(&mut self.state, &mut self.ops) != Outcome::Acquired {
-            step += 1;
-            spin_pause(step);
-        }
-    }
-
     fn try_acquire(&mut self, max_steps: u64) -> bool {
         if self.state == Alg2State::Idle {
             self.automaton.start_lock(&mut self.state);
@@ -366,11 +329,7 @@ impl RawEndpoint for RmwEndpoint {
 
     fn release(&mut self) {
         self.automaton.start_unlock(&mut self.state);
-        let mut step = 0u64;
-        while self.automaton.step(&mut self.state, &mut self.ops) != Outcome::Released {
-            step += 1;
-            spin_pause(step);
-        }
+        while self.automaton.step(&mut self.state, &mut self.ops) != Outcome::Released {}
     }
 
     fn abandon(&mut self) {
@@ -535,19 +494,45 @@ mod tests {
         assert!(b.try_lock().is_some());
     }
 
+    /// Exact per-cycle operation counts of one uncontended lock/unlock,
+    /// read between cycles (where every count has been published).
     #[test]
     fn counters_accumulate_per_participant() {
+        use amx_registers::OpSnapshot;
+        fn cycle_counts(p: &mut Participant) -> OpSnapshot {
+            let before = p.counters().snapshot_counts();
+            drop(p.lock());
+            p.counters().snapshot_counts().since(&before)
+        }
         let spec = MutexSpec::rw(2, 3).unwrap();
         let mut parts = RwAnonLock::with_participants(spec, &Adversary::Identity).unwrap();
-        let p = &mut parts[0];
-        {
-            let _g = p.lock();
+        // Alg 1 (2, 3): four quiescent snapshots of two collects each
+        // (empty, then after each of the 3 claims) = 24 reads, plus the
+        // unlock's 3 reads and 3 erases.
+        let alg1 = OpSnapshot {
+            reads: 27,
+            writes: 6,
+            cas_ops: 0,
+            snapshots: 4,
+            collect_rounds: 8,
+        };
+        for _ in 0..3 {
+            assert_eq!(cycle_counts(&mut parts[0]), alg1);
         }
-        assert!(
-            p.counters().snapshots() >= 4,
-            "≥ m writes interleaved with snapshots"
-        );
-        assert!(p.counters().writes() >= 3 + 3, "3 claims + 3 erases");
+        let spec = MutexSpec::rmw(2, 3).unwrap();
+        let mut parts = RmwAnonLock::with_participants(spec, &Adversary::Identity).unwrap();
+        // Alg 2 (2, 3): one read loop over 3 registers, 3 claiming CASes
+        // and 3 releasing CASes.
+        let alg2 = OpSnapshot {
+            reads: 3,
+            writes: 0,
+            cas_ops: 6,
+            snapshots: 0,
+            collect_rounds: 0,
+        };
+        for _ in 0..3 {
+            assert_eq!(cycle_counts(&mut parts[0]), alg2);
+        }
     }
 
     #[test]

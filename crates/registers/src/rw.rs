@@ -7,14 +7,21 @@
 //! among all writes ever applied to that register — which is exactly what
 //! the double-collect snapshot needs to detect intervening writes.
 //!
-//! `snapshot()` repeatedly collects the whole array until two consecutive
+//! A snapshot repeatedly collects the whole array until two consecutive
 //! collects return identical stamped words.  This satisfies the paper's
 //! progress condition (1): if no process writes during the snapshot, two
 //! collects suffice.  Under active contention the operation retries; the
 //! bounded variant [`RwHandle::try_snapshot`] surfaces livelock to callers
 //! that want to inject failure.
+//!
+//! One loop serves every snapshot method.  It collects into two buffers
+//! the handle owns and swaps them between rounds, so after a handle's
+//! first snapshot [`RwHandle::snapshot_into`] allocates nothing; and it
+//! counts its rounds locally, publishing them to the [`OpCounters`] with
+//! one add per counter when it returns (at most three atomic adds per
+//! snapshot, instead of one per register read).
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -129,6 +136,7 @@ impl AnonymousRwMemory {
             id,
             seq: Cell::new(0),
             counters,
+            collects: RefCell::default(),
         }
     }
 
@@ -150,14 +158,18 @@ impl AnonymousRwMemory {
 /// Per-process access handle to an [`AnonymousRwMemory`].
 ///
 /// A handle belongs to one process: it carries the process identity (used
-/// to stamp writes), the adversary permutation, and the local write
-/// sequence counter.  Handles are `Send` but intentionally not `Sync`.
+/// to stamp writes), the adversary permutation, the local write
+/// sequence counter and the two collect buffers its snapshots reuse.
+/// Handles are `Send` but intentionally not `Sync`.
 pub struct RwHandle {
     cells: Arc<Vec<AtomicU64>>,
     perm: Permutation,
     id: Pid,
     seq: Cell<u32>,
     counters: OpCounters,
+    /// The previous and the current collect of the double-collect loop,
+    /// as stamped words; empty until the handle's first snapshot.
+    collects: RefCell<(Vec<u64>, Vec<u64>)>,
 }
 
 impl fmt::Debug for RwHandle {
@@ -225,15 +237,11 @@ impl RwHandle {
     }
 
     /// One collect: reads every register once, in local-name order,
-    /// returning stamped words.
-    fn collect_stamped(&self) -> Vec<u64> {
-        self.counters.record_collect_round();
-        (0..self.len())
-            .map(|x| {
-                self.counters.record_read();
-                self.phys(x).load(Ordering::SeqCst)
-            })
-            .collect()
+    /// into `buf` as stamped words.  Counts nothing (the caller
+    /// publishes its rounds in bulk).
+    fn collect_stamped(&self, buf: &mut Vec<u64>) {
+        buf.clear();
+        buf.extend((0..self.len()).map(|x| self.phys(x).load(Ordering::SeqCst)));
     }
 
     /// An unordered, non-atomic read of all registers in local-name order
@@ -248,30 +256,74 @@ impl RwHandle {
             .collect()
     }
 
+    /// The double-collect loop behind every snapshot method: collects
+    /// until two consecutive collects match, then decodes the matching
+    /// collect into `out`.  With a `max_rounds` budget it gives up once
+    /// that many collects ran (at least one always runs); without one it
+    /// yields to the OS scheduler every 8 rounds to avoid starving the
+    /// writers it is waiting out.
+    ///
+    /// The rounds are counted locally and published when the loop
+    /// returns: `m` reads and one collect round per round, plus one
+    /// snapshot on success.
+    fn double_collect(
+        &self,
+        out: &mut Vec<Slot>,
+        max_rounds: Option<usize>,
+    ) -> Result<(), SnapshotError> {
+        let mut collects = self.collects.borrow_mut();
+        let (prev, cur) = &mut *collects;
+        self.collect_stamped(prev);
+        let mut rounds = 1usize;
+        let stable = loop {
+            if max_rounds.is_some_and(|max| rounds >= max) {
+                break false;
+            }
+            self.collect_stamped(cur);
+            rounds += 1;
+            if cur == prev {
+                break true;
+            }
+            std::mem::swap(prev, cur);
+            if max_rounds.is_none() && rounds.is_multiple_of(8) {
+                std::thread::yield_now();
+            }
+        };
+        self.counters
+            .record_collects(rounds as u64, self.len() as u64, stable);
+        if !stable {
+            return Err(SnapshotError {
+                rounds: max_rounds.unwrap_or(rounds),
+            });
+        }
+        out.clear();
+        out.extend(prev.iter().map(|&w| decode_stamped(w).1));
+        Ok(())
+    }
+
     /// `R.snapshot()`: linearizable snapshot of all registers in
     /// local-name order, by unbounded double-collect.
     ///
     /// Terminates as soon as two consecutive collects observe identical
     /// stamped words; per the paper's progress condition (1) this is
     /// guaranteed once no process is writing.  Yields to the OS scheduler
-    /// every few failed rounds to avoid starving the writers it is
-    /// waiting out.
+    /// every 8 failed rounds to avoid starving the writers it is waiting
+    /// out.  Allocates the returned `Vec`; hot paths use
+    /// [`snapshot_into`](Self::snapshot_into).
     #[must_use]
     pub fn snapshot(&self) -> Vec<Slot> {
-        let mut prev = self.collect_stamped();
-        let mut rounds = 1usize;
-        loop {
-            let cur = self.collect_stamped();
-            if cur == prev {
-                self.counters.record_snapshot();
-                return cur.into_iter().map(|w| decode_stamped(w).1).collect();
-            }
-            prev = cur;
-            rounds += 1;
-            if rounds.is_multiple_of(8) {
-                std::thread::yield_now();
-            }
-        }
+        let mut out = Vec::with_capacity(self.len());
+        self.snapshot_into(&mut out);
+        out
+    }
+
+    /// [`snapshot`](Self::snapshot) written into a caller-owned buffer:
+    /// `out` is cleared and refilled, keeping its capacity.  Once this
+    /// handle has taken one snapshot and `out` has room for `m` slots,
+    /// the call allocates nothing.
+    pub fn snapshot_into(&self, out: &mut Vec<Slot>) {
+        // Without a round budget the loop cannot fail.
+        let _ = self.double_collect(out, None);
     }
 
     /// Bounded variant of [`snapshot`](Self::snapshot): gives up after
@@ -282,16 +334,9 @@ impl RwHandle {
     /// Returns [`SnapshotError`] when no two consecutive collects matched
     /// within the budget.
     pub fn try_snapshot(&self, max_rounds: usize) -> Result<Vec<Slot>, SnapshotError> {
-        let mut prev = self.collect_stamped();
-        for _ in 1..max_rounds {
-            let cur = self.collect_stamped();
-            if cur == prev {
-                self.counters.record_snapshot();
-                return Ok(cur.into_iter().map(|w| decode_stamped(w).1).collect());
-            }
-            prev = cur;
-        }
-        Err(SnapshotError { rounds: max_rounds })
+        let mut out = Vec::with_capacity(self.len());
+        self.double_collect(&mut out, Some(max_rounds))?;
+        Ok(out)
     }
 }
 
@@ -375,6 +420,36 @@ mod tests {
     }
 
     #[test]
+    fn try_snapshot_counts_its_rounds_without_a_snapshot() {
+        let mem = AnonymousRwMemory::new(5);
+        let id = PidPool::sequential().mint();
+        let c = OpCounters::new();
+        let h = mem.handle_with_counters(id, Permutation::identity(5), c.clone());
+        // One round can never compare two collects.
+        assert_eq!(h.try_snapshot(1), Err(SnapshotError { rounds: 1 }));
+        assert_eq!(c.reads(), 5);
+        assert_eq!(c.collect_rounds(), 1);
+        assert_eq!(c.snapshots(), 0);
+        // Quiescent: two rounds suffice and complete one snapshot.
+        assert!(h.try_snapshot(2).is_ok());
+        assert_eq!(c.reads(), 5 + 10);
+        assert_eq!(c.collect_rounds(), 3);
+        assert_eq!(c.snapshots(), 1);
+    }
+
+    #[test]
+    fn snapshot_into_matches_snapshot_and_reuses_buffer() {
+        let (_mem, ha, hb) = two_handles(3);
+        ha.write(1, Slot::from(ha.id()));
+        let mut buf = vec![Slot::BOTTOM; 64]; // stale, oversized: must be cleared
+        hb.snapshot_into(&mut buf);
+        assert_eq!(buf, hb.snapshot());
+        assert_eq!(buf.len(), 3);
+        assert_eq!(buf.capacity(), 64, "the caller's buffer is reused");
+        assert!(buf[0].is_owned_by(ha.id()), "hb's local 0 is physical 1");
+    }
+
+    #[test]
     fn try_snapshot_error_display() {
         let e = SnapshotError { rounds: 3 };
         assert!(e.to_string().contains('3'));
@@ -390,9 +465,9 @@ mod tests {
         let _ = h.read(0);
         let _ = h.snapshot();
         assert_eq!(c.writes(), 1);
-        assert!(c.reads() > 8); // one read + ≥2 collects of 4
+        assert_eq!(c.reads(), 1 + 2 * 4); // one read + 2 quiescent collects of 4
         assert_eq!(c.snapshots(), 1);
-        assert!(c.collect_rounds() >= 2);
+        assert_eq!(c.collect_rounds(), 2);
     }
 
     #[test]

@@ -23,9 +23,14 @@
 //! mismatch on a structurally valid file is a hard error, not a
 //! fallback.
 //!
-//! Every length field is checked against the bytes left in the file
-//! before anything is allocated for it: a corrupt length makes the
-//! file unusable (skipped like a torn one), never a panic.
+//! Every file ends with a 64-bit checksum of every byte between the
+//! magic and it.  Resume streams the file through the checksum before
+//! it trusts any field, the fingerprint included: a flipped bit
+//! anywhere makes the file corrupt (skipped like a torn one), never a
+//! panic, a hard fingerprint error or a resume from different states.
+//! Only a file whose checksum holds can be refused as incompatible.
+//! Every length field is also checked against the bytes left in the
+//! file before anything is allocated for it.
 //!
 //! Writes consult an optional [`FaultPlan`]: the checkpoint-write point
 //! fails the whole write before any byte is produced, and the
@@ -34,7 +39,7 @@
 //! the on-disk outcome of a power cut before the data became durable.
 
 use std::fs::{self, File};
-use std::io::{self, BufReader, BufWriter, Read, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use crate::fault::FaultPlan;
@@ -42,9 +47,95 @@ use crate::intern::{read_u64, read_words, write_u64, StateArena};
 use crate::mc::{MonitorHit, NodeMeta, Shard};
 
 /// Format magic; bump the trailing digit on layout changes.
-const MAGIC: &[u8; 8] = b"AMXCKPT3";
+const MAGIC: &[u8; 8] = b"AMXCKPT4";
 /// How many newest per-level checkpoint files survive a write.
 const RETAIN: usize = 2;
+
+/// Multiplier of the 64-bit FNV-1a hash the checksum folds words with.
+const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
+/// Offset basis of the 64-bit FNV-1a hash.
+const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
+
+/// The file checksum: FNV-1a folding 8 little-endian bytes per
+/// multiply, then the bytes left over one at a time, then a
+/// high-into-low fold — over the concatenation of every
+/// [`update`](Self::update), whatever the pieces' sizes.
+///
+/// Every step is a bijection of the 64-bit state (XOR with the input,
+/// multiply by an odd constant, the folds), so two streams of the same
+/// length that differ only inside one of their 8-byte words — one
+/// flipped bit, say — always get different checksums.  It is part of
+/// the file format: a change needs a new [`MAGIC`].
+#[derive(Debug, Clone)]
+struct Checksum {
+    h: u64,
+    /// Bytes of a word not yet complete.
+    tail: [u8; 8],
+    tail_len: usize,
+}
+
+impl Checksum {
+    fn new() -> Self {
+        Checksum {
+            h: FNV_OFFSET,
+            tail: [0; 8],
+            tail_len: 0,
+        }
+    }
+
+    fn update(&mut self, mut bytes: &[u8]) {
+        if self.tail_len > 0 {
+            let take = (8 - self.tail_len).min(bytes.len());
+            self.tail[self.tail_len..self.tail_len + take].copy_from_slice(&bytes[..take]);
+            self.tail_len += take;
+            bytes = &bytes[take..];
+            if self.tail_len < 8 {
+                return;
+            }
+            self.fold(u64::from_le_bytes(self.tail));
+            self.tail_len = 0;
+        }
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            self.fold(u64::from_le_bytes(word.try_into().expect("8-byte chunk")));
+        }
+        let rest = words.remainder();
+        self.tail[..rest.len()].copy_from_slice(rest);
+        self.tail_len = rest.len();
+    }
+
+    fn fold(&mut self, v: u64) {
+        self.h = (self.h ^ v).wrapping_mul(FNV_PRIME);
+    }
+
+    fn finish(&self) -> u64 {
+        let mut h = self.h;
+        for &b in &self.tail[..self.tail_len] {
+            h = (h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+        }
+        h ^= h >> 32;
+        h = h.wrapping_mul(FNV_PRIME);
+        h ^ (h >> 32)
+    }
+}
+
+/// A writer that feeds every byte it passes on into a [`Checksum`].
+struct Summed<W> {
+    inner: W,
+    sum: Checksum,
+}
+
+impl<W: Write> Write for Summed<W> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        let n = self.inner.write(buf)?;
+        self.sum.update(&buf[..n]);
+        Ok(n)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.inner.flush()
+    }
+}
 
 /// File name for the checkpoint of a completed `level`.
 fn file_name(level: u32) -> String {
@@ -131,8 +222,14 @@ pub(crate) fn write(dir: &Path, snap: &Snapshot<'_>, plan: Option<&FaultPlan>) -
     fs::create_dir_all(dir)?;
     let name = file_name(snap.level);
     let tmp = dir.join(format!("{name}.tmp"));
-    let mut w = BufWriter::new(File::create(&tmp)?);
-    w.write_all(MAGIC)?;
+    let mut file = File::create(&tmp)?;
+    file.write_all(MAGIC)?;
+    // The checksum sits under the buffer, so it sees whole buffer-sized
+    // chunks rather than one call per field.
+    let mut w = BufWriter::new(Summed {
+        inner: file,
+        sum: Checksum::new(),
+    });
     write_u64(&mut w, snap.fingerprint)?;
     write_u64(&mut w, u64::from(snap.level))?;
     write_u64(&mut w, snap.transitions)?;
@@ -171,8 +268,11 @@ pub(crate) fn write(dir: &Path, snap: &Snapshot<'_>, plan: Option<&FaultPlan>) -
     for sigma in snap.edge_sigmas {
         w.write_all(&sigma.to_le_bytes())?;
     }
-    w.flush()?;
-    let file = w.into_inner().map_err(|e| e.into_error())?;
+    let Summed {
+        inner: mut file,
+        sum,
+    } = w.into_inner().map_err(|e| e.into_error())?;
+    write_u64(&mut file, sum.finish())?;
     file.sync_all()?;
     if plan.and_then(FaultPlan::on_checkpoint_rename).is_some() {
         // Torn rename: half the payload never became durable, but the
@@ -230,17 +330,33 @@ pub(crate) fn load_latest(
 }
 
 /// Parses one checkpoint file, classifying failures.
+///
+/// Two passes, neither holding the file in memory: the first streams
+/// every byte after the magic through the [`Checksum`] and compares the
+/// trailing one, the second parses.  No field, the fingerprint
+/// included, is read before the checksum holds.
 fn parse_file(path: &Path, fingerprint: u64) -> Result<Restored, LoadFail> {
     let corrupt = LoadFail::Corrupt;
     let file = File::open(path).map_err(corrupt)?;
     let len = file.metadata().map_err(corrupt)?.len();
-    // The limit is the rest of the file: length fields check against it.
-    let mut r = BufReader::new(file).take(len);
+    let header = MAGIC.len() as u64;
+    // Magic, fingerprint and checksum are the least a file holds.
+    let Some(body_len) = len.checked_sub(header + 8).filter(|&b| b >= 8) else {
+        return Err(corrupt(bad_data("checkpoint shorter than its header")));
+    };
+    let mut r = BufReader::new(file);
     let mut magic = [0u8; 8];
     r.read_exact(&mut magic).map_err(corrupt)?;
     if magic != *MAGIC {
         return Err(corrupt(bad_data("checkpoint magic mismatch")));
     }
+    let computed = checksum_of(&mut r, body_len).map_err(corrupt)?;
+    if read_u64(&mut r).map_err(corrupt)? != computed {
+        return Err(corrupt(bad_data("checkpoint checksum mismatch")));
+    }
+    r.seek(SeekFrom::Start(header)).map_err(corrupt)?;
+    // The limit is the rest of the body: length fields check against it.
+    let mut r = r.take(body_len);
     if read_u64(&mut r).map_err(corrupt)? != fingerprint {
         return Err(LoadFail::Incompatible(bad_data(
             "checkpoint was written by an incompatible configuration",
@@ -249,7 +365,30 @@ fn parse_file(path: &Path, fingerprint: u64) -> Result<Restored, LoadFail> {
     parse_payload(&mut r).map_err(corrupt)
 }
 
-/// Parses everything after the magic + fingerprint header.
+/// The [`Checksum`] of the next `len` bytes of `r`.
+fn checksum_of(r: &mut impl BufRead, len: u64) -> io::Result<u64> {
+    let mut body = r.take(len);
+    let mut sum = Checksum::new();
+    loop {
+        let chunk = body.fill_buf()?;
+        if chunk.is_empty() {
+            break;
+        }
+        sum.update(chunk);
+        let n = chunk.len();
+        body.consume(n);
+    }
+    if body.limit() != 0 {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            "checkpoint shorter than its length",
+        ));
+    }
+    Ok(sum.finish())
+}
+
+/// Parses everything between the magic + fingerprint header and the
+/// checksum.
 fn parse_payload<R: Read>(r: &mut io::Take<R>) -> io::Result<Restored> {
     let level = read_u32_checked(r, "level")?;
     let transitions = read_u64(r)?;
@@ -327,4 +466,39 @@ fn read_count<R: Read>(r: &mut io::Take<R>, item_bytes: u64, what: &str) -> io::
 
 fn bad_data(what: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, what)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn checksum_does_not_depend_on_how_the_stream_is_split() {
+        let bytes: Vec<u8> = (0..61u8).map(|b| b.wrapping_mul(37)).collect();
+        let mut whole = Checksum::new();
+        whole.update(&bytes);
+        for split in [1, 3, 7, 8, 9, 16] {
+            let mut pieces = Checksum::new();
+            for piece in bytes.chunks(split) {
+                pieces.update(piece);
+            }
+            assert_eq!(pieces.finish(), whole.finish(), "pieces of {split}");
+        }
+    }
+
+    #[test]
+    fn checksum_detects_every_single_bit_flip() {
+        let bytes: Vec<u8> = (0..21u8).collect();
+        let mut clean = Checksum::new();
+        clean.update(&bytes);
+        for i in 0..bytes.len() {
+            for bit in 0..8 {
+                let mut flipped = bytes.clone();
+                flipped[i] ^= 1 << bit;
+                let mut sum = Checksum::new();
+                sum.update(&flipped);
+                assert_ne!(sum.finish(), clean.finish(), "byte {i} bit {bit}");
+            }
+        }
+    }
 }

@@ -1150,9 +1150,15 @@ impl StateArena {
     /// [`set_spill`](Self::set_spill) afterwards to re-impose a
     /// budget.
     ///
-    /// Every length is range-checked before anything is allocated for
-    /// it, and buffers grow only as their bytes arrive, so a corrupt
-    /// snapshot is an error, never a panic or an oversized allocation.
+    /// Every length and index field is range-checked before anything is
+    /// allocated for it, and buffers grow only as their bytes arrive, so
+    /// a malformed structure is an error, never an oversized allocation.
+    /// Page payloads (the delta-compressed state records) are taken as
+    /// they come: a corrupt payload is not detected here, and decoding
+    /// it later can panic or yield different states.  Their integrity
+    /// is the container's job — the checkpoint file, the one reader
+    /// from disk, verifies a checksum over every byte before it parses
+    /// a snapshot.
     ///
     /// # Errors
     ///

@@ -33,31 +33,31 @@ pub trait MemoryOps {
     /// does not exist in the RW model.
     fn compare_and_swap(&mut self, x: usize, old: Slot, new: Slot) -> bool;
 
-    /// Linearizable snapshot of all registers, in local-name order.
+    /// Linearizable snapshot of all registers, in local-name order,
+    /// written into a caller-owned buffer: `out` is cleared and refilled,
+    /// keeping its capacity, so hot paths (Algorithm 1's line 4 in the
+    /// simulator, the model checker and the threaded lock) reuse one
+    /// allocation instead of allocating per step.  This is the one
+    /// snapshot method every implementor provides; there is no default,
+    /// so no implementor falls back to an allocating path unnoticed.
     ///
     /// # Panics
     ///
     /// Implementations may panic if the underlying memory cannot provide
     /// a linearizable snapshot (not the case for either paper model, as
     /// snapshots are implementable from RW registers).
-    fn snapshot(&mut self) -> Vec<Slot>;
+    fn snapshot_into(&mut self, out: &mut Vec<Slot>);
 
-    /// Linearizable snapshot written into a caller-owned buffer.
-    ///
-    /// Semantically identical to [`snapshot`](Self::snapshot); `out` is
-    /// cleared and refilled so hot paths (the simulator's and model
-    /// checker's snapshot-per-step loops) can reuse one allocation
-    /// instead of allocating a fresh `Vec` per step.  The default
-    /// delegates to `snapshot()` for API compatibility; in-memory
-    /// implementations override it allocation-free.
+    /// [`snapshot_into`](Self::snapshot_into) into a fresh `Vec`, for
+    /// callers off the hot path.
     ///
     /// # Panics
     ///
-    /// Same conditions as [`snapshot`](Self::snapshot).
-    fn snapshot_into(&mut self, out: &mut Vec<Slot>) {
-        let snap = self.snapshot();
-        out.clear();
-        out.extend_from_slice(&snap);
+    /// Same conditions as [`snapshot_into`](Self::snapshot_into).
+    fn snapshot(&mut self) -> Vec<Slot> {
+        let mut out = Vec::with_capacity(self.m());
+        self.snapshot_into(&mut out);
+        out
     }
 }
 
@@ -242,12 +242,6 @@ impl MemoryOps for SimView<'_> {
         } else {
             false
         }
-    }
-
-    fn snapshot(&mut self) -> Vec<Slot> {
-        (0..self.m())
-            .map(|x| self.mem.slots[self.phys(x)])
-            .collect()
     }
 
     fn snapshot_into(&mut self, out: &mut Vec<Slot>) {

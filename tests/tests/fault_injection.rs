@@ -12,9 +12,9 @@
 //! * a **checkpoint write** failure disables checkpointing for the
 //!   rest of the run (degraded, verdict unchanged);
 //! * a **torn, truncated or garbled newest checkpoint** — a corrupt
-//!   length field included — makes `--resume` fall back to the newest
-//!   *valid* earlier level and still reproduce the uninterrupted
-//!   verdict bit-for-bit.
+//!   length field or one flipped bit anywhere in the file included —
+//!   makes `--resume` fall back to the newest *valid* earlier level and
+//!   still reproduce the uninterrupted verdict bit-for-bit.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -290,7 +290,8 @@ fn garbage_checkpoint_payload_falls_back_one_level() {
 /// A length field claiming more than the file holds — here the monitor
 /// count (bytes 56..64, after the magic, fingerprint, level and four
 /// counters) set to 2^60 − 1 — is refused before anything is allocated
-/// for it: the file is skipped like a torn one, never a panic.
+/// for it (the checksum catches it before any field is read): the file
+/// is skipped like a torn one, never a panic.
 #[test]
 fn corrupt_length_field_falls_back_one_level() {
     corrupt_newest_and_resume("length", None, |dir| {
@@ -299,6 +300,120 @@ fn corrupt_length_field_falls_back_one_level() {
         bytes[56..64].copy_from_slice(&0x0FFF_FFFF_FFFF_FFFFu64.to_le_bytes());
         std::fs::write(&newest, &bytes).unwrap();
     });
+}
+
+/// One byte offset inside each section of a checkpoint file, found by
+/// walking the layout the checker writes: magic, fingerprint, level,
+/// four counters, monitor records, frontier ids, the arena snapshot
+/// (its own magic, record ends, hash table, open-page bases, open-page
+/// bytes, sealed-page bytes), meta rows, edge targets, edge sigmas and
+/// the trailing checksum.  Sealed pages get no site (the test's small
+/// checkpoints have none), nor does a section the file leaves empty.
+fn flip_sites(bytes: &[u8]) -> Vec<(&'static str, usize)> {
+    let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize;
+    let mut sites = vec![
+        ("magic", 3),
+        ("fingerprint", 8 + 5),
+        ("level", 16),
+        ("transitions", 24),
+    ];
+    let mut at = 56;
+    let monitors = word(at);
+    at += 8;
+    for _ in 0..monitors {
+        at += if word(at + 8) == 1 { 40 } else { 16 };
+    }
+    let frontier = word(at);
+    at += 8;
+    if frontier > 0 {
+        sites.push(("frontier", at + 4 * (frontier / 2)));
+    }
+    at += 4 * frontier;
+    assert_eq!(&bytes[at..at + 8], b"AMXARN1\n", "arena snapshot magic");
+    at += 8;
+    let states = word(at);
+    at += 8;
+    let ends = at;
+    sites.push(("arena record ends", ends + 4 * (states / 2)));
+    at += 4 * states;
+    let total = u32::from_le_bytes(
+        bytes[ends + 4 * (states - 1)..ends + 4 * states]
+            .try_into()
+            .unwrap(),
+    ) as usize;
+    let table = word(at);
+    at += 8;
+    sites.push(("arena table", at + 8 * (table / 2)));
+    at += 8 * table;
+    let bases = word(at);
+    at += 8 + 6 * bases;
+    let open = word(at);
+    at += 8;
+    if open > 0 {
+        sites.push(("arena open page", at + open / 2));
+    }
+    // The sealed pages hold the rest of the records.
+    at += total;
+    let meta = word(at);
+    at += 8;
+    sites.push(("meta rows", at + 8 * (meta / 2)));
+    at += 8 * meta;
+    let targets = word(at);
+    at += 8;
+    if targets > 0 {
+        sites.push(("edge targets", at + 4 * (targets / 2)));
+    }
+    at += 4 * targets;
+    let sigmas = word(at);
+    at += 8;
+    if sigmas > 0 {
+        sites.push(("edge sigmas", at + 2 * (sigmas / 2)));
+    }
+    at += 2 * sigmas;
+    assert_eq!(at + 8, bytes.len(), "the walk ends at the checksum");
+    sites.push(("checksum", at + 3));
+    sites
+}
+
+/// One flipped bit in any section of the newest checkpoint — the
+/// fingerprint included, which must not turn into a hard
+/// incompatible-configuration error — makes the resume fall back one
+/// level and reproduce the clean verdict and counts.
+#[test]
+fn single_bit_flip_anywhere_falls_back_one_level() {
+    let sections = [
+        "magic",
+        "fingerprint",
+        "level",
+        "transitions",
+        "frontier",
+        "arena record ends",
+        "arena table",
+        "arena open page",
+        "meta rows",
+        "edge targets",
+        "edge sigmas",
+        "checksum",
+    ];
+    for section in sections {
+        corrupt_newest_and_resume(
+            &format!("flip-{}", section.replace(' ', "-")),
+            None,
+            |dir| {
+                let newest = newest_checkpoint(dir);
+                let mut bytes = std::fs::read(&newest).unwrap();
+                let sites = flip_sites(&bytes);
+                let &(_, at) = sites
+                    .iter()
+                    .find(|(name, _)| *name == section)
+                    .unwrap_or_else(|| {
+                        panic!("the newest checkpoint has no {section} ({sites:?})")
+                    });
+                bytes[at] ^= 1;
+                std::fs::write(&newest, &bytes).unwrap();
+            },
+        );
+    }
 }
 
 /// Every checkpoint corrupt ⇒ the resume starts fresh (degraded, not

@@ -287,9 +287,9 @@ fn kill_and_resume_alg2_verifies() {
     kill_resume_roundtrip(|| alg2(2, 3), MemoryModel::Rmw, 3, 4, (1, 1), "alg2(2,3)");
 }
 
-/// A checkpoint carrying the previous format's magic (`AMXCKPT2`, from
-/// before one seen set served every worker count) is skipped with a
-/// degraded note, and the run starts over to the uninterrupted report.
+/// A checkpoint carrying the previous format's magic (`AMXCKPT3`, from
+/// before the file ended in a checksum) is skipped with a degraded
+/// note, and the run starts over to the uninterrupted report.
 #[test]
 fn previous_format_checkpoint_is_skipped() {
     let dir = TempDir::new("v2");
@@ -313,10 +313,10 @@ fn previous_format_checkpoint_is_skipped() {
     let mut bytes = std::fs::read(&path).unwrap();
     assert_eq!(
         &bytes[..8],
-        b"AMXCKPT3",
+        b"AMXCKPT4",
         "checkpoints are written in the current format"
     );
-    bytes[..8].copy_from_slice(b"AMXCKPT2");
+    bytes[..8].copy_from_slice(b"AMXCKPT3");
     std::fs::write(&path, &bytes).unwrap();
 
     let resumed = checker()
@@ -340,7 +340,7 @@ fn previous_format_checkpoint_is_skipped() {
     assert_equivalent(
         &baseline,
         &resumed,
-        "alg1(2,2) after a skipped AMXCKPT2 file",
+        "alg1(2,2) after a skipped AMXCKPT3 file",
     );
 }
 
