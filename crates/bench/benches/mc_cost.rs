@@ -2,6 +2,7 @@
 //! algorithms' state spaces (useful for sizing new configurations), and
 //! what the process-symmetry reduction buys on symmetric adversaries.
 
+use amx_baselines::automaton::TasAutomaton;
 use amx_core::{Alg1Automaton, Alg2Automaton, MutexSpec};
 use amx_ids::PidPool;
 use amx_registers::Adversary;
@@ -173,5 +174,37 @@ fn bench_canonicalize(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_hash, bench_mc, bench_canonicalize);
+/// A check's fixed cost: one whole `run()` of the smallest smoke-grid
+/// configuration, test-and-set for two processes on one register (4
+/// canonical states under the wreath reduction, one worker), where
+/// per-run set-up rather than per-state work decides the time.  The
+/// mc-grid workload's median check is a few hundred microseconds, so a
+/// fixed cost of tens of microseconds moves it.
+fn bench_fixed_cost(c: &mut Criterion) {
+    let mut group = c.benchmark_group("fixed_cost");
+    group.bench_function("tas_n2_m1_wreath_run", |b| {
+        b.iter(|| {
+            let mut pool = PidPool::sequential();
+            let automata: Vec<TasAutomaton> =
+                (0..2).map(|_| TasAutomaton::new(pool.mint())).collect();
+            let report =
+                ModelChecker::with_automata(automata, MemoryModel::Rmw, 1, &Adversary::Identity)
+                    .unwrap()
+                    .symmetry(Symmetry::Wreath)
+                    .run()
+                    .unwrap();
+            assert_eq!(report.canonical_states, 4);
+            report.canonical_states
+        })
+    });
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_hash,
+    bench_mc,
+    bench_canonicalize,
+    bench_fixed_cost
+);
 criterion_main!(benches);

@@ -5,10 +5,12 @@
 //! seen set's interned arena (via the spill-invariant [`StateArena`]
 //! snapshot format) and BFS-tree metadata, the pending frontier (as
 //! state ids — the bytes are rematerialized from the arena on load),
-//! the global counters, the monitor accumulators, and the fair-livelock
+//! the global counters, the monitor accumulators, the fair-livelock
 //! pass's edge rows of every already-expanded state (so a resumed run
-//! never regenerates a successor).  None of it depends on the worker
-//! count, so a checkpoint resumes at any.
+//! never regenerates a successor), and the pending depths of the
+//! frontier's states with their running per-position maxima (so a
+//! resumed run reports the same `max_pending_depth`).  None of it
+//! depends on the worker count, so a checkpoint resumes at any.
 //!
 //! Each completed level is written to its own file
 //! (`mc-<level:08>.ckpt`) atomically (`.tmp` + rename), and the newest
@@ -47,7 +49,7 @@ use crate::intern::{read_u64, read_words, write_u64, StateArena};
 use crate::mc::{MonitorHit, NodeMeta, Shard};
 
 /// Format magic; bump the trailing digit on layout changes.
-const MAGIC: &[u8; 8] = b"AMXCKPT4";
+const MAGIC: &[u8; 8] = b"AMXCKPT5";
 /// How many newest per-level checkpoint files survive a write.
 const RETAIN: usize = 2;
 
@@ -189,6 +191,10 @@ pub(crate) struct Snapshot<'a> {
     /// symmetry).
     pub(crate) edge_targets: &'a [u32],
     pub(crate) edge_sigmas: &'a [u16],
+    /// Per-position maxima of the stored states' pending depths.
+    pub(crate) depth_maxima: &'a [u16],
+    /// The frontier's pending depths, one row per frontier id.
+    pub(crate) frontier_depths: &'a [u16],
 }
 
 /// Owned exploration state read back from a checkpoint.
@@ -206,6 +212,10 @@ pub(crate) struct Restored {
     /// against the restored states.
     pub(crate) edge_targets: Vec<u32>,
     pub(crate) edge_sigmas: Vec<u16>,
+    /// Pending-depth maxima and frontier rows, as in [`Snapshot`]; the
+    /// caller checks their lengths against the process count.
+    pub(crate) depth_maxima: Vec<u16>,
+    pub(crate) frontier_depths: Vec<u16>,
 }
 
 /// Writes `snap` to `<dir>/mc-<level>.ckpt` atomically, then prunes
@@ -267,6 +277,12 @@ pub(crate) fn write(dir: &Path, snap: &Snapshot<'_>, plan: Option<&FaultPlan>) -
     write_u64(&mut w, snap.edge_sigmas.len() as u64)?;
     for sigma in snap.edge_sigmas {
         w.write_all(&sigma.to_le_bytes())?;
+    }
+    for depths in [snap.depth_maxima, snap.frontier_depths] {
+        write_u64(&mut w, depths.len() as u64)?;
+        for d in depths {
+            w.write_all(&d.to_le_bytes())?;
+        }
     }
     let Summed {
         inner: mut file,
@@ -432,6 +448,10 @@ fn parse_payload<R: Read>(r: &mut io::Take<R>) -> io::Result<Restored> {
     let edge_targets = read_words(r, n_targets, u32::from_le_bytes)?;
     let n_sigmas = read_count(r, 2, "edge sigma count")?;
     let edge_sigmas = read_words(r, n_sigmas, u16::from_le_bytes)?;
+    let n_maxima = read_count(r, 2, "pending depth maxima count")?;
+    let depth_maxima = read_words(r, n_maxima, u16::from_le_bytes)?;
+    let n_depths = read_count(r, 2, "frontier depth count")?;
+    let frontier_depths = read_words(r, n_depths, u16::from_le_bytes)?;
     // Trailing garbage means a torn or foreign file — refuse it.
     if r.read(&mut [0u8; 1])? != 0 {
         return Err(bad_data("trailing bytes after checkpoint payload"));
@@ -447,6 +467,8 @@ fn parse_payload<R: Read>(r: &mut io::Take<R>) -> io::Result<Restored> {
         shard: Shard { arena, meta },
         edge_targets,
         edge_sigmas,
+        depth_maxima,
+        frontier_depths,
     })
 }
 
@@ -483,6 +505,73 @@ mod tests {
                 pieces.update(piece);
             }
             assert_eq!(pieces.finish(), whole.finish(), "pieces of {split}");
+        }
+    }
+
+    const FINGERPRINT: u64 = 0x5EED;
+
+    /// Writes a level-3 checkpoint of an empty seen set with a frontier
+    /// of three ids and two processes' pending depths into a fresh
+    /// directory; returns the directory and the file.
+    fn write_depths_checkpoint(tag: &str) -> (PathBuf, PathBuf) {
+        let dir = std::env::temp_dir().join(format!("amx-ckpt-{tag}-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let shard = Shard::default();
+        let snap = Snapshot {
+            fingerprint: FINGERPRINT,
+            level: 3,
+            transitions: 0,
+            acquisitions: 0,
+            peak_frontier: 3,
+            orbit_sum: 0,
+            monitor_hits: &[],
+            frontier: &[0, 1, 2],
+            shard: &shard,
+            edge_targets: &[],
+            edge_sigmas: &[],
+            depth_maxima: &[4, 7],
+            frontier_depths: &[0, 1, 2, 3, 4, 7],
+        };
+        write(&dir, &snap, None).unwrap();
+        let path = dir.join(file_name(3));
+        (dir, path)
+    }
+
+    #[test]
+    fn pending_depth_lengths_are_checked_before_allocating() {
+        // The file ends in: maxima count, 2 maxima, row count, 6 row
+        // entries, checksum.
+        let rows_count = |len: usize| len - 8 - 2 * 6 - 8;
+        let maxima_count = |len: usize| rows_count(len) - 2 * 2 - 8;
+        for (what, field) in [
+            ("maxima", &maxima_count as &dyn Fn(usize) -> usize),
+            ("rows", &rows_count),
+        ] {
+            let (dir, path) = write_depths_checkpoint(&format!("depth-length-{what}"));
+            let Ok(ck) = parse_file(&path, FINGERPRINT) else {
+                panic!("{what}: the intact checkpoint parses");
+            };
+            assert_eq!(ck.depth_maxima, [4, 7]);
+            assert_eq!(ck.frontier_depths, [0, 1, 2, 3, 4, 7]);
+            let mut bytes = fs::read(&path).unwrap();
+            let at = field(bytes.len());
+            bytes[at..at + 8].copy_from_slice(&0x0FFF_FFFF_FFFF_FFFFu64.to_le_bytes());
+            // Reseal, so the length check, not the checksum, refuses it.
+            let body = bytes.len() - 8;
+            let mut sum = Checksum::new();
+            sum.update(&bytes[MAGIC.len()..body]);
+            bytes[body..].copy_from_slice(&sum.finish().to_le_bytes());
+            fs::write(&path, &bytes).unwrap();
+            match parse_file(&path, FINGERPRINT) {
+                Err(LoadFail::Corrupt(e)) => assert_eq!(e.kind(), io::ErrorKind::InvalidData),
+                Err(LoadFail::Incompatible(e)) => panic!("{what}: incompatible: {e}"),
+                Ok(_) => panic!("{what}: a corrupt length parsed"),
+            }
+            // Skipped like a torn file: nothing to resume.
+            let (restored, skipped) = load_latest(&dir, FINGERPRINT).unwrap();
+            assert!(restored.is_none(), "{what}");
+            assert_eq!(skipped.len(), 1, "{what}");
+            let _ = fs::remove_dir_all(&dir);
         }
     }
 

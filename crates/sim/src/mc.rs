@@ -483,9 +483,12 @@ pub struct McReport {
     /// the global state unchanged are self-loops, not tree edges, so
     /// they do not extend the metric (unbounded waiting is the
     /// starvation analysis' job — see `amx-props`).  Populated on
-    /// completing runs (empty after a violation or overflow).  With
-    /// symmetry reduction active, positions within one symmetry class
-    /// are interchangeable, so read per-class maxima.
+    /// completing runs (empty after a violation, overflow or
+    /// interruption).  With symmetry reduction active, positions within
+    /// one symmetry class are interchangeable, so read per-class maxima.
+    /// Computed during exploration: each state's depths follow from its
+    /// tree parent's when the state is stored, and checkpoints carry the
+    /// frontier's depths and the running maxima.
     pub max_pending_depth: Vec<usize>,
     /// Degradation events of this run, in occurrence order: spill
     /// writes that failed (arena fell back to fully resident),
@@ -773,17 +776,22 @@ impl<A: Automaton + std::fmt::Debug> std::fmt::Debug for ModelChecker<A> {
     }
 }
 
+/// Most expand workers a run uses: a [`PendingInsert`] names its
+/// worker's outbox in 16 bits.
+const MAX_WORKERS: usize = u16::MAX as usize;
+
 /// Caps a requested thread count at the machine's available
 /// parallelism: oversubscribing cores only adds context-switch and
 /// cache pressure, so the pool never exceeds the hardware (unless
-/// [`ModelChecker::oversubscribe`] disables the cap).
+/// [`ModelChecker::oversubscribe`] disables the cap).  One worker, the
+/// default, never asks the machine (see [`ModelChecker::threads`]).
 fn effective_workers(threads: usize, oversubscribe: bool) -> usize {
-    let cap = if oversubscribe {
-        usize::MAX
+    let cap = if threads <= 1 || oversubscribe {
+        MAX_WORKERS
     } else {
-        std::thread::available_parallelism().map_or(usize::MAX, std::num::NonZeroUsize::get)
+        std::thread::available_parallelism().map_or(MAX_WORKERS, std::num::NonZeroUsize::get)
     };
-    threads.min(cap).max(1)
+    threads.min(cap).clamp(1, MAX_WORKERS)
 }
 
 impl<A: Automaton> ModelChecker<A> {
@@ -875,9 +883,12 @@ impl<A: Automaton> ModelChecker<A> {
     /// The count is a *cap*: the engine never spawns more compute
     /// workers than the machine's available parallelism, because
     /// oversubscribing cores only adds context-switch and cache
-    /// pressure (measured ~2× wall-time on a single-core host).  A run
-    /// whose effective pool is one worker runs entirely on the calling
-    /// thread.
+    /// pressure (measured ~2× wall-time on a single-core host), nor more
+    /// than 65,535.  The parallelism is queried only when more than one
+    /// worker is requested: the query reads the process's cgroup limits
+    /// and took a median 21 µs per call on a 2-vCPU VM, more than the
+    /// rest of a four-state check's run.  A run whose effective pool is
+    /// one worker runs entirely on the calling thread.
     #[must_use]
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
@@ -885,8 +896,8 @@ impl<A: Automaton> ModelChecker<A> {
     }
 
     /// Disables the available-parallelism cap on the worker pool, so
-    /// `threads(t)` spawns exactly `t` workers even on a host with
-    /// fewer cores.  A correctness/test hook — the differential suite
+    /// `threads(t)` spawns exactly `t` workers (at most 65,535) even on
+    /// a host with fewer cores.  A correctness/test hook — the differential suite
     /// uses it to drive the multi-worker, work-stealing level regardless
     /// of the machine it runs on; production runs should leave the cap
     /// alone (oversubscription measured ~2× slower on a single-core
@@ -951,8 +962,9 @@ impl<A: Automaton> ModelChecker<A> {
     /// Enables checkpointing: after each completed breadth-first level
     /// (subject to [`checkpoint_every`](Self::checkpoint_every)) the
     /// full exploration state — arena, seen table, BFS metadata,
-    /// frontier, monitor accumulators and the livelock pass's edge rows
-    /// — is written atomically to `<dir>/mc-<level>.ckpt`, and
+    /// frontier with its pending depths, monitor accumulators, the
+    /// pending-depth maxima and the livelock pass's edge rows — is
+    /// written atomically to `<dir>/mc-<level>.ckpt`, and
     /// [`resume`](Self::resume) continues a killed run from there
     /// bit-identically.
     #[must_use]
@@ -1068,8 +1080,13 @@ where
             crashes: self.crashes,
             spill_error: Mutex::new(None),
         };
-        let ckpt_dir = self.checkpoint_dir.as_deref();
-        let fingerprint = self.fingerprint();
+        // The fingerprint formats the whole configuration; only the
+        // checkpoint files read it.
+        let ckpt = self
+            .checkpoint_dir
+            .as_deref()
+            .map(|dir| (dir, self.fingerprint()));
+        let n = self.automata.len();
 
         let mut scratch: Scratch<A::State> = Scratch::new(self.mem0.clone());
         let mut peak_frontier = 0usize;
@@ -1087,7 +1104,7 @@ where
         let mut resumed_from_level: Option<u32> = None;
 
         let mut degraded: Vec<String> = Vec::new();
-        let restored = if let Some(dir) = ckpt_dir.filter(|_| self.resume) {
+        let restored = if let Some((dir, fingerprint)) = ckpt.filter(|_| self.resume) {
             let (restored, skipped) =
                 checkpoint::load_latest(dir, fingerprint).map_err(McError::Checkpoint)?;
             degraded.extend(skipped);
@@ -1096,10 +1113,13 @@ where
             None
         };
         let mut shard: Shard;
-        let mut frontier = Frontier::default();
+        let mut frontier = Frontier::new(n);
         // The next level's buffer, swapped with `frontier` after every
         // level so both keep their capacity.
-        let mut next = Frontier::default();
+        let mut next = Frontier::new(n);
+        // Per-position maxima of every stored state's pending depths
+        // (see `McReport::max_pending_depth`).
+        let mut depth_maxima = vec![0u16; n];
         if let Some(ck) = restored {
             shard = ck.shard;
             let states = shard.arena.len();
@@ -1112,10 +1132,21 @@ where
             monitor_hits = ck.monitor_hits;
             completed_levels = ck.level;
             resumed_from_level = Some(ck.level);
+            // One row of pending depths per frontier node, one maximum
+            // per position.
+            if ck.depth_maxima.len() != n
+                || ck.frontier.len().checked_mul(n) != Some(ck.frontier_depths.len())
+            {
+                return Err(McError::Checkpoint(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    "checkpoint pending depths do not match its frontier",
+                )));
+            }
+            depth_maxima = ck.depth_maxima;
             // The checkpoint stores frontier *ids*; the bytes come back
             // out of the restored arena.
             let mut bytes = Vec::new();
-            for &id in &ck.frontier {
+            for (&id, depths) in ck.frontier.iter().zip(ck.frontier_depths.chunks_exact(n)) {
                 if id as usize >= states {
                     return Err(McError::Checkpoint(io::Error::new(
                         io::ErrorKind::InvalidData,
@@ -1126,7 +1157,7 @@ where
                     .arena
                     .get_into(id, &mut bytes)
                     .map_err(McError::Spill)?;
-                frontier.push(id, &bytes);
+                frontier.push(id, &bytes, depths.iter().copied());
             }
             // Every state but the frontier has been expanded and owns a
             // row; each target must name a stored state.
@@ -1193,7 +1224,8 @@ where
                 meta0,
                 orbit0,
             );
-            frontier.push(root, root_bytes);
+            // No process is pending in the initial state.
+            frontier.push(root, root_bytes, std::iter::repeat_n(0, n));
 
             // The initial state is reachable too: monitors see it first.
             for (mi, mon) in self.monitors.iter().enumerate() {
@@ -1246,6 +1278,9 @@ where
             );
             acquisitions += out.acquisitions;
             transitions += out.transitions;
+            for (max, &d) in depth_maxima.iter_mut().zip(&out.depth_maxima) {
+                *max = (*max).max(d);
+            }
             if let Some(v) = out.violation {
                 if violation.as_ref().is_none_or(|best| v.order < best.order) {
                     violation = Some(v);
@@ -1283,7 +1318,7 @@ where
             if let Some(e) = shared.spill_error.lock().take() {
                 return Err(McError::Spill(e));
             }
-            if let Some(dir) = ckpt_dir {
+            if let Some((dir, fingerprint)) = ckpt {
                 if ckpt_enabled
                     && !frontier.is_empty()
                     && violation.is_none()
@@ -1303,6 +1338,8 @@ where
                         shard: &shard,
                         edge_targets: &edges.targets,
                         edge_sigmas: &edges.sigmas,
+                        depth_maxima: &depth_maxima,
+                        frontier_depths: &frontier.depths,
                     };
                     match checkpoint::write(dir, &snap, self.fault_plan.as_deref()) {
                         Ok(()) => {
@@ -1402,8 +1439,9 @@ where
             return Ok(finish_report(report, &store, start));
         }
 
-        report.max_pending_depth =
-            max_pending_depth::<A::State>(&store, &group, m, self.automata.len())?;
+        report.max_pending_depth = depth_maxima.iter().map(|&d| usize::from(d)).collect();
+        #[cfg(test)]
+        tests::audit_pending_depths::<A::State>(&store, &group, m, &report.max_pending_depth);
 
         let scc_start = Instant::now();
         if let Some((verdict, queries)) =
@@ -2347,16 +2385,20 @@ struct LevelOut {
     prop_violation: Option<PropViolation>,
     /// Per non-fatal monitor (registration order): hit accounting.
     monitor_hits: Vec<MonitorHit>,
+    /// Per canonical position: the largest pending depth of a state the
+    /// level stored.
+    depth_maxima: Vec<u16>,
 }
 
 impl LevelOut {
-    fn new(n_monitors: usize) -> Self {
+    fn new(n_monitors: usize, n: usize) -> Self {
         LevelOut {
             acquisitions: 0,
             transitions: 0,
             violation: None,
             prop_violation: None,
             monitor_hits: vec![MonitorHit::default(); n_monitors],
+            depth_maxima: vec![0; n],
         }
     }
 
@@ -2678,16 +2720,37 @@ fn group_tables(group: &[SymElem]) -> GroupTables {
 
 /// One breadth-first level: node ids in `(parent position, actor)`
 /// order, with their canonical encodings packed end to end in one
-/// buffer (no allocation per node).
-#[derive(Debug, Default)]
+/// buffer (no allocation per node), and each node's pending depths.
+///
+/// A node's pending depth at canonical position `j` is the number of
+/// steps that position has taken inside its current `lock()` invocation
+/// (its `Trying` phase) along the node's breadth-first tree path.  The
+/// drain computes a fresh state's depths from its parent's
+/// ([`child_depths`]), so the depths of every stored state pass through
+/// a frontier exactly once.
+#[derive(Debug)]
 struct Frontier {
+    /// Pending depths per node (the process count).
+    n: usize,
     ids: Vec<u32>,
     /// `ends[i]` is the end offset of node `i`'s bytes in `bytes`.
     ends: Vec<usize>,
     bytes: Vec<u8>,
+    /// Node `i`'s pending depths are `depths[i * n..(i + 1) * n]`.
+    depths: Vec<u16>,
 }
 
 impl Frontier {
+    fn new(n: usize) -> Self {
+        Frontier {
+            n,
+            ids: Vec::new(),
+            ends: Vec::new(),
+            bytes: Vec::new(),
+            depths: Vec::new(),
+        }
+    }
+
     fn len(&self) -> usize {
         self.ids.len()
     }
@@ -2702,17 +2765,48 @@ impl Frontier {
         (self.ids[i], &self.bytes[start..self.ends[i]])
     }
 
+    /// Pending depths of node `i`, one per canonical position.
+    fn depths(&self, i: usize) -> &[u16] {
+        &self.depths[i * self.n..(i + 1) * self.n]
+    }
+
     fn clear(&mut self) {
         self.ids.clear();
         self.ends.clear();
         self.bytes.clear();
+        self.depths.clear();
     }
 
-    fn push(&mut self, id: u32, bytes: &[u8]) {
+    fn push(&mut self, id: u32, bytes: &[u8], depths: impl IntoIterator<Item = u16>) {
         self.ids.push(id);
         self.bytes.extend_from_slice(bytes);
         self.ends.push(self.bytes.len());
+        self.depths.extend(depths);
+        debug_assert_eq!(self.depths.len(), self.ids.len() * self.n);
     }
+}
+
+/// Pending depths of a state discovered by stepping `actor` from a node
+/// with depths `parent` and canonicalized by `elem`; bit `i` of `trying`
+/// tells whether concrete process `i` of the successor is `Trying`.
+/// Canonical position `j` continues the parent's position
+/// `pj = elem.pi_inv[j]`: one step deeper when `pj` is the actor, as
+/// deep otherwise, and zero once `pj` is not `Trying` (saturating at
+/// `u16::MAX`).  A crash's actor has its high bit set and is no
+/// position, so a crash extends no depth.
+fn child_depths<'a>(
+    parent: &'a [u16],
+    elem: &'a SymElem,
+    trying: u64,
+    actor: u8,
+) -> impl Iterator<Item = u16> + 'a {
+    elem.pi_inv.iter().map(move |&pj| {
+        if trying >> pj & 1 == 0 {
+            0
+        } else {
+            parent[pj].saturating_add(u16::from(pj == usize::from(actor)))
+        }
+    })
 }
 
 /// The fair-livelock pass's graph, recorded while BFS runs: one row of
@@ -2803,19 +2897,24 @@ const STEAL_BATCH: usize = 32;
 const LEVEL_CHUNK: usize = 16 * 1024;
 
 /// A canonical successor waiting for the drain phase: everything the
-/// insert needs.  The encoding lives in the byte buffer of the expand
-/// worker that generated it.
+/// insert needs, in 40 bytes.  The encoding lives in the byte buffer of
+/// the expand worker that generated it.
 #[derive(Debug, Clone, Copy)]
 struct PendingInsert {
     hash: u64,
+    /// Bit `i` set: concrete process `i` of the successor is `Trying`
+    /// (the input of [`child_depths`]).
+    trying: u64,
     pos: u32,
     parent: u32,
     orbit: u32,
-    /// Index of the generating worker's [`Outbox`] byte buffer.
-    worker: u32,
-    /// Byte range of the encoding in that buffer.
+    /// Byte range of the encoding in the worker's buffer.
     start: u32,
-    len: u32,
+    /// At most 64 KiB, the most [`StateArena::intern`] stores.
+    len: u16,
+    /// Index of the generating worker's [`Outbox`] byte buffer (below
+    /// [`MAX_WORKERS`]).
+    worker: u16,
     sigma: u16,
     actor: u8,
     /// Whether the step is an edge of the [`EdgeTable`] (a `Progress`
@@ -2823,10 +2922,12 @@ struct PendingInsert {
     edge: bool,
 }
 
+const _: () = assert!(std::mem::size_of::<PendingInsert>() == 40);
+
 impl PendingInsert {
     fn bytes<'b>(&self, outboxes: &'b [Outbox]) -> &'b [u8] {
         let start = self.start as usize;
-        &outboxes[self.worker as usize].bytes[start..start + self.len as usize]
+        &outboxes[usize::from(self.worker)].bytes[start..start + usize::from(self.len)]
     }
 }
 
@@ -2899,7 +3000,9 @@ impl RoundBufs {
 ///    Monitors run once per fresh state, on its decoded canonical
 ///    representative — monitor predicates are orbit-invariant by
 ///    contract, so any image of the state is as good as another, and
-///    duplicates never pay for an evaluation.
+///    duplicates never pay for an evaluation.  Each fresh state's
+///    pending depths follow from its parent's ([`child_depths`]) and
+///    join `next` with it.
 ///
 /// The level appends one [`EdgeTable`] row per frontier node and fills
 /// it from both phases: targets the expand probe found, and targets the
@@ -2918,7 +3021,7 @@ where
     A::State: EncodeState + Send,
 {
     let (n, m) = (shared.automata.len(), shared.mem0.m());
-    let mut out = LevelOut::new(shared.monitors.len());
+    let mut out = LevelOut::new(shared.monitors.len(), n);
     next.clear();
     let row_base = edges.rows();
     edges.add_rows(frontier.len());
@@ -2991,7 +3094,12 @@ where
                 // breadth-first parent.
                 continue;
             }
-            next.push(id, bytes);
+            let elem = &shared.group[usize::from(p.sigma)];
+            let parent = frontier.depths(p.pos as usize);
+            next.push(id, bytes, child_depths(parent, elem, p.trying, p.actor));
+            for (max, &d) in out.depth_maxima.iter_mut().zip(next.depths(next.len() - 1)) {
+                *max = (*max).max(d);
+            }
             let order = (p.pos as usize, p.actor as usize);
             if !shared.monitors.is_empty() {
                 decode_node(
@@ -3180,16 +3288,24 @@ fn expand_item<A: Automaton>(
                     return;
                 }
             }
+            let trying = sc
+                .procs
+                .iter()
+                .enumerate()
+                .filter(|(_, (phase, _))| *phase == Phase::Trying)
+                .fold(0u64, |mask, (i, _)| mask | 1 << i);
             let start = outbox.bytes.len();
             outbox.bytes.extend_from_slice(best);
             outbox.pending.push(PendingInsert {
                 hash,
+                trying,
                 pos: item.pos,
                 parent: item.id,
                 orbit,
-                worker: worker as u32,
                 start: start as u32,
-                len: best.len() as u32,
+                len: u16::try_from(best.len())
+                    .expect("encoded states must fit the page-base directory (≤ 64 KiB)"),
+                worker: worker as u16,
                 sigma,
                 actor: actor as u8,
                 edge,
@@ -3391,61 +3507,6 @@ fn render_state<S: std::fmt::Debug>(slots: &[Slot], procs: &[(Phase, S)]) -> Str
     out
 }
 
-/// Per-position longest observed wait over the breadth-first tree.
-///
-/// For every stored node, a process position's *pending depth* is the
-/// number of steps that position has taken inside its current `lock()`
-/// invocation (its `Trying` phase) along the node's BFS-tree path; the
-/// returned vector is the maximum per position over all nodes
-/// (saturating at `u16::MAX`).  Along a tree edge with canonicalizing
-/// element `σ`, the child's position `j` continues the parent's
-/// position `σ.pi_inv[j]`, incrementing exactly when that position was
-/// the stepped actor and the position is (still) `Trying`, and
-/// resetting to zero on any other phase.
-///
-/// One decode per stored node, in id (discovery) order — a parent is
-/// always numbered before its children — with O(states · n) transient
-/// memory.
-fn max_pending_depth<S: EncodeState>(
-    store: &Store,
-    group: &[SymElem],
-    m: usize,
-    n: usize,
-) -> Result<Vec<usize>, SpillError> {
-    let n_states = store.node_count();
-    let mut depth = vec![0u16; n_states * n];
-    let mut maxima = vec![0u16; n];
-    let mut slots: Vec<Slot> = Vec::new();
-    let mut procs: Vec<(Phase, S)> = Vec::new();
-    let mut crashes: Vec<u8> = Vec::new();
-    let mut node: Vec<u8> = Vec::new();
-    let mut cache = PageCache::new();
-    // Id 0 is the root, whose depths are all zero.
-    for c in 1..n_states {
-        let meta = store.meta(c as u32);
-        let v = meta.parent as usize;
-        debug_assert!(v < c, "discovery order numbers parents first");
-        store.bytes_into(c as u32, &mut cache, &mut node)?;
-        decode_node::<S>(&node, m, n, &mut slots, &mut procs, &mut crashes);
-        let pi_inv = &group[meta.sigma as usize].pi_inv;
-        for j in 0..n {
-            let pj = pi_inv[j];
-            // A crash edge (actor has the high bit set) never equals
-            // pj, so crashes reset/hold but never extend a pending
-            // depth — the crashed position drops to Remainder and its
-            // depth to zero anyway.
-            depth[c * n + j] = if procs[j].0 == Phase::Trying {
-                let d = depth[v * n + pj].saturating_add(u16::from(pj == meta.actor as usize));
-                maxima[j] = maxima[j].max(d);
-                d
-            } else {
-                0
-            };
-        }
-    }
-    Ok(maxima.into_iter().map(usize::from).collect())
-}
-
 /// The BFS-tree edges from the root to `target`, in root-first order.
 fn chain_from_root(store: &Store, mut cur: u32) -> Vec<(usize, u16)> {
     let mut rev = Vec::new();
@@ -3551,6 +3612,78 @@ mod tests {
         LIVELOCK_BRANCHES.with(|b| b.set(LivelockBranches::default()));
         let report = run();
         (report, LIVELOCK_BRANCHES.with(std::cell::Cell::get))
+    }
+
+    /// The pass [`Frontier`]'s pending depths replace: after
+    /// exploration, one decode per stored state in id (discovery)
+    /// order — a parent is numbered before its children — applying the
+    /// tree edge's recurrence to the decoded canonical state's phases,
+    /// with O(states · n) memory.
+    fn max_pending_depth_full_pass<S: EncodeState>(
+        store: &Store,
+        group: &[SymElem],
+        m: usize,
+        n: usize,
+    ) -> Result<Vec<usize>, SpillError> {
+        let n_states = store.node_count();
+        let mut depth = vec![0u16; n_states * n];
+        let mut maxima = vec![0u16; n];
+        let mut slots: Vec<Slot> = Vec::new();
+        let mut procs: Vec<(Phase, S)> = Vec::new();
+        let mut crashes: Vec<u8> = Vec::new();
+        let mut node: Vec<u8> = Vec::new();
+        let mut cache = PageCache::new();
+        // Id 0 is the root, whose depths are all zero.
+        for c in 1..n_states {
+            let meta = store.meta(c as u32);
+            let v = meta.parent as usize;
+            assert!(v < c, "discovery order numbers parents first");
+            store.bytes_into(c as u32, &mut cache, &mut node)?;
+            decode_node::<S>(&node, m, n, &mut slots, &mut procs, &mut crashes);
+            let pi_inv = &group[meta.sigma as usize].pi_inv;
+            for j in 0..n {
+                let pj = pi_inv[j];
+                depth[c * n + j] = if procs[j].0 == Phase::Trying {
+                    let d = depth[v * n + pj].saturating_add(u16::from(pj == meta.actor as usize));
+                    maxima[j] = maxima[j].max(d);
+                    d
+                } else {
+                    0
+                };
+            }
+        }
+        Ok(maxima.into_iter().map(usize::from).collect())
+    }
+
+    thread_local! {
+        /// Completed runs on this test thread whose pending depths
+        /// [`audit_pending_depths`] checked.
+        static DEPTH_AUDITS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
+
+    /// Asserts that a completed run's pending-depth maxima, computed
+    /// during BFS, equal the full pass's over its stored states.
+    pub(super) fn audit_pending_depths<S: EncodeState>(
+        store: &Store,
+        group: &[SymElem],
+        m: usize,
+        maxima: &[usize],
+    ) {
+        let reference = max_pending_depth_full_pass::<S>(store, group, m, maxima.len())
+            .expect("the full pass reads every stored state");
+        assert_eq!(
+            maxima, reference,
+            "pending depths disagree with the full pass"
+        );
+        DEPTH_AUDITS.with(|a| a.set(a.get() + 1));
+    }
+
+    /// Runs `run` and returns its report with the number of completed
+    /// runs whose pending depths it audited.
+    fn depth_audits<T>(run: impl FnOnce() -> T) -> (T, usize) {
+        let before = DEPTH_AUDITS.with(std::cell::Cell::get);
+        let out = run();
+        (out, DEPTH_AUDITS.with(std::cell::Cell::get) - before)
     }
 
     fn check<A: Automaton + Sync>(automata: Vec<A>, model: MemoryModel, m: usize) -> McReport
@@ -4390,6 +4523,180 @@ mod tests {
         assert!(report.max_pending_depth.iter().all(|&d| d >= 1));
         // Symmetric processes: the per-position maxima coincide.
         assert_eq!(report.max_pending_depth[0], report.max_pending_depth[1]);
+    }
+
+    /// The CAS toy lock of `n` processes over `m` registers.
+    fn cas_locks(
+        n: usize,
+        m: usize,
+        adversary: &Adversary,
+        symmetry: Symmetry,
+    ) -> ModelChecker<CasLock> {
+        let ids = PidPool::sequential().mint_many(n);
+        let automata: Vec<CasLock> = ids.into_iter().map(CasLock::new).collect();
+        ModelChecker::with_automata(automata, MemoryModel::Rmw, m, adversary)
+            .unwrap()
+            .symmetry(symmetry)
+    }
+
+    /// Runs `make`'s checker at one worker and at three and asserts that
+    /// each run's pending depths were audited and agree, and that some
+    /// process waits.
+    fn assert_depths_audited<A: Automaton + Sync>(what: &str, make: impl Fn() -> ModelChecker<A>)
+    where
+        A::State: EncodeState + Send,
+    {
+        let (one, audits) = depth_audits(|| make().run().unwrap());
+        assert_eq!(audits, 1, "{what}: one audited run");
+        assert!(
+            one.max_pending_depth.iter().any(|&d| d >= 1),
+            "{what}: some process waits: {:?}",
+            one.max_pending_depth
+        );
+        let (three, audits) = depth_audits(|| make().threads(3).oversubscribe(true).run().unwrap());
+        assert_eq!(audits, 1, "{what}: one audited run at three workers");
+        assert_eq!(
+            one.max_pending_depth, three.max_pending_depth,
+            "{what}: worker count"
+        );
+    }
+
+    #[test]
+    fn pending_depths_match_the_full_pass() {
+        // Every completed run of a test build checks its BFS-computed
+        // maxima against the full pass (`audit_pending_depths`).  These
+        // configurations reach it through each kind of tree edge:
+        // identity and relabeling canonicalizations (S_3 without ρ, Z_3
+        // rotating the registers) and crash edges of both modes.
+        assert_depths_audited("cas n=2 off", || {
+            cas_locks(2, 1, &Adversary::Identity, Symmetry::Off)
+        });
+        assert_depths_audited("cas n=3 wreath", || {
+            cas_locks(3, 1, &Adversary::Identity, Symmetry::Wreath)
+        });
+        for mode in [CrashMode::WipeRegisters, CrashMode::StaleClaims] {
+            assert_depths_audited(&format!("cas n=3 wreath {mode:?}"), || {
+                cas_locks(3, 1, &Adversary::Identity, Symmetry::Wreath)
+                    .crashes(CrashBudget::total(1), mode)
+            });
+        }
+        // Rotations: the CAS lock breaks mutual exclusion there (and a
+        // violation reports no depths), so scribblers stand in.
+        assert_depths_audited("scribblers n=3 m=3 rotations wreath", || {
+            let pids = PidPool::sequential().mint_many(3);
+            let scribblers: Vec<Scribbler> = pids.into_iter().map(Scribbler).collect();
+            let rotations = Adversary::Rotations { stride: 1 };
+            ModelChecker::with_automata(scribblers, MemoryModel::Rw, 3, &rotations)
+                .unwrap()
+                .symmetry(Symmetry::Wreath)
+        });
+    }
+
+    /// A fresh, empty directory for one test's checkpoints.
+    fn checkpoint_test_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("amx-mc-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    #[test]
+    fn resumed_run_continues_the_pending_depths() {
+        let make = || {
+            cas_locks(3, 1, &Adversary::Identity, Symmetry::Wreath)
+                .crashes(CrashBudget::total(1), CrashMode::WipeRegisters)
+        };
+        let whole = make().run().unwrap();
+        for (halt_threads, resume_threads) in [(1, 1), (1, 3), (3, 1)] {
+            let dir = checkpoint_test_dir(&format!("depths-{halt_threads}-{resume_threads}"));
+            let configure = |mc: ModelChecker<CasLock>, threads: usize| {
+                mc.threads(threads)
+                    .oversubscribe(true)
+                    .resident_budget(0)
+                    .checkpoint_dir(&dir)
+                    .checkpoint_every(3)
+            };
+            let (halted, audits) = depth_audits(|| {
+                configure(make(), halt_threads)
+                    .halt_after_checkpoints(1)
+                    .run()
+                    .unwrap()
+            });
+            assert!(matches!(
+                halted.verdict,
+                Verdict::Interrupted { level: 3, .. }
+            ));
+            assert!(halted.max_pending_depth.is_empty());
+            assert_eq!(audits, 0, "an interrupted run reports no depths");
+            let (resumed, audits) = depth_audits(|| {
+                configure(make(), resume_threads)
+                    .resume(true)
+                    .run()
+                    .unwrap()
+            });
+            assert_eq!(resumed.resumed_from_level, Some(3));
+            assert_eq!(audits, 1);
+            assert_eq!(resumed.max_pending_depth, whole.max_pending_depth);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[test]
+    fn checkpoint_depths_that_do_not_match_the_frontier_are_refused() {
+        let make = || {
+            cas_locks(3, 1, &Adversary::Identity, Symmetry::Wreath)
+                .checkpoint_every(2)
+                .halt_after_checkpoints(1)
+        };
+        let n = 3;
+        // Each checkpoint is rewritten with the checksum it then needs,
+        // so only the checker's length checks can refuse it.
+        for what in [
+            "one depth short",
+            "one depth extra",
+            "no depths",
+            "one maximum short",
+        ] {
+            let dir = checkpoint_test_dir(&format!("bad-depths-{}", what.replace(' ', "-")));
+            let mc = make().checkpoint_dir(&dir);
+            let halted = mc.run().unwrap();
+            assert!(matches!(halted.verdict, Verdict::Interrupted { .. }));
+            let fingerprint = mc.fingerprint();
+            let (restored, _) = checkpoint::load_latest(&dir, fingerprint).unwrap();
+            let mut ck = restored.expect("the halted run's checkpoint");
+            assert_eq!(ck.frontier_depths.len(), ck.frontier.len() * n);
+            match what {
+                "one depth short" => {
+                    ck.frontier_depths.pop();
+                }
+                "one depth extra" => ck.frontier_depths.push(0),
+                "no depths" => ck.frontier_depths.clear(),
+                _ => {
+                    ck.depth_maxima.pop();
+                }
+            }
+            let snap = checkpoint::Snapshot {
+                fingerprint,
+                level: ck.level,
+                transitions: ck.transitions,
+                acquisitions: ck.acquisitions,
+                peak_frontier: ck.peak_frontier,
+                orbit_sum: ck.orbit_sum,
+                monitor_hits: &ck.monitor_hits,
+                frontier: &ck.frontier,
+                shard: &ck.shard,
+                edge_targets: &ck.edge_targets,
+                edge_sigmas: &ck.edge_sigmas,
+                depth_maxima: &ck.depth_maxima,
+                frontier_depths: &ck.frontier_depths,
+            };
+            checkpoint::write(&dir, &snap, None).unwrap();
+            let err = make().checkpoint_dir(&dir).resume(true).run().unwrap_err();
+            let McError::Checkpoint(e) = err else {
+                panic!("{what}: expected a checkpoint error, got {err:?}");
+            };
+            assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{what}: {e}");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     /// The crash-mode differential on the CAS toy lock: a process that

@@ -287,28 +287,49 @@ fn garbage_checkpoint_payload_falls_back_one_level() {
     });
 }
 
-/// A length field claiming more than the file holds — here the monitor
+/// A length field claiming more than the file holds — the monitor
 /// count (bytes 56..64, after the magic, fingerprint, level and four
-/// counters) set to 2^60 − 1 — is refused before anything is allocated
-/// for it (the checksum catches it before any field is read): the file
-/// is skipped like a torn one, never a panic.
+/// counters) or the length of either pending-depth section (the
+/// per-position maxima and the frontier's rows), set to 2^60 − 1 — is
+/// refused before anything is allocated for it (the checksum catches it
+/// before any field is read): the file is skipped like a torn one,
+/// never a panic.  A checkpoint whose checksum holds but whose rows do
+/// not number frontier × n is refused with `InvalidData` (a unit test
+/// of `amx-sim::mc`).
 #[test]
 fn corrupt_length_field_falls_back_one_level() {
-    corrupt_newest_and_resume("length", None, |dir| {
-        let newest = newest_checkpoint(dir);
-        let mut bytes = std::fs::read(&newest).unwrap();
-        bytes[56..64].copy_from_slice(&0x0FFF_FFFF_FFFF_FFFFu64.to_le_bytes());
-        std::fs::write(&newest, &bytes).unwrap();
-    });
+    for field in [
+        "monitor count",
+        "depth maxima length",
+        "frontier depths length",
+    ] {
+        corrupt_newest_and_resume(
+            &format!("length-{}", field.replace(' ', "-")),
+            None,
+            |dir| {
+                let newest = newest_checkpoint(dir);
+                let mut bytes = std::fs::read(&newest).unwrap();
+                let &(_, at) = flip_sites(&bytes)
+                    .iter()
+                    .find(|(name, _)| *name == field)
+                    .expect("the walk finds every length field");
+                bytes[at..at + 8].copy_from_slice(&0x0FFF_FFFF_FFFF_FFFFu64.to_le_bytes());
+                std::fs::write(&newest, &bytes).unwrap();
+            },
+        );
+    }
 }
 
 /// One byte offset inside each section of a checkpoint file, found by
 /// walking the layout the checker writes: magic, fingerprint, level,
 /// four counters, monitor records, frontier ids, the arena snapshot
 /// (its own magic, record ends, hash table, open-page bases, open-page
-/// bytes, sealed-page bytes), meta rows, edge targets, edge sigmas and
-/// the trailing checksum.  Sealed pages get no site (the test's small
-/// checkpoints have none), nor does a section the file leaves empty.
+/// bytes, sealed-page bytes), meta rows, edge targets, edge sigmas,
+/// pending-depth maxima, the frontier's pending depths and the trailing
+/// checksum.  Sealed pages get no site (the test's small checkpoints
+/// have none), nor does a section the file leaves empty.  The monitor
+/// count and the two pending-depth sections' lengths also get their
+/// fields' offsets.
 fn flip_sites(bytes: &[u8]) -> Vec<(&'static str, usize)> {
     let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize;
     let mut sites = vec![
@@ -318,6 +339,7 @@ fn flip_sites(bytes: &[u8]) -> Vec<(&'static str, usize)> {
         ("transitions", 24),
     ];
     let mut at = 56;
+    sites.push(("monitor count", at));
     let monitors = word(at);
     at += 8;
     for _ in 0..monitors {
@@ -370,6 +392,18 @@ fn flip_sites(bytes: &[u8]) -> Vec<(&'static str, usize)> {
         sites.push(("edge sigmas", at + 2 * (sigmas / 2)));
     }
     at += 2 * sigmas;
+    for (section, length) in [
+        ("depth maxima", "depth maxima length"),
+        ("frontier depths", "frontier depths length"),
+    ] {
+        let count = word(at);
+        sites.push((length, at));
+        at += 8;
+        if count > 0 {
+            sites.push((section, at + 2 * (count / 2)));
+        }
+        at += 2 * count;
+    }
     assert_eq!(at + 8, bytes.len(), "the walk ends at the checksum");
     sites.push(("checksum", at + 3));
     sites
@@ -393,6 +427,8 @@ fn single_bit_flip_anywhere_falls_back_one_level() {
         "meta rows",
         "edge targets",
         "edge sigmas",
+        "depth maxima",
+        "frontier depths",
         "checksum",
     ];
     for section in sections {

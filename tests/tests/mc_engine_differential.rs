@@ -17,7 +17,7 @@ use amx_props::property::{monitor_for, scc_query_for};
 use amx_props::Observe;
 use amx_registers::orbit::adversary_orbits;
 use amx_registers::Adversary;
-use amx_sim::mc::{McReport, ModelChecker, Symmetry};
+use amx_sim::mc::{CrashBudget, CrashMode, McReport, ModelChecker, Symmetry};
 use amx_sim::toys::{CasLock, NaiveFlagLock, PetersonTwo, SpinForever};
 use amx_sim::{EncodeState, MemoryModel, Verdict};
 
@@ -156,6 +156,78 @@ fn algorithms_parallel_engine_differential() {
     assert!(matches!(r.verdict, Verdict::FairLivelock { .. }));
     let r = engine_differential(|| alg2_automata(3, 2), MemoryModel::Rmw, 2, &id);
     assert!(matches!(r.verdict, Verdict::FairLivelock { .. }));
+}
+
+/// `max_pending_depth` of a wreath-reduced check at `threads` workers
+/// (oversubscribed above one), with a one-crash budget when `crash` is
+/// set.
+fn wreath_depths<A>(
+    automata: Vec<A>,
+    model: MemoryModel,
+    m: usize,
+    adv: &Adversary,
+    crash: Option<CrashMode>,
+    threads: usize,
+) -> Vec<usize>
+where
+    A: amx_sim::Automaton + Sync,
+    A::State: EncodeState + Send,
+{
+    let mut mc = ModelChecker::with_automata(automata, model, m, adv)
+        .unwrap()
+        .symmetry(Symmetry::Wreath)
+        .threads(threads)
+        .oversubscribe(threads > 1);
+    if let Some(mode) = crash {
+        mc = mc.crashes(CrashBudget::total(1), mode);
+    }
+    mc.run().unwrap().max_pending_depth
+}
+
+#[test]
+fn pending_depths_equal_the_recorded_full_pass() {
+    // The figures of the full pass that read every stored state back
+    // after exploration, the checker's method before the depths moved
+    // into the breadth-first levels (`amx-sim::mc`'s unit tests keep it
+    // as their reference, on toy automata).
+    let id = Adversary::Identity;
+    let rot = Adversary::Rotations { stride: 1 };
+    let wipe = Some(CrashMode::WipeRegisters);
+    let stale = Some(CrashMode::StaleClaims);
+    for threads in [1, 3] {
+        let alg1 = |n, m, adv: &Adversary, crash| {
+            wreath_depths(alg1_automata(n, m), MemoryModel::Rw, m, adv, crash, threads)
+        };
+        let alg2 = |n, m, adv: &Adversary, crash| {
+            wreath_depths(
+                alg2_automata(n, m),
+                MemoryModel::Rmw,
+                m,
+                adv,
+                crash,
+                threads,
+            )
+        };
+        let cases: [(&str, Vec<usize>, &[usize]); 10] = [
+            ("alg1 (2,3) identity", alg1(2, 3, &id, None), &[14, 9]),
+            ("alg1 (2,3) rotations", alg1(2, 3, &rot, None), &[10, 10]),
+            ("alg1 (3,4) identity", alg1(3, 4, &id, None), &[27, 20, 19]),
+            (
+                "alg1 (3,3) rotations",
+                alg1(3, 3, &rot, None),
+                &[13, 12, 15],
+            ),
+            ("alg1 (2,3) wipe crash", alg1(2, 3, &id, wipe), &[14, 9]),
+            ("alg1 (2,3) stale crash", alg1(2, 3, &id, stale), &[14, 9]),
+            ("alg2 (2,3) identity", alg2(2, 3, &id, None), &[11, 10]),
+            ("alg2 (2,3) rotations", alg2(2, 3, &rot, None), &[10, 11]),
+            ("alg2 (2,3) wipe crash", alg2(2, 3, &id, wipe), &[11, 10]),
+            ("alg2 (2,3) stale crash", alg2(2, 3, &id, stale), &[11, 10]),
+        ];
+        for (what, got, want) in cases {
+            assert_eq!(got, want, "{what}, {threads} workers");
+        }
+    }
 }
 
 #[test]

@@ -85,6 +85,10 @@ fn assert_equivalent(a: &McReport, b: &McReport, what: &str) {
         a.acquisitions, b.acquisitions,
         "{what}: acquisitions diverged"
     );
+    assert_eq!(
+        a.max_pending_depth, b.max_pending_depth,
+        "{what}: pending depths diverged"
+    );
 }
 
 /// Worker-count differential: four-worker exploration under a
@@ -287,8 +291,8 @@ fn kill_and_resume_alg2_verifies() {
     kill_resume_roundtrip(|| alg2(2, 3), MemoryModel::Rmw, 3, 4, (1, 1), "alg2(2,3)");
 }
 
-/// A checkpoint carrying the previous format's magic (`AMXCKPT3`, from
-/// before the file ended in a checksum) is skipped with a degraded
+/// A checkpoint carrying the previous format's magic (`AMXCKPT4`, from
+/// before the file carried pending depths) is skipped with a degraded
 /// note, and the run starts over to the uninterrupted report.
 #[test]
 fn previous_format_checkpoint_is_skipped() {
@@ -313,10 +317,10 @@ fn previous_format_checkpoint_is_skipped() {
     let mut bytes = std::fs::read(&path).unwrap();
     assert_eq!(
         &bytes[..8],
-        b"AMXCKPT4",
+        b"AMXCKPT5",
         "checkpoints are written in the current format"
     );
-    bytes[..8].copy_from_slice(b"AMXCKPT3");
+    bytes[..8].copy_from_slice(b"AMXCKPT4");
     std::fs::write(&path, &bytes).unwrap();
 
     let resumed = checker()
@@ -340,7 +344,7 @@ fn previous_format_checkpoint_is_skipped() {
     assert_equivalent(
         &baseline,
         &resumed,
-        "alg1(2,2) after a skipped AMXCKPT3 file",
+        "alg1(2,2) after a skipped AMXCKPT4 file",
     );
 }
 
