@@ -110,8 +110,12 @@
 //! more than one member; a component whose edges relabel is checked at
 //! the granularity of symmetry classes (processes in one group orbit are
 //! indistinguishable in the quotient).  Candidates that pass are then
-//! confirmed exactly on their concrete orbit expansion, the only path
-//! that reports a livelock under symmetry.  The differential test suites
+//! confirmed exactly on their concrete orbit expansion (under the
+//! trivial group, the component itself), the only path that reports a
+//! livelock in either mode.  A confirmed component is entered at its
+//! member with the least state id, then the least group element; ids
+//! are breadth-first discovery order, so the witness is a shortest
+//! schedule into it.  The differential test suites
 //! cross-validate the reduction against the full exploration on every
 //! algorithm in this workspace; [`Symmetry::Off`] remains the default
 //! and is exact.
@@ -169,11 +173,14 @@ pub enum Verdict {
     FairLivelock {
         /// Processes with pending invocations that all keep stepping.
         pending: Vec<usize>,
-        /// Number of states in the livelock component (canonical states
-        /// under the active symmetry mode).
+        /// Number of distinct concrete states in the livelock component,
+        /// under every symmetry mode.
         scc_states: usize,
-        /// A schedule (sequence of process indices) leading from the
-        /// initial state into the livelock component.
+        /// A shortest schedule (sequence of process indices) from the
+        /// initial state into the livelock component.  It ends at the
+        /// component's member with the least state id (breadth-first
+        /// discovery order) and, under symmetry, the least group element
+        /// mapping that stored state into the component.
         witness_schedule: Vec<usize>,
     },
     /// A fatal safety [`Monitor`] hit a state: the watched predicate
@@ -360,7 +367,11 @@ pub struct SccQueryResult {
     /// Predicate holds on every state of the concrete component.
     pub holds_everywhere: bool,
     /// A concrete schedule from the initial state to a state satisfying
-    /// the predicate, when one exists.
+    /// the predicate, when one exists.  Members are examined in the
+    /// order of the livelock witness, least state id first and then
+    /// least group element, and the witness is the first hit: for an
+    /// orbit-invariant query, the first hit stored state itself (its
+    /// canonical frame); otherwise the first hit concrete image.
     pub witness_schedule: Option<Vec<usize>>,
     /// Human-readable rendering of the witness state the schedule
     /// reaches (canonical frame).
@@ -1529,10 +1540,10 @@ where
     /// component exists exactly when every pending position steps on an
     /// internal edge.  Under [`Symmetry::Off`] this is the per-process
     /// check itself.  A component whose edges relabel takes a cheap
-    /// necessary check per symmetry class instead.  Under symmetry,
-    /// every component that passes is confirmed on its concrete orbit by
+    /// necessary check per symmetry class instead.  Every component that
+    /// passes is confirmed on its concrete orbit by
     /// [`Self::confirm_livelock_on_orbit`], the only path that reports a
-    /// livelock there.
+    /// livelock.
     fn find_fair_livelock(
         &self,
         store: &Store,
@@ -1608,7 +1619,7 @@ where
                 continue;
             }
             #[cfg(test)]
-            if group.len() > 1 {
+            {
                 // Every decision is audited against the confirmation.
                 let gtab = gtab.get_or_insert_with(|| group_tables(group));
                 let sigmas = &edges.sigmas;
@@ -1653,25 +1664,9 @@ where
                 // proves nothing.
                 continue;
             }
-            if group.len() == 1 {
-                // No reduction: the quotient IS the concrete graph and
-                // the check was per process; done.
-                let pending = (0..n).filter(|&i| pending & 1 << i != 0).collect();
-                let queries = self.eval_queries_concrete(store, group, members, scratch)?;
-                let entry = *members.iter().min().expect("nonempty SCC");
-                let chain = chain_from_root(store, entry);
-                let (witness_schedule, _, _) = concretize(group, &chain);
-                return Ok(Some((
-                    Verdict::FairLivelock {
-                        pending,
-                        scc_states: members.len(),
-                        witness_schedule,
-                    },
-                    queries,
-                )));
-            }
-            // Reduced mode: confirm exactly on the concrete orbit of this
-            // component (≤ |SCC|·|G| states).
+            // Confirm exactly on the concrete orbit of this component
+            // (≤ |SCC|·|G| states; the component itself under the
+            // trivial group).
             let gtab = gtab.get_or_insert_with(|| group_tables(group));
             if let Some(v) = self.confirm_livelock_on_orbit(
                 store,
@@ -1693,9 +1688,12 @@ where
     /// Expands a candidate quotient SCC into its concrete orbit, finds
     /// the concrete completion-free SCCs inside, and applies the exact
     /// per-process fairness check there.  Returns a concrete witness on
-    /// success.
+    /// success, entering the first confirmed sub-component at its member
+    /// `(v, g)` with the least state id `v`, then the least group element
+    /// `g`.
     ///
-    /// Under symmetry this is the only path that reports a livelock.
+    /// This is the only path that reports a livelock; under the trivial
+    /// group the expansion is the component itself.
     /// [`Self::find_fair_livelock`] calls it only for components that
     /// can be livelocks: those without a relabeling internal edge that
     /// pass the position check (which then always confirm), and those
@@ -1771,7 +1769,8 @@ where
                         continue;
                     }
                     let wl = local_of[&w] as usize;
-                    let sigma = sigmas[v * n + k] as usize;
+                    // The trivial group records no σ: it is the identity.
+                    let sigma = sigmas.get(v * n + k).map_or(0, |&g| usize::from(g));
                     let h = gtab.compose[gi * gl + gtab.inv[sigma] as usize] as usize;
                     adj[x * n + a] = (wl * gl + h) as u32;
                 }
@@ -1813,37 +1812,24 @@ where
             if pending.is_empty() || !pending.iter().all(|&i| actors[i]) {
                 continue;
             }
-            // Concrete fair livelock confirmed.  Build a witness: the
-            // quotient chain reaches u with τ·u = c (c the canonical
-            // origin of this component's entry state s = g·c); the
-            // relabeling h = g ∘ τ is a graph automorphism fixing the
-            // initial state, so mapping every scheduled actor through h
-            // turns the chain into a concrete schedule reaching s.
-            let entry = *sub.iter().min().expect("nonempty sub-SCC");
-            let (vi, gi) = (entry as usize / gl, entry as usize % gl);
-            let chain = chain_from_root(store, members[vi]);
-            let (schedule_u, tau, _) = concretize(group, &chain);
-            let g_pi = &group[gi].pi;
-            // Crash entries (`a >= n`) relabel the crashed process the
-            // same way normal entries relabel the stepped one.
-            let witness_schedule: Vec<usize> = schedule_u
-                .into_iter()
-                .map(|a| {
-                    if a >= n {
-                        n + g_pi[tau[a - n]]
-                    } else {
-                        g_pi[tau[a]]
-                    }
-                })
+            // Concrete fair livelock confirmed.  Its members as `(state
+            // id, group element)` pairs, least first: ids are
+            // breadth-first discovery order, so the least id is the
+            // shallowest, and the witness enters there.
+            let mut order: Vec<(u32, usize)> = sub
+                .iter()
+                .map(|&x| (members[x as usize / gl], x as usize % gl))
                 .collect();
+            order.sort_unstable();
+            let (v, gi) = order[0];
+            let witness_schedule = schedule_to_image(store, group, v, gi);
             // Exact distinct-state count: nontrivial stabilizers make
             // the pair walk cover the concrete component several times
             // over, so dedup by concrete encoding (success path only —
             // at most one confirmation per run reaches this).
             let mut distinct: std::collections::HashSet<Vec<u8>> = std::collections::HashSet::new();
-            for &x in sub {
-                let (xvi, xgi) = (x as usize / gl, x as usize % gl);
-                store.bytes_into(members[xvi], &mut scratch.cache, &mut scratch.node)?;
+            for &(v, gi) in &order {
+                store.bytes_into(v, &mut scratch.cache, &mut scratch.node)?;
                 decode_node(
                     &scratch.node,
                     m,
@@ -1853,7 +1839,7 @@ where
                     &mut scratch.crashes,
                 );
                 encode_node_with(
-                    &group[xgi],
+                    &group[gi],
                     &scratch.slots,
                     &scratch.procs,
                     &scratch.crashes,
@@ -1861,8 +1847,8 @@ where
                 );
                 distinct.insert(scratch.canon.enc.clone());
             }
-            let queries = self.eval_queries_orbit(store, group, members, sub, scratch)?;
-            // `pending` (from sub[0]) equals the pending set at `entry`:
+            let queries = self.eval_queries_orbit(store, group, &order, scratch)?;
+            // `pending` (from sub[0]) equals the pending set at the entry:
             // phases are constant across a concrete completion-free SCC.
             return Ok(Some((
                 Verdict::FairLivelock {
@@ -1876,79 +1862,19 @@ where
         Ok(None)
     }
 
-    /// Evaluates the registered [`SccQuery`]s over a concrete (trivial
-    /// group) livelock component: decode every member once, evaluate
-    /// every query on it, and reconstruct a witness schedule to the
-    /// least hit member per query.
-    fn eval_queries_concrete(
-        &self,
-        store: &Store,
-        group: &[SymElem],
-        members: &[u32],
-        scratch: &mut Scratch<A::State>,
-    ) -> Result<Vec<SccQueryResult>, SpillError> {
-        if self.scc_queries.is_empty() {
-            return Ok(Vec::new());
-        }
-        let n = self.automata.len();
-        let m = self.mem0.m();
-        let mut sorted = members.to_vec();
-        sorted.sort_unstable();
-        let mut hits = vec![0usize; self.scc_queries.len()];
-        let mut first: Vec<Option<(u32, String)>> = vec![None; self.scc_queries.len()];
-        for &v in &sorted {
-            store.bytes_into(v, &mut scratch.cache, &mut scratch.node)?;
-            decode_node(
-                &scratch.node,
-                m,
-                n,
-                &mut scratch.slots,
-                &mut scratch.procs,
-                &mut scratch.crashes,
-            );
-            for (qi, q) in self.scc_queries.iter().enumerate() {
-                if (q.eval)(&scratch.slots, &scratch.procs) {
-                    hits[qi] += 1;
-                    if first[qi].is_none() {
-                        first[qi] = Some((v, render_state(&scratch.slots, &scratch.procs)));
-                    }
-                }
-            }
-        }
-        Ok(self
-            .scc_queries
-            .iter()
-            .enumerate()
-            .map(|(qi, q)| {
-                let witness = first[qi].take();
-                SccQueryResult {
-                    name: q.name.clone(),
-                    states_examined: sorted.len(),
-                    hit_states: hits[qi],
-                    holds_somewhere: hits[qi] > 0,
-                    holds_everywhere: hits[qi] == sorted.len(),
-                    witness_schedule: witness.as_ref().map(|(v, _)| {
-                        let chain = chain_from_root(store, *v);
-                        concretize(group, &chain).0
-                    }),
-                    witness_state: witness.map(|(_, s)| s),
-                }
-            })
-            .collect())
-    }
-
-    /// Evaluates the registered [`SccQuery`]s over the confirmed
-    /// concrete sub-SCC of a reduced run, given as `(canonical member
-    /// index, group element)` pairs.  Orbit-invariant queries decode
-    /// each distinct canonical member once; non-invariant queries
-    /// materialize every group image (the symmetry expansion), deduped
-    /// by concrete encoding so stabilizer copies are not double-counted.
+    /// Evaluates the registered [`SccQuery`]s over a confirmed concrete
+    /// component, given as `(state id, group element)` pairs in
+    /// ascending order.  Orbit-invariant queries decode each distinct
+    /// canonical member once, in id order; non-invariant queries
+    /// materialize every group image (the symmetry expansion) in pair
+    /// order, deduped by concrete encoding so stabilizer copies are not
+    /// double-counted.  Each query's witness is the first member it
+    /// holds on.
     fn eval_queries_orbit(
         &self,
         store: &Store,
         group: &[SymElem],
-        members: &[u32],
-        sub: &[u32],
+        order: &[(u32, usize)],
         scratch: &mut Scratch<A::State>,
     ) -> Result<Vec<SccQueryResult>, SpillError> {
         if self.scc_queries.is_empty() {
@@ -1956,25 +1882,18 @@ where
         }
         let n = self.automata.len();
         let m = self.mem0.m();
-        let gl = group.len();
-        let mut sorted = sub.to_vec();
-        sorted.sort_unstable();
-        // Distinct canonical members of the sub-component, ascending.
-        let mut canon: Vec<u32> = sorted.iter().map(|&x| x / gl as u32).collect();
+        // Distinct canonical members of the component, ascending.
+        let mut canon: Vec<u32> = order.iter().map(|&(v, _)| v).collect();
         canon.dedup();
 
         let mut results = Vec::with_capacity(self.scc_queries.len());
         for q in &self.scc_queries {
             let mut hits = 0usize;
             let mut examined = 0usize;
-            let mut witness: Option<(usize, usize, String)> = None; // (vi, gi, render)
+            let mut witness: Option<(u32, usize, String)> = None; // (v, gi, render)
             if q.orbit_invariant {
-                for &vi in &canon {
-                    store.bytes_into(
-                        members[vi as usize],
-                        &mut scratch.cache,
-                        &mut scratch.node,
-                    )?;
+                for &v in &canon {
+                    store.bytes_into(v, &mut scratch.cache, &mut scratch.node)?;
                     decode_node(
                         &scratch.node,
                         m,
@@ -1987,11 +1906,7 @@ where
                     if (q.eval)(&scratch.slots, &scratch.procs) {
                         hits += 1;
                         if witness.is_none() {
-                            witness = Some((
-                                vi as usize,
-                                0,
-                                render_state(&scratch.slots, &scratch.procs),
-                            ));
+                            witness = Some((v, 0, render_state(&scratch.slots, &scratch.procs)));
                         }
                     }
                 }
@@ -2000,9 +1915,8 @@ where
                 let mut slots_img: Vec<Slot> = Vec::new();
                 let mut procs_img: Vec<(Phase, A::State)> = Vec::new();
                 let mut crashes_img: Vec<u8> = Vec::new();
-                for &x in &sorted {
-                    let (vi, gi) = (x as usize / gl, x as usize % gl);
-                    store.bytes_into(members[vi], &mut scratch.cache, &mut scratch.node)?;
+                for &(v, gi) in order {
+                    store.bytes_into(v, &mut scratch.cache, &mut scratch.node)?;
                     decode_node(
                         &scratch.node,
                         m,
@@ -2033,34 +1947,17 @@ where
                     if (q.eval)(&slots_img, &procs_img) {
                         hits += 1;
                         if witness.is_none() {
-                            witness = Some((vi, gi, render_state(&slots_img, &procs_img)));
+                            witness = Some((v, gi, render_state(&slots_img, &procs_img)));
                         }
                     }
                 }
             }
+            // The replay reaches the g-image the predicate was evaluated
+            // on (the canonical member itself, for invariant queries).
             let (witness_schedule, witness_state) = match witness {
                 None => (None, None),
-                Some((vi, gi, render)) => {
-                    // Same construction as the livelock witness: the
-                    // quotient chain reaches the canonical member; the
-                    // relabeling h = g ∘ τ maps every scheduled actor so
-                    // the concrete replay reaches the g-image the
-                    // predicate was evaluated on (any image, for
-                    // invariant queries).
-                    let chain = chain_from_root(store, members[vi]);
-                    let (schedule_u, tau, _) = concretize(group, &chain);
-                    let g_pi = &group[gi].pi;
-                    let schedule = schedule_u
-                        .into_iter()
-                        .map(|a| {
-                            if a >= n {
-                                n + g_pi[tau[a - n]]
-                            } else {
-                                g_pi[tau[a]]
-                            }
-                        })
-                        .collect();
-                    (Some(schedule), Some(render))
+                Some((v, gi, render)) => {
+                    (Some(schedule_to_image(store, group, v, gi)), Some(render))
                 }
             };
             results.push(SccQueryResult {
@@ -3555,6 +3452,30 @@ fn concretize(group: &[SymElem], chain: &[(usize, u16)]) -> (Vec<usize>, Vec<usi
     (schedule, tau, tau_inv)
 }
 
+/// A concrete schedule from the initial state to the image `g·ŝ_v` of
+/// stored state `v` under group element `gi`.  The quotient chain
+/// reaches a concrete state `u` with `τ·u = ŝ_v`; the relabeling
+/// `h = g ∘ τ` is a graph automorphism fixing the initial state, so
+/// mapping every scheduled actor through `h` turns the chain into a
+/// schedule reaching `h·u = g·ŝ_v`.  Crash entries (`a ≥ n`) relabel
+/// the crashed process the same way normal entries relabel the stepped
+/// one.
+fn schedule_to_image(store: &Store, group: &[SymElem], v: u32, gi: usize) -> Vec<usize> {
+    let n = group[0].pi.len();
+    let (schedule_u, tau, _) = concretize(group, &chain_from_root(store, v));
+    let g_pi = &group[gi].pi;
+    schedule_u
+        .into_iter()
+        .map(|a| {
+            if a >= n {
+                n + g_pi[tau[a - n]]
+            } else {
+                g_pi[tau[a]]
+            }
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -3564,7 +3485,7 @@ mod tests {
     use amx_registers::Adversary;
 
     /// Candidate components the fair-livelock pass met on this test
-    /// thread, by how it decided them under symmetry.
+    /// thread, by how it decided them.
     #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
     struct LivelockBranches {
         /// Rejected on the quotient: some pending position never steps.

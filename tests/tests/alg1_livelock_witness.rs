@@ -5,9 +5,12 @@
 //! Background (ROADMAP "Alg 1 n = 4 livelock"): `5 ∈ M(4)`, so the paper
 //! claims deadlock-freedom, yet the exhaustive engine reports a fair
 //! livelock with all four processes pending, a 64,504-state
-//! completion-free SCC and the 12-step entry schedule
-//! `[3, 2, 0, 1, 1, 1, 0, 0, 1, 1, 1, 1]` — confirmed bit-for-bit by
-//! two independent engine generations.
+//! completion-free SCC and the 4-step entry schedule `[3, 2, 1, 0]`:
+//! the component already holds the state in which every process has
+//! snapshotted the empty memory.  Earlier engines entered the component
+//! at another member and reported the 12-step schedule
+//! `[3, 2, 0, 1, 1, 1, 0, 0, 1, 1, 1, 1]`, which the annotated replay
+//! below walks (its first four steps reach the same state).
 //!
 //! What the annotated replay shows (the findings note in ROADMAP
 //! summarizes this):
@@ -36,8 +39,10 @@
 //! SCC-interior query pass (`mc_sweep --smoke --deep --scc-query
 //! full-view`) streamed the component and answered: **full views occur
 //! on 1,070 of the 2,949 canonical member states** (somewhere, not
-//! everywhere), with the 21-step concrete witness replayed by
-//! [`full_view_witness_reaches_a_full_view_inside_the_scc`] below.  So
+//! everywhere), with a 21-step concrete witness replayed by
+//! [`full_view_witness_reaches_a_full_view_inside_the_scc`] below (the
+//! engine now reports a 16-step one, replayed by
+//! [`the_engine_full_view_witness_reaches_a_full_view_inside_the_scc`]).  So
 //! the withdrawal rule is **not** inert — views do fill inside the
 //! component and the line-7–9 arithmetic fires — and the livelock
 //! persists *through* withdrawal activity: at the witness state the
@@ -48,6 +53,7 @@
 //! *interaction* of withdrawal with claim-stealing overwrites, not
 //! because withdrawal never triggers.
 
+use amx_core::alg1::Alg1State;
 use amx_core::{Alg1Automaton, MutexSpec};
 use amx_ids::PidPool;
 use amx_registers::Adversary;
@@ -55,16 +61,32 @@ use amx_sim::automaton::closed_loop_step;
 use amx_sim::trace::{render, summarize};
 use amx_sim::{Automaton, MemoryModel, Outcome, Phase, Runner, Scheduler, SimMemory, Workload};
 
-/// The model checker's 12-step entry schedule into the livelock SCC.
+/// A 12-step entry schedule into the livelock SCC: the model checker's
+/// witness while its orbit confirmation entered a component at the
+/// first member Tarjan's decomposition emitted.  Still a valid path in;
+/// annotated step by step below.
 const WITNESS: [usize; 12] = [3, 2, 0, 1, 1, 1, 0, 0, 1, 1, 1, 1];
 
-/// The SCC-interior query's 21-step witness to a **full view inside**
-/// the livelock component (`mc_sweep --smoke --deep --scc-query
-/// full-view`, point alg1 (4, 5) identity: full-view "somewhere",
-/// 1,070 of 2,949 canonical states).
+/// The model checker's entry schedule into the livelock SCC: a
+/// component is entered at its member with the least state id, and
+/// ids are breadth-first discovery order, so this is a shortest
+/// schedule in.  It is [`WITNESS`]'s first four steps, reordered: the
+/// component already holds the state in which all four processes have
+/// snapshotted the empty memory.
+const STEM: [usize; 4] = [3, 2, 1, 0];
+
+/// A 21-step witness to a **full view inside** the livelock component:
+/// the SCC-interior query's witness (`mc_sweep --smoke --deep
+/// --scc-query full-view`, point alg1 (4, 5) identity: full-view
+/// "somewhere", 1,070 of 2,949 canonical states) while the component
+/// was entered at the first member Tarjan's decomposition emitted.
 const FULL_VIEW_WITNESS: [usize; 21] = [
     2, 0, 3, 1, 1, 1, 3, 3, 0, 0, 3, 3, 1, 1, 0, 0, 1, 1, 1, 1, 1,
 ];
+
+/// The same query's witness now that members are examined least state
+/// id first: 16 steps to a full view inside the component.
+const FULL_VIEW_STEM_WITNESS: [usize; 16] = [2, 0, 3, 1, 1, 1, 1, 1, 1, 3, 3, 0, 0, 0, 0, 0];
 
 fn automata() -> Vec<Alg1Automaton> {
     let spec = MutexSpec::rw_unchecked(4, 5);
@@ -160,6 +182,68 @@ fn witness_reaches_the_all_pending_state_with_annotated_steps() {
     assert_eq!(phases, vec![Phase::Trying; 4], "still nobody completes");
 }
 
+/// The concrete state a completion-free replay of `schedule` reaches:
+/// memory, phases and local states.
+type Replayed = (SimMemory, Vec<Phase>, Vec<Alg1State>);
+
+/// Replays `schedule` from the initial state, asserting that no step
+/// completes a lock or unlock.
+fn replay(automata: &[Alg1Automaton], schedule: &[usize]) -> Replayed {
+    let mut mem = SimMemory::new(MemoryModel::Rw, 5, &Adversary::Identity, 4).unwrap();
+    let mut phases = vec![Phase::Remainder; 4];
+    let mut states: Vec<Alg1State> = automata.iter().map(Automaton::init_state).collect();
+    for (k, &a) in schedule.iter().enumerate() {
+        let out = closed_loop_step(
+            &automata[a],
+            &mut phases[a],
+            &mut states[a],
+            &mut mem.view(a),
+        );
+        assert_eq!(out, Outcome::Progress, "step {k}: completion-free");
+    }
+    (mem, phases, states)
+}
+
+/// Replays a full-view witness and asserts what it reaches: a full view
+/// with all four processes still trying.  Returns the register owners
+/// (process indices) and the replayed state.
+fn replay_to_full_view(automata: &[Alg1Automaton], schedule: &[usize]) -> (Vec<usize>, Replayed) {
+    let (mem, phases, states) = replay(automata, schedule);
+    assert_eq!(phases, vec![Phase::Trying; 4]);
+    let owners = mem
+        .slots()
+        .iter()
+        .map(|s| {
+            automata
+                .iter()
+                .position(|a| s.is_owned_by(a.id()))
+                .expect("the view must be full")
+        })
+        .collect();
+    (owners, (mem, phases, states))
+}
+
+#[test]
+fn the_engine_stem_reaches_the_witness_after_four_steps() {
+    // Both schedules let every process snapshot the empty memory once:
+    // the order of the four snapshots leaves no trace.
+    let automata = automata();
+    let (stem_mem, stem_phases, stem_states) = replay(&automata, &STEM);
+    let (mem, phases, states) = replay(&automata, &WITNESS[..4]);
+    assert_eq!(stem_mem.slots(), mem.slots());
+    assert_eq!(stem_phases, phases);
+    assert_eq!(stem_states, states);
+    assert_eq!(states, vec![Alg1State::WriteFree { x: 0 }; 4]);
+}
+
+#[test]
+fn the_engine_full_view_witness_reaches_a_full_view_inside_the_scc() {
+    // Five steps shorter than the earlier witness, to a 3-vs-2 split
+    // between p0 and p1.
+    let (owners, _) = replay_to_full_view(&automata(), &FULL_VIEW_STEM_WITNESS);
+    assert_eq!(owners, [0, 1, 1, 0, 0]);
+}
+
 #[test]
 fn full_view_witness_reaches_a_full_view_inside_the_scc() {
     // Replays the SCC-interior query's witness: a completion-free
@@ -169,34 +253,9 @@ fn full_view_witness_reaches_a_full_view_inside_the_scc() {
     use amx_core::alg1::Alg1State as S;
     let automata = automata();
     let ids: Vec<_> = automata.iter().map(|a| a.id()).collect();
-    let mut mem = SimMemory::new(MemoryModel::Rw, 5, &Adversary::Identity, 4).unwrap();
-    let mut phases = vec![Phase::Remainder; 4];
-    let mut states: Vec<S> = automata.iter().map(Automaton::init_state).collect();
-    for (k, &a) in FULL_VIEW_WITNESS.iter().enumerate() {
-        let out = closed_loop_step(
-            &automata[a],
-            &mut phases[a],
-            &mut states[a],
-            &mut mem.view(a),
-        );
-        assert_eq!(out, Outcome::Progress, "step {k}: completion-free");
-    }
-    // The reached state: full view, everyone still trying.
-    assert!(
-        mem.slots().iter().all(|s| !s.is_bottom()),
-        "the view must be full"
-    );
-    assert_eq!(phases, vec![Phase::Trying; 4]);
-    let owners: Vec<Option<usize>> = mem
-        .slots()
-        .iter()
-        .map(|s| ids.iter().position(|&id| s.is_owned_by(id)))
-        .collect();
-    assert_eq!(
-        owners,
-        vec![Some(0), Some(0), Some(1), Some(1), Some(1)],
-        "a 2-vs-3 split between p0 and p1"
-    );
+    let (owners, (mut mem, mut phases, mut states)) =
+        replay_to_full_view(&automata, &FULL_VIEW_WITNESS);
+    assert_eq!(owners, [0, 0, 1, 1, 1], "a 2-vs-3 split between p0 and p1");
     // The withdrawal rule FIRES here: p0 owns 2 of 5 with cnt = 2
     // competitors, and 2·2 < 5, so p0's next snapshot starts a shrink —
     // the rule is not inert in the component.

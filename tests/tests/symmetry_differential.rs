@@ -12,9 +12,12 @@
 
 use amx_core::{Alg1Automaton, Alg2Automaton, FreeSlotPolicy, MutexSpec};
 use amx_ids::PidPool;
+use amx_props::predicate::full_view;
+use amx_props::property::scc_query_for;
+use amx_props::Observe;
 use amx_registers::orbit::adversary_orbits;
 use amx_registers::Adversary;
-use amx_sim::mc::{McReport, ModelChecker, Symmetry};
+use amx_sim::mc::{CrashBudget, CrashMode, McReport, ModelChecker, Symmetry};
 use amx_sim::toys::{CasLock, NaiveFlagLock, PetersonTwo, SpinForever};
 use amx_sim::{Automaton, EncodeState, MemoryModel, Verdict};
 use proptest::prelude::*;
@@ -337,6 +340,128 @@ fn reduced_livelock_witness_replays_without_violation() {
         matches!(rr.stop, Stop::StepBudgetExhausted | Stop::Stuck),
         "witness replay must stay violation-free, got {:?}",
         rr.stop
+    );
+}
+
+/// What a fair-livelock run reports: the pending set, the component
+/// size, the witness schedule and the `full-view` SCC query's witness.
+type Livelock = (Vec<usize>, usize, Vec<usize>, Vec<usize>);
+
+/// Checks `automata` with a `full-view` SCC query attached (and one
+/// crash of `crash`'s mode, when given) and returns the livelock it
+/// reports.
+fn livelock<A>(
+    automata: Vec<A>,
+    model: MemoryModel,
+    m: usize,
+    adv: &Adversary,
+    crash: Option<CrashMode>,
+    symmetry: Symmetry,
+) -> Livelock
+where
+    A: Observe + Clone + Send + Sync + 'static,
+    A::State: EncodeState + Send,
+{
+    let perms = adv.permutations(automata.len(), m).unwrap();
+    let mut mc = ModelChecker::with_automata(automata.clone(), model, m, adv)
+        .unwrap()
+        .symmetry(symmetry)
+        .scc_query(scc_query_for(&full_view(), &automata, &perms));
+    if let Some(mode) = crash {
+        mc = mc.crashes(CrashBudget::total(1), mode);
+    }
+    let report = mc.run().unwrap();
+    let Verdict::FairLivelock {
+        pending,
+        scc_states,
+        witness_schedule,
+    } = report.verdict
+    else {
+        panic!("expected a livelock, got {:?}", report.verdict);
+    };
+    let full_view = report.scc_queries[0].witness_schedule.clone();
+    (
+        pending,
+        scc_states,
+        witness_schedule,
+        full_view.expect("a full view inside the component"),
+    )
+}
+
+#[test]
+fn smoke_livelock_witnesses_are_pinned_and_as_short_under_symmetry() {
+    // The eight livelock points of `mc_sweep --smoke --crashes 1`, with
+    // the pending set, component size and witness the default
+    // `Symmetry::Off` reports.  Witnesses enter the component at its
+    // least state id, so the full-view witness (the query holds on every
+    // member) is the livelock witness.  The reduced run's witness takes
+    // as many steps: the quotient's least id is as shallow.
+    let alg1 = |n, m| alg1_automata(n, m, FreeSlotPolicy::default());
+    let rotations = Adversary::Rotations { stride: 1 };
+    let orbits_2_4 = adversary_orbits(2, 4);
+    let orbits_2_2 = adversary_orbits(2, 2);
+    let run =
+        |what: &str, expected: (&[usize], usize, &[usize]), go: &dyn Fn(Symmetry) -> Livelock| {
+            let (pending, scc_states, witness, full_view) = go(Symmetry::Off);
+            assert_eq!(
+                (pending.as_slice(), scc_states, witness.as_slice()),
+                expected,
+                "{what}: Symmetry::Off"
+            );
+            assert_eq!(full_view, witness, "{what}: full-view witness");
+            let (pending, _, reduced, _) = go(Symmetry::Wreath);
+            assert_eq!(pending, expected.0, "{what}: Symmetry::Wreath pending");
+            assert_eq!(
+                reduced.len(),
+                witness.len(),
+                "{what}: Symmetry::Wreath witness {reduced:?} against {witness:?}"
+            );
+        };
+    let alg1_2_4 = [0, 1, 0, 0, 0, 0, 0, 1, 1, 1];
+    for (orbit, adv) in orbits_2_4.iter().take(3).enumerate() {
+        run(
+            &format!("alg1 (2,4) orbit {orbit}"),
+            (&[0, 1], 1, &alg1_2_4),
+            &|s| livelock(alg1(2, 4), MemoryModel::Rw, 4, adv, None, s),
+        );
+    }
+    let alg2_2_2: [&[usize]; 2] = [&[0, 1, 1], &[0, 1]];
+    for (orbit, adv) in orbits_2_2.iter().enumerate() {
+        run(
+            &format!("alg2 (2,2) orbit {orbit}"),
+            (&[0, 1], 16, alg2_2_2[orbit]),
+            &|s| livelock(alg2_automata(2, 2), MemoryModel::Rmw, 2, adv, None, s),
+        );
+    }
+    run(
+        "alg1 ring (3,3)",
+        (&[0, 1, 2], 1, &[0, 1, 2, 0, 1, 2]),
+        &|s| livelock(alg1(3, 3), MemoryModel::Rw, 3, &rotations, None, s),
+    );
+    run("alg2 ring (3,3)", (&[0, 1, 2], 216, &[0, 1, 2]), &|s| {
+        livelock(
+            alg2_automata(3, 3),
+            MemoryModel::Rmw,
+            3,
+            &rotations,
+            None,
+            s,
+        )
+    });
+    let stale = Some(CrashMode::StaleClaims);
+    run(
+        "alg2 (3,1) crash-stale",
+        (&[1, 2], 1, &[0, 1, 1, 2, 2, 3]),
+        &|s| {
+            livelock(
+                alg2_automata(3, 1),
+                MemoryModel::Rmw,
+                1,
+                &Adversary::Identity,
+                stale,
+                s,
+            )
+        },
     );
 }
 
