@@ -47,6 +47,7 @@ use std::path::{Path, PathBuf};
 use crate::fault::FaultPlan;
 use crate::intern::{read_u64, read_words, write_u64, StateArena};
 use crate::mc::{MonitorHit, NodeMeta, Shard};
+use crate::scc::NO_EDGE;
 
 /// Format magic; bump the trailing digit on layout changes.
 const MAGIC: &[u8; 8] = b"AMXCKPT5";
@@ -208,14 +209,53 @@ pub(crate) struct Restored {
     /// Frontier ids; bytes are rematerialized by the caller.
     pub(crate) frontier: Vec<u32>,
     pub(crate) shard: Shard,
-    /// Edge-table rows, as in [`Snapshot`]; the caller checks them
-    /// against the restored states.
+    /// Edge-table rows, as in [`Snapshot`]; [`Restored::check`] checks
+    /// them against the restored states.
     pub(crate) edge_targets: Vec<u32>,
     pub(crate) edge_sigmas: Vec<u16>,
-    /// Pending-depth maxima and frontier rows, as in [`Snapshot`]; the
-    /// caller checks their lengths against the process count.
+    /// Pending-depth maxima and frontier rows, as in [`Snapshot`];
+    /// [`Restored::check`] checks their lengths against the process
+    /// count.
     pub(crate) depth_maxima: Vec<u16>,
     pub(crate) frontier_depths: Vec<u16>,
+}
+
+impl Restored {
+    /// Checks the restored state against itself and against the run
+    /// resuming it (`n` processes, a symmetry group of `group_len`
+    /// elements, group elements recorded per edge when `sigmas`): one
+    /// row of pending depths per frontier id and one maximum per
+    /// process, frontier ids that name stored states, and one edge-table
+    /// row per expanded state (every stored state but the frontier)
+    /// whose targets name stored states and whose group elements exist.
+    /// A mismatch is an `InvalidData` error.
+    pub(crate) fn check(&self, n: usize, group_len: usize, sigmas: bool) -> io::Result<()> {
+        let states = self.shard.arena.len();
+        if self.depth_maxima.len() != n
+            || self.frontier.len().checked_mul(n) != Some(self.frontier_depths.len())
+        {
+            return Err(bad_data(
+                "checkpoint pending depths do not match its frontier",
+            ));
+        }
+        if self.frontier.iter().any(|&id| id as usize >= states) {
+            return Err(bad_data("checkpoint frontier names an unknown state"));
+        }
+        let rows = states.checked_sub(self.frontier.len());
+        let stored = |t: u32| t == NO_EDGE || (t as usize) < states;
+        let sigma_len = if sigmas { self.edge_targets.len() } else { 0 };
+        if rows.map(|r| r * n) != Some(self.edge_targets.len())
+            || self.edge_sigmas.len() != sigma_len
+            || !self.edge_targets.iter().all(|&t| stored(t))
+            || self
+                .edge_sigmas
+                .iter()
+                .any(|&g| usize::from(g) >= group_len)
+        {
+            return Err(bad_data("checkpoint edge table does not match its states"));
+        }
+        Ok(())
+    }
 }
 
 /// Writes `snap` to `<dir>/mc-<level>.ckpt` atomically, then prunes

@@ -10,7 +10,7 @@ use parking_lot::Mutex;
 
 use amx_ids::Slot;
 
-use crate::automaton::{Automaton, Outcome, Phase};
+use crate::automaton::{closed_loop_step, Automaton, Outcome, Phase};
 use crate::encode::EncodeState;
 use crate::intern::{hash_bytes, PageCache, SpillError, StateArena};
 use crate::mem::SimMemory;
@@ -31,7 +31,9 @@ pub(crate) struct NodeMeta {
 }
 
 /// The seen set: an interned-state arena plus the parallel BFS-tree
-/// metadata table.  A state's id is its index in both.  The exploration
+/// metadata table.  A state's id is its index in both, and its
+/// breadth-first discovery order: level by level, each level sorted by
+/// `(parent position, actor)`.  The exploration
 /// loop owns it: expand workers share it read-only, and the drain
 /// interns into it on the calling thread — never locked.
 #[derive(Debug, Default)]
@@ -56,7 +58,7 @@ pub(super) struct EngineShared<'a, A: Automaton> {
     /// Crash–recovery configuration, when enabled.
     pub(super) crashes: Option<(CrashBudget, CrashMode)>,
     /// First spill *read* failure any worker hit: interned state became
-    /// unreadable, so the run aborts with [`McError::Spill`] at the
+    /// unreadable, so the run aborts with [`McError::Spill`](super::McError::Spill) at the
     /// next level boundary (workers treat the failed state as seen and
     /// keep draining — the error wins regardless).
     pub(super) spill_error: Mutex<Option<SpillError>>,
@@ -139,7 +141,27 @@ impl<S> Scratch<S> {
     }
 }
 
-/// What one breadth-first level found, for [`ModelChecker::run`].
+impl<S: EncodeState> Scratch<S> {
+    /// Decodes stored state `id` into `slots`, `procs` and `crashes`,
+    /// reading its bytes into `node` (a spilled page is faulted in
+    /// through `cache`).
+    pub(super) fn load(&mut self, shard: &Shard, id: u32) -> Result<(), SpillError> {
+        shard
+            .arena
+            .get_into_cached(id, &mut self.cache, &mut self.node)?;
+        decode_node(
+            &self.node,
+            self.mem.m(),
+            self.mem.n(),
+            &mut self.slots,
+            &mut self.procs,
+            &mut self.crashes,
+        );
+        Ok(())
+    }
+}
+
+/// What one breadth-first level found, for [`ModelChecker::run`](super::ModelChecker::run).
 pub(super) struct LevelOut {
     pub(super) acquisitions: usize,
     pub(super) transitions: usize,
@@ -209,18 +231,6 @@ pub(super) struct Violation {
     pub(super) from: u32,
     pub(super) actor: usize,
     pub(super) other: usize,
-}
-
-/// Applies one scheduled step of process `i`, driving the phase machine
-/// exactly as the closed-loop workload prescribes.
-pub(super) fn advance_in_place<A: Automaton>(
-    aut: &A,
-    i: usize,
-    mem: &mut SimMemory,
-    proc_entry: &mut (Phase, A::State),
-) -> Outcome {
-    let (phase, state) = proc_entry;
-    crate::automaton::closed_loop_step(aut, phase, state, &mut mem.view(i))
 }
 
 /// One breadth-first level: node ids in `(parent position, actor)`
@@ -317,7 +327,7 @@ pub(super) fn child_depths<'a>(
 /// The fair-livelock pass's graph, recorded while BFS runs: one row of
 /// `n` slots per expanded state, rows in breadth-first discovery order
 /// (each level appends its frontier's rows, in frontier order — the
-/// order [`Store`] numbers states in).  Slot `v * n + k` holds the
+/// order the seen set numbers states in).  Slot `v * n + k` holds the
 /// target of quotient actor `k`'s `Progress` step from state `v`, or
 /// [`scc::NO_EDGE`]: completions and violating steps are left out, and
 /// so are crash edges — each strictly increases a crash count, so no
@@ -418,7 +428,7 @@ pub(super) struct PendingInsert {
     /// At most 64 KiB, the most [`StateArena::intern`] stores.
     len: u16,
     /// Index of the generating worker's [`Outbox`] byte buffer (below
-    /// [`MAX_WORKERS`]).
+    /// [`MAX_WORKERS`](super::MAX_WORKERS)).
     worker: u16,
     sigma: u16,
     actor: u8,
@@ -743,10 +753,26 @@ pub(super) fn expand_worker<'f, A: Automaton + Sync>(
     }
 }
 
-/// Phase 1 for one frontier node: expands it and queues every successor
-/// that `seen(hash, bytes, cache)` does not find as a pending insert in
-/// `outbox`; edges to successors it finds go straight to the outbox's
-/// edge list.
+/// Phase 1 for one frontier node: decodes it, steps every process once
+/// (and crashes every process the budget admits), and canonicalizes
+/// each successor that is not a violation.  A successor that
+/// `seen(hash, bytes, cache)` finds contributes its edge to the outbox's
+/// edge list; the others are queued as pending inserts in `outbox`.
+/// Steps and acquisitions are counted into `outbox`.  A found violation
+/// never aborts mid-node: the candidate is merged by minimum
+/// `(pos, actor)` into `outbox` and the node's remaining actors still
+/// run (stolen items arrive out of position order, and the round
+/// finishes regardless).
+///
+/// Crash edges: the adversary may crash any process that is mid-
+/// invocation (Trying/Cs/Exiting — a process in its remainder has
+/// nothing to lose), within budget.  A crash resets the process to its
+/// remainder section with `crash_state()` local memory; under
+/// `WipeRegisters` its shared-register claims evaporate too, under
+/// `StaleClaims` they linger.  Crash counts strictly increase along
+/// these edges, so no cycle contains one — which is why the
+/// fair-livelock edge table soundly omits them (fairness never obliges
+/// the adversary to crash anyone).
 pub(super) fn expand_item<A: Automaton>(
     shared: &EngineShared<'_, A>,
     item: &LevelItem<'_>,
@@ -757,230 +783,133 @@ pub(super) fn expand_item<A: Automaton>(
 ) where
     A::State: EncodeState,
 {
-    expand_node(
-        shared,
-        item.pos,
-        item.id,
-        item.bytes,
-        sc,
-        outbox,
-        |sc, outbox, actor, sigma, orbit, edge| {
-            let best = &sc.canon.best;
-            let hash = hash_bytes(best);
-            match seen(hash, best, &mut sc.cache) {
-                // Interned by a previous round or level: the probe is exact
-                // for those, so nothing to buffer but the edge.
-                // Intra-round duplicates fall through and lose in the
-                // drain phase.
-                Ok(Some(id)) => {
-                    if edge {
-                        outbox.edges.push(Edge {
-                            pos: item.pos,
-                            target: id,
-                            sigma,
-                            actor: actor as u8,
-                        });
-                    }
-                    return;
-                }
-                Ok(None) => {}
-                Err(e) => {
-                    // A spilled page is unreadable: the level boundary
-                    // turns this into McError::Spill; meanwhile treat the
-                    // child as seen so the round drains without further
-                    // probes.
-                    shared.record_spill_error(e);
-                    return;
-                }
-            }
-            let trying = sc
-                .procs
-                .iter()
-                .enumerate()
-                .filter(|(_, (phase, _))| *phase == Phase::Trying)
-                .fold(0u64, |mask, (i, _)| mask | 1 << i);
-            let start = outbox.bytes.len();
-            outbox.bytes.extend_from_slice(best);
-            outbox.pending.push(PendingInsert {
-                hash,
-                trying,
-                pos: item.pos,
-                parent: item.id,
-                orbit,
-                start: start as u32,
-                len: u16::try_from(best.len())
-                    .expect("encoded states must fit the page-base directory (≤ 64 KiB)"),
-                worker: worker as u16,
-                sigma,
-                actor: actor as u8,
-                edge,
-            });
-        },
-    );
-}
-
-/// Expands one frontier node — the successor-generation skeleton.  For
-/// every step that is not a violation (and every admissible crash) the
-/// successor is canonicalized into `scratch.canon.best` (concrete frame
-/// left in `scratch.mem`/`scratch.procs`) and handed to `sink` as
-/// `(scratch, out, actor, sigma, orbit, edge)`, `edge` telling whether
-/// the step belongs to the completion-free graph (a `Progress` step).
-/// Steps and acquisitions are counted into `out`.  A found violation
-/// never aborts mid-node: the candidate is merged by minimum
-/// `(pos, actor)` into `out` and the node's remaining actors still run
-/// (stolen items arrive out of position order, and the round finishes
-/// regardless).
-pub(super) fn expand_node<A: Automaton>(
-    shared: &EngineShared<'_, A>,
-    pos: u32,
-    id: u32,
-    bytes: &[u8],
-    scratch: &mut Scratch<A::State>,
-    out: &mut Outbox,
-    mut sink: impl FnMut(&mut Scratch<A::State>, &mut Outbox, usize, u16, u32, bool),
-) where
-    A::State: EncodeState,
-{
     let n = shared.automata.len();
     let m = shared.mem0.m();
     decode_node(
-        bytes,
+        item.bytes,
         m,
         n,
-        &mut scratch.slots,
-        &mut scratch.procs,
-        &mut scratch.crashes,
+        &mut sc.slots,
+        &mut sc.procs,
+        &mut sc.crashes,
     );
-    for i in 0..n {
-        out.transitions += 1;
-        scratch.mem.restore(&scratch.slots);
-        let saved = scratch.procs[i].clone();
-        let outcome = advance_in_place(
-            &shared.automata[i],
-            i,
-            &mut scratch.mem,
-            &mut scratch.procs[i],
-        );
-        if outcome == Outcome::Acquired {
-            out.acquisitions += 1;
-            if let Some(j) = (0..n).find(|&j| j != i && scratch.procs[j].0 == Phase::Cs) {
-                let cand = Violation {
-                    order: (pos as usize, i),
-                    from: id,
-                    actor: i,
-                    other: j,
-                };
-                if out.violation.is_none_or(|best| cand.order < best.order) {
-                    out.violation = Some(cand);
+    let crashed: u32 = sc.crashes.iter().map(|&c| u32::from(c)).sum();
+    // Every process steps, then every process may crash.
+    let steps = (0..n).map(|i| (i, None));
+    let crashes = (shared.crashes.into_iter()).flat_map(|c| (0..n).map(move |i| (i, Some(c))));
+    for (i, crash) in steps.chain(crashes) {
+        let (actor, edge, saved) = match crash {
+            None => {
+                outbox.transitions += 1;
+                sc.mem.restore(&sc.slots);
+                let saved = sc.procs[i].clone();
+                let (phase, state) = &mut sc.procs[i];
+                let outcome =
+                    closed_loop_step(&shared.automata[i], phase, state, &mut sc.mem.view(i));
+                if outcome == Outcome::Acquired {
+                    outbox.acquisitions += 1;
+                    if let Some(j) = (0..n).find(|&j| j != i && sc.procs[j].0 == Phase::Cs) {
+                        let cand = Violation {
+                            order: (item.pos as usize, i),
+                            from: item.id,
+                            actor: i,
+                            other: j,
+                        };
+                        if outbox.violation.is_none_or(|best| cand.order < best.order) {
+                            outbox.violation = Some(cand);
+                        }
+                        // The violating successor is not interned (it is
+                        // the witness endpoint, not a node to expand
+                        // further).
+                        sc.procs[i] = saved;
+                        continue;
+                    }
                 }
-                // The violating successor is not interned (it is the
-                // witness endpoint, not a node to expand further).
-                scratch.procs[i] = saved;
-                continue;
+                (i as u8, outcome == Outcome::Progress, saved)
             }
-        }
-        let (sigma, orbit) = canonicalize(
-            shared.group,
-            scratch.mem.slots(),
-            &scratch.procs,
-            &scratch.crashes,
-            &mut scratch.canon,
-        );
-        sink(scratch, out, i, sigma, orbit, outcome == Outcome::Progress);
-        scratch.procs[i] = saved;
-    }
-    // Crash edges: the adversary may crash any process that is mid-
-    // invocation (Trying/Cs/Exiting — a process in its remainder has
-    // nothing to lose), within budget.  A crash resets the process to
-    // its remainder section with `crash_state()` local memory; under
-    // `WipeRegisters` its shared-register claims evaporate too, under
-    // `StaleClaims` they linger.  Crash counts strictly increase along
-    // these edges, so no cycle contains one — which is why the fair-
-    // livelock edge table soundly omits them (fairness never obliges the
-    // adversary to crash anyone).
-    if let Some((budget, mode)) = shared.crashes {
-        let total: u32 = scratch.crashes.iter().map(|&c| u32::from(c)).sum();
-        for i in 0..n {
-            if !matches!(
-                scratch.procs[i].0,
-                Phase::Trying | Phase::Cs | Phase::Exiting
-            ) {
-                continue;
-            }
-            if scratch.crashes[i] >= budget.per_process || total >= u32::from(budget.total) {
-                continue;
-            }
-            out.transitions += 1;
-            let saved = std::mem::replace(
-                &mut scratch.procs[i],
-                (Phase::Remainder, shared.automata[i].crash_state()),
-            );
-            scratch.crash_slots.clear();
-            scratch.crash_slots.extend_from_slice(&scratch.slots);
-            if mode == CrashMode::WipeRegisters {
-                if let Some(pid) = shared.automata[i].pid() {
-                    for s in &mut scratch.crash_slots {
-                        if s.is_owned_by(pid) {
-                            *s = Slot::BOTTOM;
+            Some((budget, mode)) => {
+                if !matches!(sc.procs[i].0, Phase::Trying | Phase::Cs | Phase::Exiting)
+                    || sc.crashes[i] >= budget.per_process
+                    || crashed >= u32::from(budget.total)
+                {
+                    continue;
+                }
+                outbox.transitions += 1;
+                let saved = std::mem::replace(
+                    &mut sc.procs[i],
+                    (Phase::Remainder, shared.automata[i].crash_state()),
+                );
+                sc.crash_slots.clear();
+                sc.crash_slots.extend_from_slice(&sc.slots);
+                if mode == CrashMode::WipeRegisters {
+                    if let Some(pid) = shared.automata[i].pid() {
+                        for s in &mut sc.crash_slots {
+                            if s.is_owned_by(pid) {
+                                *s = Slot::BOTTOM;
+                            }
                         }
                     }
                 }
+                sc.mem.restore(&sc.crash_slots);
+                sc.crashes[i] += 1;
+                (CRASH_ACTOR | i as u8, false, saved)
             }
-            scratch.mem.restore(&scratch.crash_slots);
-            scratch.crashes[i] += 1;
-            let (sigma, orbit) = canonicalize(
-                shared.group,
-                scratch.mem.slots(),
-                &scratch.procs,
-                &scratch.crashes,
-                &mut scratch.canon,
-            );
-            sink(
-                scratch,
-                out,
-                usize::from(CRASH_ACTOR) | i,
-                sigma,
-                orbit,
-                false,
-            );
-            scratch.crashes[i] -= 1;
-            scratch.procs[i] = saved;
+        };
+        let (sigma, orbit) = canonicalize(
+            shared.group,
+            sc.mem.slots(),
+            &sc.procs,
+            &sc.crashes,
+            &mut sc.canon,
+        );
+        let best = &sc.canon.best;
+        let hash = hash_bytes(best);
+        match seen(hash, best, &mut sc.cache) {
+            // Interned by a previous round or level: the probe is exact
+            // for those, so nothing to buffer but the edge.  Intra-round
+            // duplicates fall through and lose in the drain phase.
+            Ok(Some(id)) => {
+                if edge {
+                    outbox.edges.push(Edge {
+                        pos: item.pos,
+                        target: id,
+                        sigma,
+                        actor,
+                    });
+                }
+            }
+            Ok(None) => {
+                let trying = sc
+                    .procs
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, (phase, _))| *phase == Phase::Trying)
+                    .fold(0u64, |mask, (i, _)| mask | 1 << i);
+                let start = outbox.bytes.len();
+                outbox.bytes.extend_from_slice(best);
+                outbox.pending.push(PendingInsert {
+                    hash,
+                    trying,
+                    pos: item.pos,
+                    parent: item.id,
+                    orbit,
+                    start: start as u32,
+                    len: u16::try_from(best.len())
+                        .expect("encoded states must fit the page-base directory (≤ 64 KiB)"),
+                    worker: worker as u16,
+                    sigma,
+                    actor,
+                    edge,
+                });
+            }
+            // A spilled page is unreadable: the level boundary turns this
+            // into McError::Spill; meanwhile treat the child as seen so
+            // the round drains without further probes.
+            Err(e) => shared.record_spill_error(e),
         }
-    }
-}
-
-/// Read-only view of the seen set after exploration.  A state's id is
-/// its breadth-first discovery order: level by level, each level sorted
-/// by `(parent position, actor)`.
-pub(super) struct Store {
-    pub(super) shard: Shard,
-}
-
-impl Store {
-    /// Seals the seen set for read-mostly use: growth slack is dropped,
-    /// so `arena_bytes` reports resident bytes, not capacity.
-    pub(super) fn new(mut shard: Shard) -> Self {
-        shard.arena.shrink_to_fit();
-        shard.meta.shrink_to_fit();
-        Store { shard }
-    }
-
-    pub(super) fn node_count(&self) -> usize {
-        self.shard.arena.len()
-    }
-
-    /// Materializes the encoded bytes of `id` into `out`, faulting the
-    /// page in from spill through the caller's cache if evicted.
-    pub(super) fn bytes_into(
-        &self,
-        id: u32,
-        cache: &mut PageCache,
-        out: &mut Vec<u8>,
-    ) -> Result<(), SpillError> {
-        self.shard.arena.get_into_cached(id, cache, out)
-    }
-
-    pub(super) fn meta(&self, id: u32) -> NodeMeta {
-        self.shard.meta[id as usize]
+        if crash.is_some() {
+            sc.crashes[i] -= 1;
+        }
+        sc.procs[i] = saved;
     }
 }

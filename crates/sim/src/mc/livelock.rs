@@ -11,7 +11,7 @@ use crate::intern::SpillError;
 use crate::scc;
 
 use super::group::{decode_node, encode_node_with, group_tables, GroupTables, SymElem};
-use super::level::{EdgeTable, Scratch, Store};
+use super::level::{EdgeTable, Scratch, Shard};
 use super::witness::{render_state, schedule_to_image};
 use super::{ModelChecker, SccQueryResult, Verdict};
 
@@ -37,7 +37,7 @@ where
     /// no edge moves it to another position), and its orbit expansion is
     /// `|G|` copies of it with positions renamed, so a concrete fair
     /// component exists exactly when every pending position steps on an
-    /// internal edge.  Under [`Symmetry::Off`] this is the per-process
+    /// internal edge.  Under [`Symmetry::Off`](super::Symmetry::Off) this is the per-process
     /// check itself.  A component whose edges relabel takes a cheap
     /// necessary check per symmetry class instead.  Every component that
     /// passes is confirmed on its concrete orbit by
@@ -45,15 +45,14 @@ where
     /// livelock.
     pub(super) fn find_fair_livelock(
         &self,
-        store: &Store,
+        shard: &Shard,
         group: &[SymElem],
         class_of: &[usize],
         edges: &EdgeTable,
         scratch: &mut Scratch<A::State>,
     ) -> Result<Option<(Verdict, Vec<SccQueryResult>)>, SpillError> {
-        let n_states = store.node_count();
+        let n_states = shard.arena.len();
         let n = self.automata.len();
-        let m = self.mem0.m();
         if n_states == 0 {
             return Ok(None);
         }
@@ -96,15 +95,7 @@ where
             // Phases, off one member: within a completion-free SCC each
             // process's phase is constant up to relabeling (phase changes
             // other than via completions cannot be undone without one).
-            store.bytes_into(members[0], &mut scratch.cache, &mut scratch.node)?;
-            decode_node(
-                &scratch.node,
-                m,
-                n,
-                &mut scratch.slots,
-                &mut scratch.procs,
-                &mut scratch.crashes,
-            );
+            scratch.load(shard, members[0])?;
             if scratch.procs.iter().any(|(p, _)| *p == Phase::Cs) {
                 // Someone is parked in the CS: the antecedent of
                 // deadlock-freedom fails; this is just "the lock is held".
@@ -123,7 +114,7 @@ where
                 let gtab = gtab.get_or_insert_with(|| group_tables(group));
                 let sigmas = &edges.sigmas;
                 let confirmed = self.confirm_livelock_on_orbit(
-                    store, group, gtab, members, csr, sigmas, &comp, cid, scratch,
+                    shard, group, gtab, members, csr, sigmas, &comp, cid, scratch,
                 )?;
                 super::tests::audit_livelock_decision(relabels, pending & !steps == 0, confirmed);
             }
@@ -135,15 +126,7 @@ where
                 // passing it); the confirmation below decides.
                 let mut classes = 0u64; // at most n ≤ 64 classes
                 for &v in members {
-                    store.bytes_into(v, &mut scratch.cache, &mut scratch.node)?;
-                    decode_node(
-                        &scratch.node,
-                        m,
-                        n,
-                        &mut scratch.slots,
-                        &mut scratch.procs,
-                        &mut scratch.crashes,
-                    );
+                    scratch.load(shard, v)?;
                     for k in 0..n {
                         let w = csr[v as usize * n + k];
                         if w != scc::NO_EDGE
@@ -168,7 +151,7 @@ where
             // trivial group).
             let gtab = gtab.get_or_insert_with(|| group_tables(group));
             if let Some(v) = self.confirm_livelock_on_orbit(
-                store,
+                shard,
                 group,
                 gtab,
                 members,
@@ -217,7 +200,7 @@ where
     #[allow(clippy::too_many_arguments)]
     fn confirm_livelock_on_orbit(
         &self,
-        store: &Store,
+        shard: &Shard,
         group: &[SymElem],
         gtab: &GroupTables,
         members: &[u32],
@@ -228,7 +211,6 @@ where
         scratch: &mut Scratch<A::State>,
     ) -> Result<Option<(Verdict, Vec<SccQueryResult>)>, SpillError> {
         let n = self.automata.len();
-        let m = self.mem0.m();
         let gl = group.len();
         let k_nodes = members.len() * gl;
 
@@ -241,15 +223,7 @@ where
             .collect();
         let mut phases_q: Vec<Phase> = Vec::with_capacity(members.len() * n);
         for &v in members {
-            store.bytes_into(v, &mut scratch.cache, &mut scratch.node)?;
-            decode_node(
-                &scratch.node,
-                m,
-                n,
-                &mut scratch.slots,
-                &mut scratch.procs,
-                &mut scratch.crashes,
-            );
+            scratch.load(shard, v)?;
             phases_q.extend(scratch.procs.iter().map(|(p, _)| *p));
         }
 
@@ -321,22 +295,14 @@ where
                 .collect();
             order.sort_unstable();
             let (v, gi) = order[0];
-            let witness_schedule = schedule_to_image(store, group, v, gi);
+            let witness_schedule = schedule_to_image(shard, group, v, gi);
             // Exact distinct-state count: nontrivial stabilizers make
             // the pair walk cover the concrete component several times
             // over, so dedup by concrete encoding (success path only —
             // at most one confirmation per run reaches this).
             let mut distinct: std::collections::HashSet<Vec<u8>> = std::collections::HashSet::new();
             for &(v, gi) in &order {
-                store.bytes_into(v, &mut scratch.cache, &mut scratch.node)?;
-                decode_node(
-                    &scratch.node,
-                    m,
-                    n,
-                    &mut scratch.slots,
-                    &mut scratch.procs,
-                    &mut scratch.crashes,
-                );
+                scratch.load(shard, v)?;
                 encode_node_with(
                     &group[gi],
                     &scratch.slots,
@@ -346,7 +312,7 @@ where
                 );
                 distinct.insert(scratch.canon.enc.clone());
             }
-            let queries = self.eval_queries_orbit(store, group, &order, scratch)?;
+            let queries = self.eval_queries_orbit(shard, group, &order, scratch)?;
             // `pending` (from sub[0]) equals the pending set at the entry:
             // phases are constant across a concrete completion-free SCC.
             return Ok(Some((
@@ -361,7 +327,7 @@ where
         Ok(None)
     }
 
-    /// Evaluates the registered [`SccQuery`]s over a confirmed concrete
+    /// Evaluates the registered [`SccQuery`](super::SccQuery)s over a confirmed concrete
     /// component, given as `(state id, group element)` pairs in
     /// ascending order.  Orbit-invariant queries decode each distinct
     /// canonical member once, in id order; non-invariant queries
@@ -371,7 +337,7 @@ where
     /// holds on.
     fn eval_queries_orbit(
         &self,
-        store: &Store,
+        shard: &Shard,
         group: &[SymElem],
         order: &[(u32, usize)],
         scratch: &mut Scratch<A::State>,
@@ -392,15 +358,7 @@ where
             let mut witness: Option<(u32, usize, String)> = None; // (v, gi, render)
             if q.orbit_invariant {
                 for &v in &canon {
-                    store.bytes_into(v, &mut scratch.cache, &mut scratch.node)?;
-                    decode_node(
-                        &scratch.node,
-                        m,
-                        n,
-                        &mut scratch.slots,
-                        &mut scratch.procs,
-                        &mut scratch.crashes,
-                    );
+                    scratch.load(shard, v)?;
                     examined += 1;
                     if (q.eval)(&scratch.slots, &scratch.procs) {
                         hits += 1;
@@ -415,15 +373,7 @@ where
                 let mut procs_img: Vec<(Phase, A::State)> = Vec::new();
                 let mut crashes_img: Vec<u8> = Vec::new();
                 for &(v, gi) in order {
-                    store.bytes_into(v, &mut scratch.cache, &mut scratch.node)?;
-                    decode_node(
-                        &scratch.node,
-                        m,
-                        n,
-                        &mut scratch.slots,
-                        &mut scratch.procs,
-                        &mut scratch.crashes,
-                    );
+                    scratch.load(shard, v)?;
                     encode_node_with(
                         &group[gi],
                         &scratch.slots,
@@ -456,7 +406,7 @@ where
             let (witness_schedule, witness_state) = match witness {
                 None => (None, None),
                 Some((v, gi, render)) => {
-                    (Some(schedule_to_image(store, group, v, gi)), Some(render))
+                    (Some(schedule_to_image(shard, group, v, gi)), Some(render))
                 }
             };
             results.push(SccQueryResult {

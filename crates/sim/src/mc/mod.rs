@@ -120,7 +120,6 @@
 //! algorithm in this workspace; [`Symmetry::Off`] remains the default
 //! and is exact.
 
-use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -136,7 +135,6 @@ use crate::encode::EncodeState;
 use crate::fault::FaultPlan;
 use crate::intern::{anon_spill_file, hash_bytes};
 use crate::mem::SimMemory;
-use crate::scc;
 
 mod group;
 mod level;
@@ -156,7 +154,7 @@ pub(crate) use level::{MonitorHit, NodeMeta, Shard};
 use group::{build_group, canonicalize};
 use level::{
     intern_into, run_level, EdgeTable, EngineShared, Frontier, PropViolation, RoundBufs, Scratch,
-    Store, Violation,
+    Violation,
 };
 use report::finish_report;
 use witness::{chain_from_root, concretize};
@@ -236,7 +234,7 @@ impl<A: Automaton + std::fmt::Debug> std::fmt::Debug for ModelChecker<A> {
     }
 }
 
-/// Most expand workers a run uses: a [`PendingInsert`] names its
+/// Most expand workers a run uses: a [`PendingInsert`](level::PendingInsert) names its
 /// worker's outbox in 16 bits.
 const MAX_WORKERS: usize = u16::MAX as usize;
 
@@ -581,8 +579,9 @@ where
         // (see `McReport::max_pending_depth`).
         let mut depth_maxima = vec![0u16; n];
         if let Some(ck) = restored {
+            ck.check(n, group.len(), edges.track_sigma)
+                .map_err(McError::Checkpoint)?;
             shard = ck.shard;
-            let states = shard.arena.len();
             shared
                 .orbit_sum
                 .store(ck.orbit_sum as usize, Ordering::Relaxed);
@@ -592,54 +591,16 @@ where
             monitor_hits = ck.monitor_hits;
             completed_levels = ck.level;
             resumed_from_level = Some(ck.level);
-            // One row of pending depths per frontier node, one maximum
-            // per position.
-            if ck.depth_maxima.len() != n
-                || ck.frontier.len().checked_mul(n) != Some(ck.frontier_depths.len())
-            {
-                return Err(McError::Checkpoint(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "checkpoint pending depths do not match its frontier",
-                )));
-            }
             depth_maxima = ck.depth_maxima;
             // The checkpoint stores frontier *ids*; the bytes come back
             // out of the restored arena.
             let mut bytes = Vec::new();
             for (&id, depths) in ck.frontier.iter().zip(ck.frontier_depths.chunks_exact(n)) {
-                if id as usize >= states {
-                    return Err(McError::Checkpoint(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        "checkpoint frontier names an unknown state",
-                    )));
-                }
                 shard
                     .arena
                     .get_into(id, &mut bytes)
                     .map_err(McError::Spill)?;
                 frontier.push(id, &bytes, depths.iter().copied());
-            }
-            // Every state but the frontier has been expanded and owns a
-            // row; each target must name a stored state.
-            let rows = states.checked_sub(ck.frontier.len());
-            let stored = |t: u32| t == scc::NO_EDGE || (t as usize) < states;
-            let sigma_len = if edges.track_sigma {
-                ck.edge_targets.len()
-            } else {
-                0
-            };
-            if rows.map(|r| r * edges.n) != Some(ck.edge_targets.len())
-                || ck.edge_sigmas.len() != sigma_len
-                || !ck.edge_targets.iter().all(|&t| stored(t))
-                || ck
-                    .edge_sigmas
-                    .iter()
-                    .any(|&g| usize::from(g) >= group.len())
-            {
-                return Err(McError::Checkpoint(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "checkpoint edge table does not match its states",
-                )));
             }
             edges.targets = ck.edge_targets;
             edges.sigmas = ck.edge_sigmas;
@@ -838,8 +799,11 @@ where
         let full_states_estimate = shared.orbit_sum.load(Ordering::Relaxed);
         let overflowed = shared.overflow.load(Ordering::Relaxed);
         let steal_count = shared.steals.load(Ordering::Relaxed);
-        let store = Store::new(shard);
-        degraded.extend(store.shard.arena.degraded().map(str::to_string));
+        // Growth slack is dropped, so `arena_bytes` reports resident
+        // bytes, not capacity.
+        shard.arena.shrink_to_fit();
+        shard.meta.shrink_to_fit();
+        degraded.extend(shard.arena.degraded().map(str::to_string));
         let mut report = McReport {
             verdict: Verdict::Ok,
             transitions,
@@ -849,14 +813,14 @@ where
             peak_frontier,
             wall_time: start.elapsed(),
             scc_wall_time: Duration::ZERO,
-            arena_bytes: store.shard.arena.arena_bytes(),
+            arena_bytes: shard.arena.arena_bytes(),
             arena_resident_bytes: 0,
             arena_spilled_bytes: 0,
             spill_faults: 0,
             spill_evictions: 0,
             checkpoints_written,
             resumed_from_level,
-            seen_table_bytes: store.shard.arena.table_bytes(),
+            seen_table_bytes: shard.arena.table_bytes(),
             steal_count,
             threads: self.threads,
             symmetry,
@@ -865,26 +829,26 @@ where
             max_pending_depth: Vec::new(),
             degraded,
         };
-        report.monitors = self.monitor_results(&store, &group, &monitor_hits);
+        report.monitors = self.monitor_results(&shard, &group, &monitor_hits);
 
         if let Some(v) = violation {
-            let chain = chain_from_root(&store, v.from);
+            let chain = chain_from_root(&shard, v.from);
             let (mut schedule, _, tau_inv) = concretize(&group, &chain);
             schedule.push(tau_inv[v.actor]);
             report.verdict = Verdict::MutualExclusionViolation {
                 schedule,
                 procs: (tau_inv[v.other], tau_inv[v.actor]),
             };
-            return Ok(finish_report(report, &store, start));
+            return Ok(finish_report(report, &shard, start));
         }
         if let Some(p) = prop_violation {
-            let chain = chain_from_root(&store, p.node);
+            let chain = chain_from_root(&shard, p.node);
             let (schedule, _, _) = concretize(&group, &chain);
             report.verdict = Verdict::PropertyViolation {
                 property: self.monitors[p.monitor as usize].name.clone(),
                 schedule,
             };
-            return Ok(finish_report(report, &store, start));
+            return Ok(finish_report(report, &shard, start));
         }
         if overflowed {
             return Err(McError::StateSpaceExceeded(StateSpaceExceeded {
@@ -896,22 +860,22 @@ where
                 level: completed_levels,
                 checkpoints: checkpoints_written,
             };
-            return Ok(finish_report(report, &store, start));
+            return Ok(finish_report(report, &shard, start));
         }
 
         report.max_pending_depth = depth_maxima.iter().map(|&d| usize::from(d)).collect();
         #[cfg(test)]
-        tests::audit_pending_depths::<A::State>(&store, &group, m, &report.max_pending_depth);
+        tests::audit_pending_depths::<A::State>(&shard, &group, m, &report.max_pending_depth);
 
         let scc_start = Instant::now();
         if let Some((verdict, queries)) =
-            self.find_fair_livelock(&store, &group, &class_of, &edges, &mut scratch)?
+            self.find_fair_livelock(&shard, &group, &class_of, &edges, &mut scratch)?
         {
             report.verdict = verdict;
             report.scc_queries = queries;
         }
         report.scc_wall_time = scc_start.elapsed();
-        Ok(finish_report(report, &store, start))
+        Ok(finish_report(report, &shard, start))
     }
 
     /// A configuration fingerprint for checkpoint compatibility:
@@ -949,5 +913,5 @@ where
 
 /// Largest [`ModelChecker::max_states`]: ids are `u32`, the insert that
 /// overflows the bound still takes id `max_states`, and `u32::MAX`
-/// marks the root's missing parent and an absent edge ([`scc::NO_EDGE`]).
+/// marks the root's missing parent and an absent edge ([`scc::NO_EDGE`](crate::scc::NO_EDGE)).
 const MAX_STATES_LIMIT: usize = u32::MAX as usize - 1;

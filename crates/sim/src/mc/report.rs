@@ -9,7 +9,7 @@ use amx_ids::Slot;
 use crate::automaton::Phase;
 use crate::intern::SpillError;
 
-use super::level::Store;
+use super::level::Shard;
 
 /// Final verdict of a model-checking run.
 ///
@@ -586,9 +586,9 @@ impl From<SpillError> for McError {
 /// Stamps the final wall clock and the spill accounting — the
 /// resident/spilled split and the fault/eviction totals, which keep
 /// advancing through the SCC and query passes — onto a finished report.
-pub(super) fn finish_report(mut report: McReport, store: &Store, start: Instant) -> McReport {
-    let spill = store.shard.arena.spill_stats();
-    report.arena_resident_bytes = store.shard.arena.resident_bytes();
+pub(super) fn finish_report(mut report: McReport, shard: &Shard, start: Instant) -> McReport {
+    let spill = shard.arena.spill_stats();
+    report.arena_resident_bytes = shard.arena.resident_bytes();
     report.arena_spilled_bytes = spill.spilled_bytes;
     report.spill_faults = spill.faults;
     report.spill_evictions = spill.evictions;

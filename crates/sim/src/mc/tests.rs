@@ -1,7 +1,7 @@
 use super::group::{build_group, canonicalize, decode_node, encode_node_with, Canon, SymElem};
-use super::level::{advance_in_place, Store};
+use super::level::Shard;
 use super::*;
-use crate::automaton::Outcome;
+use crate::automaton::{closed_loop_step, Outcome};
 use crate::encode;
 use crate::intern::{PageCache, SpillError};
 use crate::mem::MemoryModel;
@@ -9,6 +9,7 @@ use crate::toys::{CasLock, NaiveFlagLock, SpinForever};
 use amx_ids::codec::{PidMap, RegMap};
 use amx_ids::PidPool;
 use amx_registers::Adversary;
+use std::io;
 
 /// Candidate components the fair-livelock pass met on this test
 /// thread, by how it decided them.
@@ -67,12 +68,12 @@ fn livelock_branches(run: impl FnOnce() -> McReport) -> (McReport, LivelockBranc
 /// tree edge's recurrence to the decoded canonical state's phases,
 /// with O(states · n) memory.
 fn max_pending_depth_full_pass<S: EncodeState>(
-    store: &Store,
+    shard: &Shard,
     group: &[SymElem],
     m: usize,
     n: usize,
 ) -> Result<Vec<usize>, SpillError> {
-    let n_states = store.node_count();
+    let n_states = shard.arena.len();
     let mut depth = vec![0u16; n_states * n];
     let mut maxima = vec![0u16; n];
     let mut slots: Vec<Slot> = Vec::new();
@@ -82,10 +83,12 @@ fn max_pending_depth_full_pass<S: EncodeState>(
     let mut cache = PageCache::new();
     // Id 0 is the root, whose depths are all zero.
     for c in 1..n_states {
-        let meta = store.meta(c as u32);
+        let meta = shard.meta[c];
         let v = meta.parent as usize;
         assert!(v < c, "discovery order numbers parents first");
-        store.bytes_into(c as u32, &mut cache, &mut node)?;
+        shard
+            .arena
+            .get_into_cached(c as u32, &mut cache, &mut node)?;
         decode_node::<S>(&node, m, n, &mut slots, &mut procs, &mut crashes);
         let pi_inv = &group[meta.sigma as usize].pi_inv;
         for j in 0..n {
@@ -111,12 +114,12 @@ thread_local! {
 /// Asserts that a completed run's pending-depth maxima, computed
 /// during BFS, equal the full pass's over its stored states.
 pub(super) fn audit_pending_depths<S: EncodeState>(
-    store: &Store,
+    shard: &Shard,
     group: &[SymElem],
     m: usize,
     maxima: &[usize],
 ) {
-    let reference = max_pending_depth_full_pass::<S>(store, group, m, maxima.len())
+    let reference = max_pending_depth_full_pass::<S>(shard, group, m, maxima.len())
         .expect("the full pass reads every stored state");
     assert_eq!(
         maxima, reference,
@@ -389,7 +392,8 @@ fn reduced_livelock_witness_replays_to_the_pending_state() {
         .map(|a| (Phase::Remainder, a.init_state()))
         .collect();
     for &a in &witness_schedule {
-        let _ = advance_in_place(&automata[a], a, &mut mem, &mut procs[a]);
+        let (phase, state) = &mut procs[a];
+        let _ = closed_loop_step(&automata[a], phase, state, &mut mem.view(a));
     }
     let reached: Vec<usize> = (0..3)
         .filter(|&i| matches!(procs[i].0, Phase::Trying | Phase::Exiting))
@@ -544,7 +548,8 @@ fn wreath_livelock_witness_replays_to_the_pending_state() {
         .map(|a| (Phase::Remainder, a.init_state()))
         .collect();
     for &a in &witness_schedule {
-        let _ = advance_in_place(&automata[a], a, &mut mem, &mut procs[a]);
+        let (phase, state) = &mut procs[a];
+        let _ = closed_loop_step(&automata[a], phase, state, &mut mem.view(a));
     }
     let reached: Vec<usize> = (0..3)
         .filter(|&i| matches!(procs[i].0, Phase::Trying | Phase::Exiting))
@@ -815,7 +820,8 @@ fn fatal_monitor_aborts_with_a_replayable_schedule() {
         .map(|a| (Phase::Remainder, a.init_state()))
         .collect();
     for &a in &schedule {
-        let _ = advance_in_place(&automata[a], a, &mut mem, &mut procs[a]);
+        let (phase, state) = &mut procs[a];
+        let _ = closed_loop_step(&automata[a], phase, state, &mut mem.view(a));
     }
     assert!(both_past_check(mem.slots(), &procs), "witness must replay");
 }
@@ -936,7 +942,8 @@ fn scc_query_witness_replays_under_symmetry() {
         .map(|a| (Phase::Remainder, a.init_state()))
         .collect();
     for &a in schedule {
-        let _ = advance_in_place(&automata[a], a, &mut mem, &mut procs[a]);
+        let (phase, state) = &mut procs[a];
+        let _ = closed_loop_step(&automata[a], phase, state, &mut mem.view(a));
     }
     assert!(procs.iter().all(|(p, _)| *p == Phase::Trying));
 }

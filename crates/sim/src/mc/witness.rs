@@ -7,7 +7,7 @@ use amx_ids::Slot;
 use crate::automaton::{Automaton, Phase};
 
 use super::group::SymElem;
-use super::level::{MonitorHit, Store};
+use super::level::{MonitorHit, Shard};
 use super::{ModelChecker, MonitorResult, CRASH_ACTOR};
 
 impl<A: Automaton> ModelChecker<A> {
@@ -16,7 +16,7 @@ impl<A: Automaton> ModelChecker<A> {
     /// hit at least one state.
     pub(super) fn monitor_results(
         &self,
-        store: &Store,
+        shard: &Shard,
         group: &[SymElem],
         hits: &[MonitorHit],
     ) -> Vec<MonitorResult> {
@@ -27,7 +27,7 @@ impl<A: Automaton> ModelChecker<A> {
                 name: mon.name.clone(),
                 hit_states: hit.count,
                 witness_schedule: hit.best.map(|(_, node)| {
-                    let chain = chain_from_root(store, node);
+                    let chain = chain_from_root(shard, node);
                     concretize(group, &chain).0
                 }),
             })
@@ -63,10 +63,10 @@ pub(super) fn render_state<S: std::fmt::Debug>(slots: &[Slot], procs: &[(Phase, 
 }
 
 /// The BFS-tree edges from the root to `target`, in root-first order.
-pub(super) fn chain_from_root(store: &Store, mut cur: u32) -> Vec<(usize, u16)> {
+pub(super) fn chain_from_root(shard: &Shard, mut cur: u32) -> Vec<(usize, u16)> {
     let mut rev = Vec::new();
     loop {
-        let meta = store.meta(cur);
+        let meta = shard.meta[cur as usize];
         if meta.parent == u32::MAX {
             break;
         }
@@ -121,9 +121,9 @@ pub(super) fn concretize(
 /// schedule reaching `h·u = g·ŝ_v`.  Crash entries (`a ≥ n`) relabel
 /// the crashed process the same way normal entries relabel the stepped
 /// one.
-pub(super) fn schedule_to_image(store: &Store, group: &[SymElem], v: u32, gi: usize) -> Vec<usize> {
+pub(super) fn schedule_to_image(shard: &Shard, group: &[SymElem], v: u32, gi: usize) -> Vec<usize> {
     let n = group[0].pi.len();
-    let (schedule_u, tau, _) = concretize(group, &chain_from_root(store, v));
+    let (schedule_u, tau, _) = concretize(group, &chain_from_root(shard, v));
     let g_pi = &group[gi].pi;
     schedule_u
         .into_iter()
