@@ -1,4 +1,4 @@
-//! Shared harness code for the experiment binaries and criterion benches.
+//! Shared harness code for the experiment binaries.
 //!
 //! Every table and figure of the paper has a regenerating entry point:
 //!
@@ -12,9 +12,6 @@
 //! | §I-C / §VII complexity contrast | `cargo run -p amx-bench --bin complexity` |
 //! | All-adversary orbit sweep (symmetry-reduced model checker) | `cargo run -p amx-bench --bin mc_sweep` |
 //! | Multicore lock contention rig (all 5 families, one `AmxLock` path) | `cargo run -p amx-bench --bin lock_bench` |
-//!
-//! plus criterion benches `alg_throughput`, `baseline_comparison`,
-//! `snapshot_cost`, `entry_cost` and `mc_cost`.
 //!
 //! `mc_sweep` and `lock_bench` share the code below for reading their
 //! command lines and for gating a run against a recorded report

@@ -145,8 +145,7 @@ const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
 /// byte), with the classic byte-at-a-time tail and a final
 /// high-into-low fold.  Collision handling is unchanged — the table
 /// stores indices plus a hash fragment, so a collision costs one
-/// filtered comparison.  Not bit-compatible with
-/// [`hash_bytes_bytewise`]; hashes never leave one process.
+/// filtered comparison.  Hashes never leave one process.
 #[must_use]
 pub fn hash_bytes(bytes: &[u8]) -> u64 {
     let mut h = FNV_OFFSET;
@@ -169,18 +168,6 @@ pub fn hash_bytes(bytes: &[u8]) -> u64 {
     h ^= h >> 32;
     h = h.wrapping_mul(FNV_PRIME);
     h ^ (h >> 32)
-}
-
-/// The original byte-at-a-time FNV-1a, kept as the reference the
-/// `mc_cost` bench compares [`hash_bytes`] against.
-#[must_use]
-pub fn hash_bytes_bytewise(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
 }
 
 /// Applies a byte-mask delta in place: for every set bit `i` in
@@ -1479,11 +1466,8 @@ mod tests {
 
     #[test]
     fn hash_variants_are_stable_and_low_bits_mix() {
-        // The 8-bytes-at-a-time variant is not bit-compatible with the
-        // byte-wise reference; both must be deterministic.
         let data = b"the quick brown fox jumps over the lazy dog";
         assert_eq!(hash_bytes(data), hash_bytes(data));
-        assert_eq!(hash_bytes_bytewise(data), hash_bytes_bytewise(data));
         // Variation confined to the high half of one word must still
         // move the low 32 bits (the table-slot fragment) — this is
         // exactly the input class the finalizer exists for.

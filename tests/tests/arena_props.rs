@@ -8,9 +8,7 @@
 //! contract (`intern` of a seen string returns the original index,
 //! fresh = false) survives table growth and drift re-basing.
 
-use amx_sim::intern::{
-    anon_spill_file, hash_bytes, hash_bytes_bytewise, PageCache, StateArena, PAGE,
-};
+use amx_sim::intern::{anon_spill_file, hash_bytes, PageCache, StateArena, PAGE};
 use proptest::prelude::*;
 
 /// Builds a batch of byte strings shaped like the model checker's
@@ -134,8 +132,6 @@ proptest! {
             hash_bytes(&edited),
             "single-byte edit at {} must change the 64-bit hash", i
         );
-        // The byte-wise reference stays available for the bench delta.
-        prop_assert_eq!(hash_bytes_bytewise(&base), hash_bytes_bytewise(&base));
     }
 
     /// Out-of-core identity: attaching a spill file mid-stream (with a
