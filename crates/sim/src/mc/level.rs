@@ -794,9 +794,13 @@ pub(super) fn expand_item<A: Automaton>(
         &mut sc.crashes,
     );
     let crashed: u32 = sc.crashes.iter().map(|&c| u32::from(c)).sum();
-    // Every process steps, then every process may crash.
+    // Every process steps once; then, when crashes are enabled, every
+    // process the budget admits crashes once.
     let steps = (0..n).map(|i| (i, None));
-    let crashes = (shared.crashes.into_iter()).flat_map(|c| (0..n).map(move |i| (i, Some(c))));
+    let crashes = shared
+        .crashes
+        .into_iter()
+        .flat_map(|c| (0..n).map(move |i| (i, Some(c))));
     for (i, crash) in steps.chain(crashes) {
         let (actor, edge, saved) = match crash {
             None => {

@@ -37,8 +37,9 @@ where
     /// no edge moves it to another position), and its orbit expansion is
     /// `|G|` copies of it with positions renamed, so a concrete fair
     /// component exists exactly when every pending position steps on an
-    /// internal edge.  Under [`Symmetry::Off`](super::Symmetry::Off) this is the per-process
-    /// check itself.  A component whose edges relabel takes a cheap
+    /// internal edge.  Under [`Symmetry::Off`](super::Symmetry::Off)
+    /// this is the per-process check itself.  A component whose edges
+    /// relabel takes a cheap
     /// necessary check per symmetry class instead.  Every component that
     /// passes is confirmed on its concrete orbit by
     /// [`Self::confirm_livelock_on_orbit`], the only path that reports a
@@ -112,9 +113,8 @@ where
             {
                 // Every decision is audited against the confirmation.
                 let gtab = gtab.get_or_insert_with(|| group_tables(group));
-                let sigmas = &edges.sigmas;
                 let confirmed = self.confirm_livelock_on_orbit(
-                    shard, group, gtab, members, csr, sigmas, &comp, cid, scratch,
+                    shard, group, gtab, members, edges, &comp, cid, scratch,
                 )?;
                 super::tests::audit_livelock_decision(relabels, pending & !steps == 0, confirmed);
             }
@@ -151,15 +151,7 @@ where
             // trivial group).
             let gtab = gtab.get_or_insert_with(|| group_tables(group));
             if let Some(v) = self.confirm_livelock_on_orbit(
-                shard,
-                group,
-                gtab,
-                members,
-                csr,
-                &edges.sigmas,
-                &comp,
-                cid,
-                scratch,
+                shard, group, gtab, members, edges, &comp, cid, scratch,
             )? {
                 return Ok(Some(v));
             }
@@ -204,8 +196,7 @@ where
         group: &[SymElem],
         gtab: &GroupTables,
         members: &[u32],
-        csr: &[u32],
-        sigmas: &[u16],
+        edges: &EdgeTable,
         comp: &[u32],
         cid: u32,
         scratch: &mut Scratch<A::State>,
@@ -237,13 +228,13 @@ where
                 let pi_inv = &elem.pi_inv;
                 for a in 0..n {
                     let k = pi_inv[a];
-                    let w = csr[v * n + k];
+                    let w = edges.targets[v * n + k];
                     if w == scc::NO_EDGE || comp[w as usize] != cid {
                         continue;
                     }
                     let wl = local_of[&w] as usize;
                     // The trivial group records no σ: it is the identity.
-                    let sigma = sigmas.get(v * n + k).map_or(0, |&g| usize::from(g));
+                    let sigma = edges.sigmas.get(v * n + k).map_or(0, |&g| usize::from(g));
                     let h = gtab.compose[gi * gl + gtab.inv[sigma] as usize] as usize;
                     adj[x * n + a] = (wl * gl + h) as u32;
                 }
@@ -327,8 +318,9 @@ where
         Ok(None)
     }
 
-    /// Evaluates the registered [`SccQuery`](super::SccQuery)s over a confirmed concrete
-    /// component, given as `(state id, group element)` pairs in
+    /// Evaluates the registered [`SccQuery`](super::SccQuery)s over a
+    /// confirmed concrete component, given as `(state id, group element)`
+    /// pairs in
     /// ascending order.  Orbit-invariant queries decode each distinct
     /// canonical member once, in id order; non-invariant queries
     /// materialize every group image (the symmetry expansion) in pair
