@@ -394,8 +394,9 @@ fn smoke_livelock_witnesses_are_pinned_and_as_short_under_symmetry() {
     // the pending set, component size and witness the default
     // `Symmetry::Off` reports.  Witnesses enter the component at its
     // least state id, so the full-view witness (the query holds on every
-    // member) is the livelock witness.  The reduced run's witness takes
-    // as many steps: the quotient's least id is as shallow.
+    // member) is the livelock witness.  The reduced run counts the same
+    // concrete component, and its witness takes as many steps: the
+    // quotient's least id is as shallow.
     let alg1 = |n, m| alg1_automata(n, m, FreeSlotPolicy::default());
     let rotations = Adversary::Rotations { stride: 1 };
     let orbits_2_4 = adversary_orbits(2, 4);
@@ -409,8 +410,12 @@ fn smoke_livelock_witnesses_are_pinned_and_as_short_under_symmetry() {
                 "{what}: Symmetry::Off"
             );
             assert_eq!(full_view, witness, "{what}: full-view witness");
-            let (pending, _, reduced, _) = go(Symmetry::Wreath);
-            assert_eq!(pending, expected.0, "{what}: Symmetry::Wreath pending");
+            let (pending, scc_states, reduced, _) = go(Symmetry::Wreath);
+            assert_eq!(
+                (pending.as_slice(), scc_states),
+                (expected.0, expected.1),
+                "{what}: Symmetry::Wreath"
+            );
             assert_eq!(
                 reduced.len(),
                 witness.len(),
