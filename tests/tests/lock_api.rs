@@ -7,7 +7,8 @@
 //! `&dyn AmxLock` / `Participant` / `Guard` only — no per-family code
 //! paths — so the contract (guard RAII, poisoning on CS panic, timeout
 //! semantics, mutual exclusion) is checked on the exact surface the
-//! contention rig and downstream users consume.
+//! contention rig and downstream users consume.  One table pins every
+//! family's register operations per cycle and per withdraw.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -15,7 +16,7 @@ use std::time::Duration;
 use amx_baselines::{BurnsStepLock, PetersonTreeLock, TasStepLock};
 use amx_core::lock::{AmxLock, BuildLock, Participant};
 use amx_core::{MutexSpec, RmwAnonLock, RwAnonLock};
-use amx_registers::Adversary;
+use amx_registers::{Adversary, OpSnapshot};
 
 /// All five lock families at `n` processes, as trait objects.
 fn families(n: usize) -> Vec<Box<dyn AmxLock>> {
@@ -228,5 +229,135 @@ fn build_lock_generic_entry_point() {
     let tas = mint::<TasStepLock>(MutexSpec::rmw(2, 1).unwrap());
     for mut p in rw.into_iter().chain(rmw).chain(tas) {
         let _g = p.lock();
+    }
+}
+
+/// Register operations as `[reads, writes, CAS, snapshots]`.
+type Ops = [u64; 4];
+
+/// A lock, each participant's solo cycle, and participant 0's
+/// `try_lock_steps(k)` + `withdraw()` for k = 1, 2, ….
+type Pinned = (Box<dyn AmxLock>, Vec<Ops>, Vec<Ops>);
+
+/// The operations `run` performs on `p`'s behalf.
+fn ops_of(p: &mut Participant, run: impl FnOnce(&mut Participant)) -> Ops {
+    let before = p.counters().snapshot_counts();
+    run(p);
+    let OpSnapshot {
+        reads,
+        writes,
+        cas_ops,
+        snapshots,
+        ..
+    } = p.counters().snapshot_counts().since(&before);
+    [reads, writes, cas_ops, snapshots]
+}
+
+fn cycle(p: &mut Participant) -> Ops {
+    ops_of(p, |p| drop(p.lock()))
+}
+
+fn probe_and_withdraw(p: &mut Participant, k: u64) -> Ops {
+    ops_of(p, |p| {
+        assert!(p.try_lock_steps(k).is_none(), "{k} steps must not acquire");
+        p.withdraw();
+    })
+}
+
+/// Solo runs under the identity adversary are deterministic, so each
+/// family's register operations are exact: a lock/unlock cycle per
+/// participant, and participant 0's `try_lock_steps(k)` + `withdraw()`
+/// for every `k` below its acquisition length.  After each withdraw the
+/// other participant's cycle must equal its solo cycle, which shows
+/// the withdraw left memory clean.
+#[test]
+fn every_family_pins_its_register_operations() {
+    let table: Vec<Pinned> = vec![
+        (
+            Box::new(RwAnonLock::new(MutexSpec::rw(2, 3).unwrap())),
+            vec![[27, 6, 0, 4]; 2],
+            vec![
+                [12, 0, 0, 2],
+                [13, 2, 0, 2],
+                [19, 2, 0, 3],
+                [20, 4, 0, 3],
+                [26, 4, 0, 4],
+                [27, 6, 0, 4],
+            ],
+        ),
+        (
+            Box::new(RmwAnonLock::new(MutexSpec::rmw(2, 3).unwrap())),
+            vec![[3, 0, 6, 0]; 2],
+            vec![
+                [0, 0, 4, 0],
+                [0, 0, 5, 0],
+                [0, 0, 6, 0],
+                [1, 0, 6, 0],
+                [2, 0, 6, 0],
+            ],
+        ),
+        // TAS acquires in its first step: its withdraw is pinned under
+        // contention below.
+        (Box::new(TasStepLock::new(2)), vec![[0, 1, 1, 0]; 2], vec![]),
+        (
+            Box::new(BurnsStepLock::new(2)),
+            vec![[1, 3, 0, 0], [2, 3, 0, 0]],
+            vec![[0, 2, 0, 0], [0, 3, 0, 0]],
+        ),
+        (
+            Box::new(PetersonTreeLock::new(2)),
+            vec![[1, 3, 0, 0]; 2],
+            vec![[0, 2, 0, 0], [0, 3, 0, 0]],
+        ),
+        (
+            Box::new(PetersonTreeLock::new(4)),
+            vec![[2, 6, 0, 0]; 4],
+            vec![
+                [0, 2, 0, 0],
+                [0, 3, 0, 0],
+                [1, 4, 0, 0],
+                [1, 5, 0, 0],
+                [1, 6, 0, 0],
+            ],
+        ),
+    ];
+    for (lock, cycles, withdraws) in &table {
+        let (family, n) = (lock.family(), lock.spec().n());
+        let mut parts = lock.participants(&Adversary::Identity).unwrap();
+        for (i, (p, expected)) in parts.iter_mut().zip(cycles).enumerate() {
+            assert_eq!(cycle(p), *expected, "{family} ({n}) participant {i} cycle");
+        }
+        for (k, expected) in (1..).zip(withdraws) {
+            assert_eq!(
+                probe_and_withdraw(&mut parts[0], k),
+                *expected,
+                "{family} ({n}) try_lock_steps({k}) + withdraw"
+            );
+            assert_eq!(
+                cycle(&mut parts[1]),
+                cycles[1],
+                "{family} ({n}) cycle after a withdraw at k = {k}"
+            );
+        }
+    }
+
+    // TAS under contention: each probe step is one failed CAS, and the
+    // withdraw adds nothing.
+    let lock = TasStepLock::new(2);
+    let mut parts = lock.participants(&Adversary::Identity).unwrap();
+    let (holder, waiter) = parts.split_at_mut(1);
+    for k in 1..=3 {
+        let guard = holder[0].lock();
+        assert_eq!(
+            probe_and_withdraw(&mut waiter[0], k),
+            [0, 0, k, 0],
+            "tas k = {k}"
+        );
+        drop(guard);
+        assert_eq!(
+            cycle(&mut waiter[0]),
+            [0, 1, 1, 0],
+            "tas cycle after k = {k}"
+        );
     }
 }
