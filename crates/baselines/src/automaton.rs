@@ -1,12 +1,11 @@
 //! Model-checkable step-machine renditions of the classic baselines.
 //!
-//! The threaded locks in this crate ([`crate::TasLock`],
-//! [`crate::BurnsLynchLock`], [`crate::PetersonTournament`]) run on real
-//! atomics and can only be *stress-tested*.  These automata are the same
-//! protocols re-expressed against [`amx_sim::Automaton`] — one shared
-//! memory operation per step — so the exhaustive model checker (and the
-//! `amx-props` property subsystem) can certify the baselines with the
-//! same machinery that certifies the paper's algorithms:
+//! Each baseline is written once, against [`amx_sim::Automaton`] — one
+//! shared-memory operation per step — so the exhaustive model checker
+//! (and the `amx-props` property subsystem) certifies it with the same
+//! machinery that certifies the paper's algorithms, and the
+//! [`threaded`](crate::threaded) locks run the very same step machines
+//! over real atomic registers:
 //!
 //! * [`TasAutomaton`] — the "simple" one-register test-and-set lock
 //!   (RMW model).  Deadlock-free, not starvation-free.

@@ -2,95 +2,37 @@
 //!
 //! The anonymous-memory algorithms of `amx-core` pay for the missing
 //! naming agreement with extra register traffic.  To measure that price,
-//! the benchmark suite compares them against the standard spin locks a
+//! the contention rig (`lock_bench`) compares them against three locks a
 //! non-anonymous shared memory affords:
 //!
 //! | Lock | Registers | Primitive | Fairness |
 //! |------|-----------|-----------|----------|
-//! | [`TasLock`] | 1 | swap | none |
-//! | [`TtasLock`] | 1 | swap + read | none (backoff) |
-//! | [`TicketLock`] | 2 counters | fetch-add | FIFO |
-//! | [`AndersonLock`] | n padded slots | fetch-add | FIFO |
-//! | [`PetersonTournament`] | O(n) RW | read/write only | per-level |
-//! | [`BurnsLynchLock`] | n **bits** | read/write only | none |
+//! | [`TasStepLock`] | 1 | compare&swap | none |
+//! | [`BurnsStepLock`] | `n` flags | read/write only | none |
+//! | [`PetersonTreeLock`] | `3 · (leaves − 1)` | read/write only | per level |
 //!
 //! The last two are read/write-only algorithms, the right non-anonymous
 //! comparators for Algorithm 1; Burns–Lynch in particular is the
-//! `m ≥ n` lower-bound-matching RW lock the paper cites.  All locks share
-//! the [`ClassicLock`] interface where a calling thread passes its
-//! (non-anonymous!) index — exactly the assumption anonymous algorithms
-//! must do without.
+//! `m ≥ n` lower-bound-matching RW lock the paper cites.  Both hard-wire
+//! each register's role to a process index — exactly the naming
+//! agreement anonymous algorithms must do without (TAS, over a single
+//! register, needs none).
 //!
-//! Beyond the threaded locks, the [`automaton`] module re-expresses the
-//! TAS, Burns–Lynch and 2-process Peterson baselines as `amx-sim` step
-//! machines, so the exhaustive model checker certifies them with the
-//! same machinery (and the same property monitors) as the paper's
-//! anonymous algorithms — see `mc_sweep`'s baseline grid points.  The
-//! [`threaded`] module then drives those certified step machines over
-//! real atomic registers behind the unified `amx_core::lock::AmxLock`
-//! API ([`TasStepLock`], [`BurnsStepLock`], [`PetersonTreeLock`]), so
-//! the contention rig measures baselines and anonymous algorithms
-//! through one trait object.
+//! Each lock exists once, as a step machine in the [`automaton`] module
+//! ([`TasAutomaton`], [`BurnsLynchAutomaton`], [`PetersonTwoAutomaton`]).
+//! The exhaustive model checker certifies those with the same machinery
+//! (and the same property monitors) as the paper's anonymous algorithms
+//! — see `mc_sweep`'s baseline grid points — and the [`threaded`]
+//! module drives the same step machines over real atomic registers
+//! behind the unified `amx_core::lock::AmxLock` API, so the contention
+//! rig measures baselines and anonymous algorithms through one trait
+//! object.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod automaton;
-mod burns;
-mod peterson;
-mod simple;
 pub mod threaded;
 
 pub use automaton::{BurnsLynchAutomaton, PetersonTwoAutomaton, TasAutomaton};
-pub use burns::BurnsLynchLock;
-pub use peterson::PetersonTournament;
-pub use simple::{AndersonLock, TasLock, TicketLock, TtasLock};
 pub use threaded::{BurnsStepLock, PetersonTreeLock, TasStepLock};
-
-/// A blocking lock whose callers identify themselves with a dense thread
-/// index `0..n` fixed at construction time.
-pub trait ClassicLock: Send + Sync {
-    /// Acquires the lock as thread `thread_index`.
-    ///
-    /// # Panics
-    ///
-    /// Implementations may panic if `thread_index` is out of range.
-    fn lock(&self, thread_index: usize);
-
-    /// Releases the lock as thread `thread_index`.
-    ///
-    /// Must only be called by the thread that currently holds the lock.
-    fn unlock(&self, thread_index: usize);
-
-    /// Maximum number of participating threads.
-    fn capacity(&self) -> usize;
-}
-
-#[cfg(test)]
-pub(crate) mod test_support {
-    use super::ClassicLock;
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    /// Stress-tests `lock`: `n` threads each perform `iters` increments
-    /// of an unsynchronized-looking counter under the lock, with an
-    /// overlap detector.
-    pub(crate) fn exercise<L: ClassicLock>(lock: &L, n: usize, iters: u64) {
-        let counter = AtomicU64::new(0);
-        let in_cs = AtomicU64::new(0);
-        std::thread::scope(|s| {
-            for t in 0..n {
-                let (lock, counter, in_cs) = (&*lock, &counter, &in_cs);
-                s.spawn(move || {
-                    for _ in 0..iters {
-                        lock.lock(t);
-                        assert_eq!(in_cs.fetch_add(1, Ordering::SeqCst), 0, "overlap");
-                        counter.fetch_add(1, Ordering::Relaxed);
-                        in_cs.fetch_sub(1, Ordering::SeqCst);
-                        lock.unlock(t);
-                    }
-                });
-            }
-        });
-        assert_eq!(counter.load(Ordering::Relaxed), n as u64 * iters);
-    }
-}

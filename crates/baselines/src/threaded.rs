@@ -14,9 +14,8 @@
 //! Lynch indexes flags by process, Peterson hard-wires flag/victim
 //! roles).  The adversary argument of [`AmxLock::participants`] is
 //! therefore ignored — every process gets the identity permutation.
-//! The [`ClassicLock`](crate::ClassicLock) implementations in this crate
-//! remain the word-sized production variants; these drivers trade raw
-//! speed for step-level parity with the model checker.
+//! They trade the raw speed of word-sized spin locks for step-level
+//! parity with the model checker: one step is one register operation.
 //!
 //! # Example
 //!
