@@ -27,6 +27,7 @@
 //! identity = up/true — equality-only, so the encodings stay compatible
 //! with the anonymous-memory [`amx_ids::Slot`] plumbing.
 
+use amx_core::lock::LockAutomaton;
 use amx_ids::codec::{PidMap, RegMap};
 use amx_ids::{Pid, Slot};
 use amx_sim::automaton::{Automaton, Outcome};
@@ -114,6 +115,11 @@ impl Automaton for TasAutomaton {
         // TAS contenders are identical up to their identity.
         Some(0)
     }
+}
+
+impl LockAutomaton for TasAutomaton {
+    /// A pending attempt owns nothing: its CAS never succeeded.
+    fn withdraw<M: MemoryOps + ?Sized>(&self, _mem: &mut M) {}
 }
 
 impl EncodeState for TasState {
@@ -319,6 +325,14 @@ impl Automaton for BurnsLynchAutomaton {
     }
 }
 
+impl LockAutomaton for BurnsLynchAutomaton {
+    /// The only trace a pending attempt can leave is its own raised
+    /// flag; lowering it is idempotent.
+    fn withdraw<M: MemoryOps + ?Sized>(&self, mem: &mut M) {
+        mem.write(self.index, Slot::BOTTOM);
+    }
+}
+
 impl EncodeState for BurnsState {
     fn encode_with(&self, _pids: &PidMap, _regs: &RegMap, out: &mut Vec<u8>) {
         let (tag, j) = match *self {
@@ -452,6 +466,14 @@ impl Automaton for PetersonTwoAutomaton {
     fn symmetry_class(&self) -> Option<u64> {
         // Sides are hard-wired: never interchangeable.
         Some(self.side as u64)
+    }
+}
+
+impl LockAutomaton for PetersonTwoAutomaton {
+    /// Lowers the own flag (idempotent).  A stale victim entry is
+    /// harmless: the rival only waits on its *own* identity there.
+    fn withdraw<M: MemoryOps + ?Sized>(&self, mem: &mut M) {
+        mem.write(self.side, Slot::BOTTOM);
     }
 }
 

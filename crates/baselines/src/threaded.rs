@@ -35,17 +35,15 @@ use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
 use amx_core::adapter::{RmwMemoryOps, RwMemoryOps};
-use amx_core::lock::{AmxLock, BuildLock, Participant, RawEndpoint};
+use amx_core::lock::{AmxLock, BuildLock, Endpoint, LockAutomaton, Participant, RawEndpoint};
 use amx_core::spec::{Model, MutexSpec};
 use amx_ids::{Pid, PidPool, Slot};
 use amx_registers::adversary::AdversaryError;
 use amx_registers::{Adversary, AnonymousRmwMemory, AnonymousRwMemory, OpCounters, Permutation};
-use amx_sim::automaton::{Automaton, Outcome};
+use amx_sim::automaton::{closed_loop_step, Automaton, Outcome, Phase};
 use amx_sim::mem::MemoryOps;
 
-use crate::automaton::{
-    BurnsLynchAutomaton, BurnsState, PetersonTwoAutomaton, PetersonTwoState, TasAutomaton, TasState,
-};
+use crate::automaton::{BurnsLynchAutomaton, PetersonTwoAutomaton, PetersonTwoState, TasAutomaton};
 
 /// Test-and-set over one RMW register, as an [`AmxLock`].
 ///
@@ -92,12 +90,11 @@ impl AmxLock for TasStepLock {
                     self.family(),
                     self.spec,
                     Arc::clone(&self.poison),
-                    Box::new(TasEndpoint {
-                        automaton: TasAutomaton::new(id),
-                        state: TasState::Idle,
-                        ops: RmwMemoryOps::new(handle),
+                    Box::new(Endpoint::new(
+                        TasAutomaton::new(id),
+                        RmwMemoryOps::new(handle),
                         counters,
-                    }),
+                    )),
                 )
             })
             .collect())
@@ -122,46 +119,6 @@ impl BuildLock for TasStepLock {
             spec,
             poison: Arc::new(AtomicBool::new(false)),
         }
-    }
-}
-
-#[derive(Debug)]
-struct TasEndpoint {
-    automaton: TasAutomaton,
-    state: TasState,
-    ops: RmwMemoryOps,
-    counters: OpCounters,
-}
-
-impl RawEndpoint for TasEndpoint {
-    fn pid(&self) -> Pid {
-        self.automaton.pid().expect("TAS writes its identity")
-    }
-
-    fn counters(&self) -> &OpCounters {
-        &self.counters
-    }
-
-    fn try_acquire(&mut self, max_steps: u64) -> bool {
-        if self.state == TasState::Idle {
-            self.automaton.start_lock(&mut self.state);
-        }
-        for _ in 0..max_steps {
-            if self.automaton.step(&mut self.state, &mut self.ops) == Outcome::Acquired {
-                return true;
-            }
-        }
-        false
-    }
-
-    fn release(&mut self) {
-        self.automaton.start_unlock(&mut self.state);
-        while self.automaton.step(&mut self.state, &mut self.ops) != Outcome::Released {}
-    }
-
-    fn abandon(&mut self) {
-        // A pending TAS attempt owns nothing (its CAS never succeeded).
-        self.state = TasState::Idle;
     }
 }
 
@@ -212,13 +169,11 @@ impl AmxLock for BurnsStepLock {
                     self.family(),
                     self.spec,
                     Arc::clone(&self.poison),
-                    Box::new(BurnsEndpoint {
-                        automaton: BurnsLynchAutomaton::new(id, index, n),
-                        state: BurnsState::Idle,
-                        ops: RwMemoryOps::new(handle),
+                    Box::new(Endpoint::new(
+                        BurnsLynchAutomaton::new(id, index, n),
+                        RwMemoryOps::new(handle),
                         counters,
-                        index,
-                    }),
+                    )),
                 )
             })
             .collect())
@@ -243,51 +198,6 @@ impl BuildLock for BurnsStepLock {
             spec,
             poison: Arc::new(AtomicBool::new(false)),
         }
-    }
-}
-
-#[derive(Debug)]
-struct BurnsEndpoint {
-    automaton: BurnsLynchAutomaton,
-    state: BurnsState,
-    ops: RwMemoryOps,
-    counters: OpCounters,
-    index: usize,
-}
-
-impl RawEndpoint for BurnsEndpoint {
-    fn pid(&self) -> Pid {
-        self.automaton
-            .pid()
-            .expect("Burns–Lynch writes its identity")
-    }
-
-    fn counters(&self) -> &OpCounters {
-        &self.counters
-    }
-
-    fn try_acquire(&mut self, max_steps: u64) -> bool {
-        if self.state == BurnsState::Idle {
-            self.automaton.start_lock(&mut self.state);
-        }
-        for _ in 0..max_steps {
-            if self.automaton.step(&mut self.state, &mut self.ops) == Outcome::Acquired {
-                return true;
-            }
-        }
-        false
-    }
-
-    fn release(&mut self) {
-        self.automaton.start_unlock(&mut self.state);
-        while self.automaton.step(&mut self.state, &mut self.ops) != Outcome::Released {}
-    }
-
-    fn abandon(&mut self) {
-        // The only shared trace a pending attempt can leave is its own
-        // raised flag; lower it (idempotent if already down).
-        self.ops.write(self.index, Slot::BOTTOM);
-        self.state = BurnsState::Idle;
     }
 }
 
@@ -357,11 +267,12 @@ impl AmxLock for PetersonTreeLock {
                 while node > 1 {
                     let side = node % 2;
                     node /= 2;
+                    let automaton = PetersonTwoAutomaton::new(id, side);
                     nodes.push(PetersonNode {
                         base: 3 * (node - 1),
-                        side,
-                        automaton: PetersonTwoAutomaton::new(id, side),
-                        state: PetersonTwoState::Idle,
+                        state: automaton.init_state(),
+                        automaton,
+                        phase: Phase::Remainder,
                     });
                 }
                 Participant::from_raw(
@@ -374,6 +285,7 @@ impl AmxLock for PetersonTreeLock {
                         ops: RwMemoryOps::new(handle),
                         counters,
                         won: 0,
+                        trying: false,
                     }),
                 )
             })
@@ -406,12 +318,24 @@ impl BuildLock for PetersonTreeLock {
     }
 }
 
+/// One Peterson node on a process's path: its automaton, stepped
+/// through [`closed_loop_step`] over the node's three registers.
 #[derive(Debug)]
 struct PetersonNode {
     base: usize,
-    side: usize,
     automaton: PetersonTwoAutomaton,
     state: PetersonTwoState,
+    phase: Phase,
+}
+
+impl PetersonNode {
+    fn step(&mut self, ops: &mut RwMemoryOps) -> Outcome {
+        let mut view = NodeView {
+            ops,
+            base: self.base,
+        };
+        closed_loop_step(&self.automaton, &mut self.phase, &mut self.state, &mut view)
+    }
 }
 
 #[derive(Debug)]
@@ -420,7 +344,11 @@ struct PetersonEndpoint {
     nodes: Vec<PetersonNode>,
     ops: RwMemoryOps,
     counters: OpCounters,
+    /// Nodes won so far, leaf first.
     won: usize,
+    /// Whether an attempt is under way (set by `try_acquire`, cleared
+    /// by `release` and `abandon`).
+    trying: bool,
 }
 
 /// Presents one node's three registers (at `base..base + 3`) to its
@@ -462,22 +390,15 @@ impl RawEndpoint for PetersonEndpoint {
     }
 
     fn try_acquire(&mut self, max_steps: u64) -> bool {
+        self.trying = true;
         let mut used = 0u64;
-        while self.won < self.nodes.len() {
-            let node = &mut self.nodes[self.won];
-            if node.state == PetersonTwoState::Idle {
-                node.automaton.start_lock(&mut node.state);
-            }
-            let mut view = NodeView {
-                ops: &mut self.ops,
-                base: node.base,
-            };
+        while let Some(node) = self.nodes.get_mut(self.won) {
             loop {
-                if used >= max_steps {
+                if used == max_steps {
                     return false;
                 }
                 used += 1;
-                if node.automaton.step(&mut node.state, &mut view) == Outcome::Acquired {
+                if node.step(&mut self.ops) == Outcome::Acquired {
                     break;
                 }
             }
@@ -488,29 +409,26 @@ impl RawEndpoint for PetersonEndpoint {
 
     fn release(&mut self) {
         // Root-down, the reverse of acquisition order.
-        for i in (0..self.won).rev() {
-            let node = &mut self.nodes[i];
-            node.automaton.start_unlock(&mut node.state);
-            let mut view = NodeView {
-                ops: &mut self.ops,
-                base: node.base,
-            };
-            while node.automaton.step(&mut node.state, &mut view) != Outcome::Released {}
+        for node in self.nodes[..self.won].iter_mut().rev() {
+            while node.step(&mut self.ops) != Outcome::Released {}
         }
         self.won = 0;
+        self.trying = false;
     }
 
     fn abandon(&mut self) {
-        // Lower the flag raised at the contested node (if the pending
-        // attempt got that far) — a stale victim entry is harmless, the
-        // rival only blocks on its *own* identity in the victim register.
-        if let Some(node) = self.nodes.get_mut(self.won) {
-            if node.state != PetersonTwoState::Idle {
-                self.ops.write(node.base + node.side, Slot::BOTTOM);
-                node.state = PetersonTwoState::Idle;
+        // Withdraw from the contested node (the attempt may not have
+        // stepped there yet), then release every node already won.
+        if self.trying {
+            if let Some(node) = self.nodes.get_mut(self.won) {
+                node.automaton.withdraw(&mut NodeView {
+                    ops: &mut self.ops,
+                    base: node.base,
+                });
+                node.state = node.automaton.init_state();
+                node.phase = Phase::Remainder;
             }
         }
-        // Then release every node already won, root-down.
         self.release();
     }
 }

@@ -39,6 +39,7 @@ use amx_sim::encode::{self, EncodeState};
 use amx_sim::mem::MemoryOps;
 
 use crate::bits::{next_index, owned_mask};
+use crate::lock::LockAutomaton;
 use crate::policy::FreeSlotPolicy;
 use crate::spec::{Model, MutexSpec};
 
@@ -299,6 +300,31 @@ impl Automaton for Alg1Automaton {
             FreeSlotPolicy::RotatingFrom(k) => 2 + k as u64,
         };
         Some((self.m as u64) << 32 | policy_token)
+    }
+}
+
+impl LockAutomaton for Alg1Automaton {
+    /// Snapshots (into the line-4 buffer), then erases every register
+    /// the snapshot shows this process owning that a read confirms.  One
+    /// pass suffices: no other process ever writes this identity, so an
+    /// owned register stays owned until this process clears it.
+    fn withdraw<M: MemoryOps + ?Sized>(&self, mem: &mut M) {
+        let owned = SNAP_SCRATCH.with(|buf| {
+            let mut snap = buf.borrow_mut();
+            mem.snapshot_into(&mut snap);
+            owned_mask(&snap, self.id)
+        });
+        let mut next = next_index(owned, 0);
+        while let Some(x) = next {
+            if mem.read(x).is_owned_by(self.id) {
+                mem.write(x, Slot::BOTTOM);
+            }
+            next = next_index(owned, x + 1);
+        }
+    }
+
+    fn set_policy(&mut self, policy: FreeSlotPolicy) {
+        self.policy = policy;
     }
 }
 

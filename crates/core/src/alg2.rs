@@ -30,6 +30,7 @@ use amx_sim::encode::{self, EncodeState};
 use amx_sim::mem::MemoryOps;
 
 use crate::bits::{next_index, owned_mask};
+use crate::lock::LockAutomaton;
 use crate::spec::{Model, MutexSpec};
 
 /// Algorithm 2, instantiated for one process.
@@ -244,6 +245,16 @@ impl Automaton for Alg2Automaton {
         // Algorithm 2 has no policy knobs: any two processes over the
         // same memory size are identical up to their identity.
         Some(self.m as u64)
+    }
+}
+
+impl LockAutomaton for Alg2Automaton {
+    /// One releasing CAS per register: it erases exactly the registers
+    /// this process still owns.
+    fn withdraw<M: MemoryOps + ?Sized>(&self, mem: &mut M) {
+        for x in 0..self.m {
+            let _ = mem.compare_and_swap(x, Slot::from(self.id), Slot::BOTTOM);
+        }
     }
 }
 

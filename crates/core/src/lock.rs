@@ -54,6 +54,8 @@ use std::time::{Duration, Instant};
 use amx_ids::Pid;
 use amx_registers::adversary::AdversaryError;
 use amx_registers::{Adversary, OpCounters};
+use amx_sim::automaton::{closed_loop_step, Automaton, Outcome, Phase};
+use amx_sim::mem::MemoryOps;
 
 use crate::policy::{Backoff, FreeSlotPolicy};
 use crate::spec::MutexSpec;
@@ -158,6 +160,91 @@ pub trait RawEndpoint: Send + fmt::Debug {
     /// one (Algorithm 1's line-6 choice).  Default: no-op.
     fn set_policy(&mut self, policy: FreeSlotPolicy) {
         let _ = policy;
+    }
+}
+
+/// What the threaded [`Endpoint`] needs from an automaton beyond
+/// [`Automaton`].  Each family implements it next to its automaton,
+/// which knows which registers a pending attempt may have claimed.
+pub trait LockAutomaton: Automaton<State: Send> + Send + fmt::Debug + 'static {
+    /// Erases every claim a pending `lock()` attempt may hold in `mem`.
+    /// The endpoint then returns the process to its remainder section.
+    fn withdraw<M: MemoryOps + ?Sized>(&self, mem: &mut M);
+
+    /// Installs a free-register selection policy, where the automaton
+    /// has one (Algorithm 1's line-6 choice).  Default: no-op.
+    fn set_policy(&mut self, policy: FreeSlotPolicy) {
+        let _ = policy;
+    }
+}
+
+/// The threaded driver of every family whose process runs one
+/// automaton: it moves the process between remainder, trying, critical
+/// section and exit only through [`closed_loop_step`], the phase machine
+/// the model checker explores.
+#[derive(Debug)]
+pub struct Endpoint<A: LockAutomaton, M> {
+    automaton: A,
+    state: A::State,
+    phase: Phase,
+    mem: M,
+    counters: OpCounters,
+}
+
+impl<A: LockAutomaton, M> Endpoint<A, M> {
+    /// A process in its remainder section, running `automaton` over its
+    /// register handle `mem`, whose operations count into `counters`.
+    pub fn new(automaton: A, mem: M, counters: OpCounters) -> Self {
+        Endpoint {
+            state: automaton.init_state(),
+            automaton,
+            phase: Phase::Remainder,
+            mem,
+            counters,
+        }
+    }
+}
+
+impl<A: LockAutomaton, M: MemoryOps + Send + fmt::Debug> RawEndpoint for Endpoint<A, M> {
+    fn pid(&self) -> Pid {
+        self.automaton
+            .pid()
+            .expect("a lock automaton writes its identity")
+    }
+
+    fn counters(&self) -> &OpCounters {
+        &self.counters
+    }
+
+    fn try_acquire(&mut self, max_steps: u64) -> bool {
+        (0..max_steps).any(|_| {
+            closed_loop_step(
+                &self.automaton,
+                &mut self.phase,
+                &mut self.state,
+                &mut self.mem,
+            ) == Outcome::Acquired
+        })
+    }
+
+    fn release(&mut self) {
+        while closed_loop_step(
+            &self.automaton,
+            &mut self.phase,
+            &mut self.state,
+            &mut self.mem,
+        ) != Outcome::Released
+        {}
+    }
+
+    fn abandon(&mut self) {
+        self.automaton.withdraw(&mut self.mem);
+        self.state = self.automaton.init_state();
+        self.phase = Phase::Remainder;
+    }
+
+    fn set_policy(&mut self, policy: FreeSlotPolicy) {
+        self.automaton.set_policy(policy);
     }
 }
 

@@ -37,17 +37,14 @@
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
-use amx_ids::{Pid, PidPool, Slot};
+use amx_ids::PidPool;
 use amx_registers::adversary::AdversaryError;
 use amx_registers::{Adversary, AnonymousRmwMemory, AnonymousRwMemory, OpCounters};
-use amx_sim::automaton::{Automaton, Outcome};
-use amx_sim::mem::MemoryOps;
 
 use crate::adapter::{RmwMemoryOps, RwMemoryOps};
-use crate::alg1::{Alg1Automaton, Alg1State};
-use crate::alg2::{Alg2Automaton, Alg2State};
-use crate::lock::{AmxLock, BuildLock, Participant, RawEndpoint};
-use crate::policy::FreeSlotPolicy;
+use crate::alg1::Alg1Automaton;
+use crate::alg2::Alg2Automaton;
+use crate::lock::{AmxLock, BuildLock, Endpoint, Participant};
 use crate::spec::{Model, MutexSpec};
 
 /// The Algorithm 1 lock object: an anonymous RW register array shared by
@@ -106,12 +103,11 @@ impl RwAnonLock {
                     AmxLock::family(self),
                     self.spec,
                     Arc::clone(&self.poison),
-                    Box::new(RwEndpoint {
-                        automaton: Alg1Automaton::new(self.spec, id),
-                        state: Alg1State::Idle,
-                        ops: RwMemoryOps::new(handle),
+                    Box::new(Endpoint::new(
+                        Alg1Automaton::new(self.spec, id),
+                        RwMemoryOps::new(handle),
                         counters,
-                    }),
+                    )),
                 )
             })
             .collect())
@@ -144,59 +140,6 @@ impl AmxLock for RwAnonLock {
 impl BuildLock for RwAnonLock {
     fn from_spec(spec: MutexSpec) -> Self {
         RwAnonLock::new(spec)
-    }
-}
-
-/// Algorithm 1 per-process driver behind [`RawEndpoint`].
-#[derive(Debug)]
-struct RwEndpoint {
-    automaton: Alg1Automaton,
-    state: Alg1State,
-    ops: RwMemoryOps,
-    counters: OpCounters,
-}
-
-impl RawEndpoint for RwEndpoint {
-    fn pid(&self) -> Pid {
-        self.automaton.id()
-    }
-
-    fn counters(&self) -> &OpCounters {
-        &self.counters
-    }
-
-    fn try_acquire(&mut self, max_steps: u64) -> bool {
-        if self.state == Alg1State::Idle {
-            self.automaton.start_lock(&mut self.state);
-        }
-        for _ in 0..max_steps {
-            if self.automaton.step(&mut self.state, &mut self.ops) == Outcome::Acquired {
-                return true;
-            }
-        }
-        false
-    }
-
-    fn release(&mut self) {
-        self.automaton.start_unlock(&mut self.state);
-        while self.automaton.step(&mut self.state, &mut self.ops) != Outcome::Released {}
-    }
-
-    fn abandon(&mut self) {
-        // One erase pass suffices: no other process ever writes this
-        // identity, so every owned register stays owned until we clear it.
-        let snap = self.ops.snapshot();
-        let id = self.automaton.id();
-        for x in amx_ids::view::owned_indices(&snap, id) {
-            if self.ops.read(x).is_owned_by(id) {
-                self.ops.write(x, Slot::BOTTOM);
-            }
-        }
-        self.state = Alg1State::Idle;
-    }
-
-    fn set_policy(&mut self, policy: FreeSlotPolicy) {
-        self.automaton = self.automaton.clone().with_policy(policy);
     }
 }
 
@@ -256,12 +199,11 @@ impl RmwAnonLock {
                     AmxLock::family(self),
                     self.spec,
                     Arc::clone(&self.poison),
-                    Box::new(RmwEndpoint {
-                        automaton: Alg2Automaton::new(self.spec, id),
-                        state: Alg2State::Idle,
-                        ops: RmwMemoryOps::new(handle),
+                    Box::new(Endpoint::new(
+                        Alg2Automaton::new(self.spec, id),
+                        RmwMemoryOps::new(handle),
                         counters,
-                    }),
+                    )),
                 )
             })
             .collect())
@@ -294,50 +236,6 @@ impl AmxLock for RmwAnonLock {
 impl BuildLock for RmwAnonLock {
     fn from_spec(spec: MutexSpec) -> Self {
         RmwAnonLock::new(spec)
-    }
-}
-
-/// Algorithm 2 per-process driver behind [`RawEndpoint`].
-#[derive(Debug)]
-struct RmwEndpoint {
-    automaton: Alg2Automaton,
-    state: Alg2State,
-    ops: RmwMemoryOps,
-    counters: OpCounters,
-}
-
-impl RawEndpoint for RmwEndpoint {
-    fn pid(&self) -> Pid {
-        self.automaton.id()
-    }
-
-    fn counters(&self) -> &OpCounters {
-        &self.counters
-    }
-
-    fn try_acquire(&mut self, max_steps: u64) -> bool {
-        if self.state == Alg2State::Idle {
-            self.automaton.start_lock(&mut self.state);
-        }
-        for _ in 0..max_steps {
-            if self.automaton.step(&mut self.state, &mut self.ops) == Outcome::Acquired {
-                return true;
-            }
-        }
-        false
-    }
-
-    fn release(&mut self) {
-        self.automaton.start_unlock(&mut self.state);
-        while self.automaton.step(&mut self.state, &mut self.ops) != Outcome::Released {}
-    }
-
-    fn abandon(&mut self) {
-        let id = self.automaton.id();
-        for x in 0..self.ops.m() {
-            let _ = self.ops.compare_and_swap(x, Slot::from(id), Slot::BOTTOM);
-        }
-        self.state = Alg2State::Idle;
     }
 }
 

@@ -1,6 +1,6 @@
 //! The threaded Algorithm 1 lock allocates nothing once warmed up: its
 //! line-4 snapshot reuses the automaton's view buffer and the register
-//! handle's two collect buffers.
+//! handle's two collect buffers, and so does the snapshot of a withdraw.
 //!
 //! A counting global allocator counts the calls each thread makes, so
 //! the test harness's own threads cannot disturb the measured one.
@@ -88,4 +88,26 @@ fn steady_state_alg1_lock_unlock_allocates_nothing() {
         "1,000 warmed-up Alg 1 (2, 3) lock/unlock cycles allocated {per_1000} times"
     );
     assert_eq!(p.entries(), 1_010);
+}
+
+#[test]
+fn warmed_up_alg1_withdraw_allocates_nothing() {
+    let spec = MutexSpec::rw(2, 3).unwrap();
+    let mut parts = RwAnonLock::with_participants(spec, &Adversary::Random(1)).unwrap();
+    let p = &mut parts[0];
+    for _ in 0..10 {
+        drop(p.lock());
+    }
+    let before = allocations();
+    for _ in 0..100 {
+        // Three steps claim a register and leave the attempt pending.
+        assert!(std::hint::black_box(p.try_lock_steps(3)).is_none());
+        p.withdraw();
+    }
+    let per_100 = allocations() - before;
+    assert_eq!(
+        per_100, 0,
+        "100 warmed-up Alg 1 (2, 3) try_lock_steps(3) + withdraw() calls allocated {per_100} times"
+    );
+    assert_eq!(p.counters().snapshot_counts().writes, 10 * 6 + 100 * 2);
 }
