@@ -31,15 +31,11 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-use std::sync::atomic::AtomicBool;
-use std::sync::Arc;
-
 use amx_core::adapter::{RmwMemoryOps, RwMemoryOps};
-use amx_core::lock::{AmxLock, BuildLock, Endpoint, LockAutomaton, Participant, RawEndpoint};
+use amx_core::lock::{AmxLock, BuildLock, Endpoint, LockAutomaton, LockCore, RawEndpoint};
 use amx_core::spec::{Model, MutexSpec};
-use amx_ids::{Pid, PidPool, Slot};
-use amx_registers::adversary::AdversaryError;
-use amx_registers::{Adversary, AnonymousRmwMemory, AnonymousRwMemory, OpCounters, Permutation};
+use amx_ids::{Pid, Slot};
+use amx_registers::{AnonymousRmwMemory, AnonymousRwMemory};
 use amx_sim::automaton::{closed_loop_step, Automaton, Outcome, Phase};
 use amx_sim::mem::MemoryOps;
 
@@ -50,11 +46,7 @@ use crate::automaton::{BurnsLynchAutomaton, PetersonTwoAutomaton, PetersonTwoSta
 /// The `m = 1` baseline every RMW lock is compared against: one CAS to
 /// enter (under contention: spin on CAS), one write to leave.
 #[derive(Debug, Clone)]
-pub struct TasStepLock {
-    mem: AnonymousRmwMemory,
-    spec: MutexSpec,
-    poison: Arc<AtomicBool>,
-}
+pub struct TasStepLock(LockCore<AnonymousRmwMemory>);
 
 impl TasStepLock {
     /// A TAS lock for `n ≥ 2` processes.
@@ -68,57 +60,23 @@ impl TasStepLock {
     }
 }
 
-impl AmxLock for TasStepLock {
-    fn family(&self) -> &'static str {
-        "tas"
-    }
-
-    fn spec(&self) -> MutexSpec {
-        self.spec
-    }
-
-    fn participants(&self, _adversary: &Adversary) -> Result<Vec<Participant>, AdversaryError> {
-        let mut pool = PidPool::sequential();
-        Ok((0..self.spec.n())
-            .map(|_| {
-                let id = pool.mint();
-                let counters = OpCounters::new();
-                let handle =
-                    self.mem
-                        .handle_with_counters(id, Permutation::identity(1), counters.clone());
-                Participant::from_raw(
-                    self.family(),
-                    self.spec,
-                    Arc::clone(&self.poison),
-                    Box::new(Endpoint::new(
-                        TasAutomaton::new(id),
-                        RmwMemoryOps::new(handle),
-                        counters,
-                    )),
-                )
-            })
-            .collect())
-    }
-
-    fn is_poisoned(&self) -> bool {
-        self.poison.load(std::sync::atomic::Ordering::Acquire)
-    }
-
-    fn clear_poison(&self) {
-        self.poison
-            .store(false, std::sync::atomic::Ordering::Release);
-    }
-}
-
 impl BuildLock for TasStepLock {
+    type Registers = AnonymousRmwMemory;
+    const FAMILY: &'static str = "tas";
+    const ANONYMOUS: bool = false;
+
     fn from_spec(spec: MutexSpec) -> Self {
         assert_eq!(spec.model(), Model::Rmw, "TAS needs an RMW spec");
         assert_eq!(spec.m(), 1, "TAS uses exactly one register");
-        TasStepLock {
-            mem: AnonymousRmwMemory::new(1),
-            spec,
-            poison: Arc::new(AtomicBool::new(false)),
-        }
+        TasStepLock(LockCore::new(AnonymousRmwMemory::new(1), spec))
+    }
+
+    fn core(&self) -> &LockCore<AnonymousRmwMemory> {
+        &self.0
+    }
+
+    fn endpoint(&self, _index: usize, pid: Pid, mem: RmwMemoryOps) -> Box<dyn RawEndpoint> {
+        Box::new(Endpoint::new(TasAutomaton::new(pid), mem))
     }
 }
 
@@ -127,11 +85,7 @@ impl BuildLock for TasStepLock {
 /// The `m = n` read/write baseline matching the paper's RW lower bound:
 /// the non-anonymous comparator for Algorithm 1.
 #[derive(Debug, Clone)]
-pub struct BurnsStepLock {
-    mem: AnonymousRwMemory,
-    spec: MutexSpec,
-    poison: Arc<AtomicBool>,
-}
+pub struct BurnsStepLock(LockCore<AnonymousRwMemory>);
 
 impl BurnsStepLock {
     /// A Burns–Lynch lock for `2 ≤ n ≤ 64` processes (one flag each).
@@ -146,58 +100,24 @@ impl BurnsStepLock {
     }
 }
 
-impl AmxLock for BurnsStepLock {
-    fn family(&self) -> &'static str {
-        "burns-lynch"
-    }
-
-    fn spec(&self) -> MutexSpec {
-        self.spec
-    }
-
-    fn participants(&self, _adversary: &Adversary) -> Result<Vec<Participant>, AdversaryError> {
-        let n = self.spec.n();
-        let mut pool = PidPool::sequential();
-        Ok((0..n)
-            .map(|index| {
-                let id = pool.mint();
-                let counters = OpCounters::new();
-                let handle =
-                    self.mem
-                        .handle_with_counters(id, Permutation::identity(n), counters.clone());
-                Participant::from_raw(
-                    self.family(),
-                    self.spec,
-                    Arc::clone(&self.poison),
-                    Box::new(Endpoint::new(
-                        BurnsLynchAutomaton::new(id, index, n),
-                        RwMemoryOps::new(handle),
-                        counters,
-                    )),
-                )
-            })
-            .collect())
-    }
-
-    fn is_poisoned(&self) -> bool {
-        self.poison.load(std::sync::atomic::Ordering::Acquire)
-    }
-
-    fn clear_poison(&self) {
-        self.poison
-            .store(false, std::sync::atomic::Ordering::Release);
-    }
-}
-
 impl BuildLock for BurnsStepLock {
+    type Registers = AnonymousRwMemory;
+    const FAMILY: &'static str = "burns-lynch";
+    const ANONYMOUS: bool = false;
+
     fn from_spec(spec: MutexSpec) -> Self {
         assert_eq!(spec.model(), Model::Rw, "Burns–Lynch needs an RW spec");
         assert_eq!(spec.m(), spec.n(), "Burns–Lynch uses one flag per process");
-        BurnsStepLock {
-            mem: AnonymousRwMemory::new(spec.m()),
-            spec,
-            poison: Arc::new(AtomicBool::new(false)),
-        }
+        BurnsStepLock(LockCore::new(AnonymousRwMemory::new(spec.m()), spec))
+    }
+
+    fn core(&self) -> &LockCore<AnonymousRwMemory> {
+        &self.0
+    }
+
+    fn endpoint(&self, index: usize, pid: Pid, mem: RwMemoryOps) -> Box<dyn RawEndpoint> {
+        let automaton = BurnsLynchAutomaton::new(pid, index, self.spec().n());
+        Box::new(Endpoint::new(automaton, mem))
     }
 }
 
@@ -213,11 +133,7 @@ impl BuildLock for BurnsStepLock {
 /// the node above, so the classic 2-process argument applies level by
 /// level.
 #[derive(Debug, Clone)]
-pub struct PetersonTreeLock {
-    mem: AnonymousRwMemory,
-    spec: MutexSpec,
-    poison: Arc<AtomicBool>,
-}
+pub struct PetersonTreeLock(LockCore<AnonymousRwMemory>);
 
 impl PetersonTreeLock {
     /// A tournament for `2 ≤ n ≤ 16` processes (the register-array cap
@@ -239,70 +155,11 @@ impl PetersonTreeLock {
     }
 }
 
-impl AmxLock for PetersonTreeLock {
-    fn family(&self) -> &'static str {
-        "peterson"
-    }
-
-    fn spec(&self) -> MutexSpec {
-        self.spec
-    }
-
-    fn participants(&self, _adversary: &Adversary) -> Result<Vec<Participant>, AdversaryError> {
-        let n = self.spec.n();
-        let m = self.spec.m();
-        let leaves = n.next_power_of_two().max(2);
-        let mut pool = PidPool::sequential();
-        Ok((0..n)
-            .map(|t| {
-                let id = pool.mint();
-                let counters = OpCounters::new();
-                let handle =
-                    self.mem
-                        .handle_with_counters(id, Permutation::identity(m), counters.clone());
-                // Heap path leaf → root: node `leaves + t` up to node 1;
-                // at each parent the child's parity picks the side.
-                let mut nodes = Vec::new();
-                let mut node = leaves + t;
-                while node > 1 {
-                    let side = node % 2;
-                    node /= 2;
-                    let automaton = PetersonTwoAutomaton::new(id, side);
-                    nodes.push(PetersonNode {
-                        base: 3 * (node - 1),
-                        state: automaton.init_state(),
-                        automaton,
-                        phase: Phase::Remainder,
-                    });
-                }
-                Participant::from_raw(
-                    self.family(),
-                    self.spec,
-                    Arc::clone(&self.poison),
-                    Box::new(PetersonEndpoint {
-                        id,
-                        nodes,
-                        ops: RwMemoryOps::new(handle),
-                        counters,
-                        won: 0,
-                        trying: false,
-                    }),
-                )
-            })
-            .collect())
-    }
-
-    fn is_poisoned(&self) -> bool {
-        self.poison.load(std::sync::atomic::Ordering::Acquire)
-    }
-
-    fn clear_poison(&self) {
-        self.poison
-            .store(false, std::sync::atomic::Ordering::Release);
-    }
-}
-
 impl BuildLock for PetersonTreeLock {
+    type Registers = AnonymousRwMemory;
+    const FAMILY: &'static str = "peterson";
+    const ANONYMOUS: bool = false;
+
     fn from_spec(spec: MutexSpec) -> Self {
         assert_eq!(spec.model(), Model::Rw, "Peterson needs an RW spec");
         assert_eq!(
@@ -310,11 +167,34 @@ impl BuildLock for PetersonTreeLock {
             Self::registers_for(spec.n()),
             "Peterson tournament needs 3 registers per internal node"
         );
-        PetersonTreeLock {
-            mem: AnonymousRwMemory::new(spec.m()),
-            spec,
-            poison: Arc::new(AtomicBool::new(false)),
+        PetersonTreeLock(LockCore::new(AnonymousRwMemory::new(spec.m()), spec))
+    }
+
+    fn core(&self) -> &LockCore<AnonymousRwMemory> {
+        &self.0
+    }
+
+    fn endpoint(&self, index: usize, pid: Pid, ops: RwMemoryOps) -> Box<dyn RawEndpoint> {
+        // Heap path leaf → root: node `leaves + index` up to node 1; at
+        // each parent the child's parity picks the side.
+        let mut nodes = Vec::new();
+        let mut node = self.spec().n().next_power_of_two().max(2) + index;
+        while node > 1 {
+            let automaton = PetersonTwoAutomaton::new(pid, node % 2);
+            node /= 2;
+            nodes.push(PetersonNode {
+                base: 3 * (node - 1),
+                state: automaton.init_state(),
+                automaton,
+                phase: Phase::Remainder,
+            });
         }
+        Box::new(PetersonEndpoint {
+            nodes,
+            ops,
+            won: 0,
+            trying: false,
+        })
     }
 }
 
@@ -340,10 +220,8 @@ impl PetersonNode {
 
 #[derive(Debug)]
 struct PetersonEndpoint {
-    id: Pid,
     nodes: Vec<PetersonNode>,
     ops: RwMemoryOps,
-    counters: OpCounters,
     /// Nodes won so far, leaf first.
     won: usize,
     /// Whether an attempt is under way (set by `try_acquire`, cleared
@@ -381,14 +259,6 @@ impl MemoryOps for NodeView<'_> {
 }
 
 impl RawEndpoint for PetersonEndpoint {
-    fn pid(&self) -> Pid {
-        self.id
-    }
-
-    fn counters(&self) -> &OpCounters {
-        &self.counters
-    }
-
     fn try_acquire(&mut self, max_steps: u64) -> bool {
         self.trying = true;
         let mut used = 0u64;
@@ -436,6 +306,7 @@ impl RawEndpoint for PetersonEndpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use amx_registers::Adversary;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     fn stress(lock: &dyn AmxLock, iters: u64) -> u64 {
@@ -499,10 +370,10 @@ mod tests {
         // Flags (and, for TAS, the single register) must be ⊥ again.
         let tas = TasStepLock::new(2);
         stress(&tas, 50);
-        assert!(tas.mem.observe_all().iter().all(|s| s.is_bottom()));
+        assert!(tas.0.memory().observe_all().iter().all(|s| s.is_bottom()));
         let burns = BurnsStepLock::new(3);
         stress(&burns, 50);
-        assert!(burns.mem.observe_all().iter().all(|s| s.is_bottom()));
+        assert!(burns.0.memory().observe_all().iter().all(|s| s.is_bottom()));
     }
 
     #[test]

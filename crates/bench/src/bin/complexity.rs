@@ -7,7 +7,7 @@
 //! Run: `cargo run --release -p amx-bench --bin complexity`
 
 use amx_core::metrics::EntryCosts;
-use amx_core::{MutexSpec, RmwAnonLock, RwAnonLock};
+use amx_core::{AmxLock, MutexSpec, RmwAnonLock, RwAnonLock};
 use amx_registers::Adversary;
 
 fn main() {

@@ -15,9 +15,40 @@
 //! automaton's buffer and the handle's collect buffers, so a steady-state
 //! threaded lock/unlock cycle allocates nothing.
 
-use amx_ids::Slot;
-use amx_registers::{RmwHandle, RwHandle};
+use std::fmt;
+
+use amx_ids::{Pid, Slot};
+use amx_registers::{
+    AnonymousRmwMemory, AnonymousRwMemory, OpCounters, Permutation, RmwHandle, RwHandle,
+};
 use amx_sim::mem::MemoryOps;
+
+/// A shared register array a lock object hands each process an adapter
+/// of.
+pub trait Registers: fmt::Debug + Send + Sync {
+    /// The per-process adapter.
+    type Ops: MemoryOps + fmt::Debug + Send + 'static;
+
+    /// Process `id`'s adapter, naming the registers through `perm` and
+    /// counting its operations into `counters`.
+    fn ops(&self, id: Pid, perm: Permutation, counters: OpCounters) -> Self::Ops;
+}
+
+impl Registers for AnonymousRwMemory {
+    type Ops = RwMemoryOps;
+
+    fn ops(&self, id: Pid, perm: Permutation, counters: OpCounters) -> RwMemoryOps {
+        RwMemoryOps::new(self.handle_with_counters(id, perm, counters))
+    }
+}
+
+impl Registers for AnonymousRmwMemory {
+    type Ops = RmwMemoryOps;
+
+    fn ops(&self, id: Pid, perm: Permutation, counters: OpCounters) -> RmwMemoryOps {
+        RmwMemoryOps::new(self.handle_with_counters(id, perm, counters))
+    }
+}
 
 /// [`MemoryOps`] over an anonymous **read/write** register array.
 ///

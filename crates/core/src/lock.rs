@@ -41,22 +41,31 @@
 //! is the pluggable [`Backoff`] ladder
 //! ([`Participant::with_backoff`]).
 //!
-//! Lock families implement the trait by wrapping a [`RawEndpoint`] — the
-//! minimal per-process driver SPI — so harnesses like the contention rig
-//! drive Algorithm 1, Algorithm 2, TAS, Burns–Lynch and Peterson through
-//! one `Box<dyn AmxLock>` with zero per-family code.
+//! # Implementing a lock family
+//!
+//! A family implements [`BuildLock`]: its lock object holds a
+//! [`LockCore`] (registers, spec, poison flag) and builds each process's
+//! [`RawEndpoint`].  Every `BuildLock` is an [`AmxLock`] through one
+//! blanket impl, which owns the minting loop and the poison flag, so
+//! harnesses like the contention rig drive Algorithm 1, Algorithm 2,
+//! TAS, Burns–Lynch and Peterson through one `Box<dyn AmxLock>` with
+//! zero per-family code.  A family whose process runs one automaton
+//! implements [`LockAutomaton`] for it and uses the generic [`Endpoint`],
+//! which steps the automaton only through [`closed_loop_step`] — the
+//! phase machine the model checker explores.
 
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use amx_ids::Pid;
+use amx_ids::{Pid, PidPool};
 use amx_registers::adversary::AdversaryError;
 use amx_registers::{Adversary, OpCounters};
 use amx_sim::automaton::{closed_loop_step, Automaton, Outcome, Phase};
 use amx_sim::mem::MemoryOps;
 
+use crate::adapter::Registers;
 use crate::policy::{Backoff, FreeSlotPolicy};
 use crate::spec::MutexSpec;
 
@@ -73,6 +82,7 @@ const TRY_SLICE_STEPS: u64 = 128;
 ///
 /// The trait is object safe — the contention rig holds a
 /// `Box<dyn AmxLock>` per family and never branches on the family.
+/// Every [`BuildLock`] implementor is an `AmxLock`.
 pub trait AmxLock: Send + Sync + fmt::Debug {
     /// Short machine-readable family name (`"alg1"`, `"alg2"`, `"tas"`,
     /// `"burns-lynch"`, `"peterson"`), used as the key in bench reports.
@@ -83,8 +93,8 @@ pub trait AmxLock: Send + Sync + fmt::Debug {
 
     /// Mints one `Send` [`Participant`] handle per process, with fresh
     /// identities and — for the anonymous families — register-name
-    /// permutations drawn from `adversary`.  Non-anonymous baselines
-    /// document that they ignore the adversary.
+    /// permutations drawn from `adversary`.  The non-anonymous baselines
+    /// ignore the adversary: every process gets the identity naming.
     ///
     /// # Errors
     ///
@@ -100,10 +110,20 @@ pub trait AmxLock: Send + Sync + fmt::Debug {
     fn clear_poison(&self);
 }
 
-/// Uniform constructor surface shared by every [`AmxLock`] implementor:
-/// one generic `with_participants(spec, &adversary)` entry point
-/// replacing the per-family `create` associated functions.
-pub trait BuildLock: AmxLock + Sized {
+/// A lock family: how to build its lock object and each process's
+/// driver.  The blanket [`AmxLock`] impl does the rest.
+pub trait BuildLock: Sized + Send + Sync + fmt::Debug {
+    /// The register array the participants share.
+    type Registers: Registers;
+
+    /// See [`AmxLock::family`].
+    const FAMILY: &'static str;
+
+    /// Whether the adversary names each process's registers.  The
+    /// non-anonymous baselines hard-wire register roles, so every
+    /// process gets the identity naming.
+    const ANONYMOUS: bool;
+
     /// Builds the shared lock object for `spec`.
     ///
     /// # Panics
@@ -111,6 +131,18 @@ pub trait BuildLock: AmxLock + Sized {
     /// Panics if `spec` does not fit the family (wrong memory model or a
     /// register count the family cannot use).
     fn from_spec(spec: MutexSpec) -> Self;
+
+    /// The registers, spec and poison flag the participants share.
+    fn core(&self) -> &LockCore<Self::Registers>;
+
+    /// The driver of process `index` (dense, `0..n`), which writes `pid`
+    /// and reaches the registers through `mem`.
+    fn endpoint(
+        &self,
+        index: usize,
+        pid: Pid,
+        mem: <Self::Registers as Registers>::Ops,
+    ) -> Box<dyn RawEndpoint>;
 
     /// One-call setup: build the lock object for `spec` and mint one
     /// participant per process.  The lock object itself is dropped; the
@@ -127,20 +159,88 @@ pub trait BuildLock: AmxLock + Sized {
     }
 }
 
-/// The per-process driver SPI a lock family implements so [`Participant`]
-/// can wrap it.
+/// What every lock object holds: the shared register array, the
+/// validated spec and the poison flag all its participants share.
+#[derive(Debug, Clone)]
+pub struct LockCore<R> {
+    mem: R,
+    spec: MutexSpec,
+    poison: Arc<AtomicBool>,
+}
+
+impl<R> LockCore<R> {
+    /// An unpoisoned lock over `mem`, configured by `spec`.
+    pub fn new(mem: R, spec: MutexSpec) -> Self {
+        LockCore {
+            mem,
+            spec,
+            poison: Arc::default(),
+        }
+    }
+
+    /// The shared register array.
+    pub fn memory(&self) -> &R {
+        &self.mem
+    }
+}
+
+impl<L: BuildLock> AmxLock for L {
+    fn family(&self) -> &'static str {
+        L::FAMILY
+    }
+
+    fn spec(&self) -> MutexSpec {
+        self.core().spec
+    }
+
+    fn participants(&self, adversary: &Adversary) -> Result<Vec<Participant>, AdversaryError> {
+        let LockCore { mem, spec, poison } = self.core();
+        let naming = if L::ANONYMOUS {
+            adversary
+        } else {
+            &Adversary::Identity
+        };
+        let mut pool = PidPool::sequential();
+        Ok(naming
+            .permutations(spec.n(), spec.m())?
+            .into_iter()
+            .enumerate()
+            .map(|(index, perm)| {
+                let pid = pool.mint();
+                let counters = OpCounters::new();
+                let raw = self.endpoint(index, pid, mem.ops(pid, perm, counters.clone()));
+                Participant {
+                    raw,
+                    family: L::FAMILY,
+                    spec: *spec,
+                    pid,
+                    counters,
+                    poison: Arc::clone(poison),
+                    entries: 0,
+                    backoff: Backoff::default(),
+                    pending: false,
+                    crashed: false,
+                }
+            })
+            .collect())
+    }
+
+    fn is_poisoned(&self) -> bool {
+        self.core().poison.load(Ordering::Acquire)
+    }
+
+    fn clear_poison(&self) {
+        self.core().poison.store(false, Ordering::Release);
+    }
+}
+
+/// The per-process driver SPI behind [`Participant`].
 ///
-/// Implementations drive a step machine (an [`amx_sim::automaton::Automaton`])
-/// against real atomic registers; `Participant` layers entry accounting,
-/// poisoning and the RAII guard on top.  One step ≙ one shared-memory
-/// operation, so the step bounds of `try_acquire` are operation bounds.
+/// Implementations drive a step machine (an [`Automaton`]) against real
+/// atomic registers; `Participant` layers entry accounting, poisoning
+/// and the RAII guard on top.  One step ≙ one shared-memory operation,
+/// so the step bounds of `try_acquire` are operation bounds.
 pub trait RawEndpoint: Send + fmt::Debug {
-    /// The (symmetric) identity this endpoint writes into registers.
-    fn pid(&self) -> Pid;
-
-    /// Cumulative shared-memory operation counters for this endpoint.
-    fn counters(&self) -> &OpCounters;
-
     /// Runs at most `max_steps` entry-protocol steps; returns whether
     /// the lock was acquired.  On `false` the process is **still
     /// competing** (it may own registers) — callers either resume with
@@ -188,53 +288,37 @@ pub struct Endpoint<A: LockAutomaton, M> {
     state: A::State,
     phase: Phase,
     mem: M,
-    counters: OpCounters,
 }
 
-impl<A: LockAutomaton, M> Endpoint<A, M> {
+impl<A: LockAutomaton, M: MemoryOps> Endpoint<A, M> {
     /// A process in its remainder section, running `automaton` over its
-    /// register handle `mem`, whose operations count into `counters`.
-    pub fn new(automaton: A, mem: M, counters: OpCounters) -> Self {
+    /// register handle `mem`.
+    pub fn new(automaton: A, mem: M) -> Self {
         Endpoint {
             state: automaton.init_state(),
             automaton,
             phase: Phase::Remainder,
             mem,
-            counters,
         }
     }
-}
 
-impl<A: LockAutomaton, M: MemoryOps + Send + fmt::Debug> RawEndpoint for Endpoint<A, M> {
-    fn pid(&self) -> Pid {
-        self.automaton
-            .pid()
-            .expect("a lock automaton writes its identity")
-    }
-
-    fn counters(&self) -> &OpCounters {
-        &self.counters
-    }
-
-    fn try_acquire(&mut self, max_steps: u64) -> bool {
-        (0..max_steps).any(|_| {
-            closed_loop_step(
-                &self.automaton,
-                &mut self.phase,
-                &mut self.state,
-                &mut self.mem,
-            ) == Outcome::Acquired
-        })
-    }
-
-    fn release(&mut self) {
-        while closed_loop_step(
+    fn step(&mut self) -> Outcome {
+        closed_loop_step(
             &self.automaton,
             &mut self.phase,
             &mut self.state,
             &mut self.mem,
-        ) != Outcome::Released
-        {}
+        )
+    }
+}
+
+impl<A: LockAutomaton, M: MemoryOps + Send + fmt::Debug> RawEndpoint for Endpoint<A, M> {
+    fn try_acquire(&mut self, max_steps: u64) -> bool {
+        (0..max_steps).any(|_| self.step() == Outcome::Acquired)
+    }
+
+    fn release(&mut self) {
+        while self.step() != Outcome::Released {}
     }
 
     fn abandon(&mut self) {
@@ -256,6 +340,8 @@ pub struct Participant {
     raw: Box<dyn RawEndpoint>,
     family: &'static str,
     spec: MutexSpec,
+    pid: Pid,
+    counters: OpCounters,
     poison: Arc<AtomicBool>,
     entries: u64,
     backoff: Backoff,
@@ -268,35 +354,10 @@ pub struct Participant {
 }
 
 impl Participant {
-    /// Wraps a family's [`RawEndpoint`] driver.  `poison` is the flag
-    /// shared with the minting lock object (and all sibling
-    /// participants).
-    ///
-    /// This is the SPI constructor for lock families; applications get
-    /// participants from [`AmxLock::participants`].
-    #[must_use]
-    pub fn from_raw(
-        family: &'static str,
-        spec: MutexSpec,
-        poison: Arc<AtomicBool>,
-        raw: Box<dyn RawEndpoint>,
-    ) -> Self {
-        Participant {
-            raw,
-            family,
-            spec,
-            poison,
-            entries: 0,
-            backoff: Backoff::default(),
-            pending: false,
-            crashed: false,
-        }
-    }
-
     /// This participant's (symmetric) identity.
     #[must_use]
     pub fn pid(&self) -> Pid {
-        self.raw.pid()
+        self.pid
     }
 
     /// The family name of the minting lock (see [`AmxLock::family`]).
@@ -314,7 +375,7 @@ impl Participant {
     /// Cumulative shared-memory operation counters for this participant.
     #[must_use]
     pub fn counters(&self) -> &OpCounters {
-        self.raw.counters()
+        &self.counters
     }
 
     /// Critical sections entered so far.
@@ -457,9 +518,9 @@ impl Participant {
 
 impl Drop for Participant {
     /// A handle dropped mid-doorway withdraws its pending invocation so
-    /// shared memory ends clean — unless [`hard_crash`]
-    /// (Participant::hard_crash) asked for the claims to stay.  Never
-    /// poisons: a doorway holds no application state.
+    /// shared memory ends clean — unless
+    /// [`hard_crash`](Participant::hard_crash) asked for the claims to
+    /// stay.  Never poisons: a doorway holds no application state.
     fn drop(&mut self) {
         if self.pending && !self.crashed {
             self.raw.abandon();

@@ -34,27 +34,19 @@
 //! `try_lock_steps`, `withdraw`) lives on [`Participant`]; see the
 //! [`lock`](crate::lock) module docs.
 
-use std::sync::atomic::AtomicBool;
-use std::sync::Arc;
-
-use amx_ids::PidPool;
-use amx_registers::adversary::AdversaryError;
-use amx_registers::{Adversary, AnonymousRmwMemory, AnonymousRwMemory, OpCounters};
+use amx_ids::Pid;
+use amx_registers::{AnonymousRmwMemory, AnonymousRwMemory};
 
 use crate::adapter::{RmwMemoryOps, RwMemoryOps};
 use crate::alg1::Alg1Automaton;
 use crate::alg2::Alg2Automaton;
-use crate::lock::{AmxLock, BuildLock, Endpoint, Participant};
+use crate::lock::{AmxLock, BuildLock, Endpoint, LockCore, RawEndpoint};
 use crate::spec::{Model, MutexSpec};
 
 /// The Algorithm 1 lock object: an anonymous RW register array shared by
 /// `n` participants.
 #[derive(Debug, Clone)]
-pub struct RwAnonLock {
-    mem: AnonymousRwMemory,
-    spec: MutexSpec,
-    poison: Arc<AtomicBool>,
-}
+pub struct RwAnonLock(LockCore<AnonymousRwMemory>);
 
 impl RwAnonLock {
     /// Creates the lock object for a validated RW spec.
@@ -65,92 +57,38 @@ impl RwAnonLock {
     #[must_use]
     pub fn new(spec: MutexSpec) -> Self {
         assert_eq!(spec.model(), Model::Rw, "RwAnonLock needs an RW spec");
-        RwAnonLock {
-            mem: AnonymousRwMemory::new(spec.m()),
-            spec,
-            poison: Arc::new(AtomicBool::new(false)),
-        }
-    }
-
-    /// The validated configuration.
-    #[must_use]
-    pub fn spec(&self) -> MutexSpec {
-        self.spec
+        RwAnonLock(LockCore::new(AnonymousRwMemory::new(spec.m()), spec))
     }
 
     /// Omniscient view of the register array (harness/diagnostics).
     #[must_use]
     pub fn memory(&self) -> &AnonymousRwMemory {
-        &self.mem
-    }
-
-    /// Builds one participant per process with fresh identities and
-    /// `adversary`-chosen permutations.
-    ///
-    /// # Errors
-    ///
-    /// Propagates adversary materialization failures.
-    pub fn participants(&self, adversary: &Adversary) -> Result<Vec<Participant>, AdversaryError> {
-        let perms = adversary.permutations(self.spec.n(), self.spec.m())?;
-        let mut pool = PidPool::sequential();
-        Ok(perms
-            .into_iter()
-            .map(|perm| {
-                let id = pool.mint();
-                let counters = OpCounters::new();
-                let handle = self.mem.handle_with_counters(id, perm, counters.clone());
-                Participant::from_raw(
-                    AmxLock::family(self),
-                    self.spec,
-                    Arc::clone(&self.poison),
-                    Box::new(Endpoint::new(
-                        Alg1Automaton::new(self.spec, id),
-                        RwMemoryOps::new(handle),
-                        counters,
-                    )),
-                )
-            })
-            .collect())
-    }
-}
-
-impl AmxLock for RwAnonLock {
-    fn family(&self) -> &'static str {
-        "alg1"
-    }
-
-    fn spec(&self) -> MutexSpec {
-        self.spec
-    }
-
-    fn participants(&self, adversary: &Adversary) -> Result<Vec<Participant>, AdversaryError> {
-        RwAnonLock::participants(self, adversary)
-    }
-
-    fn is_poisoned(&self) -> bool {
-        self.poison.load(std::sync::atomic::Ordering::Acquire)
-    }
-
-    fn clear_poison(&self) {
-        self.poison
-            .store(false, std::sync::atomic::Ordering::Release);
+        self.0.memory()
     }
 }
 
 impl BuildLock for RwAnonLock {
+    type Registers = AnonymousRwMemory;
+    const FAMILY: &'static str = "alg1";
+    const ANONYMOUS: bool = true;
+
     fn from_spec(spec: MutexSpec) -> Self {
         RwAnonLock::new(spec)
+    }
+
+    fn core(&self) -> &LockCore<AnonymousRwMemory> {
+        &self.0
+    }
+
+    fn endpoint(&self, _index: usize, pid: Pid, mem: RwMemoryOps) -> Box<dyn RawEndpoint> {
+        Box::new(Endpoint::new(Alg1Automaton::new(self.spec(), pid), mem))
     }
 }
 
 /// The Algorithm 2 lock object: an anonymous RMW register array shared by
 /// `n` participants.
 #[derive(Debug, Clone)]
-pub struct RmwAnonLock {
-    mem: AnonymousRmwMemory,
-    spec: MutexSpec,
-    poison: Arc<AtomicBool>,
-}
+pub struct RmwAnonLock(LockCore<AnonymousRmwMemory>);
 
 impl RmwAnonLock {
     /// Creates the lock object for a validated RMW spec.
@@ -161,87 +99,39 @@ impl RmwAnonLock {
     #[must_use]
     pub fn new(spec: MutexSpec) -> Self {
         assert_eq!(spec.model(), Model::Rmw, "RmwAnonLock needs an RMW spec");
-        RmwAnonLock {
-            mem: AnonymousRmwMemory::new(spec.m()),
-            spec,
-            poison: Arc::new(AtomicBool::new(false)),
-        }
-    }
-
-    /// The validated configuration.
-    #[must_use]
-    pub fn spec(&self) -> MutexSpec {
-        self.spec
+        RmwAnonLock(LockCore::new(AnonymousRmwMemory::new(spec.m()), spec))
     }
 
     /// Omniscient view of the register array (harness/diagnostics).
     #[must_use]
     pub fn memory(&self) -> &AnonymousRmwMemory {
-        &self.mem
-    }
-
-    /// Builds one participant per process with fresh identities and
-    /// `adversary`-chosen permutations.
-    ///
-    /// # Errors
-    ///
-    /// Propagates adversary materialization failures.
-    pub fn participants(&self, adversary: &Adversary) -> Result<Vec<Participant>, AdversaryError> {
-        let perms = adversary.permutations(self.spec.n(), self.spec.m())?;
-        let mut pool = PidPool::sequential();
-        Ok(perms
-            .into_iter()
-            .map(|perm| {
-                let id = pool.mint();
-                let counters = OpCounters::new();
-                let handle = self.mem.handle_with_counters(id, perm, counters.clone());
-                Participant::from_raw(
-                    AmxLock::family(self),
-                    self.spec,
-                    Arc::clone(&self.poison),
-                    Box::new(Endpoint::new(
-                        Alg2Automaton::new(self.spec, id),
-                        RmwMemoryOps::new(handle),
-                        counters,
-                    )),
-                )
-            })
-            .collect())
-    }
-}
-
-impl AmxLock for RmwAnonLock {
-    fn family(&self) -> &'static str {
-        "alg2"
-    }
-
-    fn spec(&self) -> MutexSpec {
-        self.spec
-    }
-
-    fn participants(&self, adversary: &Adversary) -> Result<Vec<Participant>, AdversaryError> {
-        RmwAnonLock::participants(self, adversary)
-    }
-
-    fn is_poisoned(&self) -> bool {
-        self.poison.load(std::sync::atomic::Ordering::Acquire)
-    }
-
-    fn clear_poison(&self) {
-        self.poison
-            .store(false, std::sync::atomic::Ordering::Release);
+        self.0.memory()
     }
 }
 
 impl BuildLock for RmwAnonLock {
+    type Registers = AnonymousRmwMemory;
+    const FAMILY: &'static str = "alg2";
+    const ANONYMOUS: bool = true;
+
     fn from_spec(spec: MutexSpec) -> Self {
         RmwAnonLock::new(spec)
+    }
+
+    fn core(&self) -> &LockCore<AnonymousRmwMemory> {
+        &self.0
+    }
+
+    fn endpoint(&self, _index: usize, pid: Pid, mem: RmwMemoryOps) -> Box<dyn RawEndpoint> {
+        Box::new(Endpoint::new(Alg2Automaton::new(self.spec(), pid), mem))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lock::Participant;
+    use amx_registers::Adversary;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::time::Duration;
 

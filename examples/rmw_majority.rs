@@ -13,6 +13,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use amx_core::metrics::EntryCosts;
 use amx_core::spec::MutexSpec;
 use amx_core::threaded::RmwAnonLock;
+use amx_core::AmxLock;
 use amx_registers::Adversary;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {

@@ -1,7 +1,7 @@
 //! API contracts: thread-safety markers, error types, and the symmetric
 //! identity discipline.
 
-use amx_core::{MutexSpec, RmwAnonLock, RwAnonLock};
+use amx_core::{AmxLock, MutexSpec, RmwAnonLock, RwAnonLock};
 use amx_ids::{Pid, PidPool};
 use amx_registers::{
     Adversary, AnonymousRmwMemory, AnonymousRwMemory, OpCounters, Permutation, RmwHandle, RwHandle,

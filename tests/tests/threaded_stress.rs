@@ -3,7 +3,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use amx_core::lock::{BuildLock, Participant};
+use amx_core::lock::{AmxLock, BuildLock, Participant};
 use amx_core::{FreeSlotPolicy, MutexSpec, RmwAnonLock, RwAnonLock};
 use amx_numth::valid_memory_sizes;
 use amx_registers::Adversary;
