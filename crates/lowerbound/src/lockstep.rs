@@ -24,7 +24,7 @@ use std::collections::HashMap;
 
 use amx_ids::{Pid, PidPool, Slot};
 use amx_registers::adversary::AdversaryError;
-use amx_sim::automaton::{Automaton, Outcome, Phase};
+use amx_sim::automaton::{closed_loop_step, Automaton, Outcome, Phase};
 use amx_sim::mem::{MemoryModel, SimMemory};
 
 use amx_core::{Alg1Automaton, Alg2Automaton, MutexSpec};
@@ -198,24 +198,14 @@ impl<A: Automaton> LockstepExecutor<A> {
         for round in 1..=max_rounds {
             let mut entered = Vec::new();
             for i in 0..ell {
-                match phases[i] {
-                    Phase::Remainder => {
-                        self.automata[i].start_lock(&mut states[i]);
-                        phases[i] = Phase::Trying;
-                    }
-                    Phase::Cs => {
-                        self.automata[i].start_unlock(&mut states[i]);
-                        phases[i] = Phase::Exiting;
-                    }
-                    Phase::Trying | Phase::Exiting => {}
-                }
-                match self.automata[i].step(&mut states[i], &mut self.mem.view(i)) {
-                    Outcome::Acquired => {
-                        phases[i] = Phase::Cs;
-                        entered.push(i);
-                    }
-                    Outcome::Released => phases[i] = Phase::Remainder,
-                    Outcome::Progress => {}
+                let outcome = closed_loop_step(
+                    &self.automata[i],
+                    &mut phases[i],
+                    &mut states[i],
+                    &mut self.mem.view(i),
+                );
+                if outcome == Outcome::Acquired {
+                    entered.push(i);
                 }
             }
 

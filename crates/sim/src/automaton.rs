@@ -125,9 +125,11 @@ pub trait Automaton {
 /// (resp. `unlock()`) invocation, then executes one protocol step, and
 /// the phase advances on completion outcomes.
 ///
-/// The model checker's successor generation delegates here, and witness
-/// replays (tests, trace tooling) should too, so the phase-machine
-/// contract lives in exactly one place.
+/// Every driver delegates here — the model checker's successor
+/// generation, the [`Runner`](crate::runner::Runner), the Theorem 5
+/// lock-step executor, the threaded lock endpoints of `amx-core` — and
+/// witness replays (tests, trace tooling) should too, so the
+/// phase-machine contract lives in exactly one place.
 ///
 /// # Example
 ///

@@ -8,7 +8,7 @@
 
 use amx_registers::adversary::AdversaryError;
 
-use crate::automaton::{Automaton, Outcome, Phase};
+use crate::automaton::{closed_loop_step, Automaton, Outcome, Phase};
 use crate::mem::SimMemory;
 use crate::schedule::Scheduler;
 
@@ -314,22 +314,12 @@ impl<A: Automaton> Runner<A> {
                 continue;
             }
 
-            let outcome = match phases[i] {
-                Phase::Remainder => {
-                    self.automata[i].start_lock(&mut states[i]);
-                    phases[i] = Phase::Trying;
-                    self.automata[i].step(&mut states[i], &mut self.mem.view(i))
-                }
-                Phase::Cs => {
-                    self.automata[i].start_unlock(&mut states[i]);
-                    phases[i] = Phase::Exiting;
-                    self.automata[i].step(&mut states[i], &mut self.mem.view(i))
-                }
-                Phase::Trying | Phase::Exiting => {
-                    self.automata[i].step(&mut states[i], &mut self.mem.view(i))
-                }
-            };
-
+            let outcome = closed_loop_step(
+                &self.automata[i],
+                &mut phases[i],
+                &mut states[i],
+                &mut self.mem.view(i),
+            );
             match outcome {
                 Outcome::Progress => {}
                 Outcome::Acquired => {
@@ -349,11 +339,9 @@ impl<A: Automaton> Runner<A> {
                             trace,
                         );
                     }
-                    phases[i] = Phase::Cs;
                     dwell_left[i] = self.workload.cs_dwell;
                 }
                 Outcome::Released => {
-                    phases[i] = Phase::Remainder;
                     cs_entries[i] += 1;
                     dwell_left[i] = self.workload.remainder_dwell;
                 }
@@ -398,19 +386,9 @@ impl<A: Automaton> Runner<A> {
             let mut st = states[i].clone();
             let mut mem = self.mem.clone();
             let mut phase = phases[i];
-            match phase {
-                Phase::Remainder => {
-                    self.automata[i].start_lock(&mut st);
-                    phase = Phase::Trying;
-                }
-                Phase::Cs => {
-                    self.automata[i].start_unlock(&mut st);
-                    phase = Phase::Exiting;
-                }
-                Phase::Trying | Phase::Exiting => {}
-            }
-            let _ = phase;
-            if self.automata[i].step(&mut st, &mut mem.view(i)) == Outcome::Progress {
+            let outcome =
+                closed_loop_step(&self.automata[i], &mut phase, &mut st, &mut mem.view(i));
+            if outcome == Outcome::Progress {
                 return Some(i);
             }
         }
