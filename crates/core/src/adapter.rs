@@ -14,6 +14,9 @@
 //! [`RwHandle::snapshot_into`]: Algorithm 1's line-4 snapshot reuses the
 //! automaton's buffer and the handle's collect buffers, so a steady-state
 //! threaded lock/unlock cycle allocates nothing.
+//!
+//! [`Registers`] is how a lock object hands each process its adapter
+//! over either register array.
 
 use std::fmt;
 

@@ -3,13 +3,17 @@
 //!
 //! [`RwAnonLock`] (Algorithm 1) and [`RmwAnonLock`] (Algorithm 2) drive
 //! the *same* automata that the simulator model-checks, but over the
-//! lock-free arrays of `amx-registers`, one OS thread per process.  Both
-//! implement [`AmxLock`] + [`BuildLock`]: the lock object owns the
-//! anonymous register array (cheaply clonable, `Arc` semantics) and
-//! mints one `Send` [`Participant`] handle per process.  `lock()` on a
-//! participant spins the automaton until it acquires and returns an
-//! RAII [`Guard`] whose drop runs the wait-free unlock protocol — and
-//! marks the lock poisoned if the holder is panicking.
+//! lock-free arrays of `amx-registers`, one OS thread per process.  Each
+//! is a [`BuildLock`] family: the lock object holds the anonymous
+//! register array in a [`LockCore`] (cheaply clonable, `Arc` semantics)
+//! and mints one `Send` [`Participant`](crate::lock::Participant) handle
+//! per process.  Every participant runs the generic [`Endpoint`], which
+//! steps its automaton only through
+//! [`closed_loop_step`](amx_sim::automaton::closed_loop_step).
+//! `lock()` on a participant steps the automaton until it acquires and
+//! returns an RAII [`Guard`](crate::lock::Guard) whose drop runs the
+//! wait-free unlock protocol — and marks the lock poisoned if the holder
+//! is panicking.
 //!
 //! # Example
 //!
@@ -31,7 +35,7 @@
 //! ```
 //!
 //! The full acquisition menu (`try_lock`, `try_lock_for`,
-//! `try_lock_steps`, `withdraw`) lives on [`Participant`]; see the
+//! `try_lock_steps`, `withdraw`) lives on the participant; see the
 //! [`lock`](crate::lock) module docs.
 
 use amx_ids::Pid;

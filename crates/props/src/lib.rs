@@ -9,7 +9,7 @@
 //! any full view occur anywhere inside a livelock SCC?").  This crate
 //! turns the engine into a scenario-diverse checker:
 //!
-//! * [`obs`] — the [`Observe`](obs::Observe) trait: a uniform,
+//! * [`obs`] — the [`Observe`] trait: a uniform,
 //!   per-algorithm observation of a decoded state (who is in the
 //!   critical section, who is pending, which registers are claimed,
 //!   whether the view is full, which register each process has a

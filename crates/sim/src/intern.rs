@@ -291,7 +291,7 @@ struct CacheSlot {
 const PAGE_CACHE_SLOTS: usize = 16;
 
 impl PageCache {
-    /// An empty cache (capacity [`PAGE_CACHE_SLOTS`] pages).
+    /// An empty cache (capacity `PAGE_CACHE_SLOTS` pages).
     #[must_use]
     pub fn new() -> Self {
         PageCache::default()
