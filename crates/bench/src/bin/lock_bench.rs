@@ -21,8 +21,10 @@
 //!
 //! Flags:
 //!   --smoke          CI grid: 2 and 4 threads per family
-//!   --ops N          lock/unlock cycles per thread (default 150 smoke,
-//!                    200 full)
+//!   --ops N          lock/unlock cycles per thread (default 1500 smoke,
+//!                    200 full; the smoke grid runs for tens of
+//!                    milliseconds, so scheduler noise of a few
+//!                    milliseconds cannot decide its wall gate)
 //!   --out PATH       where to write the JSON report (default
 //!                    BENCH_lock.json)
 //!   --backoff NAME   contention backoff policy every participant uses:
@@ -98,7 +100,7 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, String>
     }
     Ok(Options {
         smoke,
-        ops: ops.unwrap_or(if smoke { 150 } else { 200 }),
+        ops: ops.unwrap_or(if smoke { 1500 } else { 200 }),
         out,
         baseline,
         backoff,
