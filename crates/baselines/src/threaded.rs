@@ -3,11 +3,14 @@
 //!
 //! [`TasStepLock`], [`BurnsStepLock`] and [`PetersonTreeLock`] drive the
 //! *model-checked* step machines of [`crate::automaton`] over the real
-//! atomic arrays of `amx-registers` — the same runtime recipe
-//! `amx-core::threaded` uses for the paper's algorithms.  That puts all
-//! five lock families of the workspace behind one `Box<dyn AmxLock>`:
-//! the contention rig (`lock_bench`) measures Algorithm 1/2 and these
-//! baselines through the identical code path.
+//! atomic arrays of `amx-registers` — the same [`BuildLock`] recipe
+//! `amx-core::threaded` uses for the paper's algorithms.  TAS and
+//! Burns–Lynch run the generic [`Endpoint`]; the Peterson tournament
+//! walks its leaf-to-root path of 2-process nodes, stepping each
+//! through [`closed_loop_step`].  That puts all five lock families of
+//! the workspace behind one `Box<dyn AmxLock>`: the contention rig
+//! (`lock_bench`) measures Algorithm 1/2 and these baselines through the
+//! identical code path.
 //!
 //! Unlike the anonymous families, these locks are **non-anonymous**:
 //! their algorithms presuppose a common naming of the registers (Burns–

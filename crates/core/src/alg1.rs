@@ -44,10 +44,10 @@ use crate::policy::FreeSlotPolicy;
 use crate::spec::{Model, MutexSpec};
 
 thread_local! {
-    /// Reusable snapshot buffer for the line-4 hot loop: one snapshot per
-    /// `Snap` step, zero allocations after warm-up.  Thread-local (rather
-    /// than per-automaton) so automata stay `Sync` for the parallel
-    /// model-checker frontier.
+    /// Reusable snapshot buffer for the line-4 hot loop (one snapshot per
+    /// `Snap` step) and the threaded withdraw: zero allocations after
+    /// warm-up.  Thread-local (rather than per-automaton) so automata
+    /// stay `Sync` for the parallel model-checker frontier.
     static SNAP_SCRATCH: RefCell<Vec<Slot>> = const { RefCell::new(Vec::new()) };
 }
 
@@ -304,10 +304,11 @@ impl Automaton for Alg1Automaton {
 }
 
 impl LockAutomaton for Alg1Automaton {
-    /// Snapshots (into the line-4 buffer), then erases every register
-    /// the snapshot shows this process owning that a read confirms.  One
-    /// pass suffices: no other process ever writes this identity, so an
-    /// owned register stays owned until this process clears it.
+    /// Snapshots (into the line-4 buffer), then erases, as `shrink()`
+    /// does, each register the snapshot shows this process owning once a
+    /// read confirms it is still its own.  One pass suffices: no other
+    /// process ever writes this identity, so an owned register stays
+    /// owned until this process clears it.
     fn withdraw<M: MemoryOps + ?Sized>(&self, mem: &mut M) {
         let owned = SNAP_SCRATCH.with(|buf| {
             let mut snap = buf.borrow_mut();
