@@ -170,6 +170,7 @@ pub struct LockCore<R> {
 
 impl<R> LockCore<R> {
     /// An unpoisoned lock over `mem`, configured by `spec`.
+    #[must_use]
     pub fn new(mem: R, spec: MutexSpec) -> Self {
         LockCore {
             mem,
@@ -179,6 +180,7 @@ impl<R> LockCore<R> {
     }
 
     /// The shared register array.
+    #[must_use]
     pub fn memory(&self) -> &R {
         &self.mem
     }
@@ -293,6 +295,7 @@ pub struct Endpoint<A: LockAutomaton, M> {
 impl<A: LockAutomaton, M: MemoryOps> Endpoint<A, M> {
     /// A process in its remainder section, running `automaton` over its
     /// register handle `mem`.
+    #[must_use]
     pub fn new(automaton: A, mem: M) -> Self {
         Endpoint {
             state: automaton.init_state(),
