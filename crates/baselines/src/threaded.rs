@@ -34,7 +34,7 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-use amx_core::adapter::{RmwMemoryOps, RwMemoryOps};
+use amx_core::adapter::{CountingOps, RmwMemoryOps, RwMemoryOps};
 use amx_core::lock::{AmxLock, BuildLock, Endpoint, LockAutomaton, LockCore, RawEndpoint};
 use amx_core::spec::{Model, MutexSpec};
 use amx_ids::{Pid, Slot};
@@ -261,9 +261,9 @@ impl MemoryOps for NodeView<'_> {
     }
 }
 
-impl RawEndpoint for PetersonEndpoint {
-    fn try_acquire(&mut self, max_steps: u64) -> bool {
-        self.trying = true;
+impl PetersonEndpoint {
+    /// Wins nodes up the path, within `max_steps` steps in all.
+    fn climb(&mut self, max_steps: u64) -> bool {
         let mut used = 0u64;
         while let Some(node) = self.nodes.get_mut(self.won) {
             loop {
@@ -279,6 +279,15 @@ impl RawEndpoint for PetersonEndpoint {
         }
         true
     }
+}
+
+impl RawEndpoint for PetersonEndpoint {
+    fn try_acquire(&mut self, max_steps: u64) -> bool {
+        self.trying = true;
+        let acquired = self.climb(max_steps);
+        self.ops.publish_counts();
+        acquired
+    }
 
     fn release(&mut self) {
         // Root-down, the reverse of acquisition order.
@@ -287,6 +296,7 @@ impl RawEndpoint for PetersonEndpoint {
         }
         self.won = 0;
         self.trying = false;
+        self.ops.publish_counts();
     }
 
     fn abandon(&mut self) {

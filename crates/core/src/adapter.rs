@@ -15,6 +15,14 @@
 //! automaton's buffer and the handle's collect buffers, so a steady-state
 //! threaded lock/unlock cycle allocates nothing.
 //!
+//! Both handles count their operations in plain fields of their own and
+//! publish them to their [`OpCounters`] only when told to.
+//! [`CountingOps`] is that hook: the threaded lock driver publishes at
+//! the end of every acquire, release and withdraw call, so the
+//! per-operation path does no locked add and the participant's counters
+//! are exact between calls.  [`MemoryOps`] itself (and the model
+//! checker's memory) knows nothing of counting.
+//!
 //! [`Registers`] is how a lock object hands each process its adapter
 //! over either register array.
 
@@ -30,11 +38,20 @@ use amx_sim::mem::MemoryOps;
 /// of.
 pub trait Registers: fmt::Debug + Send + Sync {
     /// The per-process adapter.
-    type Ops: MemoryOps + fmt::Debug + Send + 'static;
+    type Ops: CountingOps + fmt::Debug + Send + 'static;
 
     /// Process `id`'s adapter, naming the registers through `perm` and
-    /// counting its operations into `counters`.
+    /// publishing its operation counts to `counters`.
     fn ops(&self, id: Pid, perm: Permutation, counters: OpCounters) -> Self::Ops;
+}
+
+/// A [`MemoryOps`] adapter whose register handle counts its operations
+/// until told to publish them.
+pub trait CountingOps: MemoryOps {
+    /// Publishes the operations counted since the last publish to the
+    /// handle's [`OpCounters`], with one relaxed add per counter that
+    /// moved.
+    fn publish_counts(&self);
 }
 
 impl Registers for AnonymousRwMemory {
@@ -103,6 +120,12 @@ impl MemoryOps for RwMemoryOps {
     }
 }
 
+impl CountingOps for RwMemoryOps {
+    fn publish_counts(&self) {
+        self.handle.publish_counts();
+    }
+}
+
 /// [`MemoryOps`] over an anonymous **read/modify/write** register array.
 #[derive(Debug)]
 pub struct RmwMemoryOps {
@@ -148,6 +171,12 @@ impl MemoryOps for RmwMemoryOps {
 
     fn snapshot_into(&mut self, _out: &mut Vec<Slot>) {
         panic!("Algorithm 2 takes no snapshots; RMW adapter does not provide them")
+    }
+}
+
+impl CountingOps for RmwMemoryOps {
+    fn publish_counts(&self) {
+        self.handle.publish_counts();
     }
 }
 

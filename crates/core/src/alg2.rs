@@ -23,6 +23,8 @@
 //! the complexity contrast the paper draws with Algorithm 1 (majority
 //! ownership suffices instead of all-`m` ownership).
 
+use std::cell::Cell;
+
 use amx_ids::codec::{PidMap, RegMap};
 use amx_ids::{view, Pid, Slot};
 use amx_sim::automaton::{Automaton, Outcome};
@@ -32,6 +34,15 @@ use amx_sim::mem::MemoryOps;
 use crate::bits::{next_index, owned_mask};
 use crate::lock::LockAutomaton;
 use crate::spec::{Model, MutexSpec};
+
+thread_local! {
+    /// A spare line-3 collect buffer: a `ReadLoop` takes it when it
+    /// starts and gives it back after deciding, so the read loop
+    /// allocates nothing once the thread has run one.  Thread-local
+    /// (rather than per-automaton) so automata stay `Sync` for the
+    /// parallel model-checker frontier.
+    static SPARE_COLLECT: Cell<Vec<Slot>> = const { Cell::new(Vec::new()) };
+}
 
 /// Algorithm 2, instantiated for one process.
 ///
@@ -178,10 +189,9 @@ impl Automaton for Alg2Automaton {
                 if x + 1 < self.m {
                     *state = Alg2State::CasSweep { x: x + 1 };
                 } else {
-                    *state = Alg2State::ReadLoop {
-                        x: 0,
-                        collected: Vec::with_capacity(self.m),
-                    };
+                    let mut collected = SPARE_COLLECT.take();
+                    collected.reserve(self.m);
+                    *state = Alg2State::ReadLoop { x: 0, collected };
                 }
                 Outcome::Progress
             }
@@ -192,8 +202,11 @@ impl Automaton for Alg2Automaton {
                     *x += 1;
                     Outcome::Progress
                 } else {
-                    let view = std::mem::take(collected);
-                    self.decide(state, &view)
+                    let mut view = std::mem::take(collected);
+                    let outcome = self.decide(state, &view);
+                    view.clear();
+                    SPARE_COLLECT.set(view);
+                    outcome
                 }
             }
             Alg2State::Resign { targets, pos } => {

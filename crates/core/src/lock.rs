@@ -65,7 +65,7 @@ use amx_registers::{Adversary, OpCounters};
 use amx_sim::automaton::{closed_loop_step, Automaton, Outcome, Phase};
 use amx_sim::mem::MemoryOps;
 
-use crate::adapter::Registers;
+use crate::adapter::{CountingOps, Registers};
 use crate::policy::{Backoff, FreeSlotPolicy};
 use crate::spec::MutexSpec;
 
@@ -241,7 +241,10 @@ impl<L: BuildLock> AmxLock for L {
 /// Implementations drive a step machine (an [`Automaton`]) against real
 /// atomic registers; `Participant` layers entry accounting, poisoning
 /// and the RAII guard on top.  One step ≙ one shared-memory operation,
-/// so the step bounds of `try_acquire` are operation bounds.
+/// so the step bounds of `try_acquire` are operation bounds.  Each of
+/// `try_acquire`, `release` and `abandon` publishes the operations it
+/// ran ([`CountingOps::publish_counts`]) before it returns, on every
+/// return path, so the participant's counters are exact between calls.
 pub trait RawEndpoint: Send + fmt::Debug {
     /// Runs at most `max_steps` entry-protocol steps; returns whether
     /// the lock was acquired.  On `false` the process is **still
@@ -283,7 +286,8 @@ pub trait LockAutomaton: Automaton<State: Send> + Send + fmt::Debug + 'static {
 /// The threaded driver of every family whose process runs one
 /// automaton: it moves the process between remainder, trying, critical
 /// section and exit only through [`closed_loop_step`], the phase machine
-/// the model checker explores.
+/// the model checker explores, and publishes its register handle's
+/// operation counts once per call.
 #[derive(Debug)]
 pub struct Endpoint<A: LockAutomaton, M> {
     automaton: A,
@@ -315,17 +319,21 @@ impl<A: LockAutomaton, M: MemoryOps> Endpoint<A, M> {
     }
 }
 
-impl<A: LockAutomaton, M: MemoryOps + Send + fmt::Debug> RawEndpoint for Endpoint<A, M> {
+impl<A: LockAutomaton, M: CountingOps + Send + fmt::Debug> RawEndpoint for Endpoint<A, M> {
     fn try_acquire(&mut self, max_steps: u64) -> bool {
-        (0..max_steps).any(|_| self.step() == Outcome::Acquired)
+        let acquired = (0..max_steps).any(|_| self.step() == Outcome::Acquired);
+        self.mem.publish_counts();
+        acquired
     }
 
     fn release(&mut self) {
         while self.step() != Outcome::Released {}
+        self.mem.publish_counts();
     }
 
     fn abandon(&mut self) {
         self.automaton.withdraw(&mut self.mem);
+        self.mem.publish_counts();
         self.state = self.automaton.init_state();
         self.phase = Phase::Remainder;
     }
@@ -375,7 +383,9 @@ impl Participant {
         self.spec
     }
 
-    /// Cumulative shared-memory operation counters for this participant.
+    /// Cumulative shared-memory operation counters for this participant,
+    /// published at the end of every call on it (and on its guard's
+    /// drop): a reading taken between calls is exact.
     #[must_use]
     pub fn counters(&self) -> &OpCounters {
         &self.counters
@@ -488,10 +498,13 @@ impl Participant {
     }
 
     /// Abandons a pending competition, erasing this process's claims
-    /// from shared memory.
+    /// from shared memory.  With nothing pending there is nothing to
+    /// erase, and no register is touched.
     pub fn withdraw(&mut self) {
-        self.raw.abandon();
-        self.pending = false;
+        if self.pending {
+            self.raw.abandon();
+            self.pending = false;
+        }
     }
 
     /// Simulates a hard process crash: consumes the handle **without**

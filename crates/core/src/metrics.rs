@@ -80,21 +80,24 @@ impl fmt::Display for EntryCosts {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use amx_registers::OpSnapshot;
+
+    fn counters(counts: OpSnapshot) -> OpCounters {
+        let c = OpCounters::new();
+        c.add(&counts);
+        c
+    }
 
     #[test]
     fn summarize_divides_by_entries() {
-        let c = OpCounters::new();
         // 4 snapshots of 10 collect rounds over m = 3: 30 reads.
-        c.record_collects(4, 3, true);
-        c.record_collects(3, 3, true);
-        c.record_collects(2, 3, true);
-        c.record_collects(1, 3, true);
-        for _ in 0..10 {
-            c.record_write();
-        }
-        for _ in 0..5 {
-            c.record_cas();
-        }
+        let c = counters(OpSnapshot {
+            reads: 30,
+            writes: 10,
+            cas_ops: 5,
+            snapshots: 4,
+            collect_rounds: 10,
+        });
         let s = EntryCosts::summarize(&c, 10);
         assert_eq!(s.reads_per_entry, 3.0);
         assert_eq!(s.writes_per_entry, 1.0);
@@ -106,16 +109,20 @@ mod tests {
 
     #[test]
     fn zero_snapshots_reports_zero_rounds() {
-        let c = OpCounters::new();
-        c.record_cas();
+        let c = counters(OpSnapshot {
+            cas_ops: 1,
+            ..OpSnapshot::default()
+        });
         let s = EntryCosts::summarize(&c, 1);
         assert_eq!(s.collect_rounds_per_snapshot, 0.0);
     }
 
     #[test]
     fn display_is_informative() {
-        let c = OpCounters::new();
-        c.record_read();
+        let c = counters(OpSnapshot {
+            reads: 1,
+            ..OpSnapshot::default()
+        });
         let text = EntryCosts::summarize(&c, 1).to_string();
         assert!(text.contains("entries"));
         assert!(text.contains("reads"));

@@ -13,7 +13,7 @@ use amx_ids::codec::{decode_slot, encode_slot};
 use amx_ids::{Pid, Slot};
 
 use crate::permutation::Permutation;
-use crate::stats::OpCounters;
+use crate::stats::{HandleCounts, OpCounters};
 
 /// A shared array of `m` anonymous atomic read/modify/write registers,
 /// all initialized to ⊥.
@@ -72,7 +72,8 @@ impl AnonymousRmwMemory {
         self.handle_with_counters(id, permutation, OpCounters::new())
     }
 
-    /// Like [`handle`](Self::handle) but recording into shared counters.
+    /// Like [`handle`](Self::handle) but publishing operation counts to
+    /// the caller's counters.
     ///
     /// # Panics
     ///
@@ -93,7 +94,7 @@ impl AnonymousRmwMemory {
             cells: Arc::clone(&self.cells),
             perm: permutation,
             id,
-            counters,
+            counts: HandleCounts::new(counters),
         }
     }
 
@@ -111,11 +112,15 @@ impl AnonymousRmwMemory {
 }
 
 /// Per-process access handle to an [`AnonymousRmwMemory`].
+///
+/// A handle belongs to one process: it carries the process identity,
+/// the adversary permutation and the operation counts it has not
+/// published yet.  Handles are `Send` but intentionally not `Sync`.
 pub struct RmwHandle {
     cells: Arc<Vec<AtomicU64>>,
     perm: Permutation,
     id: Pid,
-    counters: OpCounters,
+    counts: HandleCounts,
 }
 
 impl fmt::Debug for RmwHandle {
@@ -146,10 +151,17 @@ impl RmwHandle {
         false
     }
 
-    /// The operation counters attached to this handle.
+    /// The operation counters this handle publishes to.
     #[must_use]
     pub fn counters(&self) -> &OpCounters {
-        &self.counters
+        self.counts.shared()
+    }
+
+    /// Publishes the operations counted since the last publish to
+    /// [`counters`](Self::counters), with one relaxed add per counter
+    /// that moved.  Dropping the handle publishes too.
+    pub fn publish_counts(&self) {
+        self.counts.publish();
     }
 
     fn phys(&self, x: usize) -> &AtomicU64 {
@@ -163,7 +175,7 @@ impl RmwHandle {
     /// Panics if `x ≥ m`.
     #[must_use]
     pub fn read(&self, x: usize) -> Slot {
-        self.counters.record_read();
+        self.counts.read();
         decode_slot(self.phys(x).load(Ordering::SeqCst))
     }
 
@@ -173,7 +185,7 @@ impl RmwHandle {
     ///
     /// Panics if `x ≥ m`.
     pub fn write(&self, x: usize, v: Slot) {
-        self.counters.record_write();
+        self.counts.write();
         self.phys(x).store(encode_slot(v), Ordering::SeqCst);
     }
 
@@ -185,7 +197,7 @@ impl RmwHandle {
     ///
     /// Panics if `x ≥ m`.
     pub fn compare_and_swap(&self, x: usize, old: Slot, new: Slot) -> bool {
-        self.counters.record_cas();
+        self.counts.cas();
         self.phys(x)
             .compare_exchange(
                 encode_slot(old),
@@ -207,6 +219,7 @@ impl RmwHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats::OpSnapshot;
     use amx_ids::PidPool;
 
     #[test]
@@ -314,7 +327,35 @@ mod tests {
         let h = mem.handle_with_counters(id, Permutation::identity(2), c.clone());
         let _ = h.compare_and_swap(0, Slot::BOTTOM, Slot::from(id));
         let _ = h.compare_and_swap(0, Slot::BOTTOM, Slot::from(id));
+        h.publish_counts();
         assert_eq!(c.cas_ops(), 2);
+    }
+
+    #[test]
+    fn counts_stay_in_the_handle_until_published_or_dropped() {
+        let mem = AnonymousRmwMemory::new(2);
+        let id = PidPool::sequential().mint();
+        let c = OpCounters::new();
+        let h = mem.handle_with_counters(id, Permutation::identity(2), c.clone());
+        assert!(h.compare_and_swap(0, Slot::BOTTOM, Slot::from(id)));
+        h.write(1, Slot::from(id));
+        let _ = h.collect();
+        assert_eq!(c.snapshot_counts(), OpSnapshot::default());
+        h.publish_counts();
+        let published = OpSnapshot {
+            reads: 2,
+            writes: 1,
+            cas_ops: 1,
+            ..OpSnapshot::default()
+        };
+        assert_eq!(c.snapshot_counts(), published);
+        // A second publish has nothing new to add.
+        h.publish_counts();
+        assert_eq!(c.snapshot_counts(), published);
+        let _ = h.compare_and_swap(1, Slot::from(id), Slot::BOTTOM);
+        assert_eq!(c.cas_ops(), 1);
+        drop(h);
+        assert_eq!(c.cas_ops(), 2, "the drop publishes the last CAS");
     }
 
     #[test]

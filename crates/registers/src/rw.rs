@@ -16,10 +16,10 @@
 //!
 //! One loop serves every snapshot method.  It collects into two buffers
 //! the handle owns and swaps them between rounds, so after a handle's
-//! first snapshot [`RwHandle::snapshot_into`] allocates nothing; and it
-//! counts its rounds locally, publishing them to the [`OpCounters`] with
-//! one add per counter when it returns (at most three atomic adds per
-//! snapshot, instead of one per register read).
+//! first snapshot [`RwHandle::snapshot_into`] allocates nothing.  Like
+//! every operation of the handle, its reads, rounds and completion are
+//! counted in the handle and reach the [`OpCounters`] only when the
+//! handle publishes them ([`RwHandle::publish_counts`], or its drop).
 
 use std::cell::{Cell, RefCell};
 use std::fmt;
@@ -30,7 +30,7 @@ use amx_ids::codec::{decode_stamped, encode_stamped};
 use amx_ids::{Pid, Slot};
 
 use crate::permutation::Permutation;
-use crate::stats::OpCounters;
+use crate::stats::{HandleCounts, OpCounters};
 
 /// Error returned by [`RwHandle::try_snapshot`] when the bounded
 /// double-collect could not observe a quiescent pair of collects.
@@ -112,8 +112,8 @@ impl AnonymousRwMemory {
         self.handle_with_counters(id, permutation, OpCounters::new())
     }
 
-    /// Like [`handle`](Self::handle) but recording operations into the
-    /// caller's counters.
+    /// Like [`handle`](Self::handle) but publishing operation counts to
+    /// the caller's counters.
     ///
     /// # Panics
     ///
@@ -135,7 +135,7 @@ impl AnonymousRwMemory {
             perm: permutation,
             id,
             seq: Cell::new(0),
-            counters,
+            counts: HandleCounts::new(counters),
             collects: RefCell::default(),
         }
     }
@@ -159,14 +159,15 @@ impl AnonymousRwMemory {
 ///
 /// A handle belongs to one process: it carries the process identity (used
 /// to stamp writes), the adversary permutation, the local write
-/// sequence counter and the two collect buffers its snapshots reuse.
-/// Handles are `Send` but intentionally not `Sync`.
+/// sequence counter, the operation counts it has not published yet and
+/// the two collect buffers its snapshots reuse.  Handles are `Send` but
+/// intentionally not `Sync`.
 pub struct RwHandle {
     cells: Arc<Vec<AtomicU64>>,
     perm: Permutation,
     id: Pid,
     seq: Cell<u32>,
-    counters: OpCounters,
+    counts: HandleCounts,
     /// The previous and the current collect of the double-collect loop,
     /// as stamped words; empty until the handle's first snapshot.
     collects: RefCell<(Vec<u64>, Vec<u64>)>,
@@ -201,10 +202,17 @@ impl RwHandle {
         false
     }
 
-    /// The operation counters attached to this handle.
+    /// The operation counters this handle publishes to.
     #[must_use]
     pub fn counters(&self) -> &OpCounters {
-        &self.counters
+        self.counts.shared()
+    }
+
+    /// Publishes the operations counted since the last publish to
+    /// [`counters`](Self::counters), with one relaxed add per counter
+    /// that moved.  Dropping the handle publishes too.
+    pub fn publish_counts(&self) {
+        self.counts.publish();
     }
 
     fn phys(&self, x: usize) -> &AtomicU64 {
@@ -218,7 +226,7 @@ impl RwHandle {
     /// Panics if `x ≥ m`.
     #[must_use]
     pub fn read(&self, x: usize) -> Slot {
-        self.counters.record_read();
+        self.counts.read();
         decode_stamped(self.phys(x).load(Ordering::SeqCst)).1
     }
 
@@ -229,7 +237,7 @@ impl RwHandle {
     ///
     /// Panics if `x ≥ m`.
     pub fn write(&self, x: usize, v: Slot) {
-        self.counters.record_write();
+        self.counts.write();
         let next = self.seq.get().wrapping_add(1);
         self.seq.set(next);
         self.phys(x)
@@ -237,8 +245,8 @@ impl RwHandle {
     }
 
     /// One collect: reads every register once, in local-name order,
-    /// into `buf` as stamped words.  Counts nothing (the caller
-    /// publishes its rounds in bulk).
+    /// into `buf` as stamped words.  Counts nothing (the caller counts
+    /// its rounds in bulk).
     fn collect_stamped(&self, buf: &mut Vec<u64>) {
         buf.clear();
         buf.extend((0..self.len()).map(|x| self.phys(x).load(Ordering::SeqCst)));
@@ -250,7 +258,7 @@ impl RwHandle {
     pub fn collect(&self) -> Vec<Slot> {
         (0..self.len())
             .map(|x| {
-                self.counters.record_read();
+                self.counts.read();
                 decode_stamped(self.phys(x).load(Ordering::SeqCst)).1
             })
             .collect()
@@ -263,9 +271,8 @@ impl RwHandle {
     /// yields to the OS scheduler every 8 rounds to avoid starving the
     /// writers it is waiting out.
     ///
-    /// The rounds are counted locally and published when the loop
-    /// returns: `m` reads and one collect round per round, plus one
-    /// snapshot on success.
+    /// The rounds are counted when the loop returns: `m` reads and one
+    /// collect round per round, plus one snapshot on success.
     fn double_collect(
         &self,
         out: &mut Vec<Slot>,
@@ -289,8 +296,8 @@ impl RwHandle {
                 std::thread::yield_now();
             }
         };
-        self.counters
-            .record_collects(rounds as u64, self.len() as u64, stable);
+        self.counts
+            .collects(rounds as u64, self.len() as u64, stable);
         if !stable {
             return Err(SnapshotError {
                 rounds: max_rounds.unwrap_or(rounds),
@@ -343,6 +350,7 @@ impl RwHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats::OpSnapshot;
     use amx_ids::PidPool;
 
     fn two_handles(m: usize) -> (AnonymousRwMemory, RwHandle, RwHandle) {
@@ -427,11 +435,13 @@ mod tests {
         let h = mem.handle_with_counters(id, Permutation::identity(5), c.clone());
         // One round can never compare two collects.
         assert_eq!(h.try_snapshot(1), Err(SnapshotError { rounds: 1 }));
+        h.publish_counts();
         assert_eq!(c.reads(), 5);
         assert_eq!(c.collect_rounds(), 1);
         assert_eq!(c.snapshots(), 0);
         // Quiescent: two rounds suffice and complete one snapshot.
         assert!(h.try_snapshot(2).is_ok());
+        h.publish_counts();
         assert_eq!(c.reads(), 5 + 10);
         assert_eq!(c.collect_rounds(), 3);
         assert_eq!(c.snapshots(), 1);
@@ -464,10 +474,39 @@ mod tests {
         h.write(0, Slot::from(id));
         let _ = h.read(0);
         let _ = h.snapshot();
+        h.publish_counts();
         assert_eq!(c.writes(), 1);
         assert_eq!(c.reads(), 1 + 2 * 4); // one read + 2 quiescent collects of 4
         assert_eq!(c.snapshots(), 1);
         assert_eq!(c.collect_rounds(), 2);
+    }
+
+    #[test]
+    fn counts_stay_in_the_handle_until_published_or_dropped() {
+        let mem = AnonymousRwMemory::new(3);
+        let id = PidPool::sequential().mint();
+        let c = OpCounters::new();
+        let h = mem.handle_with_counters(id, Permutation::identity(3), c.clone());
+        h.write(0, Slot::from(id));
+        let _ = h.collect();
+        let _ = h.snapshot();
+        assert_eq!(c.snapshot_counts(), OpSnapshot::default());
+        h.publish_counts();
+        let published = OpSnapshot {
+            reads: 3 + 2 * 3,
+            writes: 1,
+            cas_ops: 0,
+            snapshots: 1,
+            collect_rounds: 2,
+        };
+        assert_eq!(c.snapshot_counts(), published);
+        // A second publish has nothing new to add.
+        h.publish_counts();
+        assert_eq!(c.snapshot_counts(), published);
+        let _ = h.read(1);
+        assert_eq!(c.reads(), 9);
+        drop(h);
+        assert_eq!(c.reads(), 10, "the drop publishes the last read");
     }
 
     #[test]

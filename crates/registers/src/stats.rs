@@ -1,38 +1,45 @@
 //! Shared-memory operation counters.
 //!
 //! The complexity experiments (EXPERIMENTS.md, experiment C1) compare how
-//! much work each algorithm does per critical-section entry.  Handles
-//! update an [`OpCounters`] with plain relaxed atomic adds: one per
-//! read, write and compare&swap, and at most three per register-array
-//! snapshot (its reads, collect rounds and completion, published in
-//! bulk when it returns).  Each add is a locked read-modify-write on
-//! x86, so they are not free: with one add per snapshot read, an
-//! uncontended Algorithm 1 (n = 2, m = 3) entry paid 36 adds for its
-//! four snapshots; in bulk it pays 12, and with the snapshots also
-//! allocation-free a traced uncontended acquire fell from 735 to
-//! 371 ns (2-vCPU VM).
+//! much work each algorithm does per critical-section entry.  A register
+//! handle counts its own reads, writes and compare&swaps, and each
+//! snapshot's reads, collect rounds and completion, in plain fields
+//! inside the handle.  It publishes them to its [`OpCounters`] with one
+//! relaxed atomic add per counter that moved, when asked to
+//! (`publish_counts`) and when dropped.  The threaded
+//! locks publish at the end of every acquire, release and withdraw
+//! call, so the locked adds (`lock xadd` on x86) leave the per-operation
+//! path: an uncontended Algorithm 2 (n = 2, m = 3) lock/unlock cycle
+//! pays 3 of them instead of 9, an Algorithm 1 cycle 6 instead of 21.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Cumulative counts of primitive shared-memory operations.
 ///
 /// Cloning shares the underlying counters (handles and their memory hold
-/// the same instance).  An operation's counts appear when the operation
-/// returns: a snapshot in progress has published none of its reads yet,
-/// so a reading taken concurrently with one lags it by up to a whole
-/// snapshot, and a reading taken between operations is exact.
+/// the same instance).  A handle's operations appear here when the
+/// handle publishes them: a threaded lock's participant publishes at
+/// the end of every call (`lock`, `try_lock`, a guard's drop, …), so a
+/// reading taken between its calls is exact, and a reading taken
+/// concurrently with a call lags it by up to that call's operations.
 ///
 /// # Example
 ///
 /// ```
-/// use amx_registers::OpCounters;
+/// use amx_ids::{PidPool, Slot};
+/// use amx_registers::{AnonymousRwMemory, OpCounters, Permutation};
+///
+/// let mem = AnonymousRwMemory::new(2);
+/// let me = PidPool::sequential().mint();
 /// let c = OpCounters::new();
-/// c.record_read();
-/// c.record_write();
-/// c.record_write();
-/// assert_eq!(c.reads(), 1);
-/// assert_eq!(c.writes(), 2);
+/// let h = mem.handle_with_counters(me, Permutation::identity(2), c.clone());
+/// h.write(0, Slot::from(me));
+/// let _ = h.read(0);
+/// assert_eq!(c.total_primitive_ops(), 0, "still counted in the handle");
+/// h.publish_counts();
+/// assert_eq!((c.reads(), c.writes()), (1, 1));
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct OpCounters {
@@ -55,31 +62,26 @@ impl OpCounters {
         Self::default()
     }
 
-    /// Records one atomic register read.
-    pub fn record_read(&self) {
-        self.inner.reads.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one atomic register write.
-    pub fn record_write(&self) {
-        self.inner.writes.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one compare&swap invocation (successful or not).
-    pub fn record_cas(&self) {
-        self.inner.cas.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one snapshot attempt in bulk: `rounds` collect rounds of
-    /// `m` reads each, and one completed snapshot when `completed`.  One
-    /// relaxed add per counter it moves.
-    pub fn record_collects(&self, rounds: u64, m: u64, completed: bool) {
-        self.inner.reads.fetch_add(rounds * m, Ordering::Relaxed);
-        self.inner
-            .collect_rounds
-            .fetch_add(rounds, Ordering::Relaxed);
-        if completed {
-            self.inner.snapshots.fetch_add(1, Ordering::Relaxed);
+    /// Adds every count of `counts` in bulk: one relaxed add per counter
+    /// it moves, none for a zero count.
+    pub fn add(&self, counts: &OpSnapshot) {
+        let OpSnapshot {
+            reads,
+            writes,
+            cas_ops,
+            snapshots,
+            collect_rounds,
+        } = *counts;
+        for (counter, n) in [
+            (&self.inner.reads, reads),
+            (&self.inner.writes, writes),
+            (&self.inner.cas, cas_ops),
+            (&self.inner.snapshots, snapshots),
+            (&self.inner.collect_rounds, collect_rounds),
+        ] {
+            if n != 0 {
+                counter.fetch_add(n, Ordering::Relaxed);
+            }
         }
     }
 
@@ -122,17 +124,7 @@ impl OpCounters {
     /// Adds every count from `other` into this counter set (used to
     /// aggregate per-participant counters into a per-run total).
     pub fn merge(&self, other: &OpCounters) {
-        self.inner.reads.fetch_add(other.reads(), Ordering::Relaxed);
-        self.inner
-            .writes
-            .fetch_add(other.writes(), Ordering::Relaxed);
-        self.inner.cas.fetch_add(other.cas_ops(), Ordering::Relaxed);
-        self.inner
-            .snapshots
-            .fetch_add(other.snapshots(), Ordering::Relaxed);
-        self.inner
-            .collect_rounds
-            .fetch_add(other.collect_rounds(), Ordering::Relaxed);
+        self.add(&other.snapshot_counts());
     }
 
     /// Resets every counter to zero.
@@ -158,6 +150,73 @@ impl OpCounters {
             snapshots: self.snapshots(),
             collect_rounds: self.collect_rounds(),
         }
+    }
+}
+
+/// A handle's [`OpCounters`] and the counts it has not published yet.
+///
+/// The pending counts are plain cells that only the owning handle's
+/// thread touches, so counting an operation is an ordinary add; the
+/// cells make every handle `!Sync`.  Dropping publishes what is left.
+#[derive(Debug)]
+pub(crate) struct HandleCounts {
+    shared: OpCounters,
+    pending: Cell<OpSnapshot>,
+}
+
+impl HandleCounts {
+    pub(crate) fn new(shared: OpCounters) -> Self {
+        HandleCounts {
+            shared,
+            pending: Cell::default(),
+        }
+    }
+
+    /// The counters this handle publishes to.
+    pub(crate) fn shared(&self) -> &OpCounters {
+        &self.shared
+    }
+
+    fn count(&self, f: impl FnOnce(&mut OpSnapshot)) {
+        let mut pending = self.pending.get();
+        f(&mut pending);
+        self.pending.set(pending);
+    }
+
+    /// Counts one register read.
+    pub(crate) fn read(&self) {
+        self.count(|c| c.reads += 1);
+    }
+
+    /// Counts one register write.
+    pub(crate) fn write(&self) {
+        self.count(|c| c.writes += 1);
+    }
+
+    /// Counts one compare&swap (successful or not).
+    pub(crate) fn cas(&self) {
+        self.count(|c| c.cas_ops += 1);
+    }
+
+    /// Counts one snapshot attempt: `rounds` collect rounds of `m` reads
+    /// each, and one completed snapshot when `completed`.
+    pub(crate) fn collects(&self, rounds: u64, m: u64, completed: bool) {
+        self.count(|c| {
+            c.reads += rounds * m;
+            c.collect_rounds += rounds;
+            c.snapshots += u64::from(completed);
+        });
+    }
+
+    /// Adds the pending counts to the shared counters and clears them.
+    pub(crate) fn publish(&self) {
+        self.shared.add(&self.pending.take());
+    }
+}
+
+impl Drop for HandleCounts {
+    fn drop(&mut self) {
+        self.publish();
     }
 }
 
@@ -203,15 +262,31 @@ impl OpSnapshot {
 mod tests {
     use super::*;
 
+    fn counts(reads: u64, writes: u64, cas_ops: u64) -> OpSnapshot {
+        OpSnapshot {
+            reads,
+            writes,
+            cas_ops,
+            ..OpSnapshot::default()
+        }
+    }
+
     #[test]
     fn counters_accumulate_and_reset() {
         let c = OpCounters::new();
-        c.record_read();
-        c.record_write();
-        c.record_cas();
-        c.record_collects(2, 3, true);
-        // A failed attempt counts its reads and rounds, not a snapshot.
-        c.record_collects(1, 3, false);
+        c.add(&counts(1, 1, 1));
+        c.add(&OpSnapshot {
+            reads: 2 * 3,
+            snapshots: 1,
+            collect_rounds: 2,
+            ..OpSnapshot::default()
+        });
+        // A failed snapshot attempt counts its reads and rounds only.
+        c.add(&OpSnapshot {
+            reads: 3,
+            collect_rounds: 1,
+            ..OpSnapshot::default()
+        });
         assert_eq!(c.reads(), 1 + 2 * 3 + 3);
         assert_eq!(c.writes(), 1);
         assert_eq!(c.cas_ops(), 1);
@@ -227,9 +302,8 @@ mod tests {
     fn merge_accumulates() {
         let a = OpCounters::new();
         let b = OpCounters::new();
-        a.record_read();
-        b.record_read();
-        b.record_cas();
+        a.add(&counts(1, 0, 0));
+        b.add(&counts(1, 0, 1));
         a.merge(&b);
         assert_eq!(a.reads(), 2);
         assert_eq!(a.cas_ops(), 1);
@@ -240,8 +314,8 @@ mod tests {
     fn clones_share_state() {
         let c = OpCounters::new();
         let d = c.clone();
-        c.record_write();
-        d.record_write();
+        c.add(&counts(0, 1, 0));
+        d.add(&counts(0, 1, 0));
         assert_eq!(c.writes(), 2);
         assert_eq!(d.writes(), 2);
     }
@@ -249,11 +323,9 @@ mod tests {
     #[test]
     fn snapshot_counts_detach_and_subtract() {
         let c = OpCounters::new();
-        c.record_read();
-        c.record_write();
+        c.add(&counts(1, 1, 0));
         let before = c.snapshot_counts();
-        c.record_read();
-        c.record_cas();
+        c.add(&counts(1, 0, 1));
         let after = c.snapshot_counts();
         let delta = after.since(&before);
         assert_eq!(delta.reads, 1);
@@ -261,7 +333,7 @@ mod tests {
         assert_eq!(delta.cas_ops, 1);
         assert_eq!(delta.total_primitive_ops(), 2);
         // The detached copy does not move with the live counters.
-        c.record_read();
+        c.add(&counts(1, 0, 0));
         assert_eq!(after.reads, 2);
     }
 
@@ -273,11 +345,38 @@ mod tests {
                 let c = c.clone();
                 s.spawn(move || {
                     for _ in 0..1000 {
-                        c.record_read();
+                        c.add(&counts(1, 0, 0));
                     }
                 });
             }
         });
         assert_eq!(c.reads(), 4000);
+    }
+
+    #[test]
+    fn handle_counts_stay_pending_until_published() {
+        let c = OpCounters::new();
+        let h = HandleCounts::new(c.clone());
+        h.read();
+        h.write();
+        h.cas();
+        h.collects(2, 3, true);
+        h.collects(1, 3, false);
+        assert_eq!(c.snapshot_counts(), OpSnapshot::default());
+        h.publish();
+        let published = OpSnapshot {
+            reads: 1 + 2 * 3 + 3,
+            writes: 1,
+            cas_ops: 1,
+            snapshots: 1,
+            collect_rounds: 3,
+        };
+        assert_eq!(c.snapshot_counts(), published);
+        // Publishing clears the pending counts: nothing is added twice.
+        h.publish();
+        assert_eq!(c.snapshot_counts(), published);
+        h.write();
+        drop(h);
+        assert_eq!(c.writes(), 2, "dropping publishes what is left");
     }
 }

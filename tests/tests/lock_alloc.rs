@@ -1,6 +1,8 @@
-//! The threaded Algorithm 1 lock allocates nothing once warmed up: its
-//! line-4 snapshot reuses the automaton's view buffer and the register
-//! handle's two collect buffers, and so does the snapshot of a withdraw.
+//! The threaded Algorithm 1 and Algorithm 2 locks allocate nothing once
+//! warmed up.  Algorithm 1's line-4 snapshot reuses the automaton's view
+//! buffer and the register handle's two collect buffers, and so does the
+//! snapshot of a withdraw; Algorithm 2's line-3 collect reuses a spare
+//! buffer of the thread's.
 //!
 //! A counting global allocator counts the calls each thread makes, so
 //! the test harness's own threads cannot disturb the measured one.
@@ -9,7 +11,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use amx_core::lock::BuildLock;
-use amx_core::{MutexSpec, RwAnonLock};
+use amx_core::{MutexSpec, RmwAnonLock, RwAnonLock};
 use amx_registers::Adversary;
 
 thread_local! {
@@ -86,6 +88,27 @@ fn steady_state_alg1_lock_unlock_allocates_nothing() {
     assert_eq!(
         per_1000, 0,
         "1,000 warmed-up Alg 1 (2, 3) lock/unlock cycles allocated {per_1000} times"
+    );
+    assert_eq!(p.entries(), 1_010);
+}
+
+#[test]
+fn steady_state_alg2_lock_unlock_allocates_nothing() {
+    let spec = MutexSpec::rmw(2, 3).unwrap();
+    let mut parts = RmwAnonLock::with_participants(spec, &Adversary::Random(1)).unwrap();
+    let p = &mut parts[0];
+    // Warm-up: the first read loop sizes the thread's collect buffer.
+    for _ in 0..10 {
+        drop(p.lock());
+    }
+    let before = allocations();
+    for _ in 0..1_000 {
+        drop(std::hint::black_box(p.lock()));
+    }
+    let per_1000 = allocations() - before;
+    assert_eq!(
+        per_1000, 0,
+        "1,000 warmed-up Alg 2 (2, 3) lock/unlock cycles allocated {per_1000} times"
     );
     assert_eq!(p.entries(), 1_010);
 }

@@ -264,15 +264,10 @@ fn probe_and_withdraw(p: &mut Participant, k: u64) -> Ops {
     })
 }
 
-/// Solo runs under the identity adversary are deterministic, so each
-/// family's register operations are exact: a lock/unlock cycle per
-/// participant, and participant 0's `try_lock_steps(k)` + `withdraw()`
-/// for every `k` below its acquisition length.  After each withdraw the
-/// other participant's cycle must equal its solo cycle, which shows
-/// the withdraw left memory clean.
-#[test]
-fn every_family_pins_its_register_operations() {
-    let table: Vec<Pinned> = vec![
+/// Every family with its exact solo operations under the identity
+/// adversary (solo runs under it are deterministic).
+fn pinned() -> Vec<Pinned> {
+    vec![
         (
             Box::new(RwAnonLock::new(MutexSpec::rw(2, 3).unwrap())),
             vec![[27, 6, 0, 4]; 2],
@@ -320,8 +315,17 @@ fn every_family_pins_its_register_operations() {
                 [1, 6, 0, 0],
             ],
         ),
-    ];
-    for (lock, cycles, withdraws) in &table {
+    ]
+}
+
+/// Each family's register operations are exact: a lock/unlock cycle
+/// per participant, and participant 0's `try_lock_steps(k)` +
+/// `withdraw()` for every `k` below its acquisition length.  After each
+/// withdraw the other participant's cycle must equal its solo cycle,
+/// which shows the withdraw left memory clean.
+#[test]
+fn every_family_pins_its_register_operations() {
+    for (lock, cycles, withdraws) in &pinned() {
         let (family, n) = (lock.family(), lock.spec().n());
         let mut parts = lock.participants(&Adversary::Identity).unwrap();
         for (i, (p, expected)) in parts.iter_mut().zip(cycles).enumerate() {
@@ -359,5 +363,83 @@ fn every_family_pins_its_register_operations() {
             [0, 1, 1, 0],
             "tas cycle after k = {k}"
         );
+    }
+}
+
+/// A withdraw with nothing pending has no claim to erase, so it touches
+/// no register: neither on a fresh participant nor right after a
+/// completed cycle.
+#[test]
+fn every_family_withdraw_with_nothing_pending_is_free() {
+    for (lock, cycles, _) in &pinned() {
+        let (family, n) = (lock.family(), lock.spec().n());
+        let mut parts = lock.participants(&Adversary::Identity).unwrap();
+        let p = &mut parts[0];
+        assert_eq!(
+            ops_of(p, Participant::withdraw),
+            [0; 4],
+            "{family} ({n}) fresh withdraw"
+        );
+        assert_eq!(cycle(p), cycles[0], "{family} ({n}) cycle");
+        assert_eq!(
+            ops_of(p, Participant::withdraw),
+            [0; 4],
+            "{family} ({n}) withdraw after a cycle"
+        );
+        assert_eq!(cycle(p), cycles[0], "{family} ({n}) cycle after withdraws");
+    }
+}
+
+/// Two more exact paths of the anonymous algorithms at (2, 3): a
+/// `try_lock()` that fails while the other participant holds the lock
+/// (it spends its whole step budget, then withdraws), and a participant
+/// dropped with an attempt pending, whose drop withdraws and whose
+/// counts are read through a clone of its counters.  The holder's
+/// next cycle equals its solo cycle: both paths leave memory clean.
+#[test]
+fn anonymous_families_pin_failed_try_lock_and_pending_drop() {
+    let table: [(Box<dyn AmxLock>, Ops, Ops); 2] = [
+        (
+            Box::new(RwAnonLock::new(MutexSpec::rw(2, 3).unwrap())),
+            [393_222, 0, 0, 65_537],
+            [20, 4, 0, 3],
+        ),
+        (
+            Box::new(RmwAnonLock::new(MutexSpec::rmw(2, 3).unwrap())),
+            [21_847, 0, 6, 0],
+            [1, 0, 6, 0],
+        ),
+    ];
+    for (lock, failed_try_lock, dropped_pending) in &table {
+        let family = lock.family();
+        let mut parts = lock.participants(&Adversary::Identity).unwrap();
+        let mut waiter = parts.pop().unwrap();
+        let mut holder = parts.pop().unwrap();
+        let solo = cycle(&mut holder);
+
+        let guard = holder.lock();
+        let failed = ops_of(&mut waiter, |p| {
+            assert!(p.try_lock().is_none(), "{family}: the lock is held");
+        });
+        assert_eq!(failed, *failed_try_lock, "{family}: failed try_lock");
+        drop(guard);
+
+        let counters = waiter.counters().clone();
+        let before = counters.snapshot_counts();
+        assert!(waiter.try_lock_steps(4).is_none(), "{family}: 4 steps");
+        drop(waiter);
+        let OpSnapshot {
+            reads,
+            writes,
+            cas_ops,
+            snapshots,
+            ..
+        } = counters.snapshot_counts().since(&before);
+        assert_eq!(
+            [reads, writes, cas_ops, snapshots],
+            *dropped_pending,
+            "{family}: try_lock_steps(4) + drop"
+        );
+        assert_eq!(cycle(&mut holder), solo, "{family}: memory left clean");
     }
 }
