@@ -352,31 +352,4 @@ mod tests {
         });
         assert_eq!(c.reads(), 4000);
     }
-
-    #[test]
-    fn handle_counts_stay_pending_until_published() {
-        let c = OpCounters::new();
-        let h = HandleCounts::new(c.clone());
-        h.read();
-        h.write();
-        h.cas();
-        h.collects(2, 3, true);
-        h.collects(1, 3, false);
-        assert_eq!(c.snapshot_counts(), OpSnapshot::default());
-        h.publish();
-        let published = OpSnapshot {
-            reads: 1 + 2 * 3 + 3,
-            writes: 1,
-            cas_ops: 1,
-            snapshots: 1,
-            collect_rounds: 3,
-        };
-        assert_eq!(c.snapshot_counts(), published);
-        // Publishing clears the pending counts: nothing is added twice.
-        h.publish();
-        assert_eq!(c.snapshot_counts(), published);
-        h.write();
-        drop(h);
-        assert_eq!(c.writes(), 2, "dropping publishes what is left");
-    }
 }
