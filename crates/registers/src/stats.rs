@@ -6,11 +6,11 @@
 //! snapshot's reads, collect rounds and completion, in plain fields
 //! inside the handle.  It publishes them to its [`OpCounters`] with one
 //! relaxed atomic add per counter that moved, when asked to
-//! (`publish_counts`) and when dropped.  The threaded
-//! locks publish at the end of every acquire, release and withdraw
-//! call, so the locked adds (`lock xadd` on x86) leave the per-operation
-//! path: an uncontended Algorithm 2 (n = 2, m = 3) lock/unlock cycle
-//! pays 3 of them instead of 9, an Algorithm 1 cycle 6 instead of 21.
+//! (`publish_counts`) and when dropped.  The threaded locks publish at
+//! the end of every acquire, release and withdraw call, so the locked
+//! adds (`lock xadd` on x86) leave the per-operation path: an
+//! uncontended Algorithm 2 (n = 2, m = 3) lock/unlock cycle pays 3 of
+//! them instead of 9, an Algorithm 1 cycle 6 instead of 21.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
