@@ -192,12 +192,7 @@ impl BuildLock for PetersonTreeLock {
                 phase: Phase::Remainder,
             });
         }
-        Box::new(PetersonEndpoint {
-            nodes,
-            ops,
-            won: 0,
-            trying: false,
-        })
+        Box::new(PetersonEndpoint { nodes, ops, won: 0 })
     }
 }
 
@@ -227,9 +222,6 @@ struct PetersonEndpoint {
     ops: RwMemoryOps,
     /// Nodes won so far, leaf first.
     won: usize,
-    /// Whether an attempt is under way (set by `try_acquire`, cleared
-    /// by `release` and `abandon`).
-    trying: bool,
 }
 
 /// Presents one node's three registers (at `base..base + 3`) to its
@@ -283,7 +275,6 @@ impl PetersonEndpoint {
 
 impl RawEndpoint for PetersonEndpoint {
     fn try_acquire(&mut self, max_steps: u64) -> bool {
-        self.trying = true;
         let acquired = self.climb(max_steps);
         self.ops.publish_counts();
         acquired
@@ -295,15 +286,15 @@ impl RawEndpoint for PetersonEndpoint {
             while node.step(&mut self.ops) != Outcome::Released {}
         }
         self.won = 0;
-        self.trying = false;
         self.ops.publish_counts();
     }
 
     fn abandon(&mut self) {
-        // Withdraw from the contested node (the attempt may not have
-        // stepped there yet), then release every node already won.
-        if self.trying {
-            if let Some(node) = self.nodes.get_mut(self.won) {
+        // Withdraw from the contested node if the attempt got there: the
+        // step that leaves `Remainder` raises the flag.  Then release
+        // every node already won.
+        if let Some(node) = self.nodes.get_mut(self.won) {
+            if node.phase == Phase::Trying {
                 node.automaton.withdraw(&mut NodeView {
                     ops: &mut self.ops,
                     base: node.base,

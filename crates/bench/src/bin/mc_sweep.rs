@@ -76,14 +76,17 @@
 //!
 //! **Gates** (`--baseline PATH`), exact with no slack, on every point
 //! both this sweep and PATH hold: the verdict, `canonical_states`,
-//! `full_states`, `transitions` and `max_pending_depth`; the witness —
-//! a livelock's `pending`, `scc_states` and `witness_schedule`, or a
-//! violation's schedule; and each property hit count and SCC-query
-//! answer, with its witness schedule, recorded in both reports.  All of
-//! them are deterministic at every worker count, so any change is a
-//! regression (a weaker symmetry group, a wrong orbit count, a lost
-//! edge, a crash-survival flip, a witness moved by a changed group
-//! element or confirmation).  Two gates depend on which points
+//! `full_states`, `transitions` and `max_pending_depth`; the arena's
+//! exact work — `peak_frontier`, `arena_bytes` and `seen_table_bytes`,
+//! which pin the stored record format; the witness — a livelock's
+//! `pending`, `scc_states` and `witness_schedule`, or a violation's
+//! schedule; and each property hit count and SCC-query answer, with its
+//! witness schedule, recorded in both reports.  All of them are
+//! deterministic at every worker count, with or without a resident
+//! budget and across a resume, so any change is a regression (a weaker
+//! symmetry group, a wrong orbit count, a lost edge, a crash-survival
+//! flip, a witness moved by a changed group element or confirmation, a
+//! changed arena record).  Two gates depend on which points
 //! the grid holds, so they run only when PATH records the same grid
 //! (its `smoke` and `deep` flags): coverage — every point of PATH must
 //! be in this sweep, crash points only when it passes `--crashes` —
@@ -809,7 +812,8 @@ fn main() {
 #[derive(Debug, PartialEq)]
 struct Recorded {
     key: String,
-    /// `verdict`; `canonical_states`, `full_states`, `transitions` and
+    /// `verdict`; `canonical_states`, `full_states`, `transitions`,
+    /// `peak_frontier`, `arena_bytes`, `seen_table_bytes` and
     /// `max_pending_depth` (absent on a point that ended in an error);
     /// a livelock's `pending`, `scc_states` and `witness_schedule`, or a
     /// violation's `witness_schedule`; `property NAME` hit counts and
@@ -839,7 +843,14 @@ fn recorded_points(json: &str) -> Vec<Recorded> {
         if let Some(verdict) = json_string(line, "verdict") {
             fields.push(("verdict".to_string(), verdict.to_string()));
         }
-        for count in ["canonical_states", "full_states", "transitions"] {
+        for count in [
+            "canonical_states",
+            "full_states",
+            "transitions",
+            "peak_frontier",
+            "arena_bytes",
+            "seen_table_bytes",
+        ] {
             if let Some(v) = json_number::<u64>(line, count) {
                 fields.push((count.to_string(), v.to_string()));
             }
@@ -1244,6 +1255,12 @@ mod tests {
                     rep.full_states_estimate.to_string(),
                 ),
                 ("transitions".to_string(), rep.transitions.to_string()),
+                ("peak_frontier".to_string(), rep.peak_frontier.to_string()),
+                ("arena_bytes".to_string(), rep.arena_bytes.to_string()),
+                (
+                    "seen_table_bytes".to_string(),
+                    rep.seen_table_bytes.to_string(),
+                ),
                 ("max_pending_depth".to_string(), depths.join(", ")),
             ];
             match &rep.verdict {
@@ -1308,6 +1325,21 @@ mod tests {
                 "canonical_states",
                 &*format!("\"canonical_states\": {}", value("canonical_states")),
                 format!("\"canonical_states\": {}1", value("canonical_states")),
+            ),
+            (
+                "peak_frontier",
+                &*format!("\"peak_frontier\": {}", value("peak_frontier")),
+                format!("\"peak_frontier\": {}1", value("peak_frontier")),
+            ),
+            (
+                "arena_bytes",
+                &*format!("\"arena_bytes\": {}", value("arena_bytes")),
+                format!("\"arena_bytes\": {}1", value("arena_bytes")),
+            ),
+            (
+                "seen_table_bytes",
+                &*format!("\"seen_table_bytes\": {}", value("seen_table_bytes")),
+                format!("\"seen_table_bytes\": {}1", value("seen_table_bytes")),
             ),
             (
                 "max_pending_depth",

@@ -13,7 +13,8 @@
 //!   byte length is stored raw (a page *base*), and every other state
 //!   as a **byte-mask delta** against its page's base of the same
 //!   length: a one-byte back-distance to the base, a bitmask of changed
-//!   byte positions, then only the changed bytes.  BFS-adjacent
+//!   byte positions, then only the changed bytes (computed without a
+//!   branch per byte).  BFS-adjacent
 //!   canonical states differ in a dozen scattered bytes out of dozens
 //!   (measured on the Algorithm 2 deep point: ~14 of ~53, and
 //!   *scattered* — a contiguous-diff encoding captures almost nothing),
@@ -51,10 +52,10 @@
 //! once complete, so a page is written to its file slot at most once —
 //! re-evicting an unmodified faulted page just drops the bytes.
 //!
-//! Reads fall into two regimes.  The exclusive paths (`&mut self`:
-//! interning and [`lookup_hashed_mut`](StateArena::lookup_hashed_mut))
-//! transparently fault pages back in, admitting them to the resident
-//! set and evicting colder pages to stay on budget.  The shared read
+//! Reads fall into two regimes.  The exclusive path (`&mut self`:
+//! interning, whose probe is a find-or-put) transparently faults pages
+//! back in, admitting them to the resident set and evicting colder
+//! pages to stay on budget.  The shared read
 //! paths (`&self`: [`get_into`](StateArena::get_into),
 //! [`lookup_hashed`](StateArena::lookup_hashed)) cannot mutate the
 //! resident set; their `_cached` variants take a caller-owned
@@ -168,6 +169,27 @@ pub fn hash_bytes(bytes: &[u8]) -> u64 {
     h ^= h >> 32;
     h = h.wrapping_mul(FNV_PRIME);
     h ^ (h >> 32)
+}
+
+/// Writes the byte-mask delta of `bytes` against the same-length
+/// `base`: bit `i % 8` of `mask[i / 8]` is set when byte `i` differs,
+/// and the differing bytes are packed at the front of `changed` (as long
+/// as `bytes`); returns their count.  No branch depends on the data:
+/// every byte is stored at the next free position of `changed`, and the
+/// position advances past it only when it differs.
+fn byte_delta(bytes: &[u8], base: &[u8], mask: &mut [u8], changed: &mut [u8]) -> usize {
+    let mut count = 0;
+    for ((bits, chunk), base_chunk) in mask.iter_mut().zip(bytes.chunks(8)).zip(base.chunks(8)) {
+        let mut m = 0u8;
+        for (bit, (&b, &bb)) in chunk.iter().zip(base_chunk).enumerate() {
+            let differs = b != bb;
+            m |= u8::from(differs) << bit;
+            changed[count] = b;
+            count += usize::from(differs);
+        }
+        *bits = m;
+    }
+    count
 }
 
 /// Applies a byte-mask delta in place: for every set bit `i` in
@@ -852,7 +874,8 @@ impl StateArena {
 
     /// [`lookup`](Self::lookup) with a caller-computed [`hash_bytes`]
     /// value — the engine hashes each canonical encoding exactly once
-    /// (the seen-set probe and the drain's insert share the hash).
+    /// (a multi-worker level's seen-set probe and the drain's insert
+    /// share the hash).
     ///
     /// # Errors
     ///
@@ -894,24 +917,7 @@ impl StateArena {
         }
     }
 
-    /// [`lookup_hashed`](Self::lookup_hashed) for the arena's exclusive
-    /// owner: probes against spilled pages fault them back into the
-    /// resident set (evicting colder pages), exactly as an
-    /// [`intern_hashed`](Self::intern_hashed) probe does.
-    ///
-    /// # Errors
-    ///
-    /// As for [`lookup`](Self::lookup).
-    pub fn lookup_hashed_mut(
-        &mut self,
-        hash: u64,
-        bytes: &[u8],
-    ) -> Result<Option<u32>, SpillError> {
-        debug_assert_eq!(hash, hash_bytes(bytes), "caller-supplied hash mismatch");
-        Ok(self.probe(hash, bytes)?.ok())
-    }
-
-    /// The table probe of the `&mut self` paths: `Ok(index)` when
+    /// The table probe of the `&mut self` path: `Ok(index)` when
     /// `bytes` is interned, else `Err(slot)` — the empty bucket an
     /// insert takes.  Spilled pages the probe compares against are
     /// faulted back into the resident set.
@@ -966,6 +972,18 @@ impl StateArena {
     ///
     /// As for [`intern`](Self::intern).
     pub fn intern_hashed(&mut self, hash: u64, bytes: &[u8]) -> Result<(u32, bool), SpillError> {
+        self.intern_with(hash, bytes, byte_delta)
+    }
+
+    /// [`intern_hashed`](Self::intern_hashed) with the function that
+    /// computes a delta record's mask and changed bytes (see
+    /// [`byte_delta`]).
+    fn intern_with(
+        &mut self,
+        hash: u64,
+        bytes: &[u8],
+        delta: impl Fn(&[u8], &[u8], &mut [u8], &mut [u8]) -> usize,
+    ) -> Result<(u32, bool), SpillError> {
         debug_assert_eq!(hash, hash_bytes(bytes), "caller-supplied hash mismatch");
         assert!(
             bytes.len() <= usize::from(u16::MAX),
@@ -980,7 +998,7 @@ impl StateArena {
         };
         let idx = u32::try_from(self.ends.len()).expect("arena index overflow");
         assert!(idx != u32::MAX, "arena index overflow");
-        self.push_record(idx, bytes);
+        self.push_record(idx, bytes, delta);
         let end = u32::try_from(self.sealed_bytes + self.cur.len()).expect("arena data overflow");
         self.ends.push(end);
         self.table[slot] = bucket(hash as u32, idx);
@@ -996,9 +1014,16 @@ impl StateArena {
     /// against the current page's base of the same length, or raw
     /// (becoming that base) when no same-length base exists in the
     /// page, or when the delta would not beat storing raw (drift
-    /// re-basing).  At a page boundary the filled page is sealed first
-    /// (and becomes evictable).
-    fn push_record(&mut self, idx: u32, bytes: &[u8]) {
+    /// re-basing).  `delta` writes the delta's mask and changed bytes
+    /// straight into the page buffer, sized for the longest delta and
+    /// cut to the one written.  At a page boundary the filled page is
+    /// sealed first (and becomes evictable).
+    fn push_record(
+        &mut self,
+        idx: u32,
+        bytes: &[u8],
+        delta: impl Fn(&[u8], &[u8], &mut [u8], &mut [u8]) -> usize,
+    ) {
         if (idx as usize).is_multiple_of(PAGE) {
             self.page_bases.clear();
             if idx != 0 {
@@ -1011,39 +1036,23 @@ impl StateArena {
             let base_idx = self.page_bases[entry].1;
             debug_assert!(idx - base_idx <= u32::from(u8::MAX), "base beyond one page");
             let (bstart, bend) = self.span(base_idx);
-            let base_at = bstart + 1 - self.sealed_bytes;
-            let base_end = bend - self.sealed_bytes;
-            debug_assert_eq!(base_end - base_at, bytes.len());
+            let base = bstart + 1 - self.sealed_bytes..bend - self.sealed_bytes;
+            debug_assert_eq!(base.len(), bytes.len());
             let len = bytes.len();
             let mask_len = len.div_ceil(8);
-            // One diff pass into stack buffers (Vecs only for the rare
-            // > 256-byte state), then two bulk appends.
-            let mut mask_stack = [0u8; 32];
-            let mut changed_stack = [0u8; 256];
-            let (mut mask_vec, mut changed_vec);
-            let (mask, changed): (&mut [u8], &mut [u8]) = if len <= 256 {
-                (&mut mask_stack[..mask_len], &mut changed_stack)
-            } else {
-                mask_vec = vec![0u8; mask_len];
-                changed_vec = vec![0u8; len];
-                (&mut mask_vec, &mut changed_vec)
-            };
-            let mut nc = 0usize;
-            for (i, (&b, &bb)) in bytes.iter().zip(&self.cur[base_at..base_end]).enumerate() {
-                if b != bb {
-                    mask[i / 8] |= 1 << (i % 8);
-                    changed[nc] = b;
-                    nc += 1;
-                }
-            }
-            if 1 + mask_len + nc < 1 + len {
-                self.cur.push((idx - base_idx) as u8);
-                self.cur.extend_from_slice(&mask[..mask_len]);
-                self.cur.extend_from_slice(&changed[..nc]);
+            let at = self.cur.len();
+            self.cur.resize(at + 1 + mask_len + len, 0);
+            let (page, record) = self.cur.split_at_mut(at);
+            let (mask, changed) = record[1..].split_at_mut(mask_len);
+            let count = delta(bytes, &page[base], mask, changed);
+            if mask_len + count < len {
+                record[0] = (idx - base_idx) as u8;
+                self.cur.truncate(at + 1 + mask_len + count);
                 return;
             }
             // Drifted past the break-even point: store raw and make
             // this state the page's new base for its length.
+            self.cur.truncate(at);
             self.page_bases[entry].1 = idx;
         } else {
             self.page_bases.push((len16, idx));
@@ -1488,10 +1497,57 @@ mod tests {
             let y = b.intern_hashed(hash_bytes(&bytes), &bytes).unwrap();
             assert_eq!(x, y);
             assert_eq!(
-                b.lookup_hashed_mut(hash_bytes(&bytes), &bytes).unwrap(),
+                b.lookup_hashed(hash_bytes(&bytes), &bytes).unwrap(),
                 Some(y.0)
             );
         }
+    }
+
+    /// The per-byte diff [`byte_delta`] replaced, kept as its
+    /// reference: one data-dependent branch per byte.
+    fn per_byte_delta(bytes: &[u8], base: &[u8], mask: &mut [u8], changed: &mut [u8]) -> usize {
+        mask.fill(0);
+        let mut nc = 0usize;
+        for (i, (&b, &bb)) in bytes.iter().zip(base).enumerate() {
+            if b != bb {
+                mask[i / 8] |= 1 << (i % 8);
+                changed[nc] = b;
+                nc += 1;
+            }
+        }
+        nc
+    }
+
+    #[test]
+    fn branch_free_delta_writes_the_reference_records() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0xDE17A);
+        let mut arena = StateArena::new();
+        let mut reference = StateArena::new();
+        // Lengths 1–300 (past 256 bytes, where the per-byte diff left
+        // its stack buffers), six states each: from a few changed bytes
+        // to every byte redrawn, so both deltas and drift re-basing occur.
+        for len in 1..=300usize {
+            let base: Vec<u8> = (0..len).map(|_| rng.gen()).collect();
+            for _ in 0..6 {
+                let mut state = base.clone();
+                for _ in 0..rng.gen_range(0..=len) {
+                    state[rng.gen_range(0..len)] = rng.gen();
+                }
+                let hash = hash_bytes(&state);
+                assert_eq!(
+                    arena.intern(&state).unwrap(),
+                    reference.intern_with(hash, &state, per_byte_delta).unwrap(),
+                    "length {len}"
+                );
+            }
+        }
+        assert!(arena.len() > 4 * PAGE, "several pages were sealed");
+        assert_eq!(arena.data_bytes(), reference.data_bytes());
+        let (mut records, mut reference_records) = (Vec::new(), Vec::new());
+        arena.write_snapshot(&mut records).unwrap();
+        reference.write_snapshot(&mut reference_records).unwrap();
+        assert!(records == reference_records, "record bytes differ");
     }
 
     /// 40-byte states with scattered per-index variation — enough per

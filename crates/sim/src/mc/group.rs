@@ -279,58 +279,42 @@ pub(super) fn encode_node_pruned<S: EncodeState>(
     }
 }
 
-/// Reusable buffers of [`canonicalize`], one set per worker.
+/// Reusable buffers of [`canonicalize`], one set per worker, and its
+/// ranking cache.  Rankings are only valid for the group they were made
+/// under, so a `Canon` serves one run.
 #[derive(Debug, Default)]
 pub(super) struct Canon {
     /// The least image (the canonical encoding) after a call.
     pub(super) best: Vec<u8>,
     /// The image being built.
     pub(super) enc: Vec<u8>,
+    /// Stage-1 rankings of the two memory images ranked last, the one
+    /// the latest call used first.  Most steps write no register, so a
+    /// successor's image is usually its node's: the second entry keeps
+    /// the node's ranking while a writing successor ranks its own.
+    pub(super) rankings: [Ranking; 2],
+}
+
+/// Stage 1 of [`canonicalize`] for one memory image.
+#[derive(Debug, Default)]
+pub(super) struct Ranking {
+    /// The memory image ranked; stage 1 reads nothing else.
+    pub(super) image: Vec<Slot>,
     /// Slot keys of the least slot section.
     pub(super) keys: Vec<u32>,
-    /// Indices of the group elements whose slot section is the least.
+    /// Indices of the group elements whose slot section is the least,
+    /// in index order.
     pub(super) ties: Vec<u16>,
 }
 
-/// Canonicalizes a node under the group: `canon.best` receives the
-/// lexicographically least image; returns the index of the group
-/// element achieving it (the first such index) plus the exact orbit
-/// size.
-///
-/// An image starts with its slot section, `m` slots of four bytes each,
-/// so images are ordered first by their slot sections.  Stage 1 ranks
-/// the elements on those alone, as `m` integer keys per element
-/// ([`encode::slot_key`]) compared with the running minimum and
-/// abandoned at the first greater slot; it writes no bytes and leaves in
-/// `canon.ties` the elements whose slot section is the least, in index
-/// order.  Stage 2 encodes the first of them in full and compares every
-/// other one from its first process component on
-/// ([`encode_node_pruned`]), its slot section being known equal.  When
-/// one element holds the least slot section, as it does for most nodes,
-/// stage 2 is one encoding.
-///
-/// The orbit size comes from the orbit–stabilizer theorem.  The group
-/// elements whose image equals the least image form one coset
-/// `g·Stab(s)` of the node's stabilizer, so counting them — restarting
-/// at 1 on every new minimum — counts `|Stab(s)|` exactly (encodings
-/// are injective per configuration), and the orbit size is
-/// `|G| / |Stab(s)|` — byte-exact, no hashing.
-pub(super) fn canonicalize<S: EncodeState>(
-    group: &[SymElem],
-    slots: &[Slot],
-    procs: &[(Phase, S)],
-    crashes: &[u8],
-    canon: &mut Canon,
-) -> (u16, u32) {
-    let Canon {
-        best,
-        enc,
-        keys,
-        ties,
-    } = canon;
-    ties.clear();
-    ties.push(0);
-    if group.len() > 1 {
+impl Ranking {
+    /// Ranks the group's elements on the slot sections of `slots`.
+    fn rank(&mut self, group: &[SymElem], slots: &[Slot]) {
+        let Ranking { image, keys, ties } = self;
+        image.clear();
+        image.extend_from_slice(slots);
+        ties.clear();
+        ties.push(0);
         let identity = &group[0];
         keys.clear();
         keys.extend(slots.iter().map(|&s| encode::slot_key(s, &identity.map)));
@@ -358,8 +342,62 @@ pub(super) fn canonicalize<S: EncodeState>(
             }
         }
     }
+}
+
+/// Canonicalizes a node under the group: `canon.best` receives the
+/// lexicographically least image; returns the index of the group
+/// element achieving it (the first such index) plus the exact orbit
+/// size.
+///
+/// An image starts with its slot section, `m` slots of four bytes each,
+/// so images are ordered first by their slot sections.  Stage 1 ranks
+/// the elements on those alone, as `m` integer keys per element
+/// ([`encode::slot_key`]) compared with the running minimum and
+/// abandoned at the first greater slot; it writes no bytes and leaves in
+/// the [`Ranking`] the least slot section's keys and the elements that
+/// hold it, in index order.  Stage 1 reads only the memory image, so
+/// `canon` keeps the rankings of the last two images ranked and serves
+/// a ranking again to a node whose image equals the one it was made
+/// for, never to another.  Stage 2 writes the least slot section from
+/// its keys, appends the process components of the first tied element
+/// and compares every other one from its first process component on
+/// ([`encode_node_pruned`]), its slot section being known equal.  When
+/// one element holds the least slot section, as it does for most nodes,
+/// stage 2 is one encoding.
+///
+/// The orbit size comes from the orbit–stabilizer theorem.  The group
+/// elements whose image equals the least image form one coset
+/// `g·Stab(s)` of the node's stabilizer, so counting them — restarting
+/// at 1 on every new minimum — counts `|Stab(s)|` exactly (encodings
+/// are injective per configuration), and the orbit size is
+/// `|G| / |Stab(s)|` — byte-exact, no hashing.
+pub(super) fn canonicalize<S: EncodeState>(
+    group: &[SymElem],
+    slots: &[Slot],
+    procs: &[(Phase, S)],
+    crashes: &[u8],
+    canon: &mut Canon,
+) -> (u16, u32) {
+    let Canon {
+        best,
+        enc,
+        rankings,
+    } = canon;
+    if rankings[0].image != slots {
+        rankings.swap(0, 1);
+        if rankings[0].image != slots {
+            rankings[0].rank(group, slots);
+        }
+    }
+    let Ranking { keys, ties, .. } = &rankings[0];
     let mut sigma = ties[0];
-    encode_node_with(&group[usize::from(sigma)], slots, procs, crashes, best);
+    // A slot key is its token byte-swapped, and a slot is encoded as its
+    // token's little-endian bytes: the key's big-endian ones.
+    best.clear();
+    for key in keys {
+        best.extend_from_slice(&key.to_be_bytes());
+    }
+    encode_node_pruned(&group[usize::from(sigma)], procs, crashes, None, best);
     let mut coset = 1u32;
     let slot_bytes = encode::SLOT_BYTES * slots.len();
     for &gi in &ties[1..] {

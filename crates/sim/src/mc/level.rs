@@ -1,7 +1,7 @@
 //! One breadth-first level: the frontier, the edge table the
 //! fair-livelock pass reads, expansion (on the calling thread or on
-//! work-stealing workers) and the drain that interns a round's pending
-//! inserts.
+//! work-stealing workers) and the admission of successors into the seen
+//! set.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -33,9 +33,10 @@ pub(crate) struct NodeMeta {
 /// The seen set: an interned-state arena plus the parallel BFS-tree
 /// metadata table.  A state's id is its index in both, and its
 /// breadth-first discovery order: level by level, each level sorted by
-/// `(parent position, actor)`.  The exploration
-/// loop owns it: expand workers share it read-only, and the drain
-/// interns into it on the calling thread — never locked.
+/// `(parent position, actor)`.  The exploration loop owns it: one
+/// worker interns into it as it expands, several workers share it
+/// read-only and the drain interns into it on the calling thread —
+/// never locked.
 #[derive(Debug, Default)]
 pub(crate) struct Shard {
     pub(crate) arena: StateArena,
@@ -191,6 +192,18 @@ impl LevelOut {
     fn found_stop(&self) -> bool {
         self.violation.is_some() || self.prop_violation.is_some()
     }
+
+    /// Adds an expansion's steps and acquisitions, and keeps the least
+    /// violation.
+    fn add(&mut self, tally: &Tally) {
+        self.acquisitions += tally.acquisitions;
+        self.transitions += tally.transitions;
+        if let Some(v) = tally.violation {
+            if self.violation.is_none_or(|best| v.order < best.order) {
+                self.violation = Some(v);
+            }
+        }
+    }
 }
 
 /// A fatal [`Monitor`] hit during exploration.
@@ -239,8 +252,8 @@ pub(super) struct Violation {
 ///
 /// A node's pending depth at canonical position `j` is the number of
 /// steps that position has taken inside its current `lock()` invocation
-/// (its `Trying` phase) along the node's breadth-first tree path.  The
-/// drain computes a fresh state's depths from its parent's
+/// (its `Trying` phase) along the node's breadth-first tree path.
+/// Admission computes a fresh state's depths from its parent's
 /// ([`child_depths`]), so the depths of every stored state pass through
 /// a frontier exactly once.
 #[derive(Debug)]
@@ -379,9 +392,10 @@ impl EdgeTable {
     }
 }
 
-/// A completion-free edge met during a round, on its way into the
-/// [`EdgeTable`]: the source's frontier position, the target's id, the
-/// canonicalizing group element and the quotient actor.
+/// A completion-free edge a multi-worker round's seen-set probe
+/// resolved, on its way into the [`EdgeTable`]: the source's frontier
+/// position, the target's id, the canonicalizing group element and the
+/// quotient actor.
 #[derive(Debug, Clone, Copy)]
 pub(super) struct Edge {
     pos: u32,
@@ -404,25 +418,39 @@ pub(super) struct LevelItem<'f> {
 /// that a straggler's leftover work stays stealable.
 pub(super) const STEAL_BATCH: usize = 32;
 
-/// Frontier slice expanded per two-phase round of a level: bounds the
-/// buffered pending-insert memory to `O(LEVEL_CHUNK · n)` regardless of
-/// level width, and bounds how much work can run after a violation is
-/// found (later rounds have strictly larger positions, so they can
-/// never improve the witness order).
+/// Frontier slice expanded per round of a level: bounds a multi-worker
+/// round's buffered pending-insert memory to `O(LEVEL_CHUNK · n)`
+/// regardless of level width, and bounds how much work can run after a
+/// violation is found (later rounds have strictly larger positions, so
+/// they can never improve the witness order).
 pub(super) const LEVEL_CHUNK: usize = 16 * 1024;
 
-/// A canonical successor waiting for the drain phase: everything the
-/// insert needs, in 40 bytes.  The encoding lives in the byte buffer of
-/// the expand worker that generated it.
+/// A canonical successor as expansion hands it on: everything
+/// [`Admission::admit`] needs besides its encoding, in 32 bytes.
 #[derive(Debug, Clone, Copy)]
-pub(super) struct PendingInsert {
+pub(super) struct Successor {
     hash: u64,
     /// Bit `i` set: concrete process `i` of the successor is `Trying`
     /// (the input of [`child_depths`]).
     trying: u64,
+    /// Frontier position of the expanded node.
     pos: u32,
+    /// Id of the expanded node.
     parent: u32,
     orbit: u32,
+    sigma: u16,
+    actor: u8,
+    /// Whether the step is an edge of the [`EdgeTable`] (a `Progress`
+    /// step, not a completion or crash).
+    edge: bool,
+}
+
+/// A successor a multi-worker round's seen-set probe did not find,
+/// waiting for the drain, in 40 bytes.  The encoding lives in the byte
+/// buffer of the expand worker that generated it.
+#[derive(Debug, Clone, Copy)]
+pub(super) struct PendingInsert {
+    succ: Successor,
     /// Byte range of the encoding in the worker's buffer.
     start: u32,
     /// At most 64 KiB, the most [`StateArena::intern`] stores.
@@ -430,11 +458,6 @@ pub(super) struct PendingInsert {
     /// Index of the generating worker's [`Outbox`] byte buffer (below
     /// [`MAX_WORKERS`](super::MAX_WORKERS)).
     worker: u16,
-    sigma: u16,
-    actor: u8,
-    /// Whether the step is an edge of the [`EdgeTable`] (a `Progress`
-    /// step, not a completion or crash).
-    edge: bool,
 }
 
 const _: () = assert!(std::mem::size_of::<PendingInsert>() == 40);
@@ -446,18 +469,23 @@ impl PendingInsert {
     }
 }
 
-/// One expand worker's output for a round: pending inserts, their
-/// encodings packed in one buffer, the edges whose targets the seen-set
-/// probe already resolved, and the steps, acquisitions and least
-/// violation met.
+/// The steps, acquisitions and least violation an expansion met.
+#[derive(Default)]
+pub(super) struct Tally {
+    acquisitions: usize,
+    transitions: usize,
+    violation: Option<Violation>,
+}
+
+/// One expand worker's output for a multi-worker round: pending
+/// inserts, their encodings packed in one buffer, the edges whose
+/// targets the seen-set probe already resolved, and its [`Tally`].
 #[derive(Default)]
 pub(super) struct Outbox {
     pending: Vec<PendingInsert>,
     bytes: Vec<u8>,
     edges: Vec<Edge>,
-    acquisitions: usize,
-    transitions: usize,
-    violation: Option<Violation>,
+    tally: Tally,
 }
 
 impl Outbox {
@@ -466,16 +494,14 @@ impl Outbox {
         self.pending.clear();
         self.bytes.clear();
         self.edges.clear();
-        self.acquisitions = 0;
-        self.transitions = 0;
-        self.violation = None;
+        self.tally = Tally::default();
     }
 }
 
-/// The buffers of [`run_level`]'s rounds, owned by the level loop and
-/// cleared each round, so a check allocates them once it has seen its
-/// widest round: one [`Outbox`] per worker and their merged pending
-/// inserts.
+/// The buffers of [`run_level`]'s multi-worker rounds, owned by the
+/// level loop and cleared each round, so a check allocates them once it
+/// has seen its widest round: one [`Outbox`] per worker and their
+/// merged pending inserts.  With one worker they stay empty.
 pub(super) struct RoundBufs {
     outboxes: Vec<Outbox>,
     pending: Vec<PendingInsert>,
@@ -490,39 +516,135 @@ impl RoundBufs {
     }
 }
 
-/// Expands one breadth-first level.
+/// Admits one level's successors into the seen set, and does the work
+/// each fresh state brings: its BFS-tree metadata, its place in the
+/// next frontier with its pending depths, and the monitors.
+struct Admission<'l, 'e, A: Automaton> {
+    shared: &'l EngineShared<'e, A>,
+    shard: &'l mut Shard,
+    frontier: &'l Frontier,
+    next: &'l mut Frontier,
+    edges: &'l mut EdgeTable,
+    /// Edge-table row of the level's first frontier node.
+    row_base: usize,
+    out: LevelOut,
+    /// A fresh state decoded for the monitors: the expansion's
+    /// [`Scratch`] holds the node being expanded.
+    slots: Vec<Slot>,
+    procs: Vec<(Phase, A::State)>,
+    crashes: Vec<u8>,
+}
+
+impl<A: Automaton> Admission<'_, '_, A>
+where
+    A::State: EncodeState,
+{
+    /// Interns successor `s` with canonical encoding `bytes` (one
+    /// find-or-put probe) and writes its edge; when the state is fresh,
+    /// records its metadata, pushes it onto `next` with the pending
+    /// depths that follow from its parent's ([`child_depths`]) and runs
+    /// the monitors on it.  Monitors run once per fresh state, on its
+    /// decoded canonical representative — monitor predicates are
+    /// orbit-invariant by contract, so any image of the state is as good
+    /// as another, and duplicates never pay for an evaluation.
+    ///
+    /// A level's successors arrive in `(pos, actor)` order, so the first
+    /// generator of every state becomes its breadth-first parent.  Once
+    /// the state bound has overflowed, nothing more is admitted.
+    fn admit(&mut self, s: &Successor, bytes: &[u8]) {
+        let shared = self.shared;
+        if shared.overflow.load(Ordering::Relaxed) {
+            return;
+        }
+        let meta = NodeMeta {
+            parent: s.parent,
+            actor: s.actor,
+            sigma: s.sigma,
+        };
+        let (id, fresh) = intern_into(shared, self.shard, s.hash, bytes, meta, s.orbit);
+        if s.edge {
+            let edge = Edge {
+                pos: s.pos,
+                target: id,
+                sigma: s.sigma,
+                actor: s.actor,
+            };
+            self.edges.set(self.row_base + s.pos as usize, &edge);
+        }
+        if !fresh {
+            return;
+        }
+        let elem = &shared.group[usize::from(s.sigma)];
+        let parent = self.frontier.depths(s.pos as usize);
+        self.next
+            .push(id, bytes, child_depths(parent, elem, s.trying, s.actor));
+        let depths = self.next.depths(self.next.len() - 1);
+        for (max, &d) in self.out.depth_maxima.iter_mut().zip(depths) {
+            *max = (*max).max(d);
+        }
+        if shared.monitors.is_empty() {
+            return;
+        }
+        decode_node(
+            bytes,
+            shared.mem0.m(),
+            shared.automata.len(),
+            &mut self.slots,
+            &mut self.procs,
+            &mut self.crashes,
+        );
+        let order = (s.pos as usize, usize::from(s.actor));
+        for (mi, mon) in shared.monitors.iter().enumerate() {
+            if !(mon.eval)(&self.slots, &self.procs) {
+                continue;
+            }
+            self.out.monitor_hits[mi].record(order, id);
+            if mon.fatal {
+                let cand = PropViolation {
+                    order,
+                    node: id,
+                    monitor: mi as u32,
+                };
+                if self
+                    .out
+                    .prop_violation
+                    .is_none_or(|best| (cand.order, cand.monitor) < (best.order, best.monitor))
+                {
+                    self.out.prop_violation = Some(cand);
+                }
+            }
+        }
+    }
+}
+
+/// Expands one breadth-first level, in rounds of at most
+/// [`LEVEL_CHUNK`] frontier nodes.  Each node is decoded and stepped and
+/// its successors canonicalized ([`expand_item`]); each successor is
+/// then admitted ([`Admission::admit`]): interned and, when fresh,
+/// pushed onto `next` (cleared first; rounds cover increasing
+/// positions) with its pending depths and checked by the monitors.
 ///
-/// The level runs in bounded rounds of [`LEVEL_CHUNK`] nodes, each
-/// round two phases:
+/// * **One worker.** The round runs in frontier order on the calling
+///   thread, with the run's `scratch`, and every successor is admitted
+///   where it is generated.  Expansion emits a node's successors in
+///   actor order — steps first, then crashes, whose actor has its high
+///   bit set — so admission runs in `(pos, actor)` order.  A fresh state
+///   costs one seen-set probe, and the round buffers nothing.
+/// * **Several workers.** Two phases.  *Expand*: the round's nodes are
+///   block-partitioned over per-worker deques with back-half stealing
+///   (uneven orbit-canonicalization costs get rebalanced); each worker
+///   probes the frozen seen set through its own page cache, a successor
+///   interned by an earlier round or level contributes only its edge,
+///   and the others are queued as [`PendingInsert`]s in the worker's
+///   outbox.  *Drain*: on the calling thread, the merged outboxes are
+///   admitted sorted by `(pos, actor)`.
 ///
-/// 1. **Expand** (no state is interned): each node is decoded, stepped
-///    and its successors canonicalized; successors already interned by
-///    a previous round or level are dropped by a probe of the seen set,
-///    and the survivors are queued as [`PendingInsert`]s in the
-///    worker's outbox.  With one worker the round runs in frontier
-///    order on the calling thread, with the run's `scratch`, and the
-///    probe faults spilled pages back into the arena's resident set as
-///    an insert would.  With more, the seen set is shared read-only
-///    (probes read spilled pages through per-worker caches) and the
-///    round's nodes are block-partitioned over per-worker deques with
-///    back-half stealing (uneven orbit-canonicalization costs get
-///    rebalanced).
-/// 2. **Drain** (on the calling thread): the merged outboxes are
-///    interned sorted by `(pos, actor)` — so the first generator of
-///    every state becomes its breadth-first parent, and fresh states
-///    join `next` (cleared first; rounds cover increasing positions) in
-///    id order, which is discovery order at every worker count.
-///    Monitors run once per fresh state, on its decoded canonical
-///    representative — monitor predicates are orbit-invariant by
-///    contract, so any image of the state is as good as another, and
-///    duplicates never pay for an evaluation.  Each fresh state's
-///    pending depths follow from its parent's ([`child_depths`]) and
-///    join `next` with it.
-///
-/// The level appends one [`EdgeTable`] row per frontier node and fills
-/// it from both phases: targets the expand probe found, and targets the
-/// drain interned (fresh or not).  The worker count is the number of
-/// outboxes in `bufs`.
+/// Either way the first generator of every state becomes its
+/// breadth-first parent, and fresh states are numbered, and join
+/// `next`, in discovery order at every worker count.  The level appends
+/// one [`EdgeTable`] row per frontier node and fills it as successors
+/// are admitted (with several workers, also from the probes' hits).
+/// The worker count is the number of outboxes in `bufs`.
 pub(super) fn run_level<A: Automaton + Sync>(
     shared: &EngineShared<'_, A>,
     shard: &mut Shard,
@@ -535,26 +657,32 @@ pub(super) fn run_level<A: Automaton + Sync>(
 where
     A::State: EncodeState + Send,
 {
-    let (n, m) = (shared.automata.len(), shared.mem0.m());
-    let mut out = LevelOut::new(shared.monitors.len(), n);
     next.clear();
     let row_base = edges.rows();
     edges.add_rows(frontier.len());
+    let mut admission = Admission {
+        shared,
+        shard,
+        frontier,
+        next,
+        edges,
+        row_base,
+        out: LevelOut::new(shared.monitors.len(), shared.automata.len()),
+        slots: Vec::new(),
+        procs: Vec::new(),
+        crashes: Vec::new(),
+    };
     let mut base = 0;
     while base < frontier.len() {
-        if shared.overflow.load(Ordering::Relaxed) || out.found_stop() {
+        if shared.overflow.load(Ordering::Relaxed) || admission.out.found_stop() {
             break;
         }
         let round = base..frontier.len().min(base + LEVEL_CHUNK);
         base = round.end;
-        // Phase 1: expand the round.
-        for outbox in &mut bufs.outboxes {
-            outbox.clear();
-        }
-        if let [outbox] = bufs.outboxes.as_mut_slice() {
-            let mut seen = |hash: u64, bytes: &[u8], _: &mut PageCache| {
-                shard.arena.lookup_hashed_mut(hash, bytes)
-            };
+        if let [_] = bufs.outboxes.as_slice() {
+            let mut tally = Tally::default();
+            let mut admit =
+                |s: &Successor, bytes: &[u8], _: &mut PageCache| admission.admit(s, bytes);
             for pos in round {
                 let (id, bytes) = frontier.node(pos);
                 let item = LevelItem {
@@ -562,92 +690,30 @@ where
                     id,
                     bytes,
                 };
-                expand_item(shared, &item, 0, scratch, outbox, &mut seen);
+                expand_item(shared, &item, scratch, &mut tally, &mut admit);
             }
-        } else {
-            expand_round_stealing(shared, &*shard, frontier, round, &mut bufs.outboxes);
+            admission.out.add(&tally);
+            continue;
         }
+        for outbox in &mut bufs.outboxes {
+            outbox.clear();
+        }
+        expand_round_stealing(shared, admission.shard, frontier, round, &mut bufs.outboxes);
         bufs.pending.clear();
         for outbox in &bufs.outboxes {
-            out.acquisitions += outbox.acquisitions;
-            out.transitions += outbox.transitions;
-            if let Some(v) = outbox.violation {
-                if out.violation.is_none_or(|best| v.order < best.order) {
-                    out.violation = Some(v);
-                }
-            }
+            admission.out.add(&outbox.tally);
             bufs.pending.extend_from_slice(&outbox.pending);
             for e in &outbox.edges {
-                edges.set(row_base + e.pos as usize, e);
+                admission.edges.set(row_base + e.pos as usize, e);
             }
         }
-        // Phase 2: drain the round into the seen set.
-        bufs.pending.sort_unstable_by_key(|p| (p.pos, p.actor));
+        bufs.pending
+            .sort_unstable_by_key(|p| (p.succ.pos, p.succ.actor));
         for p in &bufs.pending {
-            if shared.overflow.load(Ordering::Relaxed) {
-                break;
-            }
-            let bytes = p.bytes(&bufs.outboxes);
-            let meta = NodeMeta {
-                parent: p.parent,
-                actor: p.actor,
-                sigma: p.sigma,
-            };
-            let (id, fresh) = intern_into(shared, shard, p.hash, bytes, meta, p.orbit);
-            if p.edge {
-                let edge = Edge {
-                    pos: p.pos,
-                    target: id,
-                    sigma: p.sigma,
-                    actor: p.actor,
-                };
-                edges.set(row_base + p.pos as usize, &edge);
-            }
-            if !fresh {
-                // An intra-round duplicate that lost the sorted
-                // `(pos, actor)` race: its first generator is the
-                // breadth-first parent.
-                continue;
-            }
-            let elem = &shared.group[usize::from(p.sigma)];
-            let parent = frontier.depths(p.pos as usize);
-            next.push(id, bytes, child_depths(parent, elem, p.trying, p.actor));
-            for (max, &d) in out.depth_maxima.iter_mut().zip(next.depths(next.len() - 1)) {
-                *max = (*max).max(d);
-            }
-            let order = (p.pos as usize, p.actor as usize);
-            if !shared.monitors.is_empty() {
-                decode_node(
-                    bytes,
-                    m,
-                    n,
-                    &mut scratch.slots,
-                    &mut scratch.procs,
-                    &mut scratch.crashes,
-                );
-            }
-            for (mi, mon) in shared.monitors.iter().enumerate() {
-                if !(mon.eval)(&scratch.slots, &scratch.procs) {
-                    continue;
-                }
-                out.monitor_hits[mi].record(order, id);
-                if mon.fatal {
-                    let cand = PropViolation {
-                        order,
-                        node: id,
-                        monitor: mi as u32,
-                    };
-                    if out
-                        .prop_violation
-                        .is_none_or(|best| (cand.order, cand.monitor) < (best.order, best.monitor))
-                    {
-                        out.prop_violation = Some(cand);
-                    }
-                }
-            }
+            admission.admit(&p.succ, p.bytes(&bufs.outboxes));
         }
     }
-    out
+    admission.out
 }
 
 /// Phase-1 worker pool of [`run_level`] with several workers, one per
@@ -692,6 +758,9 @@ pub(super) fn expand_round_stealing<A: Automaton + Sync>(
 
 /// One phase-1 stealing worker: drain the own deque front in batches;
 /// when dry, steal the back half of the first non-empty victim deque.
+/// Each successor is probed against the frozen seen set: one interned
+/// by an earlier round or level contributes its edge to the outbox, the
+/// others are queued as pending inserts.
 pub(super) fn expand_worker<'f, A: Automaton + Sync>(
     shared: &EngineShared<'_, A>,
     shard: &Shard,
@@ -703,8 +772,42 @@ pub(super) fn expand_worker<'f, A: Automaton + Sync>(
 {
     let workers = queues.len();
     let mut sc: Scratch<A::State> = Scratch::new(shared.mem0.clone());
-    let mut seen = |hash: u64, bytes: &[u8], cache: &mut PageCache| {
-        shard.arena.lookup_hashed_cached(hash, bytes, cache)
+    let Outbox {
+        pending,
+        bytes,
+        edges,
+        tally,
+    } = outbox;
+    let mut probe = |s: &Successor, best: &[u8], cache: &mut PageCache| {
+        match shard.arena.lookup_hashed_cached(s.hash, best, cache) {
+            // Interned by a previous round or level: the probe is exact
+            // for those, so nothing to buffer but the edge.  Intra-round
+            // duplicates fall through; the drain finds them interned.
+            Ok(Some(target)) => {
+                if s.edge {
+                    edges.push(Edge {
+                        pos: s.pos,
+                        target,
+                        sigma: s.sigma,
+                        actor: s.actor,
+                    });
+                }
+            }
+            Ok(None) => {
+                pending.push(PendingInsert {
+                    succ: *s,
+                    start: bytes.len() as u32,
+                    len: u16::try_from(best.len())
+                        .expect("encoded states must fit the page-base directory (≤ 64 KiB)"),
+                    worker: w as u16,
+                });
+                bytes.extend_from_slice(best);
+            }
+            // A spilled page is unreadable: the level boundary turns this
+            // into McError::Spill; meanwhile treat the child as seen so
+            // the round drains without further probes.
+            Err(e) => shared.record_spill_error(e),
+        }
     };
     let mut batch: Vec<LevelItem<'f>> = Vec::with_capacity(STEAL_BATCH);
     'round: loop {
@@ -748,21 +851,20 @@ pub(super) fn expand_worker<'f, A: Automaton + Sync>(
             continue 'round;
         }
         for item in &batch {
-            expand_item(shared, item, w, &mut sc, outbox, &mut seen);
+            expand_item(shared, item, &mut sc, tally, &mut probe);
         }
     }
 }
 
-/// Phase 1 for one frontier node: decodes it, steps every process once
-/// (and crashes every process the budget admits), and canonicalizes
-/// each successor that is not a violation.  A successor that
-/// `seen(hash, bytes, cache)` finds contributes its edge to the outbox's
-/// edge list; the others are queued as pending inserts in `outbox`.
-/// Steps and acquisitions are counted into `outbox`.  A found violation
-/// never aborts mid-node: the candidate is merged by minimum
-/// `(pos, actor)` into `outbox` and the node's remaining actors still
-/// run (stolen items arrive out of position order, and the round
-/// finishes regardless).
+/// Expands one frontier node: decodes it, steps every process once
+/// (and crashes every process the budget admits), canonicalizes each
+/// successor that is not a violation and hands it to `sink` with its
+/// canonical encoding and the worker's page cache, in actor order:
+/// steps `0..n`, then crashes, whose actor has its high bit set.  Steps
+/// and acquisitions are counted into `tally`.  A found violation never
+/// aborts mid-node: the candidate is merged by minimum `(pos, actor)`
+/// into `tally` and the node's remaining actors still run (stolen items
+/// arrive out of position order, and the round finishes regardless).
 ///
 /// Crash edges: the adversary may crash any process that is mid-
 /// invocation (Trying/Cs/Exiting — a process in its remainder has
@@ -776,10 +878,9 @@ pub(super) fn expand_worker<'f, A: Automaton + Sync>(
 pub(super) fn expand_item<A: Automaton>(
     shared: &EngineShared<'_, A>,
     item: &LevelItem<'_>,
-    worker: usize,
     sc: &mut Scratch<A::State>,
-    outbox: &mut Outbox,
-    seen: &mut impl FnMut(u64, &[u8], &mut PageCache) -> Result<Option<u32>, SpillError>,
+    tally: &mut Tally,
+    sink: &mut impl FnMut(&Successor, &[u8], &mut PageCache),
 ) where
     A::State: EncodeState,
 {
@@ -794,6 +895,14 @@ pub(super) fn expand_item<A: Automaton>(
         &mut sc.crashes,
     );
     let crashed: u32 = sc.crashes.iter().map(|&c| u32::from(c)).sum();
+    // Bit `i`: process `i` of the node is `Trying`.  A successor differs
+    // from the node in its actor's phase alone.
+    let trying = sc
+        .procs
+        .iter()
+        .enumerate()
+        .filter(|(_, (phase, _))| *phase == Phase::Trying)
+        .fold(0u64, |mask, (i, _)| mask | 1 << i);
     // Every process steps once; then, when crashes are enabled, every
     // process the budget admits crashes once.
     let steps = (0..n).map(|i| (i, None));
@@ -804,14 +913,14 @@ pub(super) fn expand_item<A: Automaton>(
     for (i, crash) in steps.chain(crashes) {
         let (actor, edge, saved) = match crash {
             None => {
-                outbox.transitions += 1;
+                tally.transitions += 1;
                 sc.mem.restore(&sc.slots);
                 let saved = sc.procs[i].clone();
                 let (phase, state) = &mut sc.procs[i];
                 let outcome =
                     closed_loop_step(&shared.automata[i], phase, state, &mut sc.mem.view(i));
                 if outcome == Outcome::Acquired {
-                    outbox.acquisitions += 1;
+                    tally.acquisitions += 1;
                     if let Some(j) = (0..n).find(|&j| j != i && sc.procs[j].0 == Phase::Cs) {
                         let cand = Violation {
                             order: (item.pos as usize, i),
@@ -819,8 +928,8 @@ pub(super) fn expand_item<A: Automaton>(
                             actor: i,
                             other: j,
                         };
-                        if outbox.violation.is_none_or(|best| cand.order < best.order) {
-                            outbox.violation = Some(cand);
+                        if tally.violation.is_none_or(|best| cand.order < best.order) {
+                            tally.violation = Some(cand);
                         }
                         // The violating successor is not interned (it is
                         // the witness endpoint, not a node to expand
@@ -838,7 +947,7 @@ pub(super) fn expand_item<A: Automaton>(
                 {
                     continue;
                 }
-                outbox.transitions += 1;
+                tally.transitions += 1;
                 let saved = std::mem::replace(
                     &mut sc.procs[i],
                     (Phase::Remainder, shared.automata[i].crash_state()),
@@ -867,50 +976,17 @@ pub(super) fn expand_item<A: Automaton>(
             &mut sc.canon,
         );
         let best = &sc.canon.best;
-        let hash = hash_bytes(best);
-        match seen(hash, best, &mut sc.cache) {
-            // Interned by a previous round or level: the probe is exact
-            // for those, so nothing to buffer but the edge.  Intra-round
-            // duplicates fall through and lose in the drain phase.
-            Ok(Some(id)) => {
-                if edge {
-                    outbox.edges.push(Edge {
-                        pos: item.pos,
-                        target: id,
-                        sigma,
-                        actor,
-                    });
-                }
-            }
-            Ok(None) => {
-                let trying = sc
-                    .procs
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, (phase, _))| *phase == Phase::Trying)
-                    .fold(0u64, |mask, (i, _)| mask | 1 << i);
-                let start = outbox.bytes.len();
-                outbox.bytes.extend_from_slice(best);
-                outbox.pending.push(PendingInsert {
-                    hash,
-                    trying,
-                    pos: item.pos,
-                    parent: item.id,
-                    orbit,
-                    start: start as u32,
-                    len: u16::try_from(best.len())
-                        .expect("encoded states must fit the page-base directory (≤ 64 KiB)"),
-                    worker: worker as u16,
-                    sigma,
-                    actor,
-                    edge,
-                });
-            }
-            // A spilled page is unreadable: the level boundary turns this
-            // into McError::Spill; meanwhile treat the child as seen so
-            // the round drains without further probes.
-            Err(e) => shared.record_spill_error(e),
-        }
+        let succ = Successor {
+            hash: hash_bytes(best),
+            trying: trying & !(1 << i) | u64::from(sc.procs[i].0 == Phase::Trying) << i,
+            pos: item.pos,
+            parent: item.id,
+            orbit,
+            sigma,
+            actor,
+            edge,
+        };
+        sink(&succ, best, &mut sc.cache);
         if crash.is_some() {
             sc.crashes[i] -= 1;
         }

@@ -30,24 +30,27 @@
 //! cloned node per successor step (successors are generated into reused
 //! scratch buffers).
 //!
-//! Every breadth-first level runs the same two-phase code, in rounds of
-//! at most 16K frontier nodes:
+//! Every breadth-first level runs in rounds of at most 16K frontier
+//! nodes.  Each node is decoded, stepped once per process (and per
+//! admissible crash), and every successor canonicalized; each successor
+//! is then *admitted*: interned into the seen set, and, when fresh,
+//! given its metadata, its place in the next frontier and its monitor
+//! evaluations.  Successors are admitted in `(frontier position,
+//! actor)` order, so the first generator of a state becomes its
+//! breadth-first parent and the next frontier keeps that order.
 //!
-//! 1. **Expand** — each node is decoded, stepped once per process (and
-//!    per admissible crash), and every successor canonicalized; a probe
-//!    of the frozen seen set drops successors interned by an earlier
-//!    round or level, and the survivors are queued.
-//! 2. **Drain** — the calling thread interns the queue in `(frontier
-//!    position, actor)` order, so the first generator of a state becomes
-//!    its breadth-first parent and the next frontier keeps that order.
-//!
-//! With one worker both phases run on the calling thread.  With more
-//! ([`ModelChecker::threads`]), the expand phase runs on per-worker
-//! deques with back-half work stealing, each worker probing the frozen
-//! seen set through its own page cache.  Either way there is one seen
-//! set, and a state's id is its index in it: breadth-first discovery
-//! order, so verdicts, witness schedules, counts and SCC-query answers
-//! are identical whatever the worker count.
+//! With one worker the round runs on the calling thread, and each
+//! successor is admitted where it is generated — expansion emits them
+//! in that order — with one find-or-put probe of the seen set.  With
+//! more ([`ModelChecker::threads`]), a round has two phases: the expand
+//! phase runs on per-worker deques with back-half work stealing, each
+//! worker probing the frozen seen set through its own page cache and
+//! queueing the successors it does not find; then the calling thread
+//! drains the queues in that order through the same admission.  Either
+//! way there is one seen set, and a state's id is its index in it:
+//! breadth-first discovery order, so verdicts, witness schedules,
+//! counts and SCC-query answers are identical whatever the worker
+//! count.
 //!
 //! The builder's knobs beyond the state bound:
 //!
@@ -94,10 +97,10 @@
 //!
 //! The deadlock-freedom pass reads an edge table that exploration
 //! fills as it goes: when a level expands a state, each
-//! completion-free successor's id (from the seen-set probe, or from the
-//! drain that interned it) and canonicalizing group element are
-//! written into the state's row of a dense `states × n` table, rows in
-//! breadth-first discovery order.  After BFS, Tarjan's SCC
+//! completion-free successor's id (from its admission, or from a
+//! multi-worker round's seen-set probe) and canonicalizing group
+//! element are written into the state's row of a dense `states × n`
+//! table, rows in breadth-first discovery order.  After BFS, Tarjan's SCC
 //! decomposition ([`crate::scc::tarjan_sccs_csr`]) runs straight over
 //! that table, so the pass steps no automaton, canonicalizes nothing
 //! and probes no seen table, and memory stays O(states · n) rather than

@@ -1,4 +1,6 @@
-use super::group::{build_group, canonicalize, decode_node, encode_node_with, Canon, SymElem};
+use super::group::{
+    build_group, canonicalize, decode_node, encode_node_with, Canon, Ranking, SymElem,
+};
 use super::level::Shard;
 use super::*;
 use crate::automaton::{closed_loop_step, Outcome};
@@ -314,10 +316,77 @@ fn parallel_run_matches_sequential_verdict_and_counts() {
     let par = make().threads(4).oversubscribe(true).run().unwrap();
     assert_eq!(seq.verdict, par.verdict);
     assert_eq!(seq.canonical_states, par.canonical_states);
+    assert_eq!(seq.full_states_estimate, par.full_states_estimate);
     assert_eq!(seq.transitions, par.transitions);
     assert_eq!(seq.acquisitions, par.acquisitions);
     assert_eq!(seq.max_pending_depth, par.max_pending_depth);
+    assert_eq!(seq.peak_frontier, par.peak_frontier);
+    assert_eq!(seq.arena_bytes, par.arena_bytes);
+    assert_eq!(seq.seen_table_bytes, par.seen_table_bytes);
     assert_eq!(par.threads, 4);
+}
+
+#[test]
+fn both_admission_paths_report_the_same_run() {
+    // One worker interns each successor where it is generated; three
+    // probe the frozen seen set and drain.  With crash edges, a spilling
+    // arena and a watch monitor, the runs must still agree on every
+    // count and on the monitor's hits and witness.
+    let make = |threads: usize| {
+        cas_locks(6, 1, &Adversary::Identity, Symmetry::Off)
+            .crashes(CrashBudget::total(1), CrashMode::WipeRegisters)
+            .resident_budget(2 * 1024)
+            .monitor(Monitor::watch("one-trying-rest-idle", |_, procs| {
+                procs
+                    .iter()
+                    .filter(|(phase, _)| *phase == Phase::Trying)
+                    .count()
+                    == 1
+                    && procs.iter().all(|(phase, _)| *phase != Phase::Cs)
+            }))
+            .threads(threads)
+            .oversubscribe(true)
+            .run()
+            .unwrap()
+    };
+    let (one, three) = (make(1), make(3));
+    assert_eq!(one.verdict, three.verdict);
+    assert_eq!(one.canonical_states, three.canonical_states);
+    assert_eq!(one.full_states_estimate, three.full_states_estimate);
+    assert_eq!(one.transitions, three.transitions);
+    assert_eq!(one.acquisitions, three.acquisitions);
+    assert_eq!(one.max_pending_depth, three.max_pending_depth);
+    assert_eq!(one.peak_frontier, three.peak_frontier);
+    assert_eq!(one.arena_bytes, three.arena_bytes);
+    assert_eq!(one.seen_table_bytes, three.seen_table_bytes);
+    assert!(one.arena_spilled_bytes > 0, "the budget makes pages spill");
+    assert_eq!(one.monitors.len(), 1);
+    assert_eq!(one.monitors[0].hit_states, three.monitors[0].hit_states);
+    assert_eq!(
+        one.monitors[0].witness_schedule,
+        three.monitors[0].witness_schedule
+    );
+    assert!(one.monitors[0].hit_states > 0);
+}
+
+#[test]
+fn both_admission_paths_stop_at_the_state_bound() {
+    for threads in [1, 3] {
+        let err = cas_locks(4, 1, &Adversary::Identity, Symmetry::Off)
+            .crashes(CrashBudget::total(1), CrashMode::WipeRegisters)
+            .max_states(100)
+            .threads(threads)
+            .oversubscribe(true)
+            .run()
+            .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                McError::StateSpaceExceeded(StateSpaceExceeded { limit: 100 })
+            ),
+            "{threads} workers: {err:?}"
+        );
+    }
 }
 
 #[test]
@@ -1444,22 +1513,38 @@ fn canonicalize_full_scan<S: EncodeState>(
 }
 
 /// Asserts that [`canonicalize`] returns the full scan's `(best, σ,
-/// orbit)` on one node, from scratch buffers holding stale bytes, and
-/// that its stage 1 ties exactly the elements whose image has the
-/// least slot section; returns the orbit size and that tie count.
+/// orbit)` on one node, from scratch buffers holding stale bytes and
+/// stale rankings of another image, and that its stage 1 ties exactly
+/// the elements whose image has the least slot section; returns the
+/// orbit size and that tie count.
 fn assert_pruned_matches_full<S: EncodeState>(
     group: &[SymElem],
     slots: &[Slot],
     procs: &[(Phase, S)],
     crashes: &[u8],
 ) -> (u32, usize) {
-    let mut canon = Canon {
-        best: vec![0x00; 3],
-        enc: vec![0xFF; 9],
+    let stale = || Ranking {
+        image: vec![Slot::BOTTOM; slots.len() + 1],
         keys: vec![7; 2],
         ties: vec![5],
     };
-    let (sigma, orbit) = canonicalize(group, slots, procs, crashes, &mut canon);
+    let mut canon = Canon {
+        best: vec![0x00; 3],
+        enc: vec![0xFF; 9],
+        rankings: [stale(), stale()],
+    };
+    assert_canonicalize_matches_full(&mut canon, group, slots, procs, crashes)
+}
+
+/// [`assert_pruned_matches_full`] on a given [`Canon`].
+fn assert_canonicalize_matches_full<S: EncodeState>(
+    canon: &mut Canon,
+    group: &[SymElem],
+    slots: &[Slot],
+    procs: &[(Phase, S)],
+    crashes: &[u8],
+) -> (u32, usize) {
+    let (sigma, orbit) = canonicalize(group, slots, procs, crashes, canon);
     let (best, full_sigma, full_orbit) = canonicalize_full_scan(group, slots, procs, crashes);
     assert_eq!(
         (&canon.best, sigma, orbit),
@@ -1474,8 +1559,35 @@ fn assert_pruned_matches_full<S: EncodeState>(
             image[..slot_bytes] == best[..slot_bytes]
         })
         .collect();
-    assert_eq!(canon.ties, ties, "slots {slots:?}");
+    assert_eq!(canon.rankings[0].ties, ties, "slots {slots:?}");
     (orbit, ties.len())
+}
+
+#[test]
+fn the_ranking_cache_never_serves_a_stale_ranking() {
+    // S_3 over three registers.  Image B and B' differ in one slot and
+    // rank differently (two elements tie on B, one on B'), so serving
+    // B's ranking for B' would write a wrong slot section.
+    let pids = PidPool::sequential().mint_many(3);
+    let automata: Vec<CasLock> = pids.iter().copied().map(CasLock::new).collect();
+    let mem = SimMemory::new(MemoryModel::Rmw, 3, &Adversary::Identity, 3).unwrap();
+    let (group, _) = build_group(&automata, &mem, Symmetry::Wreath).unwrap();
+    assert_eq!(group.len(), 6);
+    let procs = vec![
+        (Phase::Trying, crate::toys::CasLockState::TryCas),
+        (Phase::Remainder, crate::toys::CasLockState::Idle),
+        (Phase::Cs, crate::toys::CasLockState::Unlock),
+    ];
+    let [p0, p1, p2] = [0, 1, 2].map(|i| Slot::from(pids[i]));
+    let a = [p0, Slot::BOTTOM, p1];
+    let b = [Slot::BOTTOM, p2, Slot::BOTTOM];
+    let b_changed = [p1, p2, Slot::BOTTOM];
+    let mut canon = Canon::default();
+    let ties: Vec<usize> = [&a, &b, &a, &b_changed]
+        .into_iter()
+        .map(|slots| assert_canonicalize_matches_full(&mut canon, &group, slots, &procs, &[]).1)
+        .collect();
+    assert_eq!(ties, [1, 2, 1, 1]);
 }
 
 /// A node's slots, processes and crash counts.

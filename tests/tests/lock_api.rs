@@ -310,7 +310,7 @@ fn pinned() -> Vec<Pinned> {
             vec![
                 [0, 2, 0, 0],
                 [0, 3, 0, 0],
-                [1, 4, 0, 0],
+                [1, 3, 0, 0],
                 [1, 5, 0, 0],
                 [1, 6, 0, 0],
             ],
